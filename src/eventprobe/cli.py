@@ -278,7 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_eval)
 
     p = sub.add_parser("gap-report", help="recompute gaps from a recall CSV")
-    p.add_argument("--recalls", required=True, help="CSV with category,direction,k,p,p_control")
+    p.add_argument(
+        "--recalls",
+        required=True,
+        help="recalls.csv from eval, or a CSV with category,direction,k,p,p_control",
+    )
     p.add_argument("--model", default="unknown")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_gap_report)

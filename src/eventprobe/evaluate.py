@@ -353,23 +353,71 @@ def summarize(
 
 
 def gap_rows_from_csv(text: str) -> list[GapReport]:
-    """Read back rows written by summarize (or hand-made p/p_control rows)."""
+    """Read gap rows from a recall CSV in either of two layouts.
+
+    Wide rows (category,direction,k,p,p_control[,delta_p]) come from
+    summarize or by hand. Long rows (category,direction,k,pool,value) are
+    what `eval` writes as recalls.csv: each positive row is paired with the
+    control row of its category, direction and k, and as in evaluate_pools
+    a zero positive recall yields no gap row.
+    """
     reader = csv.DictReader(io.StringIO(text))
-    rows = []
-    for raw in reader:
-        p = float(raw["p"])
-        p_control = float(raw["p_control"])
-        delta = float(raw["delta_p"]) if raw.get("delta_p") else relative_gap(p, p_control)
-        rows.append(
-            GapReport(
-                category=raw["category"],
-                direction=raw["direction"],
-                k=int(raw["k"]),
-                p=p,
-                p_control=p_control,
-                delta_p=delta,
+    columns = set(reader.fieldnames or ())
+    try:
+        if {"category", "direction", "k", "pool", "value"} <= columns:
+            return _gap_rows_from_long(reader)
+        if not {"category", "direction", "k", "p", "p_control"} <= columns:
+            raise MalformedDocument(
+                "recall CSV needs columns category,direction,k,pool,value "
+                "or category,direction,k,p,p_control"
             )
-        )
+        rows = []
+        for raw in reader:
+            p = float(raw["p"])
+            p_control = float(raw["p_control"])
+            delta = float(raw["delta_p"]) if raw.get("delta_p") else relative_gap(p, p_control)
+            rows.append(
+                GapReport(
+                    category=raw["category"],
+                    direction=raw["direction"],
+                    k=int(raw["k"]),
+                    p=p,
+                    p_control=p_control,
+                    delta_p=delta,
+                )
+            )
+        return rows
+    except (TypeError, ValueError) as exc:
+        raise MalformedDocument(f"bad recall CSV row: {exc}") from None
+
+
+def _gap_rows_from_long(reader: csv.DictReader) -> list[GapReport]:
+    recalls: dict[tuple[str, str, int], dict[str, float]] = {}
+    for raw in reader:
+        key = (raw["category"], raw["direction"], int(raw["k"]))
+        pools = recalls.setdefault(key, {})
+        if raw["pool"] in pools:
+            raise MalformedDocument(f"recall CSV: duplicate {raw['pool']} row for {key}")
+        pools[raw["pool"]] = float(raw["value"])
+    rows = []
+    for (category, direction, k), pools in recalls.items():
+        if set(pools) != {"positive", "control"}:
+            raise MalformedDocument(
+                f"recall CSV: {category} {direction} k={k} needs one positive "
+                f"and one control row, found {sorted(pools)}"
+            )
+        p, p_control = pools["positive"], pools["control"]
+        if p > 0:
+            rows.append(
+                GapReport(
+                    category=category,
+                    direction=direction,
+                    k=k,
+                    p=p,
+                    p_control=p_control,
+                    delta_p=relative_gap(p, p_control),
+                )
+            )
     return rows
 
 

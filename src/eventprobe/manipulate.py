@@ -13,8 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Mapping, Sequence
+from itertools import accumulate
+from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     EmptyPool,
@@ -258,34 +261,30 @@ def counterfactual_substitute(
     return replace(e, object_attrs=tuple(attrs))
 
 
-def _truthful_attribute_values(
-    graph: SceneGraph, entity_id: str, attr_type: str
-) -> set[str]:
-    """Every attr_type value the graph attributes to the entity, in any role."""
-    values: set[str] = set()
+def _truthful_values(
+    graph: SceneGraph, fine_type: str, predicate: bool
+) -> Iterator[tuple[str, str]]:
+    """(entity id, value) for every fine_type value the graph attributes.
+
+    A predicate counts for its subject; an attribute counts for its entity in
+    either role.
+    """
     for tup in graph.tuples:
-        if tup.subject.entity_id == entity_id:
-            values.update(
-                a.value for a in tup.subject_attrs if a.attr_type == attr_type
-            )
-        if tup.object is not None and tup.object.entity_id == entity_id:
-            values.update(
-                a.value for a in tup.object_attrs if a.attr_type == attr_type
-            )
-    return values
+        if predicate:
+            if tup.predicate is not None and tup.predicate.pred_type == fine_type:
+                yield tup.subject.entity_id, tup.predicate.value
+            continue
+        for attr in tup.subject_attrs:
+            if attr.attr_type == fine_type:
+                yield tup.subject.entity_id, attr.value
+        for attr in tup.object_attrs:
+            if attr.attr_type == fine_type:
+                yield tup.object.entity_id, attr.value
 
 
-def _truthful_predicate_values(
-    graph: SceneGraph, subject_id: str, pred_type: str
-) -> set[str]:
-    """Every pred_type value the graph asserts for the subject entity."""
-    return {
-        tup.predicate.value
-        for tup in graph.tuples
-        if tup.subject.entity_id == subject_id
-        and tup.predicate is not None
-        and tup.predicate.pred_type == pred_type
-    }
+def _check_type(profile: DatasetProfile, fine_type: str) -> None:
+    if fine_type not in profile.vocab:
+        raise UnknownType(f"fine type {fine_type!r} not in profile {profile.name!r}")
 
 
 def build_pool(
@@ -300,32 +299,24 @@ def build_pool(
     value the graph truthfully attributes to the slot's entity, so sampled
     substitutes are false by construction within the video.
     """
-    if fine_type not in profile.vocab:
-        raise UnknownType(f"fine type {fine_type!r} not in profile {profile.name!r}")
+    _check_type(profile, fine_type)
     tup = next((t for t in graph.tuples if t.tuple_id == slot.tuple_id), None)
     if tup is None:
         raise SlotAbsent(f"tuple {slot.tuple_id!r} not in graph {graph.video_id!r}")
-    if slot.kind == SLOT_PREDICATE:
-        exclusions = _truthful_predicate_values(
-            graph, tup.subject.entity_id, fine_type
-        )
-    elif slot.kind == SLOT_SUBJECT_ATTRIBUTE:
-        exclusions = _truthful_attribute_values(
-            graph, tup.subject.entity_id, fine_type
-        )
+    if slot.kind in (SLOT_PREDICATE, SLOT_SUBJECT_ATTRIBUTE):
+        entity_id = tup.subject.entity_id
     elif slot.kind == SLOT_OBJECT_ATTRIBUTE:
         if tup.object is None:
             raise SlotAbsent(f"tuple {slot.tuple_id!r} has no object")
-        exclusions = _truthful_attribute_values(
-            graph, tup.object.entity_id, fine_type
-        )
+        entity_id = tup.object.entity_id
     else:
         raise SlotAbsent(f"unknown slot kind {slot.kind!r}")
-    return CandidatePool(
-        fine_type=fine_type,
-        values=profile.vocab[fine_type],
-        exclusions=frozenset(exclusions),
+    exclusions = frozenset(
+        value
+        for holder, value in _truthful_values(graph, fine_type, slot.kind == SLOT_PREDICATE)
+        if holder == entity_id
     )
+    return CandidatePool(fine_type, profile.vocab[fine_type], exclusions)
 
 
 # --- site enumeration ----------------------------------------------------------
@@ -408,6 +399,107 @@ def _subject_observations(
     return found
 
 
+def _interned(values: Iterable[Hashable]) -> list[int]:
+    """Equal values get equal small ints, so pair checks compare ints."""
+    ids: dict[Hashable, int] = {}
+    return [ids.setdefault(v, len(ids)) for v in values]
+
+
+class _TemporalPairs:
+    """One video's temporal swap sites for one category, counted before built.
+
+    Items are the category's predicate tuples, or its subject attribute
+    observations, in sort_key order. Items i < j form a site when they share
+    a group (their subject, for attributes; predicates form one group),
+    differ in time, and differ in key (the tuple key for predicates, the
+    value for attributes). Sites are ordered by (i, j), which is their
+    sort_key order, so the ordinal of a site is the same whether it is
+    counted here or listed by enumerate_candidates.
+    """
+
+    def __init__(self, graph: SceneGraph, category: ManipulationCategory) -> None:
+        self.video_id = graph.video_id
+        self.attribute = category.target == "attribute"
+        if self.attribute:
+            obs = sorted(
+                _subject_observations(graph, category.fine_type),
+                key=lambda item: (item[0], item[1]),
+            )
+            self.items = [(tid, idx) for tid, idx, _ in obs]
+            tuples = [tup for _, _, tup in obs]
+            groups = _interned(tup.subject for tup in tuples)
+            keys = _interned(tup.subject_attrs[idx].value for _, idx, tup in obs)
+        else:
+            tuples = sorted(
+                (
+                    t
+                    for t in graph.tuples
+                    if t.predicate is not None
+                    and t.predicate.pred_type == category.fine_type
+                ),
+                key=lambda t: t.tuple_id,
+            )
+            self.items = [(t.tuple_id, None) for t in tuples]
+            groups = [0] * len(tuples)
+            keys = _interned(
+                (t.subject, t.subject_attrs, t.predicate, t.object, t.object_attrs)
+                for t in tuples
+            )
+        times = _interned((t.time.start_s, t.time.end_s) for t in tuples)
+        self._tags = list(zip(groups, times, keys))
+        self._members: dict[int, list[int]] = {}
+        for i, group in enumerate(groups):
+            self._members.setdefault(group, []).append(i)
+
+        # Valid later partners of item i: later items of its group, minus
+        # those at the same time, minus those with the same key, plus those
+        # with both (subtracted twice).
+        later: Counter = Counter()
+        same_time: Counter = Counter()
+        same_key: Counter = Counter()
+        same_both: Counter = Counter()
+        counts = [0] * len(tuples)
+        for i in reversed(range(len(tuples))):
+            group, time, key = self._tags[i]
+            counts[i] = (
+                later[group]
+                - same_time[group, time]
+                - same_key[group, key]
+                + same_both[group, time, key]
+            )
+            later[group] += 1
+            same_time[group, time] += 1
+            same_key[group, key] += 1
+            same_both[group, time, key] += 1
+        self.starts = list(accumulate(counts, initial=0))
+        self.total = self.starts[-1]
+
+    def partners(self, i: int) -> list[int]:
+        """The items j > i that form a site with item i, in order."""
+        group, time, key = self._tags[i]
+        members = self._members[group]
+        tags = self._tags
+        return [
+            j
+            for j in members[bisect_right(members, i) :]
+            if tags[j][1] != time and tags[j][2] != key
+        ]
+
+    def site(self, i: int, j: int) -> Site:
+        (tid_a, idx_a), (tid_b, idx_b) = self.items[i], self.items[j]
+        if self.attribute:
+            return TemporalAttributeSite(self.video_id, tid_a, idx_a, tid_b, idx_b)
+        return TemporalPredicateSite(self.video_id, tid_a, tid_b)
+
+    def sites(self) -> list[Site]:
+        return [self.site(i, j) for i in range(len(self.items)) for j in self.partners(i)]
+
+    def nth(self, ordinal: int) -> Site:
+        """The site at this position of the video's site order."""
+        i = bisect_right(self.starts, ordinal) - 1
+        return self.site(i, self.partners(i)[ordinal - self.starts[i]])
+
+
 def enumerate_candidates(
     graph: SceneGraph,
     profile: DatasetProfile,
@@ -415,43 +507,17 @@ def enumerate_candidates(
 ) -> list[Site]:
     """Exhaustively list the sites where the category's operator applies.
 
-    The list is duplicate-free and sorted by tuple id, so it depends only on
-    tuple contents, never on their order in the document.
+    The list is duplicate-free and sorted by sort_key, so it depends only on
+    tuple contents, never on their order in the document. apply_corpus
+    numbers a category's sites in this order, video by video; when it only
+    counts sites it numbers them in the same order, which keeps record seeds
+    and record_ids independent of whether the sites were counted or listed.
     """
     sites: list[Site] = []
     vid = graph.video_id
 
-    if category.method == "temporal" and category.target == "predicate":
-        pred_tuples = sorted(
-            (
-                t
-                for t in graph.tuples
-                if t.predicate is not None
-                and t.predicate.pred_type == category.fine_type
-            ),
-            key=lambda t: t.tuple_id,
-        )
-        for i, e1 in enumerate(pred_tuples):
-            for e2 in pred_tuples[i + 1 :]:
-                if e1.time != e2.time and e1.key != e2.key:
-                    sites.append(TemporalPredicateSite(vid, e1.tuple_id, e2.tuple_id))
-
-    elif category.method == "temporal" and category.target == "attribute":
-        obs = sorted(
-            _subject_observations(graph, category.fine_type),
-            key=lambda item: (item[0], item[1]),
-        )
-        for i, (tid_a, idx_a, tup_a) in enumerate(obs):
-            for tid_b, idx_b, tup_b in obs[i + 1 :]:
-                if (
-                    tup_a.subject == tup_b.subject
-                    and tup_a.subject_attrs[idx_a].value
-                    != tup_b.subject_attrs[idx_b].value
-                    and tup_a.time != tup_b.time
-                ):
-                    sites.append(
-                        TemporalAttributeSite(vid, tid_a, idx_a, tid_b, idx_b)
-                    )
+    if category.method == "temporal":
+        sites = _TemporalPairs(graph, category).sites()
 
     elif category.method == "neighborhood":
         for tup in graph.tuples:
@@ -463,23 +529,33 @@ def enumerate_candidates(
 
     elif category.method == "counterfactual":
         if category.target == "predicate":
-            for tup in graph.tuples:
-                if tup.predicate is None or tup.predicate.pred_type != category.fine_type:
-                    continue
-                slot = SlotRef(tup.tuple_id, SLOT_PREDICATE)
-                pool = build_pool(graph, profile, slot, category.fine_type)
-                if pool.usable(tup.predicate.value):
-                    sites.append(
-                        CounterfactualSite(vid, tup.tuple_id, SLOT_PREDICATE, None)
-                    )
+            slots = [
+                (tup, SLOT_PREDICATE, None, tup.predicate.value)
+                for tup in graph.tuples
+                if tup.predicate is not None
+                and tup.predicate.pred_type == category.fine_type
+            ]
         else:
-            for tid, idx, tup in _subject_observations(graph, category.fine_type):
-                slot = SlotRef(tid, SLOT_SUBJECT_ATTRIBUTE, idx)
-                pool = build_pool(graph, profile, slot, category.fine_type)
-                if pool.usable(tup.subject_attrs[idx].value):
-                    sites.append(
-                        CounterfactualSite(vid, tid, SLOT_SUBJECT_ATTRIBUTE, idx)
-                    )
+            slots = [
+                (tup, SLOT_SUBJECT_ATTRIBUTE, idx, tup.subject_attrs[idx].value)
+                for _, idx, tup in _subject_observations(graph, category.fine_type)
+            ]
+        if slots:
+            # The pool build_pool would give each slot, from one scan.
+            _check_type(profile, category.fine_type)
+            truthful: dict[str, set[str]] = {}
+            for holder, value in _truthful_values(
+                graph, category.fine_type, category.target == "predicate"
+            ):
+                truthful.setdefault(holder, set()).add(value)
+            vocab = profile.vocab[category.fine_type]
+            pools = {
+                holder: CandidatePool(category.fine_type, vocab, frozenset(values))
+                for holder, values in truthful.items()
+            }
+            for tup, slot, idx, incumbent in slots:
+                if pools[tup.subject.entity_id].usable(incumbent):
+                    sites.append(CounterfactualSite(vid, tup.tuple_id, slot, idx))
 
     sites.sort(key=lambda s: s.sort_key)
     return sites
@@ -559,6 +635,49 @@ def apply_site(
     raise NotApplicable(f"unsupported site {site!r}")
 
 
+def _draw(total: int, quota: int, category_seed: int) -> list[int]:
+    """The ordinals a quota keeps out of total sites, ascending."""
+    picker = random.Random(category_seed)
+    return sorted(picker.sample(range(total), max(quota, 0)))
+
+
+def _sampled_sites(
+    graphs: Sequence[SceneGraph],
+    profile: DatasetProfile,
+    category: ManipulationCategory,
+    quota: int | None,
+    category_seed: int,
+) -> list[tuple[int, SceneGraph, Site]]:
+    """(ordinal, graph, site) for every site the quota keeps, by ordinal.
+
+    Ordinals number the category's sites over the graphs in order, each
+    graph's sites in enumerate_candidates order. A temporal category under a
+    quota below its site count is counted per video, and only the drawn
+    sites are built; everything else is listed through enumerate_candidates.
+    Both paths draw the same ordinals from the same count.
+    """
+    if quota is not None and category.method == "temporal":
+        tables = [_TemporalPairs(graph, category) for graph in graphs]
+        offsets = list(accumulate((table.total for table in tables), initial=0))
+        if quota < offsets[-1]:
+            chosen = []
+            for ordinal in _draw(offsets[-1], quota, category_seed):
+                v = bisect_right(offsets, ordinal) - 1
+                chosen.append((ordinal, graphs[v], tables[v].nth(ordinal - offsets[v])))
+            return chosen
+
+    listed = [
+        (graph, site)
+        for graph in graphs
+        for site in enumerate_candidates(graph, profile, category)
+    ]
+    if quota is None or quota >= len(listed):
+        ordinals: Iterable[int] = range(len(listed))
+    else:
+        ordinals = _draw(len(listed), quota, category_seed)
+    return [(ordinal, *listed[ordinal]) for ordinal in ordinals]
+
+
 def apply_corpus(
     graphs: Sequence[SceneGraph],
     profile: DatasetProfile,
@@ -568,11 +687,15 @@ def apply_corpus(
 ) -> list[ManipulationRecord]:
     """Apply manipulation categories across a corpus of graphs.
 
-    By default every profile category runs. Per category, sites are
-    enumerated over videos in video_id order and sampled without replacement
-    up to the category's quota. Sampling uses a per-category stream derived
-    from the global seed, and every record carries its own derived seed, so
-    results are stable under quota changes in other categories.
+    By default every profile category runs. Per category, sites are numbered
+    over videos in video_id order, each video's sites in enumerate_candidates
+    order, and sampled without replacement up to the category's quota. A
+    temporal quota run counts its sites instead of listing them and builds
+    only the sampled ones; the ordinals index the same site order either
+    way, so seeds and record_ids do not change. Sampling uses a per-category
+    stream derived from the global seed, and every record carries its own
+    derived seed, so results are stable under quota changes in other
+    categories.
     """
     quotas = dict(quotas or {})
     ordered = sorted(graphs, key=lambda g: g.video_id)
@@ -587,20 +710,10 @@ def apply_corpus(
         category_seed = derive_seed(
             seed, category.method, category.target, category.fine_type
         )
-        all_sites: list[tuple[SceneGraph, Site]] = []
-        for graph in ordered:
-            for site in enumerate_candidates(graph, profile, category):
-                all_sites.append((graph, site))
-
         quota = quotas.get(category.key)
-        if quota is None or quota >= len(all_sites):
-            chosen = range(len(all_sites))
-        else:
-            picker = random.Random(category_seed)
-            chosen = sorted(picker.sample(range(len(all_sites)), max(quota, 0)))
-
-        for ordinal in chosen:
-            graph, site = all_sites[ordinal]
+        for ordinal, graph, site in _sampled_sites(
+            ordered, profile, category, quota, category_seed
+        ):
             record_seed = derive_seed(category_seed, ordinal)
             original, manipulated, pool_size = apply_site(
                 graph, profile, category, site, random.Random(record_seed)

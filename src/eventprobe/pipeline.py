@@ -66,23 +66,26 @@ class PipelineConfig:
                 merged[key] = value
         if "global_seed" not in merged or merged["global_seed"] is None:
             raise ConfigError("global_seed is required; there is no wall-clock default")
-        decorator_doc = merged.get("decorator") or {}
-        if isinstance(decorator_doc, DecoratorConfig):
-            decorator = decorator_doc
-        else:
-            decorator = DecoratorConfig(**decorator_doc)
-        raw_categories = merged.get("categories")
-        if raw_categories in (None, "all-from-profile"):
-            categories = None
-        else:
-            categories = tuple(str(c) for c in raw_categories)
         try:
+            decorator_doc = merged.get("decorator") or {}
+            if isinstance(decorator_doc, DecoratorConfig):
+                decorator = decorator_doc
+            else:
+                decorator = DecoratorConfig(**decorator_doc)
+            raw_categories = merged.get("categories")
+            if raw_categories in (None, "all-from-profile"):
+                categories = None
+            else:
+                categories = tuple(str(c) for c in raw_categories)
+            raw_quotas = merged.get("quotas") or {}
+            if not isinstance(raw_quotas, Mapping):
+                raise ConfigError("quotas must map category keys to counts")
             return cls(
                 global_seed=int(merged["global_seed"]),
                 profile_path=str(merged["profile_path"]),
                 input_glob=str(merged["input_glob"]),
                 output_dir=str(merged["output_dir"]),
-                quotas={str(k): int(v) for k, v in (merged.get("quotas") or {}).items()},
+                quotas={str(k): int(v) for k, v in raw_quotas.items()},
                 categories=categories,
                 templates_path=merged.get("templates_path"),
                 decorator=decorator,
@@ -91,6 +94,8 @@ class PipelineConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"config lacks required key {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed config: {exc}") from None
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides: Any) -> "PipelineConfig":

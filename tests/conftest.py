@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from eventprobe.captions import default_templates
 from eventprobe.profiles import default_profile
@@ -8,6 +9,13 @@ from eventprobe.scene_graph import load_scene_graph
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS_FILES = ("focker.json", "forrest.json", "kitchen.json")
+
+# Property tests draw a fixed, bounded set of examples: the suite gives the
+# same result on every run, needs no example database, and stays fast.
+settings.register_profile(
+    "eventprobe", deadline=None, derandomize=True, max_examples=40, database=None
+)
+settings.load_profile("eventprobe")
 
 
 @pytest.fixture(scope="session")

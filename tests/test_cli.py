@@ -45,6 +45,21 @@ class TestRunCommand:
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "malformed",
+        [
+            {"decorator": {"enable": True}},
+            {"quotas": {"temporal.predicate.Action": "many"}},
+        ],
+        ids=["decorator-unknown-key", "quota-not-integer"],
+    )
+    def test_malformed_config_exit_code(self, config_path, malformed, capsys):
+        doc = json.loads(config_path.read_text())
+        doc.update(malformed)
+        config_path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed config")
+
     def test_seed_override_changes_digest(self, config_path, tmp_path, capsys):
         assert main(["run", "--config", str(config_path)]) == 0
         first = json.loads(capsys.readouterr().out)
@@ -129,6 +144,45 @@ class TestEvalCommands:
         assert code == 0
         rows = (tmp_path / "r" / "gaps.csv").read_text().splitlines()
         assert abs(float(rows[1].split(",")[5]) - 0.2) < 1e-12
+
+    def test_gap_report_reads_eval_recalls(self, config_path, tmp_path, capsys):
+        benchmark, _, _ = self.build_benchmark(config_path, tmp_path)
+        pairs = [json.loads(line) for line in benchmark.read_text().splitlines()]
+        video_ids = sorted({p["video_id"] for p in pairs})
+        rng = np.random.default_rng(3)
+        # Coarse scores: ties, partial recalls and some zero positive recalls.
+        for name in ("positive", "control"):
+            scores = rng.integers(0, 4, size=(len(video_ids), len(pairs))) / 4
+            lines = ["video_id," + ",".join(p["pair_id"] for p in pairs)]
+            lines += [v + "," + ",".join(map(str, row)) for v, row in zip(video_ids, scores)]
+            (tmp_path / f"coarse_{name}.csv").write_text("\n".join(lines) + "\n")
+        code = main(
+            [
+                "eval",
+                "--benchmark", str(benchmark),
+                "--scores", str(tmp_path / "coarse_positive.csv"),
+                "--scores-control", str(tmp_path / "coarse_control.csv"),
+                "--ks", "1,5",
+                "--out", str(tmp_path / "eval"),
+            ]
+        )
+        assert code == 0
+        recalls = tmp_path / "eval" / "recalls.csv"
+        code = main(["gap-report", "--recalls", str(recalls), "--out", str(tmp_path / "gap")])
+        assert code == 0
+        eval_gaps = (tmp_path / "eval" / "gaps.csv").read_bytes()
+        assert len(eval_gaps.splitlines()) > 1
+        assert (tmp_path / "gap" / "gaps.csv").read_bytes() == eval_gaps
+
+    def test_gap_report_unpaired_long_row(self, tmp_path):
+        recalls = tmp_path / "recalls.csv"
+        recalls.write_text(
+            "category,direction,k,pool,value\n"
+            "counterfactual.attribute.Color,T2V,1,positive,0.5\n",
+            encoding="utf-8",
+        )
+        code = main(["gap-report", "--recalls", str(recalls), "--out", str(tmp_path / "r")])
+        assert code == 4
 
     def test_eval_unknown_id_exit_code(self, config_path, tmp_path, capsys):
         benchmark, positive, control = self.build_benchmark(config_path, tmp_path)
