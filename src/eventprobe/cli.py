@@ -228,12 +228,13 @@ def cmd_loss_selftest(args: argparse.Namespace) -> int:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise errors.MalformedDocument(f"self-test input is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise errors.MalformedDocument("self-test input must be a JSON object with V and T")
+    for name in ("V", "T"):
+        if name not in doc:
+            raise errors.MalformedDocument(f"self-test input has no {name!r} field")
     params = LossParams(tau=doc.get("tau", 0.05), beta=doc.get("beta", 0.5))
-    batch = LossBatch(
-        V=doc["V"],
-        T=doc["T"],
-        G=tuple(doc.get("G") or ()),
-    )
+    batch = LossBatch(V=doc["V"], T=doc["T"], G=doc.get("G") or ())
     loss = hn_nce_forward(batch, params)
     err = finite_diff_check(batch, params, h=args.step)
     print(json.dumps({"loss": loss, "fd_max_rel_err": err}))

@@ -358,8 +358,9 @@ def gap_rows_from_csv(text: str) -> list[GapReport]:
     Wide rows (category,direction,k,p,p_control[,delta_p]) come from
     summarize or by hand. Long rows (category,direction,k,pool,value) are
     what `eval` writes as recalls.csv: each positive row is paired with the
-    control row of its category, direction and k, and as in evaluate_pools
-    a zero positive recall yields no gap row.
+    control row of its category, direction and k. In both layouts, as in
+    evaluate_pools, a zero positive recall yields no gap row, unless a wide
+    row gives its own delta_p.
     """
     reader = csv.DictReader(io.StringIO(text))
     columns = set(reader.fieldnames or ())
@@ -375,7 +376,12 @@ def gap_rows_from_csv(text: str) -> list[GapReport]:
         for raw in reader:
             p = float(raw["p"])
             p_control = float(raw["p_control"])
-            delta = float(raw["delta_p"]) if raw.get("delta_p") else relative_gap(p, p_control)
+            if raw.get("delta_p"):
+                delta = float(raw["delta_p"])
+            elif p == 0:
+                continue
+            else:
+                delta = relative_gap(p, p_control)
             rows.append(
                 GapReport(
                     category=raw["category"],

@@ -22,8 +22,9 @@ are dropped, and the loss is exactly zero. Embeddings are consumed as-is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+import math
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,23 +41,42 @@ class LossParams:
     beta: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.tau > 0:
-            raise MalformedDocument(f"tau must be positive, got {self.tau}")
-        if self.beta < 0:
-            raise MalformedDocument(f"beta must be non-negative, got {self.beta}")
+        for name in ("tau", "beta"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise MalformedDocument(f"{name} must be a number, got {value!r}")
+        if not 0 < self.tau < math.inf:
+            raise MalformedDocument(f"tau must be positive and finite, got {self.tau}")
+        if not 0 <= self.beta < math.inf:
+            raise MalformedDocument(f"beta must be non-negative and finite, got {self.beta}")
+
+
+def _float_array(value, name: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise MalformedDocument(f"{name} is not a numeric array: {exc}") from None
 
 
 @dataclass(frozen=True)
 class LossBatch:
-    """Paired embeddings plus per-item generated hard negatives."""
+    """Paired embeddings plus per-item generated hard negatives.
+
+    G holds one (n_gen_i, dims) array per item, each a view into G_padded,
+    the (items, max n_gen, dims) array the loss works on; gen_mask marks
+    which of its slots hold a negative. Padding slots get a log-weight of
+    -inf, so they add nothing to any sum.
+    """
 
     V: np.ndarray
     T: np.ndarray
     G: tuple[np.ndarray, ...] = ()
+    G_padded: np.ndarray = field(init=False, repr=False, compare=False)
+    gen_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        V = np.asarray(self.V, dtype=np.float64)
-        T = np.asarray(self.T, dtype=np.float64)
+        V = _float_array(self.V, "V")
+        T = _float_array(self.T, "T")
         if V.ndim != 2 or T.ndim != 2:
             raise MalformedDocument("V and T must be 2-d (items x dims)")
         if V.shape != T.shape:
@@ -64,24 +84,29 @@ class LossBatch:
         n, d = V.shape
         if n < 1 or d < 1:
             raise MalformedDocument("need at least one item and one dimension")
-        raw_g = self.G if self.G is not None else ()
-        if len(raw_g) not in (0, n):
-            raise MalformedDocument(f"G must have one entry per item, got {len(raw_g)}")
-        gens = []
-        for i in range(n):
-            g = np.asarray(raw_g[i], dtype=np.float64) if len(raw_g) else np.zeros((0, d))
-            if g.size == 0:
-                g = np.zeros((0, d))
-            if g.ndim != 2 or g.shape[1] != d:
-                raise MalformedDocument(f"G[{i}] must have shape (n_gen, {d})")
-            if not np.isfinite(g).all():
-                raise MalformedDocument(f"G[{i}] has non-finite entries")
-            gens.append(g)
         if not (np.isfinite(V).all() and np.isfinite(T).all()):
             raise MalformedDocument("V and T must be finite")
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "G", tuple(gens))
+        try:
+            raw_g = () if self.G is None else tuple(self.G)
+        except TypeError:
+            raise MalformedDocument("G must be a list with one array per item") from None
+        if len(raw_g) not in (0, n):
+            raise MalformedDocument(f"G must have one entry per item, got {len(raw_g)}")
+        gens = [_float_array(g, f"G[{i}]") for i, g in enumerate(raw_g)]
+        for i, g in enumerate(gens):
+            if g.size and (g.ndim != 2 or g.shape[1] != d):
+                raise MalformedDocument(f"G[{i}] must have shape (n_gen, {d})")
+        counts = [len(g) if g.size else 0 for g in gens] or [0] * n
+        padded = np.zeros((n, max(counts), d))
+        for row, g, c in zip(padded, gens, counts):
+            row[:c] = g.reshape(c, d)
+        finite = np.isfinite(padded).all(axis=(1, 2))
+        if not finite.all():
+            raise MalformedDocument(f"G[{int(np.argmin(finite))}] has non-finite entries")
+        mask = np.arange(padded.shape[1]) < np.array(counts)[:, None]
+        fields = {"V": V, "T": T, "G": _unpad(padded, mask), "G_padded": padded, "gen_mask": mask}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_items(self) -> int:
@@ -122,86 +147,88 @@ def unit_normalize(X: np.ndarray) -> np.ndarray:
     return X / norms
 
 
-def _lse(a: np.ndarray, axis: int) -> np.ndarray:
-    """Log-sum-exp that maps all-(-inf) slices to -inf instead of NaN."""
-    m = np.max(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
+def _lse(a: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """(lse, exp(a - m), m) along an axis, m being the max, or 0 where a slice
+    is empty or all -inf (its lse is then -inf, not NaN). exp(a - m) goes to out.
+    """
+    m = np.max(a, axis=axis, keepdims=True, initial=_NEG_INF)
+    m[~np.isfinite(m)] = 0.0
+    e = np.subtract(a, m, out=out)
+    np.exp(e, out=e)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
-    return out
+        return np.log(np.sum(e, axis=axis)) + np.squeeze(m, axis=axis), e, m
 
 
-def _log_weights(
-    S: np.ndarray, S_gen: Sequence[np.ndarray], params: LossParams
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+def _unpad(padded: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-item views of the valid prefix of each row of a padded array."""
+    return tuple(row[:c] for row, c in zip(padded, mask.sum(axis=1)))
+
+
+def _logits(V: np.ndarray, T: np.ndarray, G: np.ndarray, tau: float) -> tuple[np.ndarray, ...]:
+    """L[i, m] = v_i . t_m / tau and L_gen[i, k] = v_i . g_ik / tau; leading axes stack batches."""
+    L = V @ np.swapaxes(T, -1, -2)
+    L /= tau
+    L_gen = np.einsum("...id,...ikd->...ik", V, G)
+    L_gen /= tau
+    return L, L_gen
+
+
+def _log_weights(L: np.ndarray, L_gen: np.ndarray, mask: np.ndarray, beta: float) -> tuple:
     """Log of the negative-sample weights; -inf marks empty entries.
 
     The normalizer in each direction sums over in-batch items only; a batch
     of one has no such items, so every entry degenerates to -inf.
     """
-    n = S.shape[0]
+    n = L.shape[0]
     if n == 1:
-        return (
-            np.full((1, 1), _NEG_INF),
-            [np.full(g.shape[0], _NEG_INF) for g in S_gen],
-            np.full((1, 1), _NEG_INF),
-        )
-    tau, beta = params.tau, params.beta
-    off_diag = ~np.eye(n, dtype=bool)
+        return np.full((1, 1), _NEG_INF), np.full(L_gen.shape, _NEG_INF), np.full((1, 1), _NEG_INF)
+    # n x n arrays are reused in place where possible: on a large batch a
+    # fresh one costs more in page faults than the arithmetic that fills it.
+    diag = np.diagonal(L).copy()
+    np.fill_diagonal(L, _NEG_INF)  # the normalizers skip the positive pair
+    log_z_v2t, spare, _ = _lse(L)  # [i]: LSE over texts m != i of L[i,m]
+    log_z_t2v = _lse(L, axis=0, out=spare)[0]  # [i]: over videos m != i of L[m,i]
+    np.fill_diagonal(L, diag)
 
-    masked = np.where(off_diag, S / tau, _NEG_INF)
-    log_z_v2t = _lse(masked, axis=1)  # [i]: LSE over texts m != i of S[i,m]/tau
-    log_z_t2v = _lse(masked, axis=0)  # [i]: LSE over videos m != i of S[m,i]/tau
-
-    n_gen = np.array([g.shape[0] for g in S_gen], dtype=np.float64)
-    logw_in = (
-        np.log(n + n_gen - 1.0)[:, None] + beta * S / tau - log_z_v2t[:, None]
-    )
-    logw_in[~off_diag] = _NEG_INF
-    logw_gen = [
-        np.log(n + n_gen[i] - 1.0) + beta * S_gen[i] / tau - log_z_v2t[i]
-        for i in range(n)
-    ]
-    logw_t2v = np.log(n - 1.0) + beta * S / tau - log_z_t2v[None, :]
-    logw_t2v[~off_diag] = _NEG_INF
+    hard = np.multiply(L, beta, out=spare)
+    log_mult = np.log(n + mask.sum(axis=1) - 1.0)[:, None]
+    logw_in = hard + log_mult
+    logw_in -= log_z_v2t[:, None]
+    np.fill_diagonal(logw_in, _NEG_INF)
+    logw_gen = log_mult + beta * L_gen - log_z_v2t[:, None]
+    logw_gen[~mask] = _NEG_INF
+    logw_t2v = hard
+    logw_t2v += np.log(n - 1.0)
+    logw_t2v -= log_z_t2v[None, :]
+    np.fill_diagonal(logw_t2v, _NEG_INF)
     return logw_in, logw_gen, logw_t2v
 
 
-def _similarities(batch: LossBatch) -> tuple[np.ndarray, list[np.ndarray]]:
-    S = batch.V @ batch.T.T
-    S_gen = [batch.V[i] @ batch.G[i].T for i in range(batch.n_items)]
-    return S, S_gen
+def _terms(L: np.ndarray, L_gen: np.ndarray, logw_in, logw_gen, logw_t2v) -> tuple:
+    """Per-item loss terms and each competitor's share of its term.
 
-
-def _weights_to_log(weights: HnWeights) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    with np.errstate(divide="ignore"):
-        logw_in = np.log(weights.v2t_in)
-        logw_gen = [np.log(w) for w in weights.v2t_gen]
-        logw_t2v = np.log(weights.t2v)
-    return logw_in, logw_gen, logw_t2v
-
-
-def _terms(
-    S: np.ndarray,
-    S_gen: Sequence[np.ndarray],
-    tau: float,
-    logw_in: np.ndarray,
-    logw_gen: Sequence[np.ndarray],
-    logw_t2v: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray], np.ndarray]:
-    """Per-item loss terms and the log-domain competitor matrices."""
-    diag = np.diag(S)
-    A = (S - diag[:, None]) / tau + logw_in
-    A_gen = [(S_gen[i] - diag[i]) / tau + logw_gen[i] for i in range(S.shape[0])]
-    row_lse = np.logaddexp(
-        _lse(A, axis=1),
-        np.array([_lse(a, axis=0) if a.size else _NEG_INF for a in A_gen]),
-    )
-    term1 = np.logaddexp(0.0, row_lse)
-
-    B = (S.T - diag[:, None]) / tau + logw_t2v.T
-    term2 = np.logaddexp(0.0, _lse(B, axis=1))
-    return term1, term2, A, A_gen, B
+    Returns term1, term2 and the shares P1[i, m] of text m in video i's term,
+    P1_gen[i, k] of generated negative k in it and P2t[m, i] of video m in
+    text i's term. P1 and P2t overwrite logw_in and logw_t2v, which must have
+    L's shape. Leading axes of L and L_gen stack batches.
+    """
+    diag = np.diagonal(L, axis1=-2, axis2=-1)
+    # A[i, m] = L[i, m] - L[i, i] + logw_in[i, m]; Bt[m, i] = L[m, i] - L[i, i] + logw_t2v[m, i]
+    for logw, d in ((logw_in, diag[..., :, None]), (logw_t2v, diag[..., None, :])):
+        logw += L
+        logw -= d
+    A_gen = L_gen - diag[..., :, None]
+    A_gen += logw_gen
+    lse_in, P1, m_in = _lse(logw_in, out=logw_in)
+    lse_gen, P1_gen, m_gen = _lse(A_gen, out=A_gen)
+    term1 = np.logaddexp(0.0, np.logaddexp(lse_in, lse_gen))
+    lse_t2v, P2t, m_t2v = _lse(logw_t2v, axis=-2, out=logw_t2v)
+    term2 = np.logaddexp(0.0, lse_t2v)
+    # Rescale each exp(x - m) to exp(x - term), its share of the term.
+    P1 *= np.exp(m_in - term1[..., None])
+    P1_gen *= np.exp(m_gen - term1[..., None])
+    P2t *= np.exp(m_t2v - term2[..., None, :])
+    return term1, term2, P1, P1_gen, P2t
 
 
 def hn_nce_weights(batch: LossBatch, params: LossParams) -> HnWeights:
@@ -210,73 +237,56 @@ def hn_nce_weights(batch: LossBatch, params: LossParams) -> HnWeights:
     All defined weights are strictly positive. A batch of one item has no
     in-batch negatives: every weight set is empty and comes back as zeros.
     """
-    S, S_gen = _similarities(batch)
-    logw_in, logw_gen, logw_t2v = _log_weights(S, S_gen, params)
+    L, L_gen = _logits(batch.V, batch.T, batch.G_padded, params.tau)
+    logw_in, logw_gen, logw_t2v = _log_weights(L, L_gen, batch.gen_mask, params.beta)
     with np.errstate(over="ignore"):
-        return HnWeights(
-            v2t_in=np.exp(logw_in),
-            v2t_gen=tuple(np.exp(w) for w in logw_gen),
-            t2v=np.exp(logw_t2v),
-        )
+        v2t_gen = _unpad(np.exp(logw_gen), batch.gen_mask)
+        return HnWeights(np.exp(logw_in, out=logw_in), v2t_gen, np.exp(logw_t2v, out=logw_t2v))
 
 
-def hn_nce_forward(
-    batch: LossBatch, params: LossParams, weights: HnWeights | None = None
-) -> float:
+def hn_nce_forward(batch: LossBatch, params: LossParams, weights: HnWeights | None = None) -> float:
     """Mean over the batch of the two contrastive terms.
 
     Pass precomputed weights to evaluate the loss with the weights frozen
     (the stop-gradient reading used by the gradient and its checker); by
     default they are recomputed from the batch.
     """
-    S, S_gen = _similarities(batch)
+    L, L_gen = _logits(batch.V, batch.T, batch.G_padded, params.tau)
     if weights is None:
-        logw_in, logw_gen, logw_t2v = _log_weights(S, S_gen, params)
+        logw = _log_weights(L, L_gen, batch.gen_mask, params.beta)
     else:
-        logw_in, logw_gen, logw_t2v = _weights_to_log(weights)
-    term1, term2, _, _, _ = _terms(S, S_gen, params.tau, logw_in, logw_gen, logw_t2v)
+        logw_gen = np.full(L_gen.shape, _NEG_INF)
+        with np.errstate(divide="ignore"):
+            logw_gen[batch.gen_mask] = np.log(np.concatenate(weights.v2t_gen))
+            logw = np.log(weights.v2t_in), logw_gen, np.log(weights.t2v)
+    term1, term2, _, _, _ = _terms(L, L_gen, *logw)
     return float(np.mean(term1 + term2))
 
 
 def hn_nce_grad(batch: LossBatch, params: LossParams) -> LossOutput:
     """Analytic gradient with the weights held constant."""
-    n, tau = batch.n_items, params.tau
-    S, S_gen = _similarities(batch)
-    logw_in, logw_gen, logw_t2v = _log_weights(S, S_gen, params)
-    term1, term2, A, A_gen, B = _terms(S, S_gen, tau, logw_in, logw_gen, logw_t2v)
+    V, T, G = batch.V, batch.T, batch.G_padded
+    L, L_gen = _logits(V, T, G, params.tau)
+    logw = _log_weights(L, L_gen, batch.gen_mask, params.beta)
+    term1, term2, Q, P1_gen, P2t = _terms(L, L_gen, *logw)
+    del L, logw
+    # Q[i, m] = P1[i, m] + P2[m, i], less one on the diagonal for each
+    # positive's own share; it carries both directions into grad_V and grad_T.
+    np.fill_diagonal(Q, np.exp(-term1) - 1.0)
+    np.fill_diagonal(P2t, np.exp(-term2) - 1.0)
+    Q += P2t
+    del P2t
 
-    # Competitor shares of each denominator; rows of [P, diag share] sum to 1.
-    P1 = np.exp(A - term1[:, None])
-    P1_diag = np.exp(-term1)
-    P1_gen = [np.exp(A_gen[i] - term1[i]) for i in range(n)]
-    P2 = np.exp(B - term2[:, None])
-    P2_diag = np.exp(-term2)
-
-    Q1 = P1.copy()
-    np.fill_diagonal(Q1, P1_diag - 1.0)
-    Q2 = P2.copy()
-    np.fill_diagonal(Q2, P2_diag - 1.0)
-
-    gen_v = np.zeros_like(batch.V)
-    for i in range(n):
-        if batch.G[i].shape[0]:
-            gen_v[i] = P1_gen[i] @ batch.G[i]
-
-    scale = 1.0 / (n * tau)
-    grad_V = (Q1 @ batch.T + Q2.T @ batch.T + gen_v) * scale
-    grad_T = (Q1.T @ batch.V + Q2 @ batch.V) * scale
-    grad_G = tuple(
-        P1_gen[i][:, None] * batch.V[i][None, :] * scale for i in range(n)
-    )
+    scale = 1.0 / (batch.n_items * params.tau)
+    grad_V = (Q @ T + np.einsum("ik,ikd->id", P1_gen, G)) * scale
+    grad_T = (Q.T @ V) * scale
+    grad_G = (P1_gen * scale)[:, :, None] * V[:, None, :]
     loss = float(np.mean(term1 + term2))
-    return LossOutput(loss=loss, grad_V=grad_V, grad_T=grad_T, grad_G=grad_G)
+    return LossOutput(loss, grad_V, grad_T, _unpad(grad_G, batch.gen_mask))
 
 
 def finite_diff_check(
-    batch: LossBatch,
-    params: LossParams,
-    h: float = 1e-5,
-    output: LossOutput | None = None,
+    batch: LossBatch, params: LossParams, h: float = 1e-5, output: LossOutput | None = None
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
@@ -284,51 +294,40 @@ def finite_diff_check(
     values, matching the stop-gradient contract of hn_nce_grad. Relative
     error uses max(|analytic|, |numeric|, 1e-12) as the denominator.
     """
-    if not h > 0:
-        raise MalformedDocument(f"step size must be positive, got {h}")
+    if not 0 < h < math.inf:
+        raise MalformedDocument(f"step size must be positive and finite, got {h}")
     analytic = output if output is not None else hn_nce_grad(batch, params)
-    frozen = hn_nce_weights(batch, params)
+    (n, d), g, tau = batch.V.shape, batch.G_padded.shape[1], params.tau
+    L, L_gen = _logits(batch.V, batch.T, batch.G_padded, tau)
     # Differencing at h=1e-5 leaves ~eps/h of roundoff in every numeric
     # partial; evaluating the frozen-weight forward in extended precision
     # (and differencing before any cast back) keeps that noise below the
     # 1e-6 comparison threshold. The analytic side stays double precision.
-    logw_in, logw_gen, logw_t2v = _weights_to_log(frozen)
-    logw_in = logw_in.astype(np.longdouble)
-    logw_t2v = logw_t2v.astype(np.longdouble)
-    logw_gen = [w.astype(np.longdouble) for w in logw_gen]
+    logw = [w.astype(np.longdouble) for w in _log_weights(L, L_gen, batch.gen_mask, params.beta)]
 
-    def value(V: np.ndarray, T: np.ndarray, G: Sequence[np.ndarray]) -> np.longdouble:
-        S = V @ T.T
-        S_gen = [V[i] @ G[i].T for i in range(V.shape[0])]
-        term1, term2, _, _, _ = _terms(S, S_gen, params.tau, logw_in, logw_gen, logw_t2v)
-        return np.sum(term1 + term2) / term1.shape[0]
-
-    def rel_err(a: float, numeric: float) -> float:
-        return float(abs(a - numeric) / max(abs(a), abs(numeric), 1e-12))
-
-    V, T = batch.V.astype(np.longdouble), batch.T.astype(np.longdouble)
-    G = [g.astype(np.longdouble) for g in batch.G]
+    # All inputs as one vector [V, T, padded G]; each entry outside the
+    # padding gets a row perturbed by +h and a row perturbed by -h.
+    flat = np.concatenate((batch.V, batch.T, batch.G_padded), axis=None, dtype=np.longdouble)
+    in_gen = np.repeat(batch.gen_mask, d, axis=1).ravel()
+    entries = np.flatnonzero(np.concatenate([np.ones(2 * n * d, bool), in_gen]))
+    grad = np.concatenate((analytic.grad_V, analytic.grad_T, *analytic.grad_G), axis=None)
     worst = 0.0
-
-    for arr, grad in ((V, analytic.grad_V), (T, analytic.grad_T)):
-        for idx in np.ndindex(arr.shape):
-            orig = arr[idx]
-            arr[idx] = orig + h
-            f_plus = value(V, T, G)
-            arr[idx] = orig - h
-            f_minus = value(V, T, G)
-            arr[idx] = orig
-            worst = max(worst, rel_err(grad[idx], (f_plus - f_minus) / (2 * h)))
-
-    for i, g in enumerate(G):
-        for idx in np.ndindex(g.shape):
-            orig = g[idx]
-            g[idx] = orig + h
-            f_plus = value(V, T, G)
-            g[idx] = orig - h
-            f_minus = value(V, T, G)
-            g[idx] = orig
-            worst = max(
-                worst, rel_err(analytic.grad_G[i][idx], (f_plus - f_minus) / (2 * h))
-            )
-    return worst
+    # Blocks of at most 2**20 stacked longdouble inputs (16 MiB) bound the memory.
+    rows = max(1, (1 << 20) // (2 * (flat.size + n * (n + g))))
+    for start in range(0, entries.size, rows):
+        chunk = entries[start : start + rows]
+        k = chunk.size
+        X = np.broadcast_to(flat, (2, k, flat.size)).copy()
+        X[0, np.arange(k), chunk] += h
+        X[1, np.arange(k), chunk] -= h
+        V, T, G = np.split(X, [n * d, 2 * n * d], axis=-1)
+        V, T, G = V.reshape(2, k, n, d), T.reshape(2, k, n, d), G.reshape(2, k, n, g, d)
+        L, L_gen = _logits(V, T, G, tau)
+        own_in, own_t2v = (np.broadcast_to(w, L.shape).copy() for w in (logw[0], logw[2]))
+        term1, term2, _, _, _ = _terms(L, L_gen, own_in, logw[1], own_t2v)
+        f = np.sum(term1 + term2, axis=-1) / n  # frozen-weight loss of each row
+        numeric = (f[0] - f[1]) / (2 * h)
+        a = grad[start : start + rows]
+        rel = abs(a - numeric) / np.maximum(np.maximum(abs(a), abs(numeric)), 1e-12)
+        worst = np.maximum(worst, rel.max())  # a NaN error must not pass as agreement
+    return float(worst)

@@ -75,6 +75,11 @@ class PipelineConfig:
             raw_categories = merged.get("categories")
             if raw_categories in (None, "all-from-profile"):
                 categories = None
+            elif isinstance(raw_categories, str):
+                raise ConfigError(
+                    f"categories must be a list of category keys or \"all-from-profile\", "
+                    f"got the string {raw_categories!r}"
+                )
             else:
                 categories = tuple(str(c) for c in raw_categories)
             raw_quotas = merged.get("quotas") or {}

@@ -60,6 +60,14 @@ class TestRunCommand:
         assert main(["run", "--config", str(config_path)]) == 2
         assert capsys.readouterr().err.startswith("error: malformed config")
 
+    def test_categories_string_asks_for_list(self, config_path, capsys):
+        doc = json.loads(config_path.read_text())
+        doc["categories"] = "temporal.predicate.Action"
+        config_path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert "categories must be a list" in err and "'t'" not in err
+
     def test_seed_override_changes_digest(self, config_path, tmp_path, capsys):
         assert main(["run", "--config", str(config_path)]) == 0
         first = json.loads(capsys.readouterr().out)
@@ -144,6 +152,18 @@ class TestEvalCommands:
         assert code == 0
         rows = (tmp_path / "r" / "gaps.csv").read_text().splitlines()
         assert abs(float(rows[1].split(",")[5]) - 0.2) < 1e-12
+
+    def test_gap_report_skips_zero_baseline_wide_row(self, tmp_path):
+        recalls = tmp_path / "recalls.csv"
+        recalls.write_text(
+            "category,direction,k,p,p_control\n"
+            "counterfactual.attribute.Color,T2V,1,0.0,0.4\n",
+            encoding="utf-8",
+        )
+        code = main(["gap-report", "--recalls", str(recalls), "--out", str(tmp_path / "r")])
+        assert code == 0
+        rows = (tmp_path / "r" / "gaps.csv").read_text().splitlines()
+        assert rows == ["category,direction,k,p,p_control,delta_p"]
 
     def test_gap_report_reads_eval_recalls(self, config_path, tmp_path, capsys):
         benchmark, _, _ = self.build_benchmark(config_path, tmp_path)
@@ -233,6 +253,24 @@ class TestLossSelftest:
         path = tmp_path / "batch.json"
         path.write_text("{oops", encoding="utf-8")
         assert main(["loss-selftest", "--input", str(path)]) == 4
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"T": [[0.1, 0.2]]}, "'V'"),
+            ([[0.1, 0.2]], "JSON object"),
+            ({"V": [[0.1, 0.2], [0.3]], "T": [[0.1, 0.2], [0.3, 0.4]]}, "V is not"),
+            ({"V": [[0.1, 0.2]], "T": [[0.3, 0.1]], "tau": "a"}, "tau"),
+            ({"V": [[0.1, 0.2]], "T": [[0.3, 0.1]], "G": 5}, "G must be"),
+        ],
+        ids=["missing-V", "array-document", "ragged-V", "tau-string", "G-number"],
+    )
+    def test_malformed_document_exit_code(self, tmp_path, capsys, doc, field):
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["loss-selftest", "--input", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
 
 
 class TestExitCodes:

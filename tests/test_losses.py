@@ -35,6 +35,56 @@ def _lse(x):
     return m + math.log(np.sum(np.exp(x - m)))
 
 
+def hn_nce_oracle(V, T, G, tau, beta):
+    """Loss and frozen-weight gradients, one item and one scalar at a time."""
+    n, d = V.shape
+    if n == 1:
+        return 0.0, np.zeros((n, d)), np.zeros((n, d)), [np.zeros_like(g) for g in G]
+    S = [[float(V[i] @ T[m]) for m in range(n)] for i in range(n)]
+    S_gen = [[float(V[i] @ g) for g in G[i]] for i in range(n)]
+    others = [[m for m in range(n) if m != i] for i in range(n)]
+    loss = 0.0
+    dS = np.zeros((n, n))  # d loss / d S[i, m]
+    dS_gen = [np.zeros(len(G[i])) for i in range(n)]
+    for i in range(n):
+        mult = n + len(G[i]) - 1
+        z_v2t = sum(math.exp(S[i][m] / tau) for m in others[i])
+        z_t2v = sum(math.exp(S[m][i] / tau) for m in others[i])
+        # Unnormalised competitor terms of each direction's denominator.
+        c_in = {
+            m: mult * math.exp(beta * S[i][m] / tau) / z_v2t * math.exp((S[i][m] - S[i][i]) / tau)
+            for m in others[i]
+        }
+        c_gen = [
+            mult * math.exp(beta * s / tau) / z_v2t * math.exp((s - S[i][i]) / tau)
+            for s in S_gen[i]
+        ]
+        c_t2v = {
+            m: (n - 1) * math.exp(beta * S[m][i] / tau) / z_t2v * math.exp((S[m][i] - S[i][i]) / tau)
+            for m in others[i]
+        }
+        d1 = 1.0 + sum(c_in.values()) + sum(c_gen)
+        d2 = 1.0 + sum(c_t2v.values())
+        loss += (math.log(d1) + math.log(d2)) / n
+        dS[i, i] += ((1.0 / d1 - 1.0) + (1.0 / d2 - 1.0)) / (n * tau)
+        for m in others[i]:
+            dS[i, m] += c_in[m] / d1 / (n * tau)
+            dS[m, i] += c_t2v[m] / d2 / (n * tau)
+        for k, c in enumerate(c_gen):
+            dS_gen[i][k] = c / d1 / (n * tau)
+    grad_V = np.zeros((n, d))
+    grad_T = np.zeros((n, d))
+    grad_G = []
+    for i in range(n):
+        for m in range(n):
+            grad_V[i] += dS[i, m] * T[m]
+            grad_T[m] += dS[i, m] * V[i]
+        for k, g in enumerate(G[i]):
+            grad_V[i] += dS_gen[i][k] * g
+        grad_G.append(np.array([dS_gen[i][k] * V[i] for k in range(len(G[i]))]).reshape(-1, d))
+    return loss, grad_V, grad_T, grad_G
+
+
 def random_batch(
     rng: np.random.Generator,
     n_max: int = 8,
@@ -261,6 +311,35 @@ class TestGrad:
             assert float(out.grad_V[i] @ T[i]) < 0.0
 
 
+class TestRaggedOracle:
+    @staticmethod
+    def assert_close(ours, ref):
+        ours, ref = np.asarray(ours), np.asarray(ref)
+        assert ours.shape == ref.shape
+        if ref.size:
+            assert np.max(np.abs(ours - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1e-300)
+
+    def test_matches_scalar_oracle_on_ragged_batches(self):
+        rng = np.random.default_rng(13)
+        batches = [random_batch(rng, gen_max=4) for _ in range(40)]
+        batches.append(batch_without_gens(random_batch(rng, n=6)))  # all-empty G
+        batches.append(random_batch(rng, n=1, gen_max=4))
+        assert any(0 < sum(b.n_gen) and 0 in b.n_gen for b in batches)
+        for batch in batches:
+            tau = float(rng.uniform(0.1, 1.0))
+            beta = float(rng.uniform(0.0, 2.0))
+            params = LossParams(tau=tau, beta=beta)
+            out = hn_nce_grad(batch, params)
+            loss, grad_V, grad_T, grad_G = hn_nce_oracle(batch.V, batch.T, batch.G, tau, beta)
+            assert out.loss == hn_nce_forward(batch, params)
+            assert abs(out.loss - loss) <= 1e-12 * max(abs(loss), 1e-300)
+            self.assert_close(out.grad_V, grad_V)
+            self.assert_close(out.grad_T, grad_T)
+            assert len(out.grad_G) == len(grad_G) == batch.n_items
+            for ours, ref in zip(out.grad_G, grad_G):
+                self.assert_close(ours, ref)
+
+
 class TestFiniteDiffCheck:
     def test_detects_injected_fault(self):
         rng = np.random.default_rng(11)
@@ -288,6 +367,14 @@ class TestFiniteDiffCheck:
         batch = LossBatch(V=np.ones((2, 2)), T=np.ones((2, 2)))
         with pytest.raises(MalformedDocument):
             finite_diff_check(batch, LossParams(), h=0.0)
+
+    def test_non_finite_step_or_gradient_never_passes(self):
+        batch = LossBatch(V=np.array([[0.3, 0.5], [0.2, -0.4]]), T=np.array([[0.1, 0.5], [0.7, -0.4]]))
+        with pytest.raises(MalformedDocument):
+            finite_diff_check(batch, LossParams(), h=math.inf)
+        good = hn_nce_grad(batch, LossParams())
+        bad = LossOutput(good.loss, np.full((2, 2), np.nan), good.grad_T, good.grad_G)
+        assert not finite_diff_check(batch, LossParams(), output=bad) <= 1e-6
 
 
 class TestBatchValidation:
