@@ -28,6 +28,7 @@ from .captions import (
 from .decorator import decorate
 from .errors import EventProbeError, StageFailed
 from .evaluate import (
+    DIRECTIONS,
     evaluate_pools,
     gap_rows_from_csv,
     load_score_matrix,
@@ -186,15 +187,31 @@ def cmd_emit(args: argparse.Namespace) -> int:
     return 0
 
 
+def _eval_flags(args: argparse.Namespace) -> tuple[list[int], list[str]]:
+    """--ks and --directions as lists; ConfigError unless each is a non-empty
+    comma-separated list of distinct valid values."""
+    ks = [k.strip() for k in args.ks.split(",") if k.strip()]
+    if not ks or not all(k.isdecimal() and int(k) >= 1 for k in ks) or len(set(map(int, ks))) < len(ks):
+        raise errors.ConfigError(f"--ks {args.ks!r}: need distinct integers >= 1, comma-separated")
+    directions = [d.strip() for d in args.directions.split(",") if d.strip()]
+    if not directions or not set(directions) <= set(DIRECTIONS) or len(set(directions)) < len(directions):
+        raise errors.ConfigError(
+            f"--directions {args.directions!r}: need distinct values from {','.join(DIRECTIONS)}"
+        )
+    return [int(k) for k in ks], directions
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
+    ks, directions = _eval_flags(args)
     benchmark = Path(args.benchmark)
-    if not benchmark.exists():
+    if not benchmark.is_file():
         raise errors.EmptyInput(f"benchmark file not found: {benchmark}")
+    for scores in (args.scores, args.scores_control):
+        if not Path(scores).is_file():
+            raise errors.EmptyInput(f"score file not found: {scores}")
     pairs = pairs_from_jsonl(benchmark.read_text(encoding="utf-8"))
     positive = load_score_matrix(args.scores)
     control = load_score_matrix(args.scores_control)
-    ks = [int(k) for k in args.ks.split(",") if k]
-    directions = [d.strip() for d in args.directions.split(",") if d.strip()]
     recalls, gaps = evaluate_pools(pairs, positive, control, ks=ks, directions=directions)
     out_dir = Path(args.out)
     paths = summarize(gaps, out_dir, model=args.model)
@@ -270,10 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="score recalls and gaps from external matrices")
     p.add_argument("--benchmark", required=True, help="benchmark JSONL")
-    p.add_argument("--scores", required=True, help="positive-pool score CSV")
-    p.add_argument("--scores-control", required=True, help="control-pool score CSV")
-    p.add_argument("--ks", default="1,5", help="comma-separated k values")
-    p.add_argument("--directions", default="T2V,V2T")
+    p.add_argument("--scores", required=True, help="positive-pool scores (.csv, or .npz by suffix)")
+    p.add_argument("--scores-control", required=True, help="control-pool scores (.csv, or .npz by suffix)")
+    p.add_argument("--ks", default="1,5", help="comma-separated distinct k values >= 1")
+    p.add_argument("--directions", default="T2V,V2T", help="comma-separated subset of T2V,V2T")
     p.add_argument("--model", default="unknown", help="model label for reports")
     p.add_argument("--out", required=True, help="report directory")
     p.set_defaults(handler=cmd_eval)

@@ -1,19 +1,21 @@
 """Retrieval pools, Recall@k, and relative performance gaps.
 
-Similarity scores arrive from outside as CSV matrices (this package never
-runs a model). Ranking uses competition ranking with pessimistic ties: every
-candidate tied with the correct item counts ahead of it, so constant-score
-models never get credit.
+Similarity scores arrive from outside as CSV or .npz matrices (this package
+never runs a model). Ranking uses competition ranking with pessimistic ties:
+every candidate tied with the correct item counts ahead of it, so
+constant-score models never get credit.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
+import zipfile
+import zlib
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -55,16 +57,9 @@ class ScoreMatrix:
         if scores.size and not np.isfinite(scores).all():
             raise MalformedDocument("scores must all be finite")
 
-    def submatrix(
-        self, video_ids: Sequence[str], caption_ids: Sequence[str]
-    ) -> "ScoreMatrix":
-        row_index = {v: i for i, v in enumerate(self.video_ids)}
-        col_index = {c: j for j, c in enumerate(self.caption_ids)}
-        try:
-            rows = [row_index[v] for v in video_ids]
-            cols = [col_index[c] for c in caption_ids]
-        except KeyError as exc:
-            raise UnknownId(f"id {exc.args[0]!r} not in score matrix") from None
+    def submatrix(self, video_ids: Sequence[str], caption_ids: Sequence[str]) -> "ScoreMatrix":
+        rows = _positions(self.video_ids, video_ids, "video")
+        cols = _positions(self.caption_ids, caption_ids, "caption")
         return ScoreMatrix(
             video_ids=tuple(video_ids),
             caption_ids=tuple(caption_ids),
@@ -72,37 +67,107 @@ class ScoreMatrix:
         )
 
 
+def _positions(axis: Sequence[str], ids: Iterable[str], kind: str) -> np.ndarray:
+    """Index of each id along one matrix axis; UnknownId if one is absent."""
+    index = dict(zip(axis, range(len(axis))))
+    try:
+        return np.fromiter(map(index.__getitem__, ids), dtype=np.intp)
+    except KeyError as exc:
+        raise UnknownId(f"{kind} {exc.args[0]!r} missing from score matrix") from None
+
+
 def score_matrix_from_csv(text: str) -> ScoreMatrix:
     """Parse the CSV interchange format: header 'video_id,<caption ids...>'."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedDocument("empty score CSV") from None
-    if not header or header[0] != "video_id":
-        raise MalformedDocument("first header cell must be 'video_id'")
-    caption_ids = tuple(header[1:])
-    video_ids: list[str] = []
-    rows: list[list[float]] = []
-    for line in reader:
-        if not line:
-            continue
-        if len(line) != len(caption_ids) + 1:
-            raise MalformedDocument(f"row {line[0]!r} has {len(line) - 1} scores")
-        video_ids.append(line[0])
-        try:
-            rows.append([float(cell) for cell in line[1:]])
-        except ValueError as exc:
-            raise MalformedDocument(f"row {line[0]!r}: {exc}") from None
-    return ScoreMatrix(
-        video_ids=tuple(video_ids),
-        caption_ids=caption_ids,
-        scores=np.array(rows, dtype=np.float64).reshape(len(video_ids), len(caption_ids)),
-    )
+    return _read_score_csv(io.StringIO(text, newline=""))
 
 
 def load_score_matrix(path: str | Path) -> ScoreMatrix:
-    return score_matrix_from_csv(Path(path).read_text(encoding="utf-8"))
+    """Read a score matrix: `.npz` by suffix, CSV otherwise."""
+    path = Path(path)
+    if path.suffix.lower() == ".npz":
+        return _read_score_npz(path)
+    with path.open(encoding="utf-8", newline="") as fh:
+        return _read_score_csv(fh)
+
+
+def _read_score_csv(fh: TextIO) -> ScoreMatrix:
+    """Parse a score CSV from a text stream opened with newline="".
+
+    csv reads the header; one numpy pass reads every data row, handing the
+    id column to a converter that collects the ids.
+    """
+    video_ids: list[str] = []
+    line = ""
+
+    def rows() -> Iterator[str]:
+        # A leading row of the header's width makes numpy hold every data
+        # row to that width; the last line read names the row in an error.
+        nonlocal line
+        yield ",".join("0" * len(header)) + "\n"
+        for line in fh:
+            yield line
+
+    def collect_id(cell: str) -> float:
+        video_ids.append(cell)
+        return 0.0
+
+    try:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise MalformedDocument("empty score CSV")
+        if not header or header[0] != "video_id":
+            raise MalformedDocument("first header cell must be 'video_id'")
+        cells = np.loadtxt(
+            rows(),
+            delimiter=",",
+            quotechar='"',
+            comments=None,
+            ndmin=2,
+            dtype=np.float64,
+            converters={0: collect_id},
+        )
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"score CSV is not UTF-8: {exc}") from None
+    except csv.Error as exc:
+        raise MalformedDocument(f"score CSV header: {exc}") from None
+    except ValueError as exc:
+        row = next(csv.reader([line]), None) or [""]
+        if len(row) != len(header):
+            raise MalformedDocument(f"row {row[0]!r} has {len(row) - 1} scores") from None
+        raise MalformedDocument(f"row {row[0]!r}: {exc}") from None
+    return ScoreMatrix(
+        video_ids=tuple(video_ids[1:]),
+        caption_ids=tuple(header[1:]),
+        scores=np.ascontiguousarray(cells[1:, 1:]),
+    )
+
+
+NPZ_ARRAYS = ("video_ids", "caption_ids", "scores")
+
+
+def _read_score_npz(path: Path) -> ScoreMatrix:
+    """Arrays `video_ids` and `caption_ids` (1-D strings) and `scores` (2-D real)."""
+    try:
+        data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise MalformedDocument(f"{path} holds one array, not an .npz archive")
+        with data:
+            missing = [name for name in NPZ_ARRAYS if name not in data.files]
+            if missing:
+                raise MalformedDocument(f"{path} has no {', '.join(missing)} array")
+            video_ids, caption_ids, scores = (data[name] for name in NPZ_ARRAYS)
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        raise MalformedDocument(f"{path} is not a readable .npz: {exc}") from None
+    for name, ids in (("video_ids", video_ids), ("caption_ids", caption_ids)):
+        if ids.ndim != 1 or ids.dtype.kind != "U":
+            raise MalformedDocument(f"{name} must be a 1-D string array, got {ids.dtype} {ids.shape}")
+    if scores.ndim != 2 or scores.dtype.kind not in "iuf":
+        raise MalformedDocument(f"scores must be a 2-D real array, got {scores.dtype} {scores.shape}")
+    return ScoreMatrix(
+        video_ids=tuple(video_ids.tolist()),
+        caption_ids=tuple(caption_ids.tolist()),
+        scores=scores,
+    )
 
 
 @dataclass(frozen=True)
@@ -129,66 +194,42 @@ class GroundTruth:
                 caption_to_video[caption_id] = video_id
         return cls(video_to_captions=video_to_captions, caption_to_video=caption_to_video)
 
-    @classmethod
-    def from_json(cls, text: str) -> "GroundTruth":
-        try:
-            mapping = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MalformedDocument(f"invalid JSON: {exc}") from exc
-        if not isinstance(mapping, dict):
-            raise MalformedDocument("ground truth must be an object")
-        return cls.from_mapping(mapping)
 
+def pessimistic_ranks(m: ScoreMatrix, gt: GroundTruth, direction: str) -> np.ndarray:
+    """Competition rank of every query's correct item; ties count ahead of it.
 
-def _pessimistic_rank(scores: np.ndarray, correct_index: int) -> int:
-    """Competition rank of the correct item; ties count ahead of it."""
-    s = scores[correct_index]
-    greater = int(np.count_nonzero(scores > s))
-    tied = int(np.count_nonzero(scores == s)) - 1
-    return 1 + greater + tied
-
-
-def recall_at_k(
-    m: ScoreMatrix, gt: GroundTruth, k: int, direction: str
-) -> float:
-    """Fraction of queries whose correct item ranks within the top k."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    Queries come in sorted id order: captions for T2V, videos for V2T, where
+    a video ranks at its best correct caption. With finite scores the count
+    of candidates scoring >= the correct one is exactly 1 + greater + tied.
+    """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
     if m.scores.size == 0:
         raise EmptyMatrix("score matrix has no entries")
-
-    row_index = {v: i for i, v in enumerate(m.video_ids)}
-    col_index = {c: j for j, c in enumerate(m.caption_ids)}
-
+    s = m.scores
     if direction == T2V:
-        hits = 0
-        queries = sorted(gt.caption_to_video)
-        for caption_id in queries:
-            video_id = gt.caption_to_video[caption_id]
-            if caption_id not in col_index or video_id not in row_index:
-                raise UnknownId(f"{caption_id!r}/{video_id!r} missing from matrix")
-            column = m.scores[:, col_index[caption_id]]
-            if _pessimistic_rank(column, row_index[video_id]) <= k:
-                hits += 1
-        return hits / len(queries)
+        captions = sorted(gt.caption_to_video)
+        rows = _positions(m.video_ids, map(gt.caption_to_video.__getitem__, captions), "video")
+        cols = _positions(m.caption_ids, captions, "caption")
+        return (s[:, cols] >= s[rows, cols]).sum(axis=0)
+    videos = sorted(gt.video_to_captions)
+    correct = list(map(gt.video_to_captions.__getitem__, videos))
+    counts = np.fromiter(map(len, correct), dtype=np.intp, count=len(correct))
+    rows = np.repeat(_positions(m.video_ids, videos, "video"), counts)
+    cols = _positions(m.caption_ids, chain.from_iterable(correct), "caption")
+    pair_ranks = (s[rows] >= s[rows, cols][:, None]).sum(axis=1)
+    return np.minimum.reduceat(pair_ranks, np.cumsum(counts) - counts)
 
-    hits = 0
-    queries = sorted(gt.video_to_captions)
-    for video_id in queries:
-        if video_id not in row_index:
-            raise UnknownId(f"video {video_id!r} missing from matrix")
-        row = m.scores[row_index[video_id]]
-        best_rank = None
-        for caption_id in gt.video_to_captions[video_id]:
-            if caption_id not in col_index:
-                raise UnknownId(f"caption {caption_id!r} missing from matrix")
-            rank = _pessimistic_rank(row, col_index[caption_id])
-            best_rank = rank if best_rank is None else min(best_rank, rank)
-        if best_rank is not None and best_rank <= k:
-            hits += 1
-    return hits / len(queries)
+
+def recall_at_k(m: ScoreMatrix, gt: GroundTruth, k: int, direction: str) -> float:
+    """Fraction of queries whose correct item ranks within the top k."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return _share_within(pessimistic_ranks(m, gt, direction), k)
+
+
+def _share_within(ranks: np.ndarray, k: int) -> float:
+    return int(np.count_nonzero(ranks <= k)) / len(ranks)
 
 
 @dataclass(frozen=True)
@@ -222,23 +263,20 @@ def relative_gap(p: float, p_control: float) -> float:
 
 @dataclass(frozen=True)
 class RetrievalPool:
-    """One category's candidate set: caption ids aligned with their texts."""
+    """One category's candidate set: its videos, caption ids and ground truth."""
 
     category: str
-    kind: str  # positive | control
     video_ids: tuple[str, ...]
     caption_ids: tuple[str, ...]
-    texts: Mapping[str, str]
     gt: GroundTruth
 
 
-def build_control_pool(
-    pairs: Sequence[CaptionPair],
-) -> dict[str, tuple[RetrievalPool, RetrievalPool]]:
-    """Build per-category (positive, control) pool twins from caption pairs.
+def build_control_pool(pairs: Sequence[CaptionPair]) -> dict[str, RetrievalPool]:
+    """Build one pool per category from caption pairs.
 
-    Both pools share caption ids (the pair ids) and ground truth; the control
-    pool swaps each caption's text for the pair's negative.
+    A caption id is a pair id, so the positive and the control score matrix
+    are both read over the same pool: the control matrix scores each pair's
+    negative text where the positive matrix scores its positive text.
     """
     if not pairs:
         raise EmptyInput("no caption pairs")
@@ -248,32 +286,17 @@ def build_control_pool(
             raise MissingNegative(f"pair {pair.pair_id!r} lacks negative text")
         by_category.setdefault(pair.category.key, []).append(pair)
 
-    pools: dict[str, tuple[RetrievalPool, RetrievalPool]] = {}
+    pools: dict[str, RetrievalPool] = {}
     for category, members in sorted(by_category.items()):
         members = sorted(members, key=lambda p: p.pair_id)
-        caption_ids = tuple(p.pair_id for p in members)
-        video_ids = tuple(sorted({p.video_id for p in members}))
         gt_mapping: dict[str, set[str]] = {}
         for pair in members:
             gt_mapping.setdefault(pair.video_id, set()).add(pair.pair_id)
-        gt = GroundTruth.from_mapping(gt_mapping)
-        pools[category] = (
-            RetrievalPool(
-                category=category,
-                kind="positive",
-                video_ids=video_ids,
-                caption_ids=caption_ids,
-                texts={p.pair_id: p.positive.text for p in members},
-                gt=gt,
-            ),
-            RetrievalPool(
-                category=category,
-                kind="control",
-                video_ids=video_ids,
-                caption_ids=caption_ids,
-                texts={p.pair_id: p.negative.text for p in members},
-                gt=gt,
-            ),
+        pools[category] = RetrievalPool(
+            category=category,
+            video_ids=tuple(sorted({p.video_id for p in members})),
+            caption_ids=tuple(p.pair_id for p in members),
+            gt=GroundTruth.from_mapping(gt_mapping),
         )
     return pools
 
@@ -290,38 +313,19 @@ def evaluate_pools(
     Categories whose positive recall is zero yield no gap row (the gap is
     undefined there), but their recall rows are still reported.
     """
-    pools = build_control_pool(pairs)
+    if any(k < 1 for k in ks) or len(set(ks)) < len(ks) or len(set(directions)) < len(directions):
+        raise ValueError(f"need distinct ks >= 1 and distinct directions, got {ks} and {directions}")
     recalls: list[RecallReport] = []
-    gaps: list[GapReport] = []
-    for category, (positive_pool, control_pool) in pools.items():
-        m_pos = positive_scores.submatrix(
-            positive_pool.video_ids, positive_pool.caption_ids
-        )
-        m_ctl = control_scores.submatrix(
-            control_pool.video_ids, control_pool.caption_ids
-        )
+    for category, pool in build_control_pool(pairs).items():
+        m_pos = positive_scores.submatrix(pool.video_ids, pool.caption_ids)
+        m_ctl = control_scores.submatrix(pool.video_ids, pool.caption_ids)
         for direction in directions:
+            ranks = pessimistic_ranks(m_pos, pool.gt, direction)
+            ranks_control = pessimistic_ranks(m_ctl, pool.gt, direction)
             for k in ks:
-                p = recall_at_k(m_pos, positive_pool.gt, k, direction)
-                p_control = recall_at_k(m_ctl, control_pool.gt, k, direction)
-                recalls.append(
-                    RecallReport(direction=direction, k=k, value=p, pool="positive", category=category)
-                )
-                recalls.append(
-                    RecallReport(direction=direction, k=k, value=p_control, pool="control", category=category)
-                )
-                if p > 0:
-                    gaps.append(
-                        GapReport(
-                            category=category,
-                            direction=direction,
-                            k=k,
-                            p=p,
-                            p_control=p_control,
-                            delta_p=relative_gap(p, p_control),
-                        )
-                    )
-    return recalls, gaps
+                recalls.append(RecallReport(direction, k, _share_within(ranks, k), "positive", category))
+                recalls.append(RecallReport(direction, k, _share_within(ranks_control, k), "control", category))
+    return recalls, _gaps_from_recalls(recalls)
 
 
 def summarize(
@@ -398,43 +402,30 @@ def gap_rows_from_csv(text: str) -> list[GapReport]:
 
 
 def _gap_rows_from_long(reader: csv.DictReader) -> list[GapReport]:
-    recalls: dict[tuple[str, str, int], dict[str, float]] = {}
-    for raw in reader:
-        key = (raw["category"], raw["direction"], int(raw["k"]))
-        pools = recalls.setdefault(key, {})
-        if raw["pool"] in pools:
-            raise MalformedDocument(f"recall CSV: duplicate {raw['pool']} row for {key}")
-        pools[raw["pool"]] = float(raw["value"])
-    rows = []
-    for (category, direction, k), pools in recalls.items():
-        if set(pools) != {"positive", "control"}:
-            raise MalformedDocument(
-                f"recall CSV: {category} {direction} k={k} needs one positive "
-                f"and one control row, found {sorted(pools)}"
-            )
-        p, p_control = pools["positive"], pools["control"]
-        if p > 0:
-            rows.append(
-                GapReport(
-                    category=category,
-                    direction=direction,
-                    k=k,
-                    p=p,
-                    p_control=p_control,
-                    delta_p=relative_gap(p, p_control),
-                )
-            )
-    return rows
-
-
-def make_gap_report(
-    category: str, direction: str, k: int, p: float, p_control: float
-) -> GapReport:
-    return GapReport(
-        category=category,
-        direction=direction,
-        k=k,
-        p=p,
-        p_control=p_control,
-        delta_p=relative_gap(p, p_control),
+    return _gaps_from_recalls(
+        RecallReport(raw["direction"], int(raw["k"]), float(raw["value"]), raw["pool"], raw["category"])
+        for raw in reader
     )
+
+
+def _gaps_from_recalls(recalls: Iterable[RecallReport]) -> list[GapReport]:
+    """Pair each positive recall with the control recall of its category,
+    direction and k; a zero positive recall yields no gap row."""
+    pools: dict[tuple[str, str, int], dict[str, float]] = {}
+    for recall in recalls:
+        key = (recall.category, recall.direction, recall.k)
+        values = pools.setdefault(key, {})
+        if recall.pool in values:
+            raise MalformedDocument(f"recalls: duplicate {recall.pool} row for {key}")
+        values[recall.pool] = recall.value
+    rows = []
+    for (category, direction, k), values in pools.items():
+        if set(values) != {"positive", "control"}:
+            raise MalformedDocument(
+                f"recalls: {category} {direction} k={k} needs one positive "
+                f"and one control row, found {sorted(values)}"
+            )
+        p, p_control = values["positive"], values["control"]
+        if p > 0:
+            rows.append(GapReport(category, direction, k, p, p_control, relative_gap(p, p_control)))
+    return rows

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 import string as _string
 
+import numpy as np
+
+from eventprobe.errors import MalformedDocument
+from eventprobe.evaluate import ScoreMatrix
 from eventprobe.manipulate import AttributeObservation
 from eventprobe.profiles import DatasetProfile
 from eventprobe.scene_graph import (
@@ -184,4 +190,33 @@ def random_profile_graph(rng: random.Random, profile: DatasetProfile) -> SceneGr
         duration_s=100.0,
         entities=entities,
         tuples=tuple(tuples),
+    )
+
+
+def csv_reader_score_matrix(text: str) -> ScoreMatrix:
+    """Reference score-CSV parser: csv.reader and float() cell by cell."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MalformedDocument("empty score CSV") from None
+    if not header or header[0] != "video_id":
+        raise MalformedDocument("first header cell must be 'video_id'")
+    caption_ids = tuple(header[1:])
+    video_ids: list[str] = []
+    rows: list[list[float]] = []
+    for line in reader:
+        if not line:
+            continue
+        if len(line) != len(caption_ids) + 1:
+            raise MalformedDocument(f"row {line[0]!r} has {len(line) - 1} scores")
+        video_ids.append(line[0])
+        try:
+            rows.append([float(cell) for cell in line[1:]])
+        except ValueError as exc:
+            raise MalformedDocument(f"row {line[0]!r}: {exc}") from None
+    return ScoreMatrix(
+        video_ids=tuple(video_ids),
+        caption_ids=caption_ids,
+        scores=np.array(rows, dtype=np.float64).reshape(len(video_ids), len(caption_ids)),
     )

@@ -204,6 +204,66 @@ class TestEvalCommands:
         code = main(["gap-report", "--recalls", str(recalls), "--out", str(tmp_path / "r")])
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "flags, code",
+        [
+            (["--ks", "0"], 2),
+            (["--ks", "1,a"], 2),
+            (["--ks", ""], 2),
+            (["--ks", "1,1"], 2),
+            (["--directions", "T2X"], 2),
+            (["--scores", "{tmp}/absent.csv"], 6),
+            (["--scores-control", "{tmp}/latin1.csv"], 4),
+        ],
+        ids=["k-zero", "k-not-a-number", "ks-empty", "ks-repeated", "unknown-direction",
+             "missing-scores", "non-utf8-scores"],
+    )
+    def test_eval_bad_input_exit_code(self, config_path, tmp_path, capsys, flags, code):
+        benchmark, positive, control = self.build_benchmark(config_path, tmp_path)
+        (tmp_path / "latin1.csv").write_bytes(b"video_id,caf\xe9\n")
+        capsys.readouterr()
+        argv = [
+            "eval",
+            "--benchmark", str(benchmark),
+            "--scores", str(positive),
+            "--scores-control", str(control),
+            "--out", str(tmp_path / "reports"),
+        ]
+        assert main(argv + [flag.format(tmp=tmp_path) for flag in flags]) == code
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "reports").exists()
+
+    def test_npz_scores_give_the_csv_reports(self, config_path, tmp_path, capsys):
+        benchmark, _, _ = self.build_benchmark(config_path, tmp_path)
+        pairs = [json.loads(line) for line in benchmark.read_text().splitlines()]
+        video_ids = sorted({p["video_id"] for p in pairs})
+        caption_ids = [p["pair_id"] for p in pairs]
+        rng = np.random.default_rng(5)
+        paths = {}
+        for name in ("positive", "control"):
+            # Coarse scores, so that many correct items tie with others.
+            scores = rng.integers(0, 4, size=(len(video_ids), len(caption_ids))) / 4 - 0.5
+            lines = ["video_id," + ",".join(caption_ids)]
+            lines += [v + "," + ",".join(map(repr, row)) for v, row in zip(video_ids, scores.tolist())]
+            (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            np.savez(tmp_path / f"{name}.npz", video_ids=np.array(video_ids),
+                     caption_ids=np.array(caption_ids), scores=scores)
+        for suffix in ("csv", "npz"):
+            code = main(
+                [
+                    "eval",
+                    "--benchmark", str(benchmark),
+                    "--scores", str(tmp_path / f"positive.{suffix}"),
+                    "--scores-control", str(tmp_path / f"control.{suffix}"),
+                    "--ks", "1,2,5",
+                    "--out", str(tmp_path / suffix),
+                ]
+            )
+            assert code == 0
+        for report in ("recalls.csv", "gaps.csv", "scatter.csv"):
+            assert (tmp_path / "npz" / report).read_bytes() == (tmp_path / "csv" / report).read_bytes()
+        assert len((tmp_path / "csv" / "gaps.csv").read_bytes().splitlines()) > 1
+
     def test_eval_unknown_id_exit_code(self, config_path, tmp_path, capsys):
         benchmark, positive, control = self.build_benchmark(config_path, tmp_path)
         bad = tmp_path / "bad.csv"

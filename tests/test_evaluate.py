@@ -1,8 +1,13 @@
+import csv
+import io
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eventprobe.captions import Caption, CaptionPair
 from eventprobe.errors import (
@@ -14,17 +19,21 @@ from eventprobe.errors import (
     ZeroBaseline,
 )
 from eventprobe.evaluate import (
+    GapReport,
     GroundTruth,
     ScoreMatrix,
     build_control_pool,
     evaluate_pools,
     load_score_matrix,
+    pessimistic_ranks,
     recall_at_k,
     relative_gap,
     score_matrix_from_csv,
     summarize,
 )
 from eventprobe.profiles import ManipulationCategory
+
+from .helpers import csv_reader_score_matrix
 
 # --- independent oracle -------------------------------------------------------
 # Exhaustive sort-based ranking, deliberately different from the counting
@@ -63,6 +72,37 @@ def oracle_recall(matrix, gt, k, direction):
         if best <= k:
             hits += 1
     return hits / len(queries)
+
+
+# --- per-query loop oracle ---------------------------------------------------
+# Ranks one query at a time by counting: 1 + strictly greater + tied, and
+# for V2T the best rank over the video's correct captions.
+
+
+def loop_rank(scores, correct_index):
+    s = scores[correct_index]
+    greater = int(np.count_nonzero(scores > s))
+    tied = int(np.count_nonzero(scores == s)) - 1
+    return 1 + greater + tied
+
+
+def loop_ranks(m, gt, direction):
+    row_index = {v: i for i, v in enumerate(m.video_ids)}
+    col_index = {c: j for j, c in enumerate(m.caption_ids)}
+    if direction == "T2V":
+        return [
+            loop_rank(m.scores[:, col_index[c]], row_index[gt.caption_to_video[c]])
+            for c in sorted(gt.caption_to_video)
+        ]
+    return [
+        min(loop_rank(m.scores[row_index[v]], col_index[c]) for c in gt.video_to_captions[v])
+        for v in sorted(gt.video_to_captions)
+    ]
+
+
+def loop_recall(m, gt, k, direction):
+    ranks = loop_ranks(m, gt, direction)
+    return sum(rank <= k for rank in ranks) / len(ranks)
 
 
 def identity_gt(n, prefix_v="v", prefix_c="c"):
@@ -166,6 +206,32 @@ class TestRecall:
                         m, gt, k, direction
                     )
 
+    @given(st.data())
+    def test_loop_oracle_several_correct_captions(self, data):
+        n_videos = data.draw(st.integers(1, 8))
+        n_captions = data.draw(st.integers(n_videos, n_videos + 6))
+        # Caption i < n_videos belongs to video i; the rest belong to a
+        # random video or to none (a distractor).
+        owners = list(range(n_videos)) + data.draw(
+            st.lists(st.one_of(st.none(), st.integers(0, n_videos - 1)),
+                     min_size=n_captions - n_videos, max_size=n_captions - n_videos)
+        )
+        levels = data.draw(st.integers(1, 4))
+        scores = data.draw(
+            st.lists(st.integers(0, levels - 1), min_size=n_videos * n_captions,
+                     max_size=n_videos * n_captions)
+        )
+        m = matrix(np.array(scores, dtype=float).reshape(n_videos, n_captions))
+        mapping = {}
+        for caption, owner in enumerate(owners):
+            if owner is not None:
+                mapping.setdefault(f"v{owner + 1}", []).append(f"c{caption + 1}")
+        gt = GroundTruth.from_mapping(mapping)
+        for direction in ("T2V", "V2T"):
+            assert pessimistic_ranks(m, gt, direction).tolist() == loop_ranks(m, gt, direction)
+            for k in range(1, n_captions + 2):
+                assert recall_at_k(m, gt, k, direction) == loop_recall(m, gt, k, direction)
+
     def test_unknown_id(self):
         m = matrix(np.ones((2, 2)))
         gt = GroundTruth.from_mapping({"v1": ["c1"], "nope": ["c2"]})
@@ -213,13 +279,11 @@ def make_pair(pair_id, video_id, category="counterfactual.attribute.Color",
 
 class TestPools:
     def test_aligned_pools(self):
-        pairs = [make_pair(f"p{i}", f"v{i}") for i in range(3)]
-        pools = build_control_pool(pairs)
-        positive, control = pools["counterfactual.attribute.Color"]
-        assert positive.caption_ids == control.caption_ids == ("p0", "p1", "p2")
-        assert positive.gt == control.gt
-        assert positive.texts["p0"] == "the bike is black"
-        assert control.texts["p0"] == "the bike is red"
+        pairs = [make_pair(f"p{i}", f"v{i % 2}") for i in range(3)]
+        pool = build_control_pool(pairs)["counterfactual.attribute.Color"]
+        assert pool.caption_ids == ("p0", "p1", "p2")
+        assert pool.video_ids == ("v0", "v1")
+        assert pool.gt.video_to_captions["v0"] == frozenset({"p0", "p2"})
 
     def test_one_pool_pair_per_category(self):
         pairs = [
@@ -257,6 +321,47 @@ class TestEvaluatePools:
         gap = gaps[0]
         assert gap.p == 1.0 and gap.p_control == 0.0 and gap.delta_p == 1.0
 
+    @given(st.data())
+    def test_loop_oracle_on_tied_pools(self, data):
+        n_pairs = data.draw(st.integers(1, 10))
+        n_videos = data.draw(st.integers(1, n_pairs))
+        pairs = [
+            make_pair(
+                f"p{i}",
+                f"v{data.draw(st.integers(0, n_videos - 1)) if i >= n_videos else i}",
+                category=data.draw(
+                    st.sampled_from(("counterfactual.attribute.Color", "temporal.attribute.Color"))
+                ),
+            )
+            for i in range(n_pairs)
+        ]
+        video_ids = tuple(f"v{i}" for i in range(n_videos))
+        caption_ids = tuple(p.pair_id for p in pairs) + ("distractor",)
+        shape = (len(video_ids), len(caption_ids))
+        positive, control = (
+            ScoreMatrix(video_ids, caption_ids, data.draw(
+                st.lists(st.integers(0, 2), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
+                .map(lambda cells: np.array(cells, dtype=float).reshape(shape))
+            ))
+            for _ in range(2)
+        )
+        ks = (1, 2, 5)
+        recalls, gaps = evaluate_pools(pairs, positive, control, ks=ks)
+        expected_recalls, expected_gaps = [], []
+        for category, pool in build_control_pool(pairs).items():
+            pos = positive.submatrix(pool.video_ids, pool.caption_ids)
+            ctl = control.submatrix(pool.video_ids, pool.caption_ids)
+            for direction in ("T2V", "V2T"):
+                for k in ks:
+                    p = loop_recall(pos, pool.gt, k, direction)
+                    p_control = loop_recall(ctl, pool.gt, k, direction)
+                    expected_recalls.append((category, direction, k, "positive", p))
+                    expected_recalls.append((category, direction, k, "control", p_control))
+                    if p > 0:
+                        expected_gaps.append((category, direction, k, p, p_control))
+        assert [(r.category, r.direction, r.k, r.pool, r.value) for r in recalls] == expected_recalls
+        assert [(g.category, g.direction, g.k, g.p, g.p_control) for g in gaps] == expected_gaps
+
     def test_zero_positive_recall_reports_no_gap(self):
         pairs = [make_pair(f"p{i}", f"v{i}") for i in range(3)]
         video_ids = tuple(sorted(p.video_id for p in pairs))
@@ -269,9 +374,7 @@ class TestEvaluatePools:
 
 class TestSummarize:
     def test_single_row(self, tmp_path):
-        from eventprobe.evaluate import make_gap_report
-
-        gap = make_gap_report("counterfactual.attribute.Color", "T2V", 1, 0.5, 0.4)
+        gap = GapReport("counterfactual.attribute.Color", "T2V", 1, 0.5, 0.4, relative_gap(0.5, 0.4))
         paths = summarize([gap], tmp_path, model="demo")
         rows = paths["gaps"].read_text().splitlines()
         assert rows[0] == "category,direction,k,p,p_control,delta_p"
@@ -283,11 +386,9 @@ class TestSummarize:
         assert scatter[1].startswith("counterfactual.attribute.Color,demo,")
 
     def test_full_grid_row_count(self, tmp_path):
-        from eventprobe.evaluate import make_gap_report
-
         categories = [f"cat{i}" for i in range(8)]
         gaps = [
-            make_gap_report(c, d, k, 0.5, 0.25)
+            GapReport(c, d, k, 0.5, 0.25, relative_gap(0.5, 0.25))
             for c in categories
             for d in ("T2V", "V2T")
             for k in (1, 5)
@@ -300,6 +401,11 @@ class TestSummarize:
         assert paths["gaps"].read_text().splitlines() == [
             "category,direction,k,p,p_control,delta_p"
         ]
+
+
+# Id characters that exercise RFC-4180 quoting: the delimiter, the quote, a
+# newline, a comment sign numpy must not honour, blanks and a non-ASCII letter.
+ID_ALPHABET = 'ab,"\n# \té'
 
 
 class TestScoreMatrixCsv:
@@ -325,25 +431,138 @@ class TestScoreMatrixCsv:
         with pytest.raises(MalformedDocument):
             score_matrix_from_csv("video_id,c1\nv1,nan\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty score CSV"),
+            ("video_id,c1\nv1,0.5\nv2,0.5,0.7\n", "row 'v2' has 2 scores"),
+            ("video_id,c1,c2\nv1,0.5,1\nv2,0.5\n", "row 'v2' has 1 scores"),
+            ("video_id,c1,c2\nv1,0.5\nv2,0.5,1\n", "row 'v1' has 1 scores"),
+            ("video_id,c1\nv1,0.5\nv2,abc\n", "row 'v2'"),
+            ("video_id,c1\nv1,1_0\n", "row 'v1'"),
+            ("video_id,c1\nv1,\n", "row 'v1'"),
+            ('video_id,c1\nv1,0.5\n"v2,0.5\n\n', "row ''"),
+        ],
+        ids=["empty-file", "long-row", "short-row", "short-first-row", "non-numeric",
+             "python-only-spelling", "empty-cell", "unclosed-quote-before-blank-line"],
+    )
+    def test_malformed_rows_name_the_video(self, text, message):
+        with pytest.raises(MalformedDocument, match=message):
+            score_matrix_from_csv(text)
+
+    def test_header_only_is_empty_and_quiet(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = score_matrix_from_csv("video_id,c1,c2\n")
+        assert m.video_ids == () and m.caption_ids == ("c1", "c2")
+        assert m.scores.shape == (0, 2)
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b"video_id,c1\nv\xff,0.5\n")
+        with pytest.raises(MalformedDocument, match="UTF-8"):
+            load_score_matrix(path)
+
+    @given(
+        st.lists(st.text(ID_ALPHABET, max_size=4), max_size=4, unique=True),
+        st.lists(st.text(ID_ALPHABET, min_size=1, max_size=4), max_size=5, unique=True),
+        st.data(),
+    )
+    def test_csv_reader_oracle(self, caption_ids, video_ids, data):
+        spell = data.draw(st.sampled_from((repr, "{:.3f}".format, "{:e}".format, "{:.2E}".format)))
+        cell = st.floats(-1e300, 1e300, allow_nan=False).map(spell) | st.integers(-999, 999).map(str)
+        terminator = data.draw(st.sampled_from(("\n", "\r\n")))
+        # At most one row is broken: one score too many or too few, or a bad cell.
+        broken = data.draw(st.sampled_from((None, *video_ids)))
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator=terminator)
+        writer.writerow(["video_id", *caption_ids])
+        for video_id in video_ids:
+            out.write(terminator * data.draw(st.integers(0, 2)))
+            row = [video_id, *(data.draw(cell) for _ in caption_ids)]
+            if video_id == broken:
+                fault = data.draw(st.sampled_from(("short", "long", "", "x", "nan")))
+                if fault == "short":
+                    row.pop()
+                elif fault == "long":
+                    row.append("0.5")
+                else:
+                    row[-1] = fault
+            writer.writerow(row)
+        text = out.getvalue()
+        try:
+            expected = csv_reader_score_matrix(text)
+        except MalformedDocument:
+            with pytest.raises(MalformedDocument):
+                score_matrix_from_csv(text)
+            return
+        got = score_matrix_from_csv(text)
+        assert (got.video_ids, got.caption_ids) == (expected.video_ids, expected.caption_ids)
+        assert got.scores.shape == expected.scores.shape
+        assert got.scores.tobytes() == expected.scores.tobytes()
+
     def test_duplicate_caption_for_two_videos_rejected(self):
         with pytest.raises(MalformedDocument):
             GroundTruth.from_mapping({"v1": ["c1"], "v2": ["c1"]})
 
 
-class TestGroundTruthJson:
-    def test_from_json(self):
-        gt = GroundTruth.from_json('{"v1": ["c1", "c2"], "v2": ["c3"]}')
-        assert gt.video_to_captions["v1"] == frozenset({"c1", "c2"})
-        assert gt.caption_to_video["c3"] == "v2"
+def npy_bytes(array):
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
 
-    def test_bad_json(self):
+
+class TestScoreMatrixNpz:
+    def test_matches_csv(self, fixtures_dir, tmp_path):
+        m = load_score_matrix(fixtures_dir / "score_matrix_f1.csv")
+        path = tmp_path / "scores.npz"
+        np.savez_compressed(
+            path, video_ids=np.array(m.video_ids), caption_ids=np.array(m.caption_ids), scores=m.scores
+        )
+        got = load_score_matrix(path)
+        assert (got.video_ids, got.caption_ids) == (m.video_ids, m.caption_ids)
+        assert got.scores.tobytes() == m.scores.tobytes()
+
+    @pytest.mark.parametrize(
+        "arrays, message",
+        [
+            ({"video_ids": ["v1"], "caption_ids": ["c1"]}, "no scores array"),
+            ({"video_ids": [1], "caption_ids": ["c1"], "scores": [[0.5]]}, "video_ids must be"),
+            ({"video_ids": ["v1"], "caption_ids": ["c1"], "scores": [0.5]}, "2-D real"),
+            ({"video_ids": ["v1"], "caption_ids": ["c1"], "scores": [[0.5j]]}, "2-D real"),
+            ({"video_ids": ["v1"], "caption_ids": ["c1"], "scores": [["0.5"]]}, "2-D real"),
+            ({"video_ids": ["v1", "v1"], "caption_ids": ["c1"], "scores": [[0.5], [1]]}, "duplicate"),
+            ({"video_ids": ["v1"], "caption_ids": ["c1", "c2"], "scores": [[0.5]]}, "does not match"),
+            ({"video_ids": ["v1"], "caption_ids": ["c1"], "scores": [[np.inf]]}, "finite"),
+        ],
+        ids=["missing-array", "numeric-ids", "1-d-scores", "complex-scores", "string-scores",
+             "duplicate-ids", "wrong-shape", "non-finite"],
+    )
+    def test_malformed_archive(self, tmp_path, arrays, message):
+        path = tmp_path / "scores.npz"
+        np.savez(path, **{name: np.array(value) for name, value in arrays.items()})
+        with pytest.raises(MalformedDocument, match=message):
+            load_score_matrix(path)
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path: path.write_bytes(b"video_id,c1\nv1,0.5\n"),
+            lambda path: path.write_bytes(b""),
+            lambda path: path.write_bytes(npy_bytes(np.ones((1, 1)))),
+            lambda path: np.savez(path, video_ids=np.array(["v1", 2], dtype=object),
+                                  caption_ids=np.array(["c1"]), scores=np.ones((2, 1))),
+        ],
+        ids=["not-a-zip", "empty-file", "lone-npy-array", "object-ids"],
+    )
+    def test_unreadable_archive(self, tmp_path, write):
+        path = tmp_path / "scores.npz"
+        write(path)
         with pytest.raises(MalformedDocument):
-            GroundTruth.from_json("{nope")
+            load_score_matrix(path)
 
-    def test_non_object(self):
-        with pytest.raises(MalformedDocument):
-            GroundTruth.from_json('["not", "a", "mapping"]')
 
+class TestGroundTruth:
     def test_empty_caption_set(self):
         with pytest.raises(MalformedDocument):
-            GroundTruth.from_json('{"v1": []}')
+            GroundTruth.from_mapping({"v1": []})
