@@ -25,7 +25,7 @@ from .errors import (
 )
 from .manipulate import ManipulationRecord
 from .profiles import ManipulationCategory
-from .scene_graph import EventTuple
+from .scene_graph import EventTuple, parse_jsonl
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -308,24 +308,22 @@ def pair_to_doc(pair: CaptionPair) -> dict[str, Any]:
     }
 
 
-def pair_from_doc(doc: Mapping[str, Any]) -> CaptionPair:
-    category = ManipulationCategory.from_key(doc["category"])
+def pair_from_doc(doc: Any) -> CaptionPair:
+    try:
+        pair_id, video_id, category = doc["pair_id"], doc["video_id"], doc["category"]
+        positive, negative = doc["positive"], doc["negative"]
+        texts = positive["text"], negative["text"]
+        renderers = positive.get("renderer", "template"), negative.get("renderer", "template")
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise MalformedDocument(f"caption pair incomplete: {exc!r}") from None
+    if not all(isinstance(v, str) for v in (pair_id, video_id, category, *texts)):
+        raise MalformedDocument(f"pair {pair_id!r}: ids, category and texts must be strings")
     return CaptionPair(
-        pair_id=doc["pair_id"],
-        video_id=doc["video_id"],
-        category=category,
-        positive=Caption(
-            text=doc["positive"]["text"],
-            polarity=POSITIVE,
-            record_id=doc["pair_id"],
-            renderer=doc["positive"].get("renderer", "template"),
-        ),
-        negative=Caption(
-            text=doc["negative"]["text"],
-            polarity=NEGATIVE,
-            record_id=doc["pair_id"],
-            renderer=doc["negative"].get("renderer", "template"),
-        ),
+        pair_id=pair_id,
+        video_id=video_id,
+        category=ManipulationCategory.from_key(category),
+        positive=Caption(texts[0], POSITIVE, pair_id, renderers[0]),
+        negative=Caption(texts[1], NEGATIVE, pair_id, renderers[1]),
     )
 
 
@@ -337,11 +335,7 @@ def pairs_to_jsonl(pairs: Iterable[CaptionPair]) -> str:
 
 
 def pairs_from_jsonl(text: str) -> list[CaptionPair]:
-    return [
-        pair_from_doc(json.loads(line))
-        for line in text.splitlines()
-        if line.strip()
-    ]
+    return parse_jsonl(text, pair_from_doc, "caption pairs")
 
 
 def emit_benchmark(

@@ -43,7 +43,7 @@ from .manipulate import (
 )
 from .pipeline import PipelineConfig, ingest_corpus, resolve_categories, run_pipeline
 from .profiles import load_profile
-from .scene_graph import parse_scene_graph, scene_graph_to_doc
+from .scene_graph import parse_jsonl, parse_scene_graph, scene_graph_to_doc
 
 EXIT_CODES: tuple[tuple[type[EventProbeError], int], ...] = (
     (errors.ConfigError, 2),
@@ -108,14 +108,17 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise errors.MalformedDocument(f"{path} is not UTF-8: {exc}") from None
+
+
 def _read_graphs(path: Path) -> list:
     if not path.exists():
         raise errors.EmptyInput(f"{path} not found; run ingest first")
-    return [
-        parse_scene_graph(line)
-        for line in path.read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    return parse_jsonl(_read_text(path), parse_scene_graph, "graphs.jsonl")
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
@@ -137,10 +140,11 @@ def cmd_probe(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    graphs = _read_graphs(Path(config.output_dir) / "graphs.jsonl")
     records_path = Path(config.output_dir) / "records.jsonl"
     if not records_path.exists():
         raise errors.EmptyInput(f"{records_path} not found; run probe first")
-    records = records_from_jsonl(records_path.read_text(encoding="utf-8"))
+    records = records_from_jsonl(_read_text(records_path), graphs)
     templates = (
         load_templates(config.templates_path)
         if config.templates_path
@@ -168,7 +172,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
     pairs_path = Path(config.output_dir) / "pairs.jsonl"
     if not pairs_path.exists():
         raise errors.EmptyInput(f"{pairs_path} not found; run render first")
-    pairs = pairs_from_jsonl(pairs_path.read_text(encoding="utf-8"))
+    pairs = pairs_from_jsonl(_read_text(pairs_path))
     profile = load_profile(config.profile_path)
     out = Path(config.output_dir) / "benchmark.jsonl"
     manifest = emit_benchmark(
@@ -209,7 +213,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for scores in (args.scores, args.scores_control):
         if not Path(scores).is_file():
             raise errors.EmptyInput(f"score file not found: {scores}")
-    pairs = pairs_from_jsonl(benchmark.read_text(encoding="utf-8"))
+    pairs = pairs_from_jsonl(_read_text(benchmark))
     positive = load_score_matrix(args.scores)
     control = load_score_matrix(args.scores_control)
     recalls, gaps = evaluate_pools(pairs, positive, control, ks=ks, directions=directions)
@@ -230,7 +234,7 @@ def cmd_gap_report(args: argparse.Namespace) -> int:
     path = Path(args.recalls)
     if not path.exists():
         raise errors.EmptyInput(f"recall CSV not found: {path}")
-    gaps = gap_rows_from_csv(path.read_text(encoding="utf-8"))
+    gaps = gap_rows_from_csv(_read_text(path))
     paths = summarize(gaps, Path(args.out), model=args.model)
     print(f"wrote {paths['gaps']}, {paths['scatter']}")
     return 0
@@ -238,7 +242,7 @@ def cmd_gap_report(args: argparse.Namespace) -> int:
 
 def cmd_loss_selftest(args: argparse.Namespace) -> int:
     if args.input:
-        text = Path(args.input).read_text(encoding="utf-8")
+        text = _read_text(Path(args.input))
     else:
         text = sys.stdin.read()
     try:

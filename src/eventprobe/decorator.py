@@ -24,12 +24,6 @@ _NATURALIZE_PROMPT = (
     "please generate {n} sentences.\n\nSentence: {text}"
 )
 
-_VERB_SWAP_PROMPT = (
-    "In this task, you are given a sentence, your job is to replace the verb "
-    "in the sentence with a verb which makes this sentence make sense, "
-    "please generate {n} sentences.\n\nSentence: {text}"
-)
-
 
 @dataclass(frozen=True)
 class DecoratorConfig:
@@ -125,21 +119,3 @@ def decorate(
         return pair  # degenerate rewrite; keep the distinguishable template pair
     return replace(pair, positive=positive, negative=negative)
 
-
-def propose_alternatives(
-    sentence: str,
-    config: DecoratorConfig,
-    transport: Transport | None = None,
-) -> list[str]:
-    """Ask the remote service for verb-replacement variants of a sentence.
-
-    Exposed for parity with LLM-based counterfactual generation; the
-    manipulation pipeline itself draws counterfactuals from vocabulary pools.
-    """
-    if not config.enabled:
-        return []
-    transport = transport or _requests_transport
-    try:
-        return _call_remote(sentence, _VERB_SWAP_PROMPT, config, transport)
-    except Exception:
-        return []

@@ -33,17 +33,21 @@ from .errors import (
 )
 from .profiles import DatasetProfile, ManipulationCategory
 from .scene_graph import (
+    TUPLE_FIELDS,
     AttributeValue,
     EntityRef,
     EventTuple,
     PredicateValue,
     SceneGraph,
     TimeInterval,
+    _require,
+    parse_jsonl,
 )
 
 SLOT_PREDICATE = "predicate"
 SLOT_SUBJECT_ATTRIBUTE = "subject_attribute"
-SLOT_OBJECT_ATTRIBUTE = "object_attribute"
+
+RECORDS_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,8 @@ class ManipulationRecord:
     pool_size: int | None = None
 
     def __post_init__(self) -> None:
+        if not self.original:
+            raise MalformedDocument(f"record {self.record_id!r} holds no tuple")
         if len(self.original) != len(self.manipulated):
             raise MalformedDocument("original/manipulated tuple counts differ")
         for orig, manip in zip(self.original, self.manipulated):
@@ -213,12 +219,9 @@ def _resolve_slot(
                 f"tuple {e.tuple_id!r} has no {fine_type} predicate"
             )
         return e.predicate.value, None
-    if kind == SLOT_SUBJECT_ATTRIBUTE:
-        attrs = e.subject_attrs
-    elif kind == SLOT_OBJECT_ATTRIBUTE:
-        attrs = e.object_attrs
-    else:
+    if kind != SLOT_SUBJECT_ATTRIBUTE:
         raise SlotAbsent(f"unknown slot kind {kind!r}")
+    attrs = e.subject_attrs
     if attr_index is None:
         for idx, attr in enumerate(attrs):
             if attr.attr_type == fine_type:
@@ -254,11 +257,9 @@ def counterfactual_substitute(
         return replace(
             e, predicate=PredicateValue(value=choice, pred_type=pool.fine_type)
         )
-    attrs = list(e.subject_attrs if slot == SLOT_SUBJECT_ATTRIBUTE else e.object_attrs)
+    attrs = list(e.subject_attrs)
     attrs[idx] = AttributeValue(value=choice, attr_type=pool.fine_type)
-    if slot == SLOT_SUBJECT_ATTRIBUTE:
-        return replace(e, subject_attrs=tuple(attrs))
-    return replace(e, object_attrs=tuple(attrs))
+    return replace(e, subject_attrs=tuple(attrs))
 
 
 def _truthful_values(
@@ -287,36 +288,45 @@ def _check_type(profile: DatasetProfile, fine_type: str) -> None:
         raise UnknownType(f"fine type {fine_type!r} not in profile {profile.name!r}")
 
 
+def _entity_pools(
+    graph: SceneGraph, profile: DatasetProfile, fine_type: str, predicate: bool
+) -> dict[str, CandidatePool]:
+    """The candidate pool of every entity the graph attributes a fine_type
+    value to, keyed by entity id, from one scan of the graph."""
+    _check_type(profile, fine_type)
+    truthful: dict[str, set[str]] = {}
+    for holder, value in _truthful_values(graph, fine_type, predicate):
+        truthful.setdefault(holder, set()).add(value)
+    vocab = profile.vocab[fine_type]
+    return {
+        holder: CandidatePool(fine_type, vocab, frozenset(values))
+        for holder, values in truthful.items()
+    }
+
+
 def build_pool(
     graph: SceneGraph,
     profile: DatasetProfile,
     slot: SlotRef,
     fine_type: str,
+    pools: Mapping[str, CandidatePool] | None = None,
 ) -> CandidatePool:
     """Assemble the candidate pool for one slot.
 
     Values are the profile vocabulary of the fine type; exclusions are every
-    value the graph truthfully attributes to the slot's entity, so sampled
-    substitutes are false by construction within the video.
+    value the graph truthfully attributes to the slot's subject, so sampled
+    substitutes are false by construction within the video. pools, when
+    given, is the graph's _entity_pools for the slot's type.
     """
-    _check_type(profile, fine_type)
-    tup = next((t for t in graph.tuples if t.tuple_id == slot.tuple_id), None)
+    tup = graph.tuples_by_id.get(slot.tuple_id)
     if tup is None:
         raise SlotAbsent(f"tuple {slot.tuple_id!r} not in graph {graph.video_id!r}")
-    if slot.kind in (SLOT_PREDICATE, SLOT_SUBJECT_ATTRIBUTE):
-        entity_id = tup.subject.entity_id
-    elif slot.kind == SLOT_OBJECT_ATTRIBUTE:
-        if tup.object is None:
-            raise SlotAbsent(f"tuple {slot.tuple_id!r} has no object")
-        entity_id = tup.object.entity_id
-    else:
+    if slot.kind not in (SLOT_PREDICATE, SLOT_SUBJECT_ATTRIBUTE):
         raise SlotAbsent(f"unknown slot kind {slot.kind!r}")
-    exclusions = frozenset(
-        value
-        for holder, value in _truthful_values(graph, fine_type, slot.kind == SLOT_PREDICATE)
-        if holder == entity_id
-    )
-    return CandidatePool(fine_type, profile.vocab[fine_type], exclusions)
+    if pools is None:
+        pools = _entity_pools(graph, profile, fine_type, slot.kind == SLOT_PREDICATE)
+    pool = pools.get(tup.subject.entity_id)
+    return pool or CandidatePool(fine_type, profile.vocab[fine_type], frozenset())
 
 
 # --- site enumeration ----------------------------------------------------------
@@ -541,18 +551,9 @@ def enumerate_candidates(
                 for _, idx, tup in _subject_observations(graph, category.fine_type)
             ]
         if slots:
-            # The pool build_pool would give each slot, from one scan.
-            _check_type(profile, category.fine_type)
-            truthful: dict[str, set[str]] = {}
-            for holder, value in _truthful_values(
-                graph, category.fine_type, category.target == "predicate"
-            ):
-                truthful.setdefault(holder, set()).add(value)
-            vocab = profile.vocab[category.fine_type]
-            pools = {
-                holder: CandidatePool(category.fine_type, vocab, frozenset(values))
-                for holder, values in truthful.items()
-            }
+            pools = _entity_pools(
+                graph, profile, category.fine_type, category.target == "predicate"
+            )
             for tup, slot, idx, incumbent in slots:
                 if pools[tup.subject.entity_id].usable(incumbent):
                     sites.append(CounterfactualSite(vid, tup.tuple_id, slot, idx))
@@ -581,13 +582,16 @@ def apply_site(
     category: ManipulationCategory,
     site: Site,
     rng: random.Random,
+    pools: Mapping[str, CandidatePool] | None = None,
 ) -> tuple[tuple[EventTuple, ...], tuple[EventTuple, ...], int | None]:
     """Run the category's operator at one site.
 
     Returns (original tuples, manipulated tuples, pool size); the two tuple
-    lists are aligned componentwise, ordered by original start time.
+    lists are aligned componentwise, ordered by original start time. A
+    counterfactual site takes its pool from pools (the graph's _entity_pools
+    for the category) when given.
     """
-    by_id = {t.tuple_id: t for t in graph.tuples}
+    by_id = graph.tuples_by_id
 
     if isinstance(site, TemporalPredicateSite):
         e1, e2 = by_id[site.tuple_id_a], by_id[site.tuple_id_b]
@@ -625,7 +629,7 @@ def apply_site(
     if isinstance(site, CounterfactualSite):
         tup = by_id[site.tuple_id]
         slot = SlotRef(site.tuple_id, site.slot, site.attr_index)
-        pool = build_pool(graph, profile, slot, category.fine_type)
+        pool = build_pool(graph, profile, slot, category.fine_type, pools)
         incumbent, _ = _resolve_slot(tup, site.slot, category.fine_type, site.attr_index)
         manipulated = counterfactual_substitute(
             tup, site.slot, pool, rng, site.attr_index
@@ -711,12 +715,18 @@ def apply_corpus(
             seed, category.method, category.target, category.fine_type
         )
         quota = quotas.get(category.key)
+        pools: dict[str, dict[str, CandidatePool]] = {}
         for ordinal, graph, site in _sampled_sites(
             ordered, profile, category, quota, category_seed
         ):
+            if category.method == "counterfactual" and graph.video_id not in pools:
+                pools[graph.video_id] = _entity_pools(
+                    graph, profile, category.fine_type, category.target == "predicate"
+                )
             record_seed = derive_seed(category_seed, ordinal)
+            rng = random.Random(record_seed)
             original, manipulated, pool_size = apply_site(
-                graph, profile, category, site, random.Random(record_seed)
+                graph, profile, category, site, rng, pools.get(graph.video_id)
             )
             records.append(
                 ManipulationRecord(
@@ -733,90 +743,33 @@ def apply_corpus(
     return records
 
 
-def apply_all(
-    graph: SceneGraph,
-    profile: DatasetProfile,
-    quotas: Mapping[str, int] | None,
-    seed: int,
-) -> list[ManipulationRecord]:
-    """Single-graph convenience wrapper around apply_corpus."""
-    return apply_corpus([graph], profile, quotas, seed)
-
-
 # --- record serialization --------------------------------------------------------
 
 
-def _entity_doc(ent: EntityRef) -> dict[str, Any]:
-    doc: dict[str, Any] = {"entity_id": ent.entity_id, "name": ent.name}
-    if ent.entity_class is not None:
-        doc["entity_class"] = ent.entity_class
+def _changes_doc(original: EventTuple, manipulated: EventTuple) -> dict[str, Any]:
+    """The manipulated tuple as its tuple_id plus the fields it changed."""
+    same = (original.tuple_id, original.subject, original.object)
+    if (manipulated.tuple_id, manipulated.subject, manipulated.object) != same:
+        raise MalformedDocument(f"tuple {original.tuple_id!r}: a record only changes {', '.join(TUPLE_FIELDS)}")
+    doc: dict[str, Any] = {"tuple_id": manipulated.tuple_id}
+    for name, (to_doc, _) in TUPLE_FIELDS.items():
+        value = getattr(manipulated, name)
+        if value != getattr(original, name):
+            doc[name] = to_doc(value)
     return doc
-
-
-def _entity_from_doc(doc: Mapping[str, Any]) -> EntityRef:
-    return EntityRef(
-        entity_id=doc["entity_id"],
-        name=doc["name"],
-        entity_class=doc.get("entity_class"),
-    )
-
-
-def _tuple_doc(tup: EventTuple) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "tuple_id": tup.tuple_id,
-        "subject": _entity_doc(tup.subject),
-        "subject_attrs": [
-            {"value": a.value, "attr_type": a.attr_type} for a in tup.subject_attrs
-        ],
-    }
-    if tup.predicate is not None:
-        doc["predicate"] = {
-            "value": tup.predicate.value,
-            "pred_type": tup.predicate.pred_type,
-        }
-    if tup.object is not None:
-        doc["object"] = _entity_doc(tup.object)
-    doc["object_attrs"] = [
-        {"value": a.value, "attr_type": a.attr_type} for a in tup.object_attrs
-    ]
-    doc["time"] = {"start_s": tup.time.start_s, "end_s": tup.time.end_s}
-    return doc
-
-
-def _tuple_from_doc(doc: Mapping[str, Any]) -> EventTuple:
-    predicate = None
-    if doc.get("predicate") is not None:
-        predicate = PredicateValue(
-            value=doc["predicate"]["value"], pred_type=doc["predicate"]["pred_type"]
-        )
-    obj = _entity_from_doc(doc["object"]) if doc.get("object") is not None else None
-    return EventTuple(
-        tuple_id=doc["tuple_id"],
-        subject=_entity_from_doc(doc["subject"]),
-        subject_attrs=tuple(
-            AttributeValue(value=a["value"], attr_type=a["attr_type"])
-            for a in doc.get("subject_attrs", [])
-        ),
-        predicate=predicate,
-        object=obj,
-        object_attrs=tuple(
-            AttributeValue(value=a["value"], attr_type=a["attr_type"])
-            for a in doc.get("object_attrs", [])
-        ),
-        time=TimeInterval(
-            start_s=doc["time"]["start_s"], end_s=doc["time"]["end_s"]
-        ),
-    )
 
 
 def record_to_doc(record: ManipulationRecord) -> dict[str, Any]:
+    """The record relative to its graph: the originals are named, not copied."""
     doc: dict[str, Any] = {
+        "format": RECORDS_FORMAT,
         "record_id": record.record_id,
         "category": record.category.key,
         "video_id": record.video_id,
         "source_tuple_ids": list(record.source_tuple_ids),
-        "original": [_tuple_doc(t) for t in record.original],
-        "manipulated": [_tuple_doc(t) for t in record.manipulated],
+        "manipulated": [
+            _changes_doc(o, m) for o, m in zip(record.original, record.manipulated)
+        ],
         "seed": record.seed,
     }
     if record.pool_size is not None:
@@ -824,29 +777,65 @@ def record_to_doc(record: ManipulationRecord) -> dict[str, Any]:
     return doc
 
 
-def record_from_doc(doc: Mapping[str, Any]) -> ManipulationRecord:
+def record_from_doc(
+    doc: Any, tuples_by_video: Mapping[str, Mapping[str, EventTuple]]
+) -> ManipulationRecord:
+    """Inverse of record_to_doc; originals come from the record's graph.
+
+    Each manipulated tuple is its original with the changed fields laid
+    over it, parsed by the scene-graph field parsers.
+    """
+    if not isinstance(doc, dict) or doc.get("format") != RECORDS_FORMAT:
+        raise MalformedDocument(
+            f"not a format-{RECORDS_FORMAT} record; rerun probe to rewrite records.jsonl"
+        )
+    video_id = _require(doc, "video_id", str)
+    tuples = tuples_by_video.get(video_id)
+    if tuples is None:
+        raise MalformedDocument(f"video {video_id!r} is not in graphs.jsonl")
+    original, manipulated = [], []
+    for change in _require(doc, "manipulated", list):
+        tuple_id = change.get("tuple_id") if isinstance(change, dict) else None
+        orig = tuples.get(tuple_id) if isinstance(tuple_id, str) else None
+        if orig is None:
+            raise MalformedDocument(f"tuple {tuple_id!r} is not in video {video_id!r}")
+        fields = {}
+        for name, raw in change.items():
+            if name != "tuple_id":
+                if name not in TUPLE_FIELDS:
+                    raise MalformedDocument(f"tuple {tuple_id!r}: {name!r} is not a changeable field")
+                fields[name] = TUPLE_FIELDS[name][1](raw, tuple_id)
+        original.append(orig)
+        # replace() without its per-call field introspection; this runs per tuple.
+        manipulated.append(EventTuple(**{**vars(orig), **fields}))
+    source_tuple_ids = tuple(_require(doc, "source_tuple_ids", list))
+    # key=str keeps the sort total when a document puts a non-string id here.
+    if sorted(t.tuple_id for t in original) != sorted(source_tuple_ids, key=str):
+        raise MalformedDocument("source_tuple_ids must name the manipulated tuples")
     return ManipulationRecord(
-        record_id=doc["record_id"],
-        category=ManipulationCategory.from_key(doc["category"]),
-        video_id=doc["video_id"],
-        source_tuple_ids=tuple(doc["source_tuple_ids"]),
-        original=tuple(_tuple_from_doc(d) for d in doc["original"]),
-        manipulated=tuple(_tuple_from_doc(d) for d in doc["manipulated"]),
-        seed=doc["seed"],
-        pool_size=doc.get("pool_size"),
+        record_id=_require(doc, "record_id", str),
+        category=ManipulationCategory.from_key(_require(doc, "category", str)),
+        video_id=video_id,
+        source_tuple_ids=source_tuple_ids,
+        original=tuple(original),
+        manipulated=tuple(manipulated),
+        seed=_require(doc, "seed", int),
+        pool_size=_require(doc, "pool_size", int) if "pool_size" in doc else None,
     )
+
+
+_JSON_LINE = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
 def records_to_jsonl(records: Iterable[ManipulationRecord]) -> str:
-    return "".join(
-        json.dumps(record_to_doc(r), ensure_ascii=False, separators=(",", ":")) + "\n"
-        for r in records
-    )
+    return "".join(_JSON_LINE.encode(record_to_doc(r)) + "\n" for r in records)
 
 
-def records_from_jsonl(text: str) -> list[ManipulationRecord]:
-    records = []
-    for line in text.splitlines():
-        if line.strip():
-            records.append(record_from_doc(json.loads(line)))
-    return records
+def records_from_jsonl(text: str, graphs: Iterable[SceneGraph]) -> list[ManipulationRecord]:
+    """Records from records_to_jsonl's text, against the graphs they came from.
+
+    Raises MalformedDocument, naming the line, for anything that is not a
+    format-2 record of one of the graphs.
+    """
+    tuples_by_video = {graph.video_id: graph.tuples_by_id for graph in graphs}
+    return parse_jsonl(text, lambda doc: record_from_doc(doc, tuples_by_video), "records.jsonl")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Any, Mapping
 
@@ -43,6 +43,7 @@ class ManipulationCategory:
         return f"{self.method}.{self.target}.{self.fine_type}"
 
     @classmethod
+    @lru_cache(maxsize=256)  # records and pairs name a few keys thousands of times
     def from_key(cls, key: str) -> ManipulationCategory:
         parts = key.split(".", 2)
         if len(parts) != 3:

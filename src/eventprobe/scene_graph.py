@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from functools import cached_property
+from typing import Any, Callable, Iterable, Mapping
 
 from .errors import (
     DanglingEntityRef,
@@ -157,11 +158,10 @@ class SceneGraph:
                     f"beyond duration {self.duration_s}s"
                 )
 
-    def entity(self, entity_id: str) -> EntityRef:
-        for ent in self.entities:
-            if ent.entity_id == entity_id:
-                return ent
-        raise DanglingEntityRef(f"unknown entity {entity_id!r}")
+    @cached_property
+    def tuples_by_id(self) -> dict[str, EventTuple]:
+        """Index of the graph's tuples, built on first use."""
+        return {tup.tuple_id: tup for tup in self.tuples}
 
 
 @dataclass(frozen=True)
@@ -173,6 +173,8 @@ class Violation:
     detail: str
 
 
+# Objects inside a document are checked as dicts, as json.loads makes them:
+# isinstance against Mapping costs ten times as much, once per object.
 def _require(doc: Mapping[str, Any], key: str, kind: type) -> Any:
     if key not in doc:
         raise MalformedDocument(f"missing key {key!r}")
@@ -193,7 +195,7 @@ def _parse_attrs(raw: Any, tuple_id: str) -> tuple[AttributeValue, ...]:
         raise MalformedDocument(f"tuple {tuple_id!r}: attribute list expected")
     attrs = []
     for item in raw:
-        if not isinstance(item, Mapping):
+        if not isinstance(item, dict):
             raise MalformedDocument(f"tuple {tuple_id!r}: attribute object expected")
         attrs.append(
             AttributeValue(
@@ -202,6 +204,43 @@ def _parse_attrs(raw: Any, tuple_id: str) -> tuple[AttributeValue, ...]:
             )
         )
     return tuple(attrs)
+
+
+def _parse_predicate(raw: Any, tuple_id: str) -> PredicateValue | None:
+    if raw is None:
+        return None
+    if not isinstance(raw, dict):
+        raise MalformedDocument(f"tuple {tuple_id!r}: predicate object expected")
+    return PredicateValue(_require(raw, "value", str), _require(raw, "pred_type", str))
+
+
+def _parse_time(raw: Any, tuple_id: str) -> TimeInterval:
+    if not isinstance(raw, dict):
+        raise MalformedDocument(f"tuple {tuple_id!r}: time object expected")
+    return TimeInterval(_require(raw, "start_s", float), _require(raw, "end_s", float))
+
+
+def _attr_docs(attrs: Iterable[AttributeValue]) -> list[dict[str, str]]:
+    return [{"value": a.value, "attr_type": a.attr_type} for a in attrs]
+
+
+def _predicate_doc(pred: PredicateValue | None) -> dict[str, str] | None:
+    return None if pred is None else {"value": pred.value, "pred_type": pred.pred_type}
+
+
+def _time_doc(time: TimeInterval) -> dict[str, float]:
+    return {"start_s": time.start_s, "end_s": time.end_s}
+
+
+# The tuple fields a manipulation may change, in document order, each with
+# its document writer and its parser. Graph documents and manipulation
+# records both go through these.
+TUPLE_FIELDS: dict[str, tuple[Callable, Callable]] = {
+    "subject_attrs": (_attr_docs, _parse_attrs),
+    "predicate": (_predicate_doc, _parse_predicate),
+    "object_attrs": (_attr_docs, _parse_attrs),
+    "time": (_time_doc, _parse_time),
+}
 
 
 def parse_scene_graph(document: str | bytes | Mapping[str, Any]) -> SceneGraph:
@@ -224,7 +263,7 @@ def parse_scene_graph(document: str | bytes | Mapping[str, Any]) -> SceneGraph:
 
     entities: dict[str, EntityRef] = {}
     for raw in _require(document, "entities", list):
-        if not isinstance(raw, Mapping):
+        if not isinstance(raw, dict):
             raise MalformedDocument("entity object expected")
         ent = EntityRef(
             entity_id=_require(raw, "entity_id", str),
@@ -245,33 +284,19 @@ def parse_scene_graph(document: str | bytes | Mapping[str, Any]) -> SceneGraph:
 
     tuples = []
     for raw in _require(document, "tuples", list):
-        if not isinstance(raw, Mapping):
+        if not isinstance(raw, dict):
             raise MalformedDocument("tuple object expected")
         tuple_id = _require(raw, "tuple_id", str)
-        raw_time = _require(raw, "time", Mapping)
-        time = TimeInterval(
-            start_s=_require(raw_time, "start_s", float),
-            end_s=_require(raw_time, "end_s", float),
-        )
-        predicate = None
-        if raw.get("predicate") is not None:
-            raw_pred = _require(raw, "predicate", Mapping)
-            predicate = PredicateValue(
-                value=_require(raw_pred, "value", str),
-                pred_type=_require(raw_pred, "pred_type", str),
-            )
-        obj = None
-        if raw.get("object") is not None:
-            obj = resolve(_require(raw, "object", str), tuple_id)
+        obj = raw.get("object")
         tuples.append(
             EventTuple(
                 tuple_id=tuple_id,
                 subject=resolve(_require(raw, "subject", str), tuple_id),
                 subject_attrs=_parse_attrs(raw.get("subject_attrs"), tuple_id),
-                predicate=predicate,
-                object=obj,
+                predicate=_parse_predicate(raw.get("predicate"), tuple_id),
+                object=None if obj is None else resolve(_require(raw, "object", str), tuple_id),
                 object_attrs=_parse_attrs(raw.get("object_attrs"), tuple_id),
-                time=time,
+                time=_parse_time(raw.get("time"), tuple_id),
             )
         )
 
@@ -281,6 +306,19 @@ def parse_scene_graph(document: str | bytes | Mapping[str, Any]) -> SceneGraph:
         entities=tuple(entities.values()),
         tuples=tuple(tuples),
     )
+
+
+def parse_jsonl(text: str, parse: Callable[[Any], Any], name: str) -> list[Any]:
+    """parse applied to the JSON value of every non-blank line of text; invalid
+    JSON and parse's MalformedDocument become one naming the line."""
+    parsed = []
+    for number, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            try:
+                parsed.append(parse(json.loads(line)))
+            except (json.JSONDecodeError, MalformedDocument) as exc:
+                raise MalformedDocument(f"{name} line {number}: {exc}") from None
+    return parsed
 
 
 def load_scene_graph(path: str) -> SceneGraph:
@@ -297,25 +335,19 @@ def scene_graph_to_doc(graph: SceneGraph) -> dict[str, Any]:
             doc["entity_class"] = ent.entity_class
         return doc
 
-    def attr_docs(attrs: Iterable[AttributeValue]) -> list[dict[str, str]]:
-        return [{"value": a.value, "attr_type": a.attr_type} for a in attrs]
-
     tuples = []
     for tup in graph.tuples:
         doc: dict[str, Any] = {
             "tuple_id": tup.tuple_id,
             "subject": tup.subject.entity_id,
-            "subject_attrs": attr_docs(tup.subject_attrs),
+            "subject_attrs": _attr_docs(tup.subject_attrs),
         }
         if tup.predicate is not None:
-            doc["predicate"] = {
-                "value": tup.predicate.value,
-                "pred_type": tup.predicate.pred_type,
-            }
+            doc["predicate"] = _predicate_doc(tup.predicate)
         if tup.object is not None:
             doc["object"] = tup.object.entity_id
-        doc["object_attrs"] = attr_docs(tup.object_attrs)
-        doc["time"] = {"start_s": tup.time.start_s, "end_s": tup.time.end_s}
+        doc["object_attrs"] = _attr_docs(tup.object_attrs)
+        doc["time"] = _time_doc(tup.time)
         tuples.append(doc)
 
     return {
@@ -398,6 +430,7 @@ def index_events(graph: SceneGraph) -> list[Event]:
 
 
 __all__ = [
+    "TUPLE_FIELDS",
     "AttributeValue",
     "EntityRef",
     "Event",
@@ -409,6 +442,7 @@ __all__ = [
     "Violation",
     "index_events",
     "load_scene_graph",
+    "parse_jsonl",
     "parse_scene_graph",
     "scene_graph_to_doc",
     "serialize_scene_graph",

@@ -24,6 +24,33 @@ def config_path(tmp_path, fixtures_dir):
     return path
 
 
+def rewrite_first_record(change):
+    """An edit of records.jsonl that replaces its first line's document."""
+
+    def edit(out):
+        path = out / "records.jsonl"
+        first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text(json.dumps(change(json.loads(first))) + "\n" + "".join(rest), encoding="utf-8")
+
+    return edit
+
+
+def write_records(content: bytes):
+    def edit(out):
+        (out / "records.jsonl").write_bytes(content)
+
+    return edit
+
+
+def first_change(update):
+    """The record with its first manipulated tuple updated."""
+    return lambda doc: {**doc, "manipulated": [update(doc["manipulated"][0]), *doc["manipulated"][1:]]}
+
+
+def unlink_graphs(out):
+    (out / "graphs.jsonl").unlink()
+
+
 class TestRunCommand:
     def test_run_success(self, config_path, tmp_path, capsys):
         assert main(["run", "--config", str(config_path)]) == 0
@@ -92,6 +119,76 @@ class TestStagedCommands:
 
     def test_probe_before_ingest_fails(self, config_path, tmp_path):
         assert main(["probe", "--config", str(config_path)]) == 6
+
+    @pytest.mark.parametrize("fixture", ["focker.json", "forrest.json", "kitchen.json"])
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_stages_reproduce_run_per_fixture(self, config_path, tmp_path, fixtures_dir, capsys, fixture, seed):
+        doc = json.loads(config_path.read_text())
+        doc["input_glob"] = str(fixtures_dir / fixture)
+        config_path.write_text(json.dumps(doc))
+        flags = ["--config", str(config_path), "--seed", str(seed)]
+        assert main(["run", *flags, "--out", str(tmp_path / "run")]) == 0
+        for command in ("ingest", "probe", "render", "emit"):
+            assert main([command, *flags, "--out", str(tmp_path / "staged")]) == 0, command
+        for name in ("graphs.jsonl", "records.jsonl", "benchmark.jsonl"):
+            assert (tmp_path / "staged" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit, code, message",
+        [
+            (rewrite_first_record(lambda d: {**d, "format": 1}), 4, "not a format-2 record"),
+            (rewrite_first_record(lambda d: {k: v for k, v in d.items() if k != "format"}), 4,
+             "not a format-2 record"),
+            (rewrite_first_record(lambda d: {"record_id": "x"}), 4, "not a format-2 record"),
+            (rewrite_first_record(lambda d: {**d, "video_id": "no-such-video"}), 4, "'no-such-video'"),
+            (rewrite_first_record(
+                lambda d: {**first_change(lambda m: {**m, "tuple_id": "nope"})(d), "source_tuple_ids": ["nope"]}
+            ), 4, "tuple 'nope' is not in video"),
+            (rewrite_first_record(lambda d: {**d, "source_tuple_ids": ["nope", 7]}), 4,
+             "source_tuple_ids"),
+            (rewrite_first_record(first_change(lambda m: {**m, "subject": "e1"})), 4,
+             "'subject' is not a changeable field"),
+            (rewrite_first_record(first_change(lambda m: {**m, "time": {"start_s": "soon", "end_s": 1.0}})), 4,
+             "'start_s' must be a number"),
+            (rewrite_first_record(first_change(lambda m: {**m, "time": {"start_s": 2.0, "end_s": 1.0}})), 4,
+             "invalid interval"),
+            (rewrite_first_record(lambda d: {**d, "manipulated": [{"tuple_id": m["tuple_id"]} for m in d["manipulated"]]}),
+             4, "left a tuple unchanged"),
+            (rewrite_first_record(lambda d: {**d, "manipulated": [], "source_tuple_ids": []}), 4,
+             "holds no tuple"),
+            (rewrite_first_record(lambda d: {**d, "seed": "7"}), 4, "'seed' must be int"),
+            (write_records(b"{oops\n"), 4, "records.jsonl line 1"),
+            (write_records(b"\xff\n"), 4, "not UTF-8"),
+            (unlink_graphs, 6, "graphs.jsonl not found"),
+        ],
+        ids=[
+            "format-1", "no-format", "record-id-only", "unknown-video", "unknown-tuple",
+            "source-ids-mismatch", "unknown-field", "malformed-field-value", "inverted-interval",
+            "unchanged", "no-tuples", "seed-string", "invalid-json", "non-utf8", "graphs-absent",
+        ],
+    )
+    def test_render_bad_records_exit_code(self, config_path, tmp_path, capsys, edit, code, message):
+        for command in ("ingest", "probe"):
+            assert main([command, "--config", str(config_path)]) == 0
+        edit(tmp_path / "out")
+        capsys.readouterr()
+        assert main(["render", "--config", str(config_path)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out" / "pairs.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "content", [b'{"nope": 1}\n', b"\xff\n", b"{oops\n", b"[1]\n"],
+        ids=["missing-field", "non-utf8", "invalid-json", "not-an-object"],
+    )
+    def test_emit_bad_pairs_exit_code(self, config_path, tmp_path, capsys, content):
+        for command in ("ingest", "probe", "render"):
+            assert main([command, "--config", str(config_path)]) == 0
+        (tmp_path / "out" / "pairs.jsonl").write_bytes(content)
+        capsys.readouterr()
+        assert main(["emit", "--config", str(config_path)]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out" / "benchmark.jsonl").exists()
 
 
 class TestEvalCommands:
@@ -231,6 +328,34 @@ class TestEvalCommands:
         ]
         assert main(argv + [flag.format(tmp=tmp_path) for flag in flags]) == code
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "reports").exists()
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"nope": 1}\n', "line 1"),
+            (b'{"pair_id": "p", "video_id": "v", "category": "temporal.predicate.Action",'
+             b' "positive": {"text": "a"}, "negative": {"text": 5}}\n', "must be strings"),
+            (b"\xff\n", "not UTF-8"),
+            (b"{oops\n", "line 1"),
+        ],
+        ids=["missing-field", "text-not-string", "non-utf8", "invalid-json"],
+    )
+    def test_eval_bad_benchmark_exit_code(self, config_path, tmp_path, capsys, content, message):
+        _, positive, control = self.build_benchmark(config_path, tmp_path)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(content)
+        capsys.readouterr()
+        argv = [
+            "eval",
+            "--benchmark", str(bad),
+            "--scores", str(positive),
+            "--scores-control", str(control),
+            "--out", str(tmp_path / "reports"),
+        ]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
         assert not (tmp_path / "reports").exists()
 
     def test_npz_scores_give_the_csv_reports(self, config_path, tmp_path, capsys):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from eventprobe.captions import Caption, CaptionPair
-from eventprobe.decorator import DecoratorConfig, decorate, propose_alternatives
+from eventprobe.decorator import DecoratorConfig, decorate
 from eventprobe.errors import ConfigError
 from eventprobe.profiles import ManipulationCategory
 
@@ -140,23 +140,3 @@ def test_degenerate_identical_rewrites_keep_template_pair(pair, monkeypatch):
     result = decorate(pair, enabled_config(), None, required=REQUIRED, transport=transport)
     assert result == pair
 
-
-def test_propose_alternatives(monkeypatch):
-    monkeypatch.setenv("PROBE_DECORATOR_KEY", "secret")
-
-    def transport(endpoint, payload, headers, timeout):
-        assert "replace the verb" in payload["prompt"]
-        return {"candidates": ["sentence one", "sentence two"]}
-
-    out = propose_alternatives("A punchbag is hanging", enabled_config(), transport=transport)
-    assert out == ["sentence one", "sentence two"]
-    assert propose_alternatives("x", DecoratorConfig(enabled=False)) == []
-
-
-def test_propose_alternatives_failure_returns_empty(monkeypatch):
-    monkeypatch.setenv("PROBE_DECORATOR_KEY", "secret")
-
-    def transport(endpoint, payload, headers, timeout):
-        raise ConnectionError("no route")
-
-    assert propose_alternatives("x", enabled_config(), transport=transport) == []

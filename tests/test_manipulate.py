@@ -1,6 +1,8 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from eventprobe.errors import (
     EmptyPool,
@@ -14,13 +16,11 @@ from eventprobe.errors import (
     UnknownType,
 )
 from eventprobe.manipulate import (
-    SLOT_OBJECT_ATTRIBUTE,
     SLOT_PREDICATE,
     SLOT_SUBJECT_ATTRIBUTE,
     AttributeObservation,
     CandidatePool,
     SlotRef,
-    apply_all,
     apply_corpus,
     build_pool,
     counterfactual_substitute,
@@ -31,8 +31,8 @@ from eventprobe.manipulate import (
     temporal_attribute_swap,
     temporal_predicate_swap,
 )
-from eventprobe.profiles import ManipulationCategory, parse_profile
-from eventprobe.scene_graph import SceneGraph
+from eventprobe.profiles import ManipulationCategory, default_profile, parse_profile
+from eventprobe.scene_graph import TUPLE_FIELDS, SceneGraph
 
 from .helpers import (
     attr,
@@ -44,6 +44,7 @@ from .helpers import (
     random_predicate_pair,
     span,
 )
+from .test_count_first import corpora
 
 
 class TestTemporalPredicateSwap:
@@ -268,20 +269,6 @@ class TestCounterfactualSubstitute:
         with pytest.raises(SlotAbsent):
             counterfactual_substitute(bike, SLOT_PREDICATE, color_pool(), random.Random(0))
 
-    def test_object_attribute_slot(self):
-        tup = make_tuple(
-            "t1",
-            entity("e1", "boy"),
-            predicate=pred("on", "SpatialRelationship"),
-            obj=entity("e2", "hill"),
-            obj_attrs=(attr("white"),),
-        )
-        result = counterfactual_substitute(
-            tup, SLOT_OBJECT_ATTRIBUTE, color_pool("white"), random.Random(5)
-        )
-        assert result.object_attrs[0].value != "white"
-        assert result.subject_attrs == tup.subject_attrs
-
 
 def two_color_profile():
     return parse_profile(
@@ -356,7 +343,7 @@ class TestBuildPool:
             ),
         )
         pool = build_pool(
-            graph, two_color_profile(), SlotRef("t1", SLOT_OBJECT_ATTRIBUTE, 0), "Color"
+            graph, two_color_profile(), SlotRef("t2", SLOT_SUBJECT_ATTRIBUTE, 0), "Color"
         )
         # bed is blue (as object) and red (as subject); both are excluded.
         assert pool.exclusions == frozenset({"blue", "red"})
@@ -438,13 +425,13 @@ class TestApply:
         )
         graph = SceneGraph("v", 30.0, entities, tuples)
         category_key = "counterfactual.attribute.Color"
-        records = apply_all(graph, profile, {category_key: 2}, 7)
+        records = apply_corpus([graph], profile, {category_key: 2}, 7)
         per_category = [r for r in records if r.category.key == category_key]
         assert len(per_category) == 2
 
     def test_empty_graph(self, profile):
         graph = SceneGraph("v", 10.0, (entity("e1"),), ())
-        assert apply_all(graph, profile, {}, 42) == []
+        assert apply_corpus([graph], profile, {}, 42) == []
 
     def test_quota_on_one_category_leaves_others_stable(self, corpus, profile):
         baseline = apply_corpus(corpus, profile, {}, 42)
@@ -487,4 +474,33 @@ class TestApply:
 
     def test_records_jsonl_round_trip(self, corpus, profile):
         records = apply_corpus(corpus, profile, {}, 42)
-        assert records_from_jsonl(records_to_jsonl(records)) == records
+        assert records_from_jsonl(records_to_jsonl(records), corpus) == records
+
+    def test_record_lines_carry_only_changed_fields(self, corpus, profile):
+        records = apply_corpus(corpus, profile, {}, 42)
+        lines = records_to_jsonl(records).splitlines()
+        assert len(lines) == len(records)
+        for record, line in zip(records, lines):
+            doc = json.loads(line)
+            assert doc["format"] == 2 and "original" not in doc
+            assert doc["source_tuple_ids"] == list(record.source_tuple_ids)
+            for orig, manip, change in zip(record.original, record.manipulated, doc["manipulated"]):
+                assert change["tuple_id"] == orig.tuple_id
+                changed = {name for name in TUPLE_FIELDS if getattr(orig, name) != getattr(manip, name)}
+                assert set(change) == {"tuple_id", *changed} and changed
+
+
+PROFILE = default_profile()
+CATEGORY_KEYS = tuple(c.key for c in PROFILE.category_set)
+
+
+@given(
+    corpora,
+    st.lists(st.sampled_from((None, 0, 1, 2, 5)), min_size=len(CATEGORY_KEYS), max_size=len(CATEGORY_KEYS)),
+    st.integers(0, 2**32),
+)
+def test_records_round_trip_on_random_corpora(corpus, quotas, seed):
+    chosen = {key: quota for key, quota in zip(CATEGORY_KEYS, quotas) if quota is not None}
+    records = apply_corpus(corpus, PROFILE, chosen, seed)
+    assert records_from_jsonl(records_to_jsonl(records), corpus) == records
+
