@@ -15,17 +15,15 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from . import __version__
 from .errors import (
     EmptyInput,
     MalformedDocument,
-    OutputExists,
     TemplateMissing,
     TemplateSlotMissing,
 )
 from .manipulate import ManipulationRecord
 from .profiles import ManipulationCategory
-from .scene_graph import EventTuple, parse_jsonl
+from .scene_graph import EventTuple, parse_jsonl, read_utf8
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -135,7 +133,11 @@ def parse_templates(document: str | bytes | Mapping[str, Any]) -> TemplateTable:
 
 
 def load_templates(path: str | Path) -> TemplateTable:
-    return parse_templates(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = read_utf8(path)
+    except FileNotFoundError:
+        raise TemplateMissing(f"template file not found: {path}") from None
+    return parse_templates(text)
 
 
 def default_templates() -> TemplateTable:
@@ -275,27 +277,7 @@ def protected_values(record: ManipulationRecord) -> dict[str, tuple[str, ...]]:
     return {POSITIVE: values, NEGATIVE: values}
 
 
-# --- benchmark emission ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Manifest:
-    """Counts and provenance for one emitted benchmark file."""
-
-    total: int
-    per_category: Mapping[str, int]
-    seed: int | None
-    profile: str | None
-    tool_version: str
-
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "total": self.total,
-            "per_category": dict(sorted(self.per_category.items())),
-            "seed": self.seed,
-            "profile": self.profile,
-            "tool_version": self.tool_version,
-        }
+# --- benchmark serialization -------------------------------------------------
 
 
 def pair_to_doc(pair: CaptionPair) -> dict[str, Any]:
@@ -338,16 +320,11 @@ def pairs_from_jsonl(text: str) -> list[CaptionPair]:
     return parse_jsonl(text, pair_from_doc, "caption pairs")
 
 
-def emit_benchmark(
-    pairs: Sequence[CaptionPair],
-    out_path: str | Path,
-    seed: int | None = None,
-    profile_name: str | None = None,
-    force: bool = False,
-) -> Manifest:
-    """Write one caption pair per line and return the accompanying manifest."""
+def benchmark_categories(pairs: Sequence[CaptionPair]) -> dict[str, int]:
+    """Pairs per category key of a benchmark, which holds at least one pair
+    and each pair_id once."""
     if not pairs:
-        raise EmptyInput("no caption pairs to emit")
+        raise EmptyInput("no caption pairs produced; check quotas and inputs")
     seen: set[str] = set()
     per_category: dict[str, int] = {}
     for pair in pairs:
@@ -355,17 +332,4 @@ def emit_benchmark(
             raise MalformedDocument(f"duplicate pair_id {pair.pair_id!r}")
         seen.add(pair.pair_id)
         per_category[pair.category.key] = per_category.get(pair.category.key, 0) + 1
-
-    out_path = Path(out_path)
-    if out_path.exists() and not force:
-        raise OutputExists(f"{out_path} exists; pass force=True to overwrite")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(pairs_to_jsonl(pairs), encoding="utf-8")
-
-    return Manifest(
-        total=len(pairs),
-        per_category=per_category,
-        seed=seed,
-        profile=profile_name,
-        tool_version=__version__,
-    )
+    return per_category

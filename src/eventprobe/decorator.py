@@ -8,8 +8,8 @@ never persisted.
 
 from __future__ import annotations
 
+import json
 import os
-import random
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
@@ -44,12 +44,18 @@ class DecoratorConfig:
             raise ConfigError("temperature must lie in [0, 2]")
 
 
-def _requests_transport(endpoint: str, payload: dict, headers: dict, timeout: float) -> dict:
-    import requests
+def _http_transport(endpoint: str, payload: dict, headers: dict, timeout: float) -> dict:
+    """POST payload as JSON; a status outside 2xx raises HTTPError."""
+    import urllib.request  # only a run with the decorator enabled pays for it
 
-    response = requests.post(endpoint, json=payload, headers=headers, timeout=timeout)
-    response.raise_for_status()
-    return response.json()
+    request = urllib.request.Request(
+        endpoint,
+        data=json.dumps(payload).encode("utf-8"),
+        headers={**headers, "Content-Type": "application/json"},
+        method="POST",
+    )
+    with urllib.request.urlopen(request, timeout=timeout) as response:
+        return json.loads(response.read())
 
 
 def _call_remote(
@@ -93,21 +99,19 @@ def _decorate_caption(
 def decorate(
     pair: CaptionPair,
     config: DecoratorConfig,
-    rng: random.Random | None = None,
     required: Mapping[str, Sequence[str]] | None = None,
     transport: Transport | None = None,
 ) -> CaptionPair:
     """Naturalize both captions of a pair, keeping protected values verbatim.
 
     With the decorator disabled this is the identity. Candidates that drop
-    any required slot value are filtered out; the first survivor wins, so the
-    rng argument is accepted for interface stability but unused. A caption
-    whose renderer still reads "template" afterwards was not decorated.
+    any required slot value are filtered out; the first survivor wins. A
+    caption whose renderer still reads "template" afterwards was not
+    decorated.
     """
-    del rng  # selection is deterministic: first surviving candidate
     if not config.enabled:
         return pair
-    transport = transport or _requests_transport
+    transport = transport or _http_transport
     required = required or {}
     positive = _decorate_caption(
         pair.positive, tuple(required.get(POSITIVE, ())), config, transport

@@ -113,10 +113,6 @@ class LossBatch:
         return self.V.shape[0]
 
     @property
-    def dim(self) -> int:
-        return self.V.shape[1]
-
-    @property
     def n_gen(self) -> tuple[int, ...]:
         return tuple(g.shape[0] for g in self.G)
 

@@ -1,4 +1,13 @@
-"""End-to-end pipeline: ingest, manipulate, render, emit, with a run manifest.
+"""End-to-end pipeline: one table of stages, run whole or one stage at a time.
+
+`STAGES` lists ingest, probe, render and emit, each with the stages whose
+outputs it reads, its output file, its function, and that file's writer and
+reader. `run` executes every row in memory; a stage command executes one row
+over the earlier stages' files. Either way every output is first written as
+`<name>.tmp` and moved into place only after all of the command's stages
+have succeeded, so a failed command leaves the output directory as it was. A
+successful command then removes the outputs of later stages, which no longer
+follow from it. `run` and `emit` also write the run manifest.
 
 With the decorator disabled the emitted benchmark is a pure function of the
 input documents and the configuration, so two runs with one seed produce
@@ -11,20 +20,20 @@ from __future__ import annotations
 import glob
 import hashlib
 import json
-import random
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from . import __version__
 from .captions import (
     CaptionPair,
-    TemplateTable,
+    benchmark_categories,
     default_templates,
-    emit_benchmark,
     load_templates,
+    pairs_from_jsonl,
+    pairs_to_jsonl,
     protected_values,
     render_pair,
 )
@@ -36,9 +45,15 @@ from .errors import (
     OutputExists,
     StageFailed,
 )
-from .manipulate import apply_corpus, derive_seed, records_to_jsonl
+from .manipulate import apply_corpus, records_from_jsonl, records_to_jsonl
 from .profiles import DatasetProfile, load_profile
-from .scene_graph import SceneGraph, load_scene_graph, scene_graph_to_doc, validate
+from .scene_graph import (
+    graphs_from_jsonl,
+    graphs_to_jsonl,
+    load_scene_graph,
+    read_utf8,
+    validate,
+)
 
 
 @dataclass(frozen=True)
@@ -54,7 +69,6 @@ class PipelineConfig:
     templates_path: str | None = None
     decorator: DecoratorConfig = field(default_factory=DecoratorConfig)
     force: bool = False
-    jobs: int = 1
 
     @classmethod
     def from_doc(cls, doc: Mapping[str, Any], **overrides: Any) -> "PipelineConfig":
@@ -95,7 +109,6 @@ class PipelineConfig:
                 templates_path=merged.get("templates_path"),
                 decorator=decorator,
                 force=bool(merged.get("force", False)),
-                jobs=int(merged.get("jobs", 1)),
             )
         except KeyError as exc:
             raise ConfigError(f"config lacks required key {exc.args[0]!r}") from None
@@ -148,48 +161,54 @@ class RunManifest:
     started_at: float
     finished_at: float
 
-    def digest(self) -> str:
-        doc = {
-            "tool_version": self.tool_version,
-            "config_digest": self.config_digest,
-            "stage_counts": dict(sorted(self.stage_counts.items())),
-            "per_category": dict(sorted(self.per_category.items())),
-            "decorator_failures": self.decorator_failures,
-        }
-        return hashlib.sha256(
-            json.dumps(doc, sort_keys=True).encode("utf-8")
-        ).hexdigest()
-
-    def to_doc(self) -> dict[str, Any]:
+    def _digested(self) -> dict[str, Any]:
+        """Everything but the timestamps."""
         return {
             "tool_version": self.tool_version,
             "config_digest": self.config_digest,
             "stage_counts": dict(sorted(self.stage_counts.items())),
             "per_category": dict(sorted(self.per_category.items())),
             "decorator_failures": self.decorator_failures,
+        }
+
+    def digest(self) -> str:
+        return hashlib.sha256(
+            json.dumps(self._digested(), sort_keys=True).encode("utf-8")
+        ).hexdigest()
+
+    def to_doc(self) -> dict[str, Any]:
+        return {
+            **self._digested(),
             "started_at": self.started_at,
             "finished_at": self.finished_at,
             "digest": self.digest(),
         }
 
 
-def _load_graphs(paths: Sequence[str], jobs: int) -> list[SceneGraph]:
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            graphs = list(pool.map(load_scene_graph, paths))
-    else:
-        graphs = [load_scene_graph(p) for p in paths]
-    return sorted(graphs, key=lambda g: g.video_id)
+def resolve_categories(config: PipelineConfig, profile: DatasetProfile):
+    """Categories the run processes: the config's subset, or all-from-profile.
+    Raises ConfigError for a quota or category key the profile lacks."""
+    unknown = sorted(set(config.quotas) - {cat.key for cat in profile.category_set})
+    if unknown:
+        raise ConfigError(f"quota keys not in profile categories: {', '.join(unknown)}")
+    if config.categories is None:
+        return None
+    try:
+        return tuple(profile.category(key) for key in config.categories)
+    except MalformedDocument as exc:
+        raise ConfigError(str(exc)) from None
 
 
-def ingest_corpus(
-    config: PipelineConfig, profile: DatasetProfile
-) -> list[SceneGraph]:
+# Each stage function takes the config, the values of the stages before it
+# by name (computed in this command or loaded from their files) and the
+# decorator transport, and returns its stage's value.
+def _ingest(config: PipelineConfig, values: Mapping[str, Any], transport: Transport | None) -> list:
     """Parse and profile-validate every document matched by the input glob."""
+    profile = load_profile(config.profile_path)
     paths = sorted(glob.glob(config.input_glob))
     if not paths:
         raise EmptyInput(f"input glob {config.input_glob!r} matched no files")
-    graphs = _load_graphs(paths, config.jobs)
+    graphs = sorted((load_scene_graph(p) for p in paths), key=lambda g: g.video_id)
     problems = []
     for graph in graphs:
         for violation in validate(graph, profile):
@@ -201,138 +220,162 @@ def ingest_corpus(
     return graphs
 
 
-def _validate_quotas(config: PipelineConfig, profile: DatasetProfile) -> None:
-    known = {cat.key for cat in profile.category_set}
-    unknown = sorted(set(config.quotas) - known)
-    if unknown:
-        raise ConfigError(f"quota keys not in profile categories: {', '.join(unknown)}")
+def _probe(config: PipelineConfig, values: Mapping[str, Any], transport: Transport | None) -> list:
+    profile = load_profile(config.profile_path)
+    categories = resolve_categories(config, profile)
+    return apply_corpus(
+        values["ingest"], profile, config.quotas, config.global_seed, categories=categories
+    )
 
 
-def resolve_categories(config: PipelineConfig, profile: DatasetProfile):
-    """Categories the run processes: the config's subset, or all-from-profile."""
-    if config.categories is None:
-        return None
+def _render(config: PipelineConfig, values: Mapping[str, Any], transport: Transport | None) -> list:
+    templates = (
+        load_templates(config.templates_path) if config.templates_path else default_templates()
+    )
+    pairs = []
+    for record in values["probe"]:
+        pair = render_pair(record, templates)
+        if config.decorator.enabled:
+            pair = decorate(
+                pair, config.decorator, required=protected_values(record), transport=transport
+            )
+        pairs.append(pair)
+    return pairs
+
+
+def _emit(config: PipelineConfig, values: Mapping[str, Any], transport: Transport | None) -> list:
+    benchmark_categories(values["render"])  # raises on no pairs or a repeated pair_id
+    return values["render"]
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One row of the pipeline. A command that runs this stage on its own
+    first loads the outputs of the stages named in reads, in table order;
+    read gets the text of this stage's output and the values loaded so far."""
+
+    name: str
+    reads: tuple[str, ...]
+    output: str
+    fn: Callable[[PipelineConfig, Mapping[str, Any], Transport | None], Any]
+    write: Callable[[Any], str]
+    read: Callable[[str, Mapping[str, Any]], Any] | None
+
+
+STAGES: tuple[Stage, ...] = (
+    Stage("ingest", (), "graphs.jsonl", _ingest, graphs_to_jsonl,
+          lambda text, values: graphs_from_jsonl(text)),
+    Stage("probe", ("ingest",), "records.jsonl", _probe, records_to_jsonl,
+          lambda text, values: records_from_jsonl(text, values["ingest"])),
+    # records.jsonl is relative to graphs.jsonl, so render loads both.
+    Stage("render", ("ingest", "probe"), "pairs.jsonl", _render, pairs_to_jsonl,
+          lambda text, values: pairs_from_jsonl(text)),
+    Stage("emit", ("render",), "benchmark.jsonl", _emit, pairs_to_jsonl, None),
+)
+STAGE_BY_NAME = {stage.name: stage for stage in STAGES}
+MANIFEST = "run_manifest.json"
+# The manifest counts the lines of these stages' outputs, so that `emit`
+# run on its own reports what `run` does.
+_COUNTED = {"videos": "ingest", "records": "probe", "pairs": "emit"}
+
+
+def _read_output(out_dir: Path, stage: Stage) -> str:
+    path = out_dir / stage.output
     try:
-        return tuple(profile.category(key) for key in config.categories)
-    except MalformedDocument as exc:
-        raise ConfigError(str(exc)) from None
+        return read_utf8(path)
+    except FileNotFoundError:
+        raise EmptyInput(f"{path} not found; run {stage.name} first") from None
+
+
+def write_outputs(out_dir: Path, texts: Mapping[str, str], remove: Sequence[str]) -> None:
+    """Write each text to `<name>.tmp`, then move them all into place and
+    remove the files named in remove. If a write fails, the temporaries are
+    removed and the directory keeps the files it had."""
+    temporaries = []
+    try:
+        for name, text in texts.items():
+            temporaries.append(out_dir / f"{name}.tmp")
+            temporaries[-1].write_text(text, encoding="utf-8")
+    except BaseException:
+        for tmp in temporaries:
+            tmp.unlink(missing_ok=True)
+        raise
+    for name, tmp in zip(texts, temporaries):
+        os.replace(tmp, out_dir / name)
+    for name in remove:
+        (out_dir / name).unlink(missing_ok=True)
+
+
+def _manifest(
+    config: PipelineConfig,
+    pairs: Sequence[CaptionPair],
+    out_dir: Path,
+    texts: Mapping[str, str],
+    started_at: float,
+) -> RunManifest:
+    def lines(stage: Stage) -> int:
+        text = texts[stage.output] if stage.output in texts else _read_output(out_dir, stage)
+        return text.count("\n")
+
+    captions = [caption for pair in pairs for caption in (pair.positive, pair.negative)]
+    return RunManifest(
+        tool_version=__version__,
+        config_digest=config.digest(),
+        stage_counts={key: lines(STAGE_BY_NAME[name]) for key, name in _COUNTED.items()},
+        per_category=benchmark_categories(pairs),
+        decorator_failures=(
+            sum(c.renderer == "template" for c in captions) if config.decorator.enabled else 0
+        ),
+        started_at=started_at,
+        finished_at=time.time(),
+    )
+
+
+def run_stages(
+    config: PipelineConfig, names: Sequence[str], transport: Transport | None = None
+) -> RunManifest | None:
+    """Execute one stage, or every stage in table order; returns the run
+    manifest when emit is among them, else None.
+
+    The stages before the first named one contribute their output files in
+    the output directory. The first failing stage aborts the command with a
+    StageFailed error naming the stage, and the directory is left as it was.
+    """
+    started_at = time.time()
+    stages = [stage for stage in STAGES if stage.name in names]
+    out_dir = Path(config.output_dir)
+    files = [stage.output for stage in STAGES] + [MANIFEST]  # emit also writes the manifest
+    first = STAGES.index(stages[0])
+    last = len(files) - 1 if stages[-1] is STAGES[-1] else STAGES.index(stages[-1])
+    outputs, later = files[first : last + 1], files[last + 1 :]
+    if not config.force:
+        for name in outputs:
+            if (out_dir / name).exists():
+                raise OutputExists(f"{out_dir / name} exists; rerun with force")
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    values: dict[str, Any] = {}
+    texts: dict[str, str] = {}
+    manifest = None
+    for stage in stages:
+        try:
+            for name in stage.reads:
+                if name not in values:
+                    source = STAGE_BY_NAME[name]
+                    values[name] = source.read(_read_output(out_dir, source), values)
+            values[stage.name] = stage.fn(config, values, transport)
+            texts[stage.output] = stage.write(values[stage.name])
+            if MANIFEST in outputs and stage is stages[-1]:
+                manifest = _manifest(config, values[stage.name], out_dir, texts, started_at)
+                texts[MANIFEST] = json.dumps(manifest.to_doc(), indent=2, sort_keys=True) + "\n"
+        except Exception as exc:
+            raise StageFailed(stage.name, exc) from exc
+    write_outputs(out_dir, texts, remove=later)
+    return manifest
 
 
 def run_pipeline(
     config: PipelineConfig, transport: Transport | None = None
 ) -> RunManifest:
-    """Execute ingest, manipulate, render, and emit; returns the run manifest.
-
-    The first failing stage aborts the run with a StageFailed error naming
-    the stage, and any files already written into the output directory by
-    this run are removed.
-    """
-    started_at = time.time()
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    def write(name: str, text: str) -> Path:
-        path = out_dir / name
-        if path.exists() and not config.force:
-            raise OutputExists(f"{path} exists; rerun with force")
-        path.write_text(text, encoding="utf-8")
-        written.append(path)
-        return path
-
-    try:
-        try:
-            profile = load_profile(config.profile_path)
-            _validate_quotas(config, profile)
-            graphs = ingest_corpus(config, profile)
-            graph_lines = "".join(
-                json.dumps(scene_graph_to_doc(g), ensure_ascii=False, separators=(",", ":")) + "\n"
-                for g in graphs
-            )
-            write("graphs.jsonl", graph_lines)
-        except StageFailed:
-            raise
-        except Exception as exc:
-            raise StageFailed("ingest", exc) from exc
-
-        try:
-            selected = resolve_categories(config, profile)
-            records = apply_corpus(
-                graphs, profile, config.quotas, config.global_seed, categories=selected
-            )
-            write("records.jsonl", records_to_jsonl(records))
-        except Exception as exc:
-            raise StageFailed("probe", exc) from exc
-
-        try:
-            if config.templates_path:
-                templates: TemplateTable = load_templates(config.templates_path)
-            else:
-                templates = default_templates()
-            pairs: list[CaptionPair] = []
-            for record in records:
-                pair = render_pair(record, templates)
-                if config.decorator.enabled:
-                    pair = decorate(
-                        pair,
-                        config.decorator,
-                        random.Random(derive_seed(record.seed, "decorate")),
-                        required=protected_values(record),
-                        transport=transport,
-                    )
-                pairs.append(pair)
-        except Exception as exc:
-            raise StageFailed("render", exc) from exc
-
-        try:
-            if not pairs:
-                raise EmptyInput("no caption pairs produced; check quotas and inputs")
-            benchmark_path = out_dir / "benchmark.jsonl"
-            if benchmark_path.exists() and not config.force:
-                raise OutputExists(f"{benchmark_path} exists; rerun with force")
-            manifest = emit_benchmark(
-                pairs,
-                benchmark_path,
-                seed=config.global_seed,
-                profile_name=profile.name,
-                force=True,
-            )
-            written.append(benchmark_path)
-        except Exception as exc:
-            raise StageFailed("emit", exc) from exc
-
-        decorator_failures = 0
-        if config.decorator.enabled:
-            for pair in pairs:
-                decorator_failures += sum(
-                    caption.renderer == "template"
-                    for caption in (pair.positive, pair.negative)
-                )
-
-        run_manifest = RunManifest(
-            tool_version=__version__,
-            config_digest=config.digest(),
-            stage_counts={
-                "videos": len(graphs),
-                "records": len(records),
-                "pairs": manifest.total,
-            },
-            per_category=dict(manifest.per_category),
-            decorator_failures=decorator_failures,
-            started_at=started_at,
-            finished_at=time.time(),
-        )
-        path = out_dir / "run_manifest.json"
-        path.write_text(
-            json.dumps(run_manifest.to_doc(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        written.append(path)
-        return run_manifest
-    except Exception:
-        for path in written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        raise
+    """Execute every stage in memory; returns the run manifest."""
+    return run_stages(config, list(STAGE_BY_NAME), transport)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import (
@@ -107,20 +108,6 @@ class EventKey:
     predicate: PredicateValue | None
     object: EntityRef | None
     object_attrs: tuple[AttributeValue, ...]
-
-
-@dataclass(frozen=True)
-class Event:
-    """All intervals during which one tuple key was observed."""
-
-    key: EventKey
-    intervals: tuple[TimeInterval, ...]
-
-    def __post_init__(self) -> None:
-        if not self.intervals:
-            raise MalformedDocument("an event needs at least one interval")
-        if list(self.intervals) != sorted(self.intervals):
-            raise MalformedDocument("event intervals must be sorted by start time")
 
 
 @dataclass(frozen=True)
@@ -321,9 +308,23 @@ def parse_jsonl(text: str, parse: Callable[[Any], Any], name: str) -> list[Any]:
     return parsed
 
 
+def read_utf8(path: str | Path) -> str:
+    """The text of a file; bytes that are not UTF-8 raise MalformedDocument
+    naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"{path} is not UTF-8: {exc}") from None
+
+
 def load_scene_graph(path: str) -> SceneGraph:
-    with open(path, encoding="utf-8") as fh:
-        return parse_scene_graph(fh.read())
+    """parse_scene_graph over one file; every MalformedDocument names the file."""
+    text = read_utf8(path)
+    try:
+        return parse_scene_graph(text)
+    except MalformedDocument as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def scene_graph_to_doc(graph: SceneGraph) -> dict[str, Any]:
@@ -358,8 +359,15 @@ def scene_graph_to_doc(graph: SceneGraph) -> dict[str, Any]:
     }
 
 
-def serialize_scene_graph(graph: SceneGraph, indent: int | None = 2) -> str:
-    return json.dumps(scene_graph_to_doc(graph), ensure_ascii=False, indent=indent)
+def graphs_to_jsonl(graphs: Iterable[SceneGraph]) -> str:
+    return "".join(
+        json.dumps(scene_graph_to_doc(g), ensure_ascii=False, separators=(",", ":")) + "\n"
+        for g in graphs
+    )
+
+
+def graphs_from_jsonl(text: str) -> list[SceneGraph]:
+    return parse_jsonl(text, parse_scene_graph, "graphs.jsonl")
 
 
 def validate(graph: SceneGraph, profile: DatasetProfile) -> list[Violation]:
@@ -414,37 +422,22 @@ def validate(graph: SceneGraph, profile: DatasetProfile) -> list[Violation]:
     return violations
 
 
-def index_events(graph: SceneGraph) -> list[Event]:
-    """Group tuples sharing one key into events carrying all their intervals.
-
-    Every tuple lands in exactly one event; the total interval count equals
-    the tuple count. Events appear in first-observation order.
-    """
-    grouped: dict[EventKey, list[TimeInterval]] = {}
-    for tup in graph.tuples:
-        grouped.setdefault(tup.key, []).append(tup.time)
-    return [
-        Event(key=key, intervals=tuple(sorted(times)))
-        for key, times in grouped.items()
-    ]
-
-
 __all__ = [
     "TUPLE_FIELDS",
     "AttributeValue",
     "EntityRef",
-    "Event",
     "EventKey",
     "EventTuple",
     "PredicateValue",
     "SceneGraph",
     "TimeInterval",
     "Violation",
-    "index_events",
+    "graphs_from_jsonl",
+    "graphs_to_jsonl",
     "load_scene_graph",
     "parse_jsonl",
     "parse_scene_graph",
+    "read_utf8",
     "scene_graph_to_doc",
-    "serialize_scene_graph",
     "validate",
 ]

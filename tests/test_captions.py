@@ -1,12 +1,13 @@
 from dataclasses import replace
+from importlib import resources
 
 import pytest
 
 from eventprobe.captions import (
     Caption,
     CaptionPair,
+    benchmark_categories,
     default_templates,
-    emit_benchmark,
     pair_from_doc,
     pair_to_doc,
     pairs_from_jsonl,
@@ -23,6 +24,7 @@ from eventprobe.errors import (
     TemplateSlotMissing,
 )
 from eventprobe.manipulate import apply_corpus
+from eventprobe.pipeline import PipelineConfig, run_pipeline, run_stages
 from eventprobe.profiles import ManipulationCategory
 
 from .goldens import GOLDEN_TEXTS, build_golden_records, record_for
@@ -136,25 +138,30 @@ class TestEmit:
             )
         return pairs
 
-    def test_two_pairs_two_lines(self, tmp_path):
-        out = tmp_path / "benchmark.jsonl"
-        manifest = emit_benchmark(self.make_pairs(2), out)
-        lines = out.read_text().splitlines()
-        assert len(lines) == 2
-        assert manifest.total == 2
+    def test_two_pairs_two_lines(self):
+        text = pairs_to_jsonl(self.make_pairs(2))
+        assert len(text.splitlines()) == 2
+        assert [p.pair_id for p in pairs_from_jsonl(text)] == ["pair-0", "pair-1"]
 
-    def test_output_exists(self, tmp_path):
-        out = tmp_path / "benchmark.jsonl"
-        emit_benchmark(self.make_pairs(1), out)
+    def test_output_exists(self, tmp_path, fixtures_dir):
+        profile = resources.files("eventprobe.data").joinpath("profile_default.json").read_text("utf-8")
+        (tmp_path / "profile.json").write_text(profile, encoding="utf-8")
+        config = PipelineConfig.from_doc({
+            "global_seed": 42,
+            "profile_path": str(tmp_path / "profile.json"),
+            "input_glob": str(fixtures_dir / "*.json"),
+            "output_dir": str(tmp_path / "out"),
+        })
+        run_pipeline(config)
         with pytest.raises(OutputExists):
-            emit_benchmark(self.make_pairs(1), out)
-        emit_benchmark(self.make_pairs(1), out, force=True)
+            run_stages(config, ["emit"])
+        assert run_stages(replace(config, force=True), ["emit"]) is not None
 
-    def test_empty_input(self, tmp_path):
+    def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            emit_benchmark([], tmp_path / "benchmark.jsonl")
+            benchmark_categories([])
 
-    def test_per_category_counts(self, tmp_path):
+    def test_per_category_counts(self):
         pairs = self.make_pairs(2) + [
             CaptionPair(
                 pair_id="pair-x",
@@ -164,17 +171,15 @@ class TestEmit:
                 negative=Caption(text="b then a", polarity="negative", record_id="pair-x"),
             )
         ]
-        manifest = emit_benchmark(pairs, tmp_path / "benchmark.jsonl")
-        assert manifest.per_category == {
+        assert benchmark_categories(pairs) == {
             "counterfactual.attribute.Color": 2,
             "temporal.attribute.Color": 1,
         }
-        assert sum(manifest.per_category.values()) == manifest.total
 
-    def test_duplicate_pair_ids_rejected(self, tmp_path):
+    def test_duplicate_pair_ids_rejected(self):
         pairs = self.make_pairs(1) * 2
         with pytest.raises(MalformedDocument):
-            emit_benchmark(pairs, tmp_path / "benchmark.jsonl")
+            benchmark_categories(pairs)
 
 
 class TestPairSerialization:

@@ -1,12 +1,23 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
 
+import eventprobe
 from eventprobe import errors
 from eventprobe.cli import exit_code_for, main
 from eventprobe.errors import StageFailed
+from eventprobe.scene_graph import scene_graph_to_doc
+
+from .test_count_first import corpora
 
 
 @pytest.fixture()
@@ -49,6 +60,19 @@ def first_change(update):
 
 def unlink_graphs(out):
     (out / "graphs.jsonl").unlink()
+
+
+def edit_config(config_path, **changes):
+    config_path.write_text(json.dumps({**json.loads(config_path.read_text()), **changes}))
+
+
+def outputs(out_dir):
+    """Every file in out_dir by name: its bytes, or for the run manifest,
+    which holds wall-clock timestamps, its digest."""
+    files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+    if "run_manifest.json" in files:
+        files["run_manifest.json"] = json.loads(files["run_manifest.json"])["digest"]
+    return files
 
 
 class TestRunCommand:
@@ -115,7 +139,7 @@ class TestStagedCommands:
             assert code == 0, command
         staged_benchmark = (staged_out / "benchmark.jsonl").read_bytes()
         assert staged_benchmark == run_benchmark
-        assert (staged_out / "manifest.json").exists()
+        assert (staged_out / "run_manifest.json").exists()
 
     def test_probe_before_ingest_fails(self, config_path, tmp_path):
         assert main(["probe", "--config", str(config_path)]) == 6
@@ -189,6 +213,108 @@ class TestStagedCommands:
         assert main(["emit", "--config", str(config_path)]) == 4
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out" / "benchmark.jsonl").exists()
+
+
+class TestInputFileErrors:
+    @pytest.mark.parametrize("commands", [["run"], ["ingest", "probe", "render"]], ids=["run", "render"])
+    @pytest.mark.parametrize(
+        "content, code, message",
+        [(None, 7, "template file not found"), (b'{"templates": "\xff"}', 4, "not UTF-8")],
+        ids=["missing", "non-utf8"],
+    )
+    def test_template_file_errors(self, config_path, tmp_path, capsys, commands, content, code, message):
+        templates = tmp_path / "templates.json"
+        if content is not None:
+            templates.write_bytes(content)
+        edit_config(config_path, templates_path=str(templates))
+        *before, last = commands
+        for command in before:
+            assert main([command, "--config", str(config_path)]) == 0
+        capsys.readouterr()
+        assert main([last, "--config", str(config_path)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and str(templates) in err
+
+    @pytest.mark.parametrize("command", ["run", "ingest"])
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b"\xff", "not UTF-8"), (b"{not json", "invalid JSON"), (b'{"video_id": "v"}', "missing key")],
+        ids=["non-utf8", "invalid-json", "missing-key"],
+    )
+    def test_corpus_file_errors(self, config_path, tmp_path, fixtures_dir, capsys, command, content, message):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        shutil.copy(fixtures_dir / "kitchen.json", corpus)
+        (corpus / "broken.json").write_bytes(content)
+        edit_config(config_path, input_glob=str(corpus / "*.json"))
+        capsys.readouterr()
+        assert main([command, "--config", str(config_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and str(corpus / "broken.json") in err
+        assert list((tmp_path / "out").iterdir()) == []
+
+
+class TestStageTable:
+    @given(corpora)
+    def test_staged_commands_write_what_run_writes(self, corpus):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "corpus").mkdir()
+            for graph in corpus:
+                (tmp / "corpus" / f"{graph.video_id}.json").write_text(json.dumps(scene_graph_to_doc(graph)))
+            profile = resources.files("eventprobe.data").joinpath("profile_default.json").read_text("utf-8")
+            (tmp / "profile.json").write_text(profile, encoding="utf-8")
+            config = tmp / "config.json"
+            config.write_text(json.dumps({
+                "global_seed": 3,
+                "profile_path": str(tmp / "profile.json"),
+                "input_glob": str(tmp / "corpus" / "*.json"),
+                "output_dir": str(tmp / "out"),
+            }))
+            results = []
+            for commands in (["run"], ["ingest", "probe", "render", "emit"]):
+                shutil.rmtree(tmp / "out", ignore_errors=True)
+                for command in commands:
+                    code = main([command, "--config", str(config)])
+                    if code != 0:
+                        break
+                results.append((code, outputs(tmp / "out")))
+        (run_code, run_files), (staged_code, staged_files) = results
+        assert staged_code == run_code
+        if run_code == 0:  # a corpus without sites makes both end in exit 6
+            assert len(run_files) == 5 and staged_files == run_files
+
+    @pytest.mark.parametrize("commands", [["run"], ["render"]], ids=["run", "render"])
+    def test_failed_force_rerun_leaves_directory_unchanged(self, config_path, tmp_path, commands):
+        assert main(["run", "--config", str(config_path)]) == 0
+        before = outputs(tmp_path / "out")
+        edit_config(config_path, templates_path=str(tmp_path / "absent.json"))
+        for command in commands:
+            assert main([command, "--config", str(config_path), "--force"]) == 7
+        assert outputs(tmp_path / "out") == before
+
+    def test_stage_removes_later_outputs(self, config_path, tmp_path, capsys):
+        assert main(["run", "--config", str(config_path)]) == 0
+        assert main(["ingest", "--config", str(config_path), "--force"]) == 0
+        assert list(outputs(tmp_path / "out")) == ["graphs.jsonl"]
+        capsys.readouterr()
+        assert main(["render", "--config", str(config_path)]) == 6
+        assert "records.jsonl not found" in capsys.readouterr().err
+
+    def test_staged_probe_rejects_unknown_quota(self, config_path, capsys):
+        assert main(["ingest", "--config", str(config_path)]) == 0
+        edit_config(config_path, quotas={"counterfactual.attribute.Smell": 1})
+        capsys.readouterr()
+        assert main(["probe", "--config", str(config_path)]) == 2
+        assert "counterfactual.attribute.Smell" in capsys.readouterr().err
+
+    def test_cli_import_loads_no_thread_pool_or_http_client(self):
+        modules = ("concurrent.futures", "urllib.request", "requests")
+        code = f"import sys, eventprobe.cli; print([m for m in {modules!r} if m in sys.modules])"
+        src = str(Path(eventprobe.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestEvalCommands:

@@ -167,20 +167,11 @@ class TestRunPipeline:
             run_pipeline(config)
         assert list(out_dir.iterdir()) == []
 
-    def test_parallel_ingest_matches_serial(self, tmp_path, fixtures_dir):
-        serial = make_config(tmp_path, fixtures_dir, out_name="out_serial")
-        parallel = make_config(tmp_path, fixtures_dir, out_name="out_parallel", jobs=3)
-        run_pipeline(serial)
-        run_pipeline(parallel)
-        assert (tmp_path / "out_serial" / "benchmark.jsonl").read_bytes() == (
-            tmp_path / "out_parallel" / "benchmark.jsonl"
-        ).read_bytes()
-
     def test_stage_files_written(self, tmp_path, fixtures_dir):
         config = make_config(tmp_path, fixtures_dir)
         run_pipeline(config)
         out = tmp_path / "out"
-        for name in ("graphs.jsonl", "records.jsonl", "benchmark.jsonl", "run_manifest.json"):
+        for name in ("graphs.jsonl", "records.jsonl", "pairs.jsonl", "benchmark.jsonl", "run_manifest.json"):
             assert (out / name).exists()
         saved = json.loads((out / "run_manifest.json").read_text())
         assert saved["digest"]
@@ -192,7 +183,7 @@ class TestDecoratorWiring:
         def bomb(*args, **kwargs):  # pragma: no cover
             raise AssertionError("network transport must not be touched")
 
-        monkeypatch.setattr(eventprobe.decorator, "_requests_transport", bomb)
+        monkeypatch.setattr(eventprobe.decorator, "_http_transport", bomb)
         config = make_config(tmp_path, fixtures_dir)
         manifest = run_pipeline(config)
         assert manifest.decorator_failures == 0

@@ -15,14 +15,12 @@ from eventprobe.scene_graph import (
     PredicateValue,
     SceneGraph,
     TimeInterval,
-    index_events,
     parse_scene_graph,
     scene_graph_to_doc,
-    serialize_scene_graph,
     validate,
 )
 
-from .helpers import attr, entity, make_tuple, pred, span
+from .helpers import attr, entity, make_tuple, pred
 
 
 MINIMAL_DOC = {
@@ -173,39 +171,6 @@ class TestValidate:
         assert kinds == ["UnknownAttributeType"]
 
 
-class TestIndexEvents:
-    def test_same_key_groups(self):
-        e1 = entity("e1", "dog")
-        t1 = make_tuple("t1", e1, attrs=(attr("brown"),), time=span(0, 2))
-        t2 = make_tuple("t2", e1, attrs=(attr("brown"),), time=span(5, 7))
-        graph = SceneGraph("v", 10.0, (e1,), (t1, t2))
-        events = index_events(graph)
-        assert len(events) == 1
-        assert events[0].intervals == (span(0, 2), span(5, 7))
-
-    def test_different_predicates_split(self):
-        e1 = entity("e1", "dog")
-        t1 = make_tuple("t1", e1, predicate=pred("runs"), time=span(0, 2))
-        t2 = make_tuple("t2", e1, predicate=pred("sits"), time=span(5, 7))
-        graph = SceneGraph("v", 10.0, (e1,), (t1, t2))
-        assert len(index_events(graph)) == 2
-
-    def test_empty_graph(self):
-        graph = SceneGraph("v", 10.0, (entity("e1"),), ())
-        assert index_events(graph) == []
-
-    def test_partition_over_corpus(self, corpus):
-        for graph in corpus:
-            events = index_events(graph)
-            total_intervals = sum(len(e.intervals) for e in events)
-            assert total_intervals == len(graph.tuples)
-            keys = [e.key for e in events]
-            assert len(set(keys)) == len(keys)
-            for tup in graph.tuples:
-                owners = [e for e in events if e.key == tup.key and tup.time in e.intervals]
-                assert len(owners) == 1
-
-
 # --- round-trip property ----------------------------------------------------
 
 _words = st.text(alphabet="abcdefghijklmnop", min_size=1, max_size=8)
@@ -264,7 +229,7 @@ def scene_graphs(draw):
 class TestRoundTrip:
     @given(scene_graphs())
     def test_serialize_parse_identity(self, graph):
-        assert parse_scene_graph(serialize_scene_graph(graph)) == graph
+        assert parse_scene_graph(json.dumps(scene_graph_to_doc(graph))) == graph
 
     def test_fixture_round_trip(self, corpus):
         for graph in corpus:
