@@ -21,9 +21,10 @@ from .errors import (
     TemplateMissing,
     TemplateSlotMissing,
 )
-from .manipulate import ManipulationRecord
+from .documents import parse_jsonl, read_json, require, to_jsonl
+from .manipulate import ManipulationRecord, time_order
 from .profiles import ManipulationCategory
-from .scene_graph import EventTuple, parse_jsonl, read_utf8
+from .scene_graph import EventTuple
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -106,18 +107,19 @@ class TemplateTable:
             ) from None
 
 
-def parse_templates(document: str | bytes | Mapping[str, Any]) -> TemplateTable:
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise MalformedDocument(f"invalid JSON: {exc}") from exc
-    if not isinstance(document, Mapping):
+def parse_templates(document: Any) -> TemplateTable:
+    """Parse a template document, as json.loads returns it."""
+    if not isinstance(document, dict):
         raise MalformedDocument("template document must be an object")
-    table_id = document.get("table_id", "custom")
-    connectives = dict(document.get("connectives", {}))
+    table_id = require(document, "table_id", str) if "table_id" in document else "custom"
+    connectives = require(document, "connectives", dict) if "connectives" in document else {}
+    for polarity in connectives:
+        require(connectives, polarity, str)
     specs: dict[tuple[str, str], TemplateSpec] = {}
-    for category_key, patterns in document.get("templates", {}).items():
+    templates = require(document, "templates", dict) if "templates" in document else {}
+    for category_key, patterns in templates.items():
+        if not isinstance(patterns, dict):
+            raise MalformedDocument(f"category {category_key!r}: pattern object expected")
         for polarity in (POSITIVE, NEGATIVE):
             if polarity not in patterns:
                 raise MalformedDocument(
@@ -127,23 +129,19 @@ def parse_templates(document: str | bytes | Mapping[str, Any]) -> TemplateTable:
                 template_id=f"{table_id}.{category_key}.{polarity}",
                 category_key=category_key,
                 polarity=polarity,
-                pattern=patterns[polarity],
+                pattern=require(patterns, polarity, str),
             )
     return TemplateTable(table_id=table_id, connectives=connectives, specs=specs)
 
 
 def load_templates(path: str | Path) -> TemplateTable:
-    try:
-        text = read_utf8(path)
-    except FileNotFoundError:
-        raise TemplateMissing(f"template file not found: {path}") from None
-    return parse_templates(text)
+    return read_json(path, TemplateMissing(f"template file not found: {path}"), parse_templates)
 
 
 def default_templates() -> TemplateTable:
     """The table shipped with the package (matches the default profile)."""
     text = resources.files("eventprobe.data").joinpath("templates_t1.json").read_text("utf-8")
-    return parse_templates(text)
+    return parse_templates(json.loads(text))
 
 
 def _first_attr(tup: EventTuple, side: str, fine_type: str | None) -> str | None:
@@ -177,17 +175,13 @@ def _tuple_slots(
     return slots
 
 
-def _by_time(tuples: Sequence[EventTuple]) -> list[EventTuple]:
-    return sorted(tuples, key=lambda t: (t.time.start_s, t.time.end_s, t.tuple_id))
-
-
 def _render_one(
     record: ManipulationRecord,
     tuples: Sequence[EventTuple],
     spec: TemplateSpec,
     connective: str | None,
 ) -> Caption:
-    ordered = _by_time(tuples)
+    ordered = time_order(tuples)
     slots: dict[str, str] = {}
     if len(ordered) == 1:
         slots.update(_tuple_slots(ordered[0], record.category))
@@ -310,14 +304,11 @@ def pair_from_doc(doc: Any) -> CaptionPair:
 
 
 def pairs_to_jsonl(pairs: Iterable[CaptionPair]) -> str:
-    return "".join(
-        json.dumps(pair_to_doc(p), ensure_ascii=False, separators=(",", ":")) + "\n"
-        for p in pairs
-    )
+    return to_jsonl(map(pair_to_doc, pairs))
 
 
-def pairs_from_jsonl(text: str) -> list[CaptionPair]:
-    return parse_jsonl(text, pair_from_doc, "caption pairs")
+def pairs_from_jsonl(text: str, name: str = "caption pairs") -> list[CaptionPair]:
+    return parse_jsonl(text, pair_from_doc, name)
 
 
 def benchmark_categories(pairs: Sequence[CaptionPair]) -> dict[str, int]:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import __version__, errors
 from .captions import pairs_from_jsonl
+from .documents import naming, parse_json, read_text, require
 from .errors import EventProbeError, StageFailed
 from .evaluate import (
     DIRECTIONS,
@@ -26,7 +27,6 @@ from .evaluate import (
 )
 from .losses import LossBatch, LossParams, finite_diff_check, hn_nce_forward
 from .pipeline import STAGE_BY_NAME, PipelineConfig, run_stages
-from .scene_graph import read_utf8
 
 EXIT_CODES: tuple[tuple[type[EventProbeError], int], ...] = (
     (errors.ConfigError, 2),
@@ -65,7 +65,7 @@ def cmd_stage(args: argparse.Namespace) -> int:
     if manifest is None:
         print(f"wrote {Path(config.output_dir) / STAGE_BY_NAME[args.command].output}")
     else:
-        print(json.dumps(manifest.to_doc(), indent=2, sort_keys=True))
+        print(manifest.to_json(), end="")
     return 0
 
 
@@ -85,55 +85,36 @@ def _eval_flags(args: argparse.Namespace) -> tuple[list[int], list[str]]:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     ks, directions = _eval_flags(args)
-    benchmark = Path(args.benchmark)
-    if not benchmark.is_file():
-        raise errors.EmptyInput(f"benchmark file not found: {benchmark}")
-    for scores in (args.scores, args.scores_control):
-        if not Path(scores).is_file():
-            raise errors.EmptyInput(f"score file not found: {scores}")
-    pairs = pairs_from_jsonl(read_utf8(benchmark))
+    benchmark = args.benchmark
+    text = read_text(benchmark, errors.EmptyInput(f"benchmark file not found: {benchmark}"))
+    pairs = pairs_from_jsonl(text, benchmark)
     positive = load_score_matrix(args.scores)
     control = load_score_matrix(args.scores_control)
     recalls, gaps = evaluate_pools(pairs, positive, control, ks=ks, directions=directions)
-    out_dir = Path(args.out)
-    paths = summarize(gaps, out_dir, model=args.model)
-    recalls_path = out_dir / "recalls.csv"
-    with recalls_path.open("w", encoding="utf-8") as fh:
-        fh.write("category,direction,k,pool,value\n")
-        for report in recalls:
-            fh.write(
-                f"{report.category},{report.direction},{report.k},{report.pool},{report.value!r}\n"
-            )
-    print(f"wrote {paths['gaps']}, {paths['scatter']}, {recalls_path}")
+    paths = summarize(gaps, args.out, model=args.model, recalls=recalls)
+    print(f"wrote {paths['gaps']}, {paths['scatter']}, {paths['recalls']}")
     return 0
 
 
 def cmd_gap_report(args: argparse.Namespace) -> int:
-    path = Path(args.recalls)
-    if not path.exists():
-        raise errors.EmptyInput(f"recall CSV not found: {path}")
-    gaps = gap_rows_from_csv(read_utf8(path))
-    paths = summarize(gaps, Path(args.out), model=args.model)
+    path = args.recalls
+    text = read_text(path, errors.EmptyInput(f"recall CSV not found: {path}"))
+    with naming(path):
+        gaps = gap_rows_from_csv(text)
+    paths = summarize(gaps, args.out, model=args.model)
     print(f"wrote {paths['gaps']}, {paths['scatter']}")
     return 0
 
 
 def cmd_loss_selftest(args: argparse.Namespace) -> int:
     if args.input:
-        text = read_utf8(Path(args.input))
+        text = read_text(args.input, errors.EmptyInput(f"self-test input not found: {args.input}"))
     else:
-        text = sys.stdin.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise errors.MalformedDocument(f"self-test input is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise errors.MalformedDocument("self-test input must be a JSON object with V and T")
-    for name in ("V", "T"):
-        if name not in doc:
-            raise errors.MalformedDocument(f"self-test input has no {name!r} field")
-    params = LossParams(tau=doc.get("tau", 0.05), beta=doc.get("beta", 0.5))
-    batch = LossBatch(V=doc["V"], T=doc["T"], G=doc.get("G") or ())
+        text = sys.stdin.buffer.read()
+    with naming(args.input or "stdin"):
+        doc = parse_json(text)
+        params = LossParams(tau=doc.get("tau", 0.05), beta=doc.get("beta", 0.5))
+        batch = LossBatch(V=require(doc, "V", list), T=require(doc, "T", list), G=doc.get("G") or ())
     loss = hn_nce_forward(batch, params)
     err = finite_diff_check(batch, params, h=args.step)
     print(json.dumps({"loss": loss, "fd_max_rel_err": err}))

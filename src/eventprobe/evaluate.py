@@ -15,11 +15,12 @@ import zlib
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
 from .captions import CaptionPair
+from .documents import open_input, write_outputs
 from .errors import (
     EmptyInput,
     EmptyMatrix,
@@ -82,12 +83,12 @@ def score_matrix_from_csv(text: str) -> ScoreMatrix:
 
 
 def load_score_matrix(path: str | Path) -> ScoreMatrix:
-    """Read a score matrix: `.npz` by suffix, CSV otherwise."""
-    path = Path(path)
-    if path.suffix.lower() == ".npz":
-        return _read_score_npz(path)
-    with path.open(encoding="utf-8", newline="") as fh:
-        return _read_score_csv(fh)
+    """Read a score matrix: `.npz` by suffix, CSV otherwise. The file is
+    streamed into numpy, not read whole, which bounds memory."""
+    with open_input(path, EmptyInput(f"score file not found: {path}")) as fh:
+        if Path(path).suffix.lower() == ".npz":
+            return _read_score_npz(fh)
+        return _read_score_csv(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
 
 
 def _read_score_csv(fh: TextIO) -> ScoreMatrix:
@@ -145,19 +146,19 @@ def _read_score_csv(fh: TextIO) -> ScoreMatrix:
 NPZ_ARRAYS = ("video_ids", "caption_ids", "scores")
 
 
-def _read_score_npz(path: Path) -> ScoreMatrix:
+def _read_score_npz(fh: BinaryIO) -> ScoreMatrix:
     """Arrays `video_ids` and `caption_ids` (1-D strings) and `scores` (2-D real)."""
     try:
-        data = np.load(path, allow_pickle=False)
+        data = np.load(fh, allow_pickle=False)
         if not isinstance(data, np.lib.npyio.NpzFile):
-            raise MalformedDocument(f"{path} holds one array, not an .npz archive")
+            raise MalformedDocument("holds one array, not an .npz archive")
         with data:
             missing = [name for name in NPZ_ARRAYS if name not in data.files]
             if missing:
-                raise MalformedDocument(f"{path} has no {', '.join(missing)} array")
+                raise MalformedDocument(f"has no {', '.join(missing)} array")
             video_ids, caption_ids, scores = (data[name] for name in NPZ_ARRAYS)
     except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
-        raise MalformedDocument(f"{path} is not a readable .npz: {exc}") from None
+        raise MalformedDocument(f"not a readable .npz: {exc}") from None
     for name, ids in (("video_ids", video_ids), ("caption_ids", caption_ids)):
         if ids.ndim != 1 or ids.dtype.kind != "U":
             raise MalformedDocument(f"{name} must be a 1-D string array, got {ids.dtype} {ids.shape}")
@@ -328,32 +329,38 @@ def evaluate_pools(
     return recalls, _gaps_from_recalls(recalls)
 
 
+def _csv(rows: Iterable[Sequence[object]]) -> str:
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    return text.getvalue()
+
+
 def summarize(
     gaps: Sequence[GapReport],
     out_dir: str | Path,
     model: str = "unknown",
+    recalls: Sequence[RecallReport] | None = None,
 ) -> dict[str, Path]:
-    """Write the gap CSV and a scatter-data file; returns the written paths."""
+    """Write the gap CSV, a scatter-data file and, when given, the recalls;
+    returns the written paths by report name."""
     out_dir = Path(out_dir)
+    texts = {
+        "gaps.csv": _csv(
+            [["category", "direction", "k", "p", "p_control", "delta_p"]]
+            + [[g.category, g.direction, g.k, repr(g.p), repr(g.p_control), repr(g.delta_p)] for g in gaps]
+        ),
+        "scatter.csv": _csv(
+            [["category", "model", "delta_p"]] + [[g.category, model, repr(g.delta_p)] for g in gaps]
+        ),
+    }
+    if recalls is not None:
+        # The long layout that gap_rows_from_csv reads back.
+        texts["recalls.csv"] = "category,direction,k,pool,value\n" + "".join(
+            f"{r.category},{r.direction},{r.k},{r.pool},{r.value!r}\n" for r in recalls
+        )
     out_dir.mkdir(parents=True, exist_ok=True)
-    gaps_path = out_dir / "gaps.csv"
-    scatter_path = out_dir / "scatter.csv"
-
-    with gaps_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["category", "direction", "k", "p", "p_control", "delta_p"])
-        for gap in gaps:
-            writer.writerow(
-                [gap.category, gap.direction, gap.k, repr(gap.p), repr(gap.p_control), repr(gap.delta_p)]
-            )
-
-    with scatter_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["category", "model", "delta_p"])
-        for gap in gaps:
-            writer.writerow([gap.category, model, repr(gap.delta_p)])
-
-    return {"gaps": gaps_path, "scatter": scatter_path}
+    write_outputs(out_dir, texts)
+    return {name.removesuffix(".csv"): out_dir / name for name in texts}
 
 
 def gap_rows_from_csv(text: str) -> list[GapReport]:

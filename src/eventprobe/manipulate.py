@@ -11,7 +11,6 @@ and reproducible.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from bisect import bisect_right
 from collections import Counter
@@ -19,6 +18,7 @@ from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
 
+from .documents import parse_jsonl, require, to_jsonl
 from .errors import (
     EmptyPool,
     IdenticalKeys,
@@ -40,8 +40,6 @@ from .scene_graph import (
     PredicateValue,
     SceneGraph,
     TimeInterval,
-    _require,
-    parse_jsonl,
 )
 
 SLOT_PREDICATE = "predicate"
@@ -572,7 +570,8 @@ def derive_seed(*parts: object) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _time_order(tuples: Iterable[EventTuple]) -> list[EventTuple]:
+def time_order(tuples: Iterable[EventTuple]) -> list[EventTuple]:
+    """The tuples by start time, then end time, then tuple_id."""
     return sorted(tuples, key=lambda t: (t.time.start_s, t.time.end_s, t.tuple_id))
 
 
@@ -581,22 +580,23 @@ def apply_site(
     profile: DatasetProfile,
     category: ManipulationCategory,
     site: Site,
-    rng: random.Random,
+    rng: random.Random | None,
     pools: Mapping[str, CandidatePool] | None = None,
 ) -> tuple[tuple[EventTuple, ...], tuple[EventTuple, ...], int | None]:
     """Run the category's operator at one site.
 
     Returns (original tuples, manipulated tuples, pool size); the two tuple
     lists are aligned componentwise, ordered by original start time. A
-    counterfactual site takes its pool from pools (the graph's _entity_pools
-    for the category) when given.
+    counterfactual site draws its substitute with rng, which the other
+    methods do not use and may be None, and takes its pool from pools (the
+    graph's _entity_pools for the category) when given.
     """
     by_id = graph.tuples_by_id
 
     if isinstance(site, TemporalPredicateSite):
         e1, e2 = by_id[site.tuple_id_a], by_id[site.tuple_id_b]
         s1, s2 = temporal_predicate_swap(e1, e2)
-        originals = _time_order([e1, e2])
+        originals = time_order([e1, e2])
         swapped = {s1.tuple_id: s1, s2.tuple_id: s2}
         return tuple(originals), tuple(swapped[t.tuple_id] for t in originals), None
 
@@ -617,7 +617,7 @@ def apply_site(
 
         m1 = with_attr(e1, site.attr_index_a, r1.attribute)
         m2 = with_attr(e2, site.attr_index_b, r2.attribute)
-        originals = _time_order([e1, e2])
+        originals = time_order([e1, e2])
         swapped = {m1.tuple_id: m1, m2.tuple_id: m2}
         return tuple(originals), tuple(swapped[t.tuple_id] for t in originals), None
 
@@ -724,7 +724,8 @@ def apply_corpus(
                     graph, profile, category.fine_type, category.target == "predicate"
                 )
             record_seed = derive_seed(category_seed, ordinal)
-            rng = random.Random(record_seed)
+            # Only a counterfactual site draws from its record's generator.
+            rng = random.Random(record_seed) if category.method == "counterfactual" else None
             original, manipulated, pool_size = apply_site(
                 graph, profile, category, site, rng, pools.get(graph.video_id)
             )
@@ -789,12 +790,12 @@ def record_from_doc(
         raise MalformedDocument(
             f"not a format-{RECORDS_FORMAT} record; rerun probe to rewrite records.jsonl"
         )
-    video_id = _require(doc, "video_id", str)
+    video_id = require(doc, "video_id", str)
     tuples = tuples_by_video.get(video_id)
     if tuples is None:
         raise MalformedDocument(f"video {video_id!r} is not in graphs.jsonl")
     original, manipulated = [], []
-    for change in _require(doc, "manipulated", list):
+    for change in require(doc, "manipulated", list):
         tuple_id = change.get("tuple_id") if isinstance(change, dict) else None
         orig = tuples.get(tuple_id) if isinstance(tuple_id, str) else None
         if orig is None:
@@ -808,34 +809,33 @@ def record_from_doc(
         original.append(orig)
         # replace() without its per-call field introspection; this runs per tuple.
         manipulated.append(EventTuple(**{**vars(orig), **fields}))
-    source_tuple_ids = tuple(_require(doc, "source_tuple_ids", list))
+    source_tuple_ids = tuple(require(doc, "source_tuple_ids", list))
     # key=str keeps the sort total when a document puts a non-string id here.
     if sorted(t.tuple_id for t in original) != sorted(source_tuple_ids, key=str):
         raise MalformedDocument("source_tuple_ids must name the manipulated tuples")
     return ManipulationRecord(
-        record_id=_require(doc, "record_id", str),
-        category=ManipulationCategory.from_key(_require(doc, "category", str)),
+        record_id=require(doc, "record_id", str),
+        category=ManipulationCategory.from_key(require(doc, "category", str)),
         video_id=video_id,
         source_tuple_ids=source_tuple_ids,
         original=tuple(original),
         manipulated=tuple(manipulated),
-        seed=_require(doc, "seed", int),
-        pool_size=_require(doc, "pool_size", int) if "pool_size" in doc else None,
+        seed=require(doc, "seed", int),
+        pool_size=require(doc, "pool_size", int) if "pool_size" in doc else None,
     )
 
 
-_JSON_LINE = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
-
-
 def records_to_jsonl(records: Iterable[ManipulationRecord]) -> str:
-    return "".join(_JSON_LINE.encode(record_to_doc(r)) + "\n" for r in records)
+    return to_jsonl(map(record_to_doc, records))
 
 
-def records_from_jsonl(text: str, graphs: Iterable[SceneGraph]) -> list[ManipulationRecord]:
+def records_from_jsonl(
+    text: str, graphs: Iterable[SceneGraph], name: str = "records.jsonl"
+) -> list[ManipulationRecord]:
     """Records from records_to_jsonl's text, against the graphs they came from.
 
     Raises MalformedDocument, naming the line, for anything that is not a
     format-2 record of one of the graphs.
     """
     tuples_by_video = {graph.video_id: graph.tuples_by_id for graph in graphs}
-    return parse_jsonl(text, lambda doc: record_from_doc(doc, tuples_by_video), "records.jsonl")
+    return parse_jsonl(text, lambda doc: record_from_doc(doc, tuples_by_video), name)

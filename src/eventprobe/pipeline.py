@@ -7,7 +7,7 @@ over the earlier stages' files. Either way every output is first written as
 `<name>.tmp` and moved into place only after all of the command's stages
 have succeeded, so a failed command leaves the output directory as it was. A
 successful command then removes the outputs of later stages, which no longer
-follow from it. `run` and `emit` also write the run manifest.
+follow from it. `render` writes the benchmark and `emit` the run manifest.
 
 With the decorator disabled the emitted benchmark is a pure function of the
 input documents and the configuration, so two runs with one seed produce
@@ -17,10 +17,10 @@ out of the digest).
 
 from __future__ import annotations
 
+import dataclasses
 import glob
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +28,6 @@ from typing import Any, Callable, Mapping, Sequence
 
 from . import __version__
 from .captions import (
-    CaptionPair,
     benchmark_categories,
     default_templates,
     load_templates,
@@ -38,6 +37,7 @@ from .captions import (
     render_pair,
 )
 from .decorator import DecoratorConfig, Transport, decorate
+from .documents import read_json, read_text, write_outputs
 from .errors import (
     ConfigError,
     EmptyInput,
@@ -51,7 +51,6 @@ from .scene_graph import (
     graphs_from_jsonl,
     graphs_to_jsonl,
     load_scene_graph,
-    read_utf8,
     validate,
 )
 
@@ -81,11 +80,7 @@ class PipelineConfig:
         if "global_seed" not in merged or merged["global_seed"] is None:
             raise ConfigError("global_seed is required; there is no wall-clock default")
         try:
-            decorator_doc = merged.get("decorator") or {}
-            if isinstance(decorator_doc, DecoratorConfig):
-                decorator = decorator_doc
-            else:
-                decorator = DecoratorConfig(**decorator_doc)
+            decorator = DecoratorConfig(**(merged.get("decorator") or {}))
             raw_categories = merged.get("categories")
             if raw_categories in (None, "all-from-profile"):
                 categories = None
@@ -99,6 +94,9 @@ class PipelineConfig:
             raw_quotas = merged.get("quotas") or {}
             if not isinstance(raw_quotas, Mapping):
                 raise ConfigError("quotas must map category keys to counts")
+            templates_path = merged.get("templates_path")
+            if templates_path is not None and not isinstance(templates_path, str):
+                raise ConfigError(f"templates_path must be a path string, got {templates_path!r}")
             return cls(
                 global_seed=int(merged["global_seed"]),
                 profile_path=str(merged["profile_path"]),
@@ -106,7 +104,7 @@ class PipelineConfig:
                 output_dir=str(merged["output_dir"]),
                 quotas={str(k): int(v) for k, v in raw_quotas.items()},
                 categories=categories,
-                templates_path=merged.get("templates_path"),
+                templates_path=templates_path,
                 decorator=decorator,
                 force=bool(merged.get("force", False)),
             )
@@ -117,36 +115,26 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides: Any) -> "PipelineConfig":
+        """from_doc over one file; every error names the file."""
         try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return cls.from_doc(doc, **overrides)
+            doc = read_json(path, ConfigError(f"config file not found: {path}"))
+        except MalformedDocument as exc:
+            raise ConfigError(str(exc)) from None
+        try:
+            return cls.from_doc(doc, **overrides)
+        except ConfigError as exc:
+            raise ConfigError(f"{exc} (config file {path})") from None
 
     def digest(self) -> str:
-        doc = {
-            "global_seed": self.global_seed,
-            "profile_path": self.profile_path,
-            "input_glob": self.input_glob,
-            "output_dir": self.output_dir,
-            "quotas": dict(sorted(self.quotas.items())),
-            "categories": sorted(self.categories) if self.categories is not None else None,
-            "templates_path": self.templates_path,
-            "decorator": {
-                "enabled": self.decorator.enabled,
-                "endpoint": self.decorator.endpoint,
-                "model_name": self.decorator.model_name,
-                "temperature": self.decorator.temperature,
-                "api_key_env": self.decorator.api_key_env,
-                "timeout_s": self.decorator.timeout_s,
-                "max_candidates": self.decorator.max_candidates,
-            },
-        }
-        return hashlib.sha256(
-            json.dumps(doc, sort_keys=True).encode("utf-8")
-        ).hexdigest()
+        doc = dataclasses.asdict(self)
+        del doc["force"]
+        if self.categories is not None:
+            doc["categories"] = sorted(self.categories)
+        return _sha256(doc)
+
+
+def _sha256(doc: Mapping[str, Any]) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -161,28 +149,15 @@ class RunManifest:
     started_at: float
     finished_at: float
 
-    def _digested(self) -> dict[str, Any]:
-        """Everything but the timestamps."""
-        return {
-            "tool_version": self.tool_version,
-            "config_digest": self.config_digest,
-            "stage_counts": dict(sorted(self.stage_counts.items())),
-            "per_category": dict(sorted(self.per_category.items())),
-            "decorator_failures": self.decorator_failures,
-        }
-
     def digest(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self._digested(), sort_keys=True).encode("utf-8")
-        ).hexdigest()
+        """Over every field but the timestamps."""
+        doc = dataclasses.asdict(self)
+        del doc["started_at"], doc["finished_at"]
+        return _sha256(doc)
 
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            **self._digested(),
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "digest": self.digest(),
-        }
+    def to_json(self) -> str:
+        doc = {**dataclasses.asdict(self), "digest": self.digest()}
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def resolve_categories(config: PipelineConfig, profile: DatasetProfile):
@@ -200,9 +175,10 @@ def resolve_categories(config: PipelineConfig, profile: DatasetProfile):
 
 
 # Each stage function takes the config, the values of the stages before it
-# by name (computed in this command or loaded from their files) and the
-# decorator transport, and returns its stage's value.
-def _ingest(config: PipelineConfig, values: Mapping[str, Any], transport: Transport | None) -> list:
+# by name (computed in this command or loaded from their files), the
+# decorator transport and the time the command started, and returns its
+# stage's value.
+def _ingest(config: PipelineConfig, values: Mapping[str, Any], transport: Transport | None, started_at: float) -> list:
     """Parse and profile-validate every document matched by the input glob."""
     profile = load_profile(config.profile_path)
     paths = sorted(glob.glob(config.input_glob))
@@ -220,7 +196,7 @@ def _ingest(config: PipelineConfig, values: Mapping[str, Any], transport: Transp
     return graphs
 
 
-def _probe(config: PipelineConfig, values: Mapping[str, Any], transport: Transport | None) -> list:
+def _probe(config: PipelineConfig, values: Mapping[str, Any], transport: Transport | None, started_at: float) -> list:
     profile = load_profile(config.profile_path)
     categories = resolve_categories(config, profile)
     return apply_corpus(
@@ -228,7 +204,7 @@ def _probe(config: PipelineConfig, values: Mapping[str, Any], transport: Transpo
     )
 
 
-def _render(config: PipelineConfig, values: Mapping[str, Any], transport: Transport | None) -> list:
+def _render(config: PipelineConfig, values: Mapping[str, Any], transport: Transport | None, started_at: float) -> list:
     templates = (
         load_templates(config.templates_path) if config.templates_path else default_templates()
     )
@@ -240,88 +216,26 @@ def _render(config: PipelineConfig, values: Mapping[str, Any], transport: Transp
                 pair, config.decorator, required=protected_values(record), transport=transport
             )
         pairs.append(pair)
+    benchmark_categories(pairs)  # raises on no pairs or a repeated pair_id
     return pairs
 
 
-def _emit(config: PipelineConfig, values: Mapping[str, Any], transport: Transport | None) -> list:
-    benchmark_categories(values["render"])  # raises on no pairs or a repeated pair_id
-    return values["render"]
+def _emit(config: PipelineConfig, values: Mapping[str, Any], transport: Transport | None, started_at: float) -> RunManifest:
+    """The run manifest. Its stage_counts are the line counts of the earlier
+    outputs, one line per item, so that `emit` run on its own reports what
+    `run` does: a stage this command did not load is counted on disk."""
 
+    def lines(name: str) -> int:
+        if name in values:
+            return len(values[name])
+        return _read_output(Path(config.output_dir), STAGE_BY_NAME[name]).count("\n")
 
-@dataclass(frozen=True)
-class Stage:
-    """One row of the pipeline. A command that runs this stage on its own
-    first loads the outputs of the stages named in reads, in table order;
-    read gets the text of this stage's output and the values loaded so far."""
-
-    name: str
-    reads: tuple[str, ...]
-    output: str
-    fn: Callable[[PipelineConfig, Mapping[str, Any], Transport | None], Any]
-    write: Callable[[Any], str]
-    read: Callable[[str, Mapping[str, Any]], Any] | None
-
-
-STAGES: tuple[Stage, ...] = (
-    Stage("ingest", (), "graphs.jsonl", _ingest, graphs_to_jsonl,
-          lambda text, values: graphs_from_jsonl(text)),
-    Stage("probe", ("ingest",), "records.jsonl", _probe, records_to_jsonl,
-          lambda text, values: records_from_jsonl(text, values["ingest"])),
-    # records.jsonl is relative to graphs.jsonl, so render loads both.
-    Stage("render", ("ingest", "probe"), "pairs.jsonl", _render, pairs_to_jsonl,
-          lambda text, values: pairs_from_jsonl(text)),
-    Stage("emit", ("render",), "benchmark.jsonl", _emit, pairs_to_jsonl, None),
-)
-STAGE_BY_NAME = {stage.name: stage for stage in STAGES}
-MANIFEST = "run_manifest.json"
-# The manifest counts the lines of these stages' outputs, so that `emit`
-# run on its own reports what `run` does.
-_COUNTED = {"videos": "ingest", "records": "probe", "pairs": "emit"}
-
-
-def _read_output(out_dir: Path, stage: Stage) -> str:
-    path = out_dir / stage.output
-    try:
-        return read_utf8(path)
-    except FileNotFoundError:
-        raise EmptyInput(f"{path} not found; run {stage.name} first") from None
-
-
-def write_outputs(out_dir: Path, texts: Mapping[str, str], remove: Sequence[str]) -> None:
-    """Write each text to `<name>.tmp`, then move them all into place and
-    remove the files named in remove. If a write fails, the temporaries are
-    removed and the directory keeps the files it had."""
-    temporaries = []
-    try:
-        for name, text in texts.items():
-            temporaries.append(out_dir / f"{name}.tmp")
-            temporaries[-1].write_text(text, encoding="utf-8")
-    except BaseException:
-        for tmp in temporaries:
-            tmp.unlink(missing_ok=True)
-        raise
-    for name, tmp in zip(texts, temporaries):
-        os.replace(tmp, out_dir / name)
-    for name in remove:
-        (out_dir / name).unlink(missing_ok=True)
-
-
-def _manifest(
-    config: PipelineConfig,
-    pairs: Sequence[CaptionPair],
-    out_dir: Path,
-    texts: Mapping[str, str],
-    started_at: float,
-) -> RunManifest:
-    def lines(stage: Stage) -> int:
-        text = texts[stage.output] if stage.output in texts else _read_output(out_dir, stage)
-        return text.count("\n")
-
+    pairs = values["render"]
     captions = [caption for pair in pairs for caption in (pair.positive, pair.negative)]
     return RunManifest(
         tool_version=__version__,
         config_digest=config.digest(),
-        stage_counts={key: lines(STAGE_BY_NAME[name]) for key, name in _COUNTED.items()},
+        stage_counts={"videos": lines("ingest"), "records": lines("probe"), "pairs": len(pairs)},
         per_category=benchmark_categories(pairs),
         decorator_failures=(
             sum(c.renderer == "template" for c in captions) if config.decorator.enabled else 0
@@ -329,6 +243,39 @@ def _manifest(
         started_at=started_at,
         finished_at=time.time(),
     )
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One row of the pipeline. A command that runs this stage on its own
+    first loads the outputs of the stages named in reads, in table order;
+    read gets the text and path of this stage's output and the values
+    loaded so far."""
+
+    name: str
+    reads: tuple[str, ...]
+    output: str
+    fn: Callable[[PipelineConfig, Mapping[str, Any], Transport | None, float], Any]
+    write: Callable[[Any], str]
+    read: Callable[[str, str, Mapping[str, Any]], Any] | None
+
+
+STAGES: tuple[Stage, ...] = (
+    Stage("ingest", (), "graphs.jsonl", _ingest, graphs_to_jsonl,
+          lambda text, name, values: graphs_from_jsonl(text, name)),
+    Stage("probe", ("ingest",), "records.jsonl", _probe, records_to_jsonl,
+          lambda text, name, values: records_from_jsonl(text, values["ingest"], name)),
+    # records.jsonl is relative to graphs.jsonl, so render loads both.
+    Stage("render", ("ingest", "probe"), "benchmark.jsonl", _render, pairs_to_jsonl,
+          lambda text, name, values: pairs_from_jsonl(text, name)),
+    Stage("emit", ("render",), "run_manifest.json", _emit, RunManifest.to_json, None),
+)
+STAGE_BY_NAME = {stage.name: stage for stage in STAGES}
+
+
+def _read_output(out_dir: Path, stage: Stage) -> str:
+    path = out_dir / stage.output
+    return read_text(path, EmptyInput(f"{path} not found; run {stage.name} first"))
 
 
 def run_stages(
@@ -344,34 +291,28 @@ def run_stages(
     started_at = time.time()
     stages = [stage for stage in STAGES if stage.name in names]
     out_dir = Path(config.output_dir)
-    files = [stage.output for stage in STAGES] + [MANIFEST]  # emit also writes the manifest
-    first = STAGES.index(stages[0])
-    last = len(files) - 1 if stages[-1] is STAGES[-1] else STAGES.index(stages[-1])
-    outputs, later = files[first : last + 1], files[last + 1 :]
+    first, last = STAGES.index(stages[0]), STAGES.index(stages[-1])
     if not config.force:
-        for name in outputs:
-            if (out_dir / name).exists():
-                raise OutputExists(f"{out_dir / name} exists; rerun with force")
+        for stage in STAGES[first : last + 1]:
+            if (out_dir / stage.output).exists():
+                raise OutputExists(f"{out_dir / stage.output} exists; rerun with force")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     values: dict[str, Any] = {}
     texts: dict[str, str] = {}
-    manifest = None
     for stage in stages:
         try:
             for name in stage.reads:
                 if name not in values:
                     source = STAGE_BY_NAME[name]
-                    values[name] = source.read(_read_output(out_dir, source), values)
-            values[stage.name] = stage.fn(config, values, transport)
+                    text = _read_output(out_dir, source)
+                    values[name] = source.read(text, str(out_dir / source.output), values)
+            values[stage.name] = stage.fn(config, values, transport, started_at)
             texts[stage.output] = stage.write(values[stage.name])
-            if MANIFEST in outputs and stage is stages[-1]:
-                manifest = _manifest(config, values[stage.name], out_dir, texts, started_at)
-                texts[MANIFEST] = json.dumps(manifest.to_doc(), indent=2, sort_keys=True) + "\n"
         except Exception as exc:
             raise StageFailed(stage.name, exc) from exc
-    write_outputs(out_dir, texts, remove=later)
-    return manifest
+    write_outputs(out_dir, texts, remove=[stage.output for stage in STAGES[last + 1 :]])
+    return values.get("emit")
 
 
 def run_pipeline(

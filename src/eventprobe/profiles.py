@@ -14,6 +14,7 @@ from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Any, Mapping
 
+from .documents import read_json, require
 from .errors import MalformedDocument, ProfileNotFound
 
 METHODS = ("temporal", "neighborhood", "counterfactual")
@@ -93,57 +94,40 @@ class DatasetProfile:
         raise MalformedDocument(f"profile {self.name!r} declares no category {key!r}")
 
 
-def parse_profile(document: str | bytes | Mapping[str, Any]) -> DatasetProfile:
-    """Parse a profile document (JSON text or parsed object)."""
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise MalformedDocument(f"invalid JSON: {exc}") from exc
-    if not isinstance(document, Mapping):
+def _strings(doc: dict[str, Any], key: str) -> tuple[str, ...]:
+    values = require(doc, key, list)
+    if not all(isinstance(value, str) for value in values):
+        raise MalformedDocument(f"key {key!r} must be a list of strings")
+    return tuple(values)
+
+
+def _parse_category(raw: Any) -> ManipulationCategory:
+    if isinstance(raw, str):
+        return ManipulationCategory.from_key(raw)
+    if not isinstance(raw, dict):
+        raise MalformedDocument("category must be a key string or an object")
+    return ManipulationCategory(*(require(raw, key, str) for key in ("method", "target", "fine_type")))
+
+
+def parse_profile(document: Any) -> DatasetProfile:
+    """Parse a profile document, as json.loads returns it."""
+    if not isinstance(document, dict):
         raise MalformedDocument("profile document must be an object")
-    try:
-        name = document["name"]
-        predicate_types = tuple(document["predicate_types"])
-        attribute_types = tuple(document["attribute_types"])
-        vocab = {k: tuple(v) for k, v in document["vocab"].items()}
-        raw_categories = document["categories"]
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise MalformedDocument(f"profile document incomplete: {exc}") from exc
-
-    categories = []
-    for raw in raw_categories:
-        if isinstance(raw, str):
-            categories.append(ManipulationCategory.from_key(raw))
-        elif isinstance(raw, Mapping):
-            categories.append(
-                ManipulationCategory(
-                    method=raw["method"],
-                    target=raw["target"],
-                    fine_type=raw["fine_type"],
-                )
-            )
-        else:
-            raise MalformedDocument("category must be a key string or an object")
-
+    vocab = require(document, "vocab", dict)
     return DatasetProfile(
-        name=name,
-        predicate_types=predicate_types,
-        attribute_types=attribute_types,
-        vocab=vocab,
-        category_set=tuple(categories),
+        name=require(document, "name", str),
+        predicate_types=_strings(document, "predicate_types"),
+        attribute_types=_strings(document, "attribute_types"),
+        vocab={type_name: _strings(vocab, type_name) for type_name in vocab},
+        category_set=tuple(map(_parse_category, require(document, "categories", list))),
     )
 
 
 def load_profile(path: str) -> DatasetProfile:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_profile(fh.read())
-    except FileNotFoundError:
-        raise ProfileNotFound(f"profile file not found: {path}") from None
+    return read_json(path, ProfileNotFound(f"profile file not found: {path}"), parse_profile)
 
 
 def default_profile() -> DatasetProfile:
     """The profile shipped with the package (matches the built-in templates)."""
     text = resources.files("eventprobe.data").joinpath("profile_default.json").read_text("utf-8")
-    return parse_profile(text)
+    return parse_profile(json.loads(text))

@@ -9,14 +9,14 @@ across threads.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable
 
+from .documents import parse_jsonl, read_json, require, to_jsonl
 from .errors import (
     DanglingEntityRef,
+    EmptyInput,
     IntervalOutOfRange,
     MalformedDocument,
 )
@@ -160,21 +160,6 @@ class Violation:
     detail: str
 
 
-# Objects inside a document are checked as dicts, as json.loads makes them:
-# isinstance against Mapping costs ten times as much, once per object.
-def _require(doc: Mapping[str, Any], key: str, kind: type) -> Any:
-    if key not in doc:
-        raise MalformedDocument(f"missing key {key!r}")
-    value = doc[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise MalformedDocument(f"key {key!r} must be a number")
-        return float(value)
-    if not isinstance(value, kind):
-        raise MalformedDocument(f"key {key!r} must be {kind.__name__}")
-    return value
-
-
 def _parse_attrs(raw: Any, tuple_id: str) -> tuple[AttributeValue, ...]:
     if raw is None:
         return ()
@@ -186,8 +171,8 @@ def _parse_attrs(raw: Any, tuple_id: str) -> tuple[AttributeValue, ...]:
             raise MalformedDocument(f"tuple {tuple_id!r}: attribute object expected")
         attrs.append(
             AttributeValue(
-                value=_require(item, "value", str),
-                attr_type=_require(item, "attr_type", str),
+                value=require(item, "value", str),
+                attr_type=require(item, "attr_type", str),
             )
         )
     return tuple(attrs)
@@ -198,13 +183,13 @@ def _parse_predicate(raw: Any, tuple_id: str) -> PredicateValue | None:
         return None
     if not isinstance(raw, dict):
         raise MalformedDocument(f"tuple {tuple_id!r}: predicate object expected")
-    return PredicateValue(_require(raw, "value", str), _require(raw, "pred_type", str))
+    return PredicateValue(require(raw, "value", str), require(raw, "pred_type", str))
 
 
 def _parse_time(raw: Any, tuple_id: str) -> TimeInterval:
     if not isinstance(raw, dict):
         raise MalformedDocument(f"tuple {tuple_id!r}: time object expected")
-    return TimeInterval(_require(raw, "start_s", float), _require(raw, "end_s", float))
+    return TimeInterval(require(raw, "start_s", float), require(raw, "end_s", float))
 
 
 def _attr_docs(attrs: Iterable[AttributeValue]) -> list[dict[str, str]]:
@@ -230,32 +215,26 @@ TUPLE_FIELDS: dict[str, tuple[Callable, Callable]] = {
 }
 
 
-def parse_scene_graph(document: str | bytes | Mapping[str, Any]) -> SceneGraph:
-    """Parse one canonical scene-graph document (JSON text or parsed object).
+def parse_scene_graph(document: Any) -> SceneGraph:
+    """Parse one canonical scene-graph document, as json.loads returns it.
 
-    Raises MalformedDocument for syntax/schema problems, DanglingEntityRef
-    when a tuple cites an unknown entity, and IntervalOutOfRange for bad
-    timestamps.
+    Raises MalformedDocument for schema problems, DanglingEntityRef when a
+    tuple cites an unknown entity, and IntervalOutOfRange for bad timestamps.
     """
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise MalformedDocument(f"invalid JSON: {exc}") from exc
-    if not isinstance(document, Mapping):
+    if not isinstance(document, dict):
         raise MalformedDocument("top-level value must be an object")
 
-    video_id = _require(document, "video_id", str)
-    duration_s = _require(document, "duration_s", float)
+    video_id = require(document, "video_id", str)
+    duration_s = require(document, "duration_s", float)
 
     entities: dict[str, EntityRef] = {}
-    for raw in _require(document, "entities", list):
+    for raw in require(document, "entities", list):
         if not isinstance(raw, dict):
             raise MalformedDocument("entity object expected")
         ent = EntityRef(
-            entity_id=_require(raw, "entity_id", str),
-            name=_require(raw, "name", str),
-            entity_class=raw.get("entity_class"),
+            entity_id=require(raw, "entity_id", str),
+            name=require(raw, "name", str),
+            entity_class=None if raw.get("entity_class") is None else require(raw, "entity_class", str),
         )
         if ent.entity_id in entities:
             raise MalformedDocument(f"duplicate entity_id {ent.entity_id!r}")
@@ -270,18 +249,18 @@ def parse_scene_graph(document: str | bytes | Mapping[str, Any]) -> SceneGraph:
             ) from None
 
     tuples = []
-    for raw in _require(document, "tuples", list):
+    for raw in require(document, "tuples", list):
         if not isinstance(raw, dict):
             raise MalformedDocument("tuple object expected")
-        tuple_id = _require(raw, "tuple_id", str)
+        tuple_id = require(raw, "tuple_id", str)
         obj = raw.get("object")
         tuples.append(
             EventTuple(
                 tuple_id=tuple_id,
-                subject=resolve(_require(raw, "subject", str), tuple_id),
+                subject=resolve(require(raw, "subject", str), tuple_id),
                 subject_attrs=_parse_attrs(raw.get("subject_attrs"), tuple_id),
                 predicate=_parse_predicate(raw.get("predicate"), tuple_id),
-                object=None if obj is None else resolve(_require(raw, "object", str), tuple_id),
+                object=None if obj is None else resolve(require(raw, "object", str), tuple_id),
                 object_attrs=_parse_attrs(raw.get("object_attrs"), tuple_id),
                 time=_parse_time(raw.get("time"), tuple_id),
             )
@@ -295,36 +274,9 @@ def parse_scene_graph(document: str | bytes | Mapping[str, Any]) -> SceneGraph:
     )
 
 
-def parse_jsonl(text: str, parse: Callable[[Any], Any], name: str) -> list[Any]:
-    """parse applied to the JSON value of every non-blank line of text; invalid
-    JSON and parse's MalformedDocument become one naming the line."""
-    parsed = []
-    for number, line in enumerate(text.splitlines(), 1):
-        if line.strip():
-            try:
-                parsed.append(parse(json.loads(line)))
-            except (json.JSONDecodeError, MalformedDocument) as exc:
-                raise MalformedDocument(f"{name} line {number}: {exc}") from None
-    return parsed
-
-
-def read_utf8(path: str | Path) -> str:
-    """The text of a file; bytes that are not UTF-8 raise MalformedDocument
-    naming the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise MalformedDocument(f"{path} is not UTF-8: {exc}") from None
-
-
 def load_scene_graph(path: str) -> SceneGraph:
-    """parse_scene_graph over one file; every MalformedDocument names the file."""
-    text = read_utf8(path)
-    try:
-        return parse_scene_graph(text)
-    except MalformedDocument as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    """parse_scene_graph over one corpus file; every MalformedDocument names the file."""
+    return read_json(path, EmptyInput(f"corpus file not found: {path}"), parse_scene_graph)
 
 
 def scene_graph_to_doc(graph: SceneGraph) -> dict[str, Any]:
@@ -360,14 +312,11 @@ def scene_graph_to_doc(graph: SceneGraph) -> dict[str, Any]:
 
 
 def graphs_to_jsonl(graphs: Iterable[SceneGraph]) -> str:
-    return "".join(
-        json.dumps(scene_graph_to_doc(g), ensure_ascii=False, separators=(",", ":")) + "\n"
-        for g in graphs
-    )
+    return to_jsonl(map(scene_graph_to_doc, graphs))
 
 
-def graphs_from_jsonl(text: str) -> list[SceneGraph]:
-    return parse_jsonl(text, parse_scene_graph, "graphs.jsonl")
+def graphs_from_jsonl(text: str, name: str = "graphs.jsonl") -> list[SceneGraph]:
+    return parse_jsonl(text, parse_scene_graph, name)
 
 
 def validate(graph: SceneGraph, profile: DatasetProfile) -> list[Violation]:
@@ -378,66 +327,21 @@ def validate(graph: SceneGraph, profile: DatasetProfile) -> list[Violation]:
     """
     violations: list[Violation] = []
 
-    def check_attr(attr: AttributeValue, tuple_id: str) -> None:
-        if attr.attr_type not in profile.attribute_types:
-            violations.append(
-                Violation(
-                    kind="UnknownAttributeType",
-                    tuple_id=tuple_id,
-                    detail=f"attribute type {attr.attr_type!r} not in profile",
-                )
-            )
-        elif attr.value not in profile.vocab_sets[attr.attr_type]:
-            violations.append(
-                Violation(
-                    kind="OutOfVocabularyValue",
-                    tuple_id=tuple_id,
-                    detail=f"value {attr.value!r} not in {attr.attr_type} vocabulary",
-                )
-            )
+    def check(tuple_id: str, slot: str, type_name: str, value: str, declared: tuple[str, ...]) -> None:
+        if type_name not in declared:
+            violations.append(Violation(
+                f"Unknown{slot.title()}Type", tuple_id, f"{slot} type {type_name!r} not in profile"
+            ))
+        elif value not in profile.vocab_sets[type_name]:
+            violations.append(Violation(
+                "OutOfVocabularyValue", tuple_id, f"value {value!r} not in {type_name} vocabulary"
+            ))
 
     for tup in graph.tuples:
         if tup.predicate is not None:
             pred = tup.predicate
-            if pred.pred_type not in profile.predicate_types:
-                violations.append(
-                    Violation(
-                        kind="UnknownPredicateType",
-                        tuple_id=tup.tuple_id,
-                        detail=f"predicate type {pred.pred_type!r} not in profile",
-                    )
-                )
-            elif pred.value not in profile.vocab_sets[pred.pred_type]:
-                violations.append(
-                    Violation(
-                        kind="OutOfVocabularyValue",
-                        tuple_id=tup.tuple_id,
-                        detail=f"value {pred.value!r} not in {pred.pred_type} vocabulary",
-                    )
-                )
-        for attr in tup.subject_attrs:
-            check_attr(attr, tup.tuple_id)
-        for attr in tup.object_attrs:
-            check_attr(attr, tup.tuple_id)
+            check(tup.tuple_id, "predicate", pred.pred_type, pred.value, profile.predicate_types)
+        for attr in tup.subject_attrs + tup.object_attrs:
+            check(tup.tuple_id, "attribute", attr.attr_type, attr.value, profile.attribute_types)
     return violations
 
-
-__all__ = [
-    "TUPLE_FIELDS",
-    "AttributeValue",
-    "EntityRef",
-    "EventKey",
-    "EventTuple",
-    "PredicateValue",
-    "SceneGraph",
-    "TimeInterval",
-    "Violation",
-    "graphs_from_jsonl",
-    "graphs_to_jsonl",
-    "load_scene_graph",
-    "parse_jsonl",
-    "parse_scene_graph",
-    "read_utf8",
-    "scene_graph_to_doc",
-    "validate",
-]

@@ -199,7 +199,7 @@ class TestStagedCommands:
         assert main(["render", "--config", str(config_path)]) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
-        assert not (tmp_path / "out" / "pairs.jsonl").exists()
+        assert not (tmp_path / "out" / "benchmark.jsonl").exists()
 
     @pytest.mark.parametrize(
         "content", [b'{"nope": 1}\n', b"\xff\n", b"{oops\n", b"[1]\n"],
@@ -208,11 +208,11 @@ class TestStagedCommands:
     def test_emit_bad_pairs_exit_code(self, config_path, tmp_path, capsys, content):
         for command in ("ingest", "probe", "render"):
             assert main([command, "--config", str(config_path)]) == 0
-        (tmp_path / "out" / "pairs.jsonl").write_bytes(content)
+        (tmp_path / "out" / "benchmark.jsonl").write_bytes(content)
         capsys.readouterr()
         assert main(["emit", "--config", str(config_path)]) == 4
         assert capsys.readouterr().err.startswith("error: ")
-        assert not (tmp_path / "out" / "benchmark.jsonl").exists()
+        assert not (tmp_path / "out" / "run_manifest.json").exists()
 
 
 class TestInputFileErrors:
@@ -282,7 +282,7 @@ class TestStageTable:
         (run_code, run_files), (staged_code, staged_files) = results
         assert staged_code == run_code
         if run_code == 0:  # a corpus without sites makes both end in exit 6
-            assert len(run_files) == 5 and staged_files == run_files
+            assert len(run_files) == 4 and staged_files == run_files
 
     @pytest.mark.parametrize("commands", [["run"], ["render"]], ids=["run", "render"])
     def test_failed_force_rerun_leaves_directory_unchanged(self, config_path, tmp_path, commands):

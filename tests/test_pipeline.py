@@ -171,8 +171,9 @@ class TestRunPipeline:
         config = make_config(tmp_path, fixtures_dir)
         run_pipeline(config)
         out = tmp_path / "out"
-        for name in ("graphs.jsonl", "records.jsonl", "pairs.jsonl", "benchmark.jsonl", "run_manifest.json"):
-            assert (out / name).exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "benchmark.jsonl", "graphs.jsonl", "records.jsonl", "run_manifest.json"
+        ]
         saved = json.loads((out / "run_manifest.json").read_text())
         assert saved["digest"]
         assert saved["per_category"] == EXPECTED_SITE_COUNTS

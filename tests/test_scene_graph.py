@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,8 +13,9 @@ from eventprobe.scene_graph import (
     PredicateValue,
     SceneGraph,
     TimeInterval,
+    graphs_from_jsonl,
+    graphs_to_jsonl,
     parse_scene_graph,
-    scene_graph_to_doc,
     validate,
 )
 
@@ -48,10 +47,6 @@ class TestParse:
         graph = parse_scene_graph(MINIMAL_DOC)
         assert len(graph.entities) == 1
         assert len(graph.tuples) == 0
-
-    def test_accepts_json_text(self):
-        graph = parse_scene_graph(json.dumps(MINIMAL_DOC))
-        assert graph.video_id == "v0"
 
     def test_dangling_entity(self):
         doc = dict(MINIMAL_DOC, tuples=[tuple_doc(subject="e9")])
@@ -229,8 +224,7 @@ def scene_graphs(draw):
 class TestRoundTrip:
     @given(scene_graphs())
     def test_serialize_parse_identity(self, graph):
-        assert parse_scene_graph(json.dumps(scene_graph_to_doc(graph))) == graph
+        assert graphs_from_jsonl(graphs_to_jsonl([graph])) == [graph]
 
     def test_fixture_round_trip(self, corpus):
-        for graph in corpus:
-            assert parse_scene_graph(json.dumps(scene_graph_to_doc(graph))) == graph
+        assert graphs_from_jsonl(graphs_to_jsonl(corpus)) == list(corpus)
