@@ -114,7 +114,8 @@ def cmd_loss_selftest(args: argparse.Namespace) -> int:
     with naming(args.input or "stdin"):
         doc = parse_json(text)
         params = LossParams(tau=doc.get("tau", 0.05), beta=doc.get("beta", 0.5))
-        batch = LossBatch(V=require(doc, "V", list), T=require(doc, "T", list), G=doc.get("G") or ())
+        G = () if doc.get("G") is None else require(doc, "G", list)
+        batch = LossBatch(V=require(doc, "V", list), T=require(doc, "T", list), G=G)
     loss = hn_nce_forward(batch, params)
     err = finite_diff_check(batch, params, h=args.step)
     print(json.dumps({"loss": loss, "fd_max_rel_err": err}))

@@ -9,6 +9,7 @@ all of a command's outputs in place together, or none of them.
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -47,10 +48,22 @@ def read_text(path: str | Path, missing: EventProbeError) -> str:
             raise MalformedDocument(f"not UTF-8: {exc}") from None
 
 
+def _reject_constant(name: str) -> None:
+    raise MalformedDocument(f"{name} is not a JSON number")
+
+
+# The one decoder of every read. It rejects NaN and Infinity, which Python's
+# json accepts but RFC 8259 does not. json.loads with keyword arguments would
+# build a decoder per call, once per line of a JSONL file.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def parse_json(text: str | bytes) -> dict[str, Any]:
     """The JSON object text holds; bytes are decoded as json.loads does."""
     try:
-        doc = json.loads(text)
+        if isinstance(text, bytes):
+            text = text.decode(json.detect_encoding(text), "surrogatepass")
+        doc = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"invalid JSON: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -73,14 +86,17 @@ def read_json(
 # Objects inside a document are checked as dicts, as json.loads makes them:
 # isinstance against Mapping costs ten times as much, once per object.
 def require(doc: Mapping[str, Any], key: str, kind: type) -> Any:
-    """doc[key], which must be of type kind; a float key takes any number."""
+    """doc[key], which must be of type kind; a float key takes any finite number."""
     if key not in doc:
         raise MalformedDocument(f"missing key {key!r}")
     value = doc[key]
     if kind is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise MalformedDocument(f"key {key!r} must be a number")
-        return float(value)
+        value = float(value)
+        if not math.isfinite(value):  # a literal such as 1e999 reads as inf
+            raise MalformedDocument(f"key {key!r} must be a finite number")
+        return value
     if not isinstance(value, kind):
         raise MalformedDocument(f"key {key!r} must be {kind.__name__}")
     return value
@@ -95,13 +111,13 @@ def parse_jsonl(text: str, parse: Callable[[Any], Any], name: str) -> list[Any]:
     for number, line in enumerate(text.split("\n"), 1):
         if line.strip():
             try:
-                parsed.append(parse(json.loads(line)))
+                parsed.append(parse(_DECODER.decode(line)))
             except (json.JSONDecodeError, MalformedDocument) as exc:
                 raise MalformedDocument(f"{name} line {number}: {exc}") from None
     return parsed
 
 
-_JSON_LINE = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+_JSON_LINE = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False)
 
 
 def to_jsonl(docs: Iterable[Any]) -> str:

@@ -63,9 +63,12 @@ class LossBatch:
     """Paired embeddings plus per-item generated hard negatives.
 
     G holds one (n_gen_i, dims) array per item, each a view into G_padded,
-    the (items, max n_gen, dims) array the loss works on; gen_mask marks
-    which of its slots hold a negative. Padding slots get a log-weight of
-    -inf, so they add nothing to any sum.
+    the read-only (items, max n_gen, dims) array the loss works on; gen_mask
+    marks which of its slots hold a negative. Padding slots get a log-weight
+    of -inf, so they add nothing to any sum. When the caller's G is a
+    C-contiguous (items, k, dims) float64 array, or its rows in order,
+    G_padded is a view of that array rather than a copy, as V and T are of
+    theirs.
     """
 
     V: np.ndarray
@@ -86,24 +89,17 @@ class LossBatch:
             raise MalformedDocument("need at least one item and one dimension")
         if not (np.isfinite(V).all() and np.isfinite(T).all()):
             raise MalformedDocument("V and T must be finite")
-        try:
-            raw_g = () if self.G is None else tuple(self.G)
-        except TypeError:
-            raise MalformedDocument("G must be a list with one array per item") from None
-        if len(raw_g) not in (0, n):
-            raise MalformedDocument(f"G must have one entry per item, got {len(raw_g)}")
-        gens = [_float_array(g, f"G[{i}]") for i, g in enumerate(raw_g)]
-        for i, g in enumerate(gens):
-            if g.size and (g.ndim != 2 or g.shape[1] != d):
-                raise MalformedDocument(f"G[{i}] must have shape (n_gen, {d})")
-        counts = [len(g) if g.size else 0 for g in gens] or [0] * n
-        padded = np.zeros((n, max(counts), d))
-        for row, g, c in zip(padded, gens, counts):
-            row[:c] = g.reshape(c, d)
+        G = () if self.G is None else self.G
+        stacked = _row_stack(G, n, d)
+        if stacked is None:
+            padded, counts = _padded_copy(G, n, d)
+        else:
+            padded, counts = stacked.view(), np.full(n, stacked.shape[1])
+        padded.flags.writeable = False
         finite = np.isfinite(padded).all(axis=(1, 2))
         if not finite.all():
             raise MalformedDocument(f"G[{int(np.argmin(finite))}] has non-finite entries")
-        mask = np.arange(padded.shape[1]) < np.array(counts)[:, None]
+        mask = np.arange(padded.shape[1]) < counts[:, None]
         fields = {"V": V, "T": T, "G": _unpad(padded, mask), "G_padded": padded, "gen_mask": mask}
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -115,6 +111,76 @@ class LossBatch:
     @property
     def n_gen(self) -> tuple[int, ...]:
         return tuple(g.shape[0] for g in self.G)
+
+
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+def _row_stack(G, n: int, d: int) -> np.ndarray | None:
+    """A C-contiguous (n, k, d) float64 array that G is, or a view of the
+    memory that G's items span when they are, in order, the rows of one such
+    array; None otherwise. Rows need not come from the (n, k, d) array
+    itself: an array reshaped from a flat one, as np.load returns it, has
+    rows whose base is the flat one."""
+    if isinstance(G, np.ndarray):
+        fits = G.dtype == np.float64 and G.ndim == 3 and G.shape[::2] == (n, d)
+        return G if fits and G.flags.c_contiguous else None
+    if not (isinstance(G, (tuple, list)) and len(G) == n and type(G[0]) is np.ndarray):
+        return None
+    first = G[0]
+    owner, dtype, shape, strides = first.base, first.dtype, first.shape, (d * 8, 8)
+    if not (
+        isinstance(owner, np.ndarray)
+        and owner.dtype == np.float64
+        and owner.flags.c_contiguous
+        and dtype == np.float64
+        and len(shape) == 2
+        and shape[0] > 0
+        and shape[1] == d
+        and first.strides == strides
+    ):
+        return None
+    start = _address(first)
+    offset, misaligned = divmod(start - _address(owner), 8)
+    if misaligned:
+        return None
+    step = shape[0] * d * 8
+    expected = start
+    for g in G:
+        # Attributes first: only a row that passes them has its address read.
+        if not (
+            type(g) is np.ndarray
+            and g.base is owner
+            and g.dtype is dtype
+            and g.shape == shape
+            and g.strides == strides
+            and _address(g) == expected
+        ):
+            return None
+        expected += step
+    # Every row lies in owner, so the span from the first row's start does too.
+    return owner.reshape(-1)[offset : offset + n * shape[0] * d].reshape(n, shape[0], d)
+
+
+def _padded_copy(G, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """G's per-item arrays copied into one zero-padded (n, max n_gen, d)
+    array, and each item's count of generated negatives."""
+    try:
+        raw_g = tuple(G)
+    except TypeError:
+        raise MalformedDocument("G must be a list with one array per item") from None
+    if len(raw_g) not in (0, n):
+        raise MalformedDocument(f"G must have one entry per item, got {len(raw_g)}")
+    gens = [_float_array(g, f"G[{i}]") for i, g in enumerate(raw_g)]
+    for i, g in enumerate(gens):
+        if g.size and (g.ndim != 2 or g.shape[1] != d):
+            raise MalformedDocument(f"G[{i}] must have shape (n_gen, {d})")
+    counts = np.array([len(g) if g.size else 0 for g in gens] or [0] * n)
+    padded = np.zeros((n, counts.max(), d))
+    for row, g, c in zip(padded, gens, counts):
+        row[:c] = g.reshape(c, d)
+    return padded, counts
 
 
 @dataclass(frozen=True)
@@ -157,6 +223,8 @@ def _lse(a: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> tuple[
 
 def _unpad(padded: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per-item views of the valid prefix of each row of a padded array."""
+    if mask.all():
+        return tuple(padded)
     return tuple(row[:c] for row, c in zip(padded, mask.sum(axis=1)))
 
 
@@ -274,8 +342,14 @@ def hn_nce_grad(batch: LossBatch, params: LossParams) -> LossOutput:
     del P2t
 
     scale = 1.0 / (batch.n_items * params.tau)
-    grad_V = (Q @ T + np.einsum("ik,ikd->id", P1_gen, G)) * scale
-    grad_T = (Q.T @ V) * scale
+    # In place, with the operations in the order (Q @ T + einsum) * scale
+    # would take, and Q freed before the largest output is allocated.
+    grad_V = Q @ T
+    grad_V += np.einsum("ik,ikd->id", P1_gen, G)
+    grad_V *= scale
+    grad_T = Q.T @ V
+    grad_T *= scale
+    del Q
     grad_G = (P1_gen * scale)[:, :, None] * V[:, None, :]
     loss = float(np.mean(term1 + term2))
     return LossOutput(loss, grad_V, grad_T, _unpad(grad_G, batch.gen_mask))

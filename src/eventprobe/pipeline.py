@@ -79,6 +79,10 @@ class PipelineConfig:
                 merged[key] = value
         if "global_seed" not in merged or merged["global_seed"] is None:
             raise ConfigError("global_seed is required; there is no wall-clock default")
+        if not _is_int(merged["global_seed"]):
+            raise ConfigError(
+                f"malformed config: global_seed must be an integer, got {merged['global_seed']!r}"
+            )
         try:
             decorator = DecoratorConfig(**(merged.get("decorator") or {}))
             raw_categories = merged.get("categories")
@@ -91,18 +95,26 @@ class PipelineConfig:
                 )
             else:
                 categories = tuple(str(c) for c in raw_categories)
+                if len(set(categories)) < len(categories):
+                    repeated = next(c for i, c in enumerate(categories) if c in categories[:i])
+                    raise ConfigError(f"malformed config: categories lists {repeated!r} more than once")
             raw_quotas = merged.get("quotas") or {}
             if not isinstance(raw_quotas, Mapping):
                 raise ConfigError("quotas must map category keys to counts")
+            for key, quota in raw_quotas.items():
+                if not (_is_int(quota) and quota >= 0):
+                    raise ConfigError(
+                        f"malformed config: quota for {key!r} must be a non-negative integer, got {quota!r}"
+                    )
             templates_path = merged.get("templates_path")
             if templates_path is not None and not isinstance(templates_path, str):
                 raise ConfigError(f"templates_path must be a path string, got {templates_path!r}")
             return cls(
-                global_seed=int(merged["global_seed"]),
+                global_seed=merged["global_seed"],
                 profile_path=str(merged["profile_path"]),
                 input_glob=str(merged["input_glob"]),
                 output_dir=str(merged["output_dir"]),
-                quotas={str(k): int(v) for k, v in raw_quotas.items()},
+                quotas={str(k): v for k, v in raw_quotas.items()},
                 categories=categories,
                 templates_path=templates_path,
                 decorator=decorator,
@@ -133,6 +145,11 @@ class PipelineConfig:
         return _sha256(doc)
 
 
+def _is_int(value: Any) -> bool:
+    """Whether value is a JSON integer: an int, and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _sha256(doc: Mapping[str, Any]) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
@@ -157,7 +174,7 @@ class RunManifest:
 
     def to_json(self) -> str:
         doc = {**dataclasses.asdict(self), "digest": self.digest()}
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def resolve_categories(config: PipelineConfig, profile: DatasetProfile):

@@ -225,6 +225,8 @@ def parse_scene_graph(document: Any) -> SceneGraph:
         raise MalformedDocument("top-level value must be an object")
 
     video_id = require(document, "video_id", str)
+    if not video_id:
+        raise MalformedDocument("video_id must be nonempty")
     duration_s = require(document, "duration_s", float)
 
     entities: dict[str, EntityRef] = {}
@@ -253,6 +255,8 @@ def parse_scene_graph(document: Any) -> SceneGraph:
         if not isinstance(raw, dict):
             raise MalformedDocument("tuple object expected")
         tuple_id = require(raw, "tuple_id", str)
+        if not tuple_id:
+            raise MalformedDocument("tuple_id must be nonempty")
         obj = raw.get("object")
         tuples.append(
             EventTuple(

@@ -572,7 +572,7 @@ class TestLossSelftest:
             ([[0.1, 0.2]], "JSON object"),
             ({"V": [[0.1, 0.2], [0.3]], "T": [[0.1, 0.2], [0.3, 0.4]]}, "V is not"),
             ({"V": [[0.1, 0.2]], "T": [[0.3, 0.1]], "tau": "a"}, "tau"),
-            ({"V": [[0.1, 0.2]], "T": [[0.3, 0.1]], "G": 5}, "G must be"),
+            ({"V": [[0.1, 0.2]], "T": [[0.3, 0.1]], "G": 5}, "'G' must be list"),
         ],
         ids=["missing-V", "array-document", "ragged-V", "tau-string", "G-number"],
     )
@@ -582,6 +582,21 @@ class TestLossSelftest:
         assert main(["loss-selftest", "--input", str(path)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
+
+
+    @pytest.mark.parametrize("G", [0, {}, False, "", "[]"], ids=["zero", "object", "false", "empty-string", "string"])
+    def test_G_that_is_not_a_list_exit_code(self, tmp_path, capsys, G):
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps({"V": [[0.1, 0.2]], "T": [[0.3, 0.1]], "G": G}), encoding="utf-8")
+        assert main(["loss-selftest", "--input", str(path)]) == 4
+        assert "'G' must be list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("G", [None, []], ids=["null", "empty-list"])
+    def test_null_or_empty_G_means_no_generated_negatives(self, tmp_path, capsys, G):
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps({"V": [[0.1, 0.2]], "T": [[0.3, 0.1]], "G": G}), encoding="utf-8")
+        assert main(["loss-selftest", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["loss"] == 0.0
 
 
 class TestExitCodes:

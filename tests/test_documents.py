@@ -1,14 +1,15 @@
 """Every file input of the eventprobe command, with every kind of fault.
 
 Each input is missing, not UTF-8, not JSON (or not the CSV it should be),
-not a JSON object, or a document with a field of the wrong type. Every case
-must end in the documented exit code with one `error:` line that names the
-file, and a failed pipeline command must leave its output directory as it
-was.
+not a JSON object, a document with a field of the wrong type, or a
+well-formed document holding a value the contract forbids. Every case must
+end in the documented exit code with one `error:` line that names the file,
+and a failed pipeline command must leave its output directory as it was.
 """
 
 import ast
 import json
+import math
 import shutil
 from importlib import resources
 from pathlib import Path
@@ -93,6 +94,26 @@ def edit_first_line(**changes):
     return fault
 
 
+def spell(fault, value, token):
+    """fault's bytes with the JSON value value spelt as token instead, for
+    a token such as 1e999 that json.dumps never writes."""
+    return lambda path: fault(path).replace(json.dumps(value).encode(), token.encode(), 1)
+
+
+def edit_corpus(**changes):
+    """A corpus file: the kitchen fixture, renamed, with changes applied."""
+
+    def fault(path):
+        return edited((path.parent / "kitchen.json").read_text(encoding="utf-8"),
+                      {"video_id": "broken", **changes}).encode()
+
+    return fault
+
+
+def first_tuple(**changes):
+    return lambda tuples: [{**tuples[0], **changes}, *tuples[1:]]
+
+
 JSON_FAULTS = {"not-utf8": b'{"name": "caf\xe9"}', "invalid-json": b"{not json", "not-an-object": b"[1, 2]\n"}
 CSV_FAULTS = {"not-utf8": b"video_id,caf\xe9\n", "bad-header": b"nope,c1\nv,0.5\n"}
 
@@ -137,10 +158,52 @@ INPUTS = {
                    {"k-not-a-number": lambda path: path.read_bytes().replace(b",1,", b",one,")}, False),
 }
 
+ACTION = "temporal.predicate.Action"
+
+# Well-formed documents with a value out of contract: a config value of the
+# right JSON type but the wrong kind, NaN or Infinity anywhere (Python's json
+# reads them, RFC 8259 has no such numbers), a number too large for a float,
+# or an empty id.
+VALUE_FAULTS = {
+    "config": {
+        "seed-fraction": edit_json(global_seed=1.5),
+        "seed-true": edit_json(global_seed=True),
+        "seed-numeric-string": edit_json(global_seed="7"),
+        "seed-nan": edit_json(global_seed=math.nan),
+        "quota-negative": edit_json(quotas={ACTION: -5}),
+        "quota-fraction": edit_json(quotas={ACTION: 2.9}),
+        "quota-true": edit_json(quotas={ACTION: True}),
+        "categories-repeated": edit_json(categories=[ACTION, "temporal.attribute.Color", ACTION]),
+    },
+    "profile": {"name-nan": edit_json(name=math.nan)},
+    "templates": {"connectives-infinity": edit_json(connectives=math.inf)},
+    "corpus": {
+        "duration-nan": edit_corpus(duration_s=math.nan),
+        "duration-overflow": spell(edit_corpus(duration_s=120.0), 120.0, "1e999"),
+        "end-infinity": edit_corpus(tuples=first_tuple(time={"start_s": 2.0, "end_s": math.inf})),
+        "video-id-empty": edit_corpus(video_id=""),
+        "tuple-id-empty": edit_corpus(tuples=first_tuple(tuple_id="")),
+    },
+    "graphs.jsonl": {
+        "duration-nan": edit_first_line(duration_s=math.nan),
+        "start-minus-infinity": edit_first_line(tuples=first_tuple(time={"start_s": -math.inf, "end_s": 1.0})),
+        "tuple-id-empty": edit_first_line(tuples=first_tuple(tuple_id="")),
+    },
+    "records.jsonl": {"seed-nan": edit_first_line(seed=math.nan)},
+    "benchmark.jsonl": {"pair-id-infinity": edit_first_line(pair_id=math.inf)},
+    "loss-selftest": {"tau-nan": lambda path: b'{"tau": NaN, "V": [[0.1]], "T": [[0.1]]}'},
+    "eval-benchmark": {"pair-id-nan": edit_first_line(pair_id=math.nan)},
+}
+
 CASES = [
     (name, fault, content)
     for name, (_, _, _, _, own, uses_json) in INPUTS.items()
-    for fault, content in [("missing", None), *(JSON_FAULTS if uses_json else CSV_FAULTS).items(), *own.items()]
+    for fault, content in [
+        ("missing", None),
+        *(JSON_FAULTS if uses_json else CSV_FAULTS).items(),
+        *own.items(),
+        *VALUE_FAULTS.get(name, {}).items(),
+    ]
 ]
 
 

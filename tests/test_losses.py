@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,6 +339,103 @@ class TestRaggedOracle:
             assert len(out.grad_G) == len(grad_G) == batch.n_items
             for ours, ref in zip(out.grad_G, grad_G):
                 self.assert_close(ours, ref)
+
+
+def unit_rows(rng, shape):
+    X = rng.normal(size=shape)
+    return X / np.linalg.norm(X, axis=-1, keepdims=True)
+
+
+def step_outputs(batch, params):
+    """Every output of the loss module on one batch."""
+    out = hn_nce_grad(batch, params)
+    weights = hn_nce_weights(batch, params)
+    arrays = (out.grad_V, out.grad_T, *out.grad_G, weights.v2t_in, weights.t2v, *weights.v2t_gen)
+    return (out.loss, hn_nce_forward(batch, params)), arrays
+
+
+class TestRowStackedG:
+    """G given as the rows of one (items, k, dims) array is used in place."""
+
+    def test_step_footprint_is_its_outputs(self):
+        rng = np.random.default_rng(14)
+        V, T, G3 = unit_rows(rng, (512, 256)), unit_rows(rng, (512, 256)), unit_rows(rng, (512, 4, 256))
+        params = LossParams(tau=0.05, beta=0.5)
+        hn_nce_grad(LossBatch(V, T, tuple(G3)), params)  # warm-up outside the trace
+        tracemalloc.start()
+        try:
+            out = hn_nce_grad(LossBatch(V, T, tuple(G3)), params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # grad_V, grad_T and grad_G are 6 MiB; a copy of G would add 4 MiB more.
+        assert sum(a.nbytes for a in (out.grad_V, out.grad_T, *out.grad_G)) == 6 * 2**20
+        assert peak <= 6.5 * 2**20
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            tuple,
+            list,
+            lambda G3: G3,
+            lambda G3: tuple(np.array(G3.ravel()).reshape(G3.shape)),
+            lambda G3: tuple(np.concatenate((np.zeros(5), G3.ravel()))[5:].reshape(G3.shape)),
+        ],
+        ids=["tuple", "list", "array", "rows-of-a-reshaped-flat-array", "rows-from-inside-a-flat-array"],
+    )
+    def test_row_views_are_not_copied(self, form):
+        rng = np.random.default_rng(15)
+        G3 = unit_rows(rng, (3, 2, 4))
+        G = form(G3)
+        batch = LossBatch(V=unit_rows(rng, (3, 4)), T=unit_rows(rng, (3, 4)), G=G)
+        owner = G3 if G is G3 else G[0].base
+        assert np.shares_memory(batch.G_padded, owner)
+        assert np.array_equal(batch.G_padded, G3)
+        assert not batch.G_padded.flags.writeable and G3.flags.writeable
+        assert all(np.shares_memory(g, owner) for g in batch.G)
+
+    @pytest.mark.parametrize(
+        "layout",
+        ["row-views", "array", "list-of-copies", "permuted-rows", "reversed-rows", "strided-rows",
+         "misaligned-rows", "float32-rows", "ragged"],
+    )
+    def test_every_layout_gives_the_copy_path_outputs(self, layout):
+        rng = np.random.default_rng(17)
+        n, k, d = 5, 3, 4
+        V, T = unit_rows(rng, (n, d)), unit_rows(rng, (n, d))
+        G3 = unit_rows(rng, (n, k, d))
+        wide = unit_rows(rng, (n, 2 * k, d))
+        owner = np.zeros(n * k * d + 1)
+        owner.view(np.uint8)[3 : 3 + G3.nbytes] = G3.view(np.uint8).ravel()
+        G = {
+            "row-views": lambda: tuple(G3),
+            "array": lambda: G3,
+            "list-of-copies": lambda: [g.copy() for g in G3],
+            "permuted-rows": lambda: [G3[i] for i in (1, 0, 2, 4, 3)],
+            "reversed-rows": lambda: tuple(G3[::-1]),
+            "strided-rows": lambda: tuple(wide[:, :k]),
+            # G3's rows stored 3 bytes into a float array: strides and step fit, the offset does not.
+            "misaligned-rows": lambda: tuple(
+                np.ndarray((k, d), np.float64, buffer=owner, offset=3 + i * k * d * 8) for i in range(n)
+            ),
+            "float32-rows": lambda: tuple(G3.astype(np.float32)),
+            "ragged": lambda: tuple(G3[i, : i % (k + 1)] for i in range(n)),
+        }[layout]()
+        copied = [np.array(g, dtype=np.float64) for g in G]  # separately allocated: the copy path
+        if layout in ("row-views", "array"):
+            assert np.shares_memory(LossBatch(V, T, G).G_padded, G3)
+        params = LossParams(tau=0.3, beta=0.7)
+        scalars, arrays = step_outputs(LossBatch(V, T, G), params)
+        ref_scalars, ref_arrays = step_outputs(LossBatch(V, T, copied), params)
+        assert scalars == ref_scalars
+        assert len(arrays) == len(ref_arrays)
+        for ours, ref in zip(arrays, ref_arrays):
+            assert ours.shape == ref.shape and np.array_equal(ours, ref)
+        loss, grad_V, grad_T, grad_G = hn_nce_oracle(V, T, copied, params.tau, params.beta)
+        out = hn_nce_grad(LossBatch(V, T, G), params)
+        assert abs(out.loss - loss) <= 1e-12 * abs(loss)
+        for ours, ref in ((out.grad_V, grad_V), (out.grad_T, grad_T), *zip(out.grad_G, grad_G)):
+            TestRaggedOracle.assert_close(ours, ref)
 
 
 class TestFiniteDiffCheck:
