@@ -10,23 +10,46 @@ error class (see EXIT_CODES).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__, errors
 from .captions import pairs_from_jsonl
 from .documents import naming, parse_json, read_text, require
 from .errors import EventProbeError, StageFailed
-from .evaluate import (
-    DIRECTIONS,
-    evaluate_pools,
-    gap_rows_from_csv,
-    load_score_matrix,
-    summarize,
-)
-from .losses import LossBatch, LossParams, finite_diff_check, hn_nce_forward
 from .pipeline import STAGE_BY_NAME, PipelineConfig, run_stages
+
+if TYPE_CHECKING:
+    from .evaluate import DIRECTIONS, evaluate_pools, gap_rows_from_csv, load_score_matrix, summarize
+    from .losses import LossBatch, LossParams, finite_diff_check, hn_nce_forward
+
+# The names below come from modules that import numpy, which only eval,
+# gap-report and loss-selftest use; so a pipeline command starts without it.
+# They are bound in this module on first use, and stay reachable as its
+# attributes through __getattr__.
+_LAZY_NAMES = {
+    "evaluate": ("DIRECTIONS", "evaluate_pools", "gap_rows_from_csv", "load_score_matrix", "summarize"),
+    "losses": ("LossBatch", "LossParams", "finite_diff_check", "hn_nce_forward"),
+}
+
+
+def _bind(module: str) -> None:
+    """Binds the names this module uses from eventprobe.<module>. A name
+    already bound keeps its value, so a wrapper set around it stays."""
+    owner = importlib.import_module(f"{__package__}.{module}")
+    for name in _LAZY_NAMES[module]:
+        globals().setdefault(name, getattr(owner, name))
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY_NAMES.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 EXIT_CODES: tuple[tuple[type[EventProbeError], int], ...] = (
     (errors.ConfigError, 2),
@@ -84,6 +107,7 @@ def _eval_flags(args: argparse.Namespace) -> tuple[list[int], list[str]]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    _bind("evaluate")
     ks, directions = _eval_flags(args)
     benchmark = args.benchmark
     text = read_text(benchmark, errors.EmptyInput(f"benchmark file not found: {benchmark}"))
@@ -97,6 +121,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_gap_report(args: argparse.Namespace) -> int:
+    _bind("evaluate")
     path = args.recalls
     text = read_text(path, errors.EmptyInput(f"recall CSV not found: {path}"))
     with naming(path):
@@ -107,6 +132,7 @@ def cmd_gap_report(args: argparse.Namespace) -> int:
 
 
 def cmd_loss_selftest(args: argparse.Namespace) -> int:
+    _bind("losses")
     if args.input:
         text = read_text(args.input, errors.EmptyInput(f"self-test input not found: {args.input}"))
     else:

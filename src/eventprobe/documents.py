@@ -117,7 +117,9 @@ def parse_jsonl(text: str, parse: Callable[[Any], Any], name: str) -> list[Any]:
     return parsed
 
 
-_JSON_LINE = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False)
+# Every line is a tree built afresh for the call, so it cannot hold a cycle
+# and the encoder's cycle check would only cost time.
+_JSON_LINE = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False, check_circular=False)
 
 
 def to_jsonl(docs: Iterable[Any]) -> str:

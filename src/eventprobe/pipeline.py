@@ -106,19 +106,25 @@ class PipelineConfig:
                     raise ConfigError(
                         f"malformed config: quota for {key!r} must be a non-negative integer, got {quota!r}"
                     )
+            for key in ("profile_path", "input_glob", "output_dir"):
+                if not isinstance(merged[key], str):
+                    raise ConfigError(f"malformed config: {key} must be a path string, got {merged[key]!r}")
             templates_path = merged.get("templates_path")
             if templates_path is not None and not isinstance(templates_path, str):
                 raise ConfigError(f"templates_path must be a path string, got {templates_path!r}")
+            force = merged.get("force", False)
+            if not isinstance(force, bool):
+                raise ConfigError(f"malformed config: force must be true or false, got {force!r}")
             return cls(
                 global_seed=merged["global_seed"],
-                profile_path=str(merged["profile_path"]),
-                input_glob=str(merged["input_glob"]),
-                output_dir=str(merged["output_dir"]),
+                profile_path=merged["profile_path"],
+                input_glob=merged["input_glob"],
+                output_dir=merged["output_dir"],
                 quotas={str(k): v for k, v in raw_quotas.items()},
                 categories=categories,
                 templates_path=templates_path,
                 decorator=decorator,
-                force=bool(merged.get("force", False)),
+                force=force,
             )
         except KeyError as exc:
             raise ConfigError(f"config lacks required key {exc.args[0]!r}") from None

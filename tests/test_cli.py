@@ -1,15 +1,17 @@
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 import eventprobe
 from eventprobe import errors
@@ -17,7 +19,8 @@ from eventprobe.cli import exit_code_for, main
 from eventprobe.errors import StageFailed
 from eventprobe.scene_graph import scene_graph_to_doc
 
-from .test_count_first import corpora
+from .helpers import random_profile_graph
+from .test_count_first import PROFILE, corpora
 
 
 @pytest.fixture()
@@ -64,6 +67,14 @@ def unlink_graphs(out):
 
 def edit_config(config_path, **changes):
     config_path.write_text(json.dumps({**json.loads(config_path.read_text()), **changes}))
+
+
+def fresh_python(*args):
+    """`python ARGS` in a new interpreter that imports this eventprobe;
+    raises unless it exits 0."""
+    src = str(Path(eventprobe.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=True)
 
 
 def outputs(out_dir):
@@ -254,35 +265,82 @@ class TestInputFileErrors:
         assert list((tmp_path / "out").iterdir()) == []
 
 
+def write_workspace(tmp: Path, corpus) -> Path:
+    """The default profile, a config, and corpus/NAME.json for each (NAME,
+    graph) in corpus, in tmp; returns the config's path."""
+    shutil.rmtree(tmp / "corpus", ignore_errors=True)
+    (tmp / "corpus").mkdir()
+    for name, graph in corpus:
+        (tmp / "corpus" / f"{name}.json").write_text(json.dumps(scene_graph_to_doc(graph)))
+    profile = resources.files("eventprobe.data").joinpath("profile_default.json").read_text("utf-8")
+    (tmp / "profile.json").write_text(profile, encoding="utf-8")
+    config = tmp / "config.json"
+    config.write_text(json.dumps({
+        "global_seed": 3,
+        "profile_path": str(tmp / "profile.json"),
+        "input_glob": str(tmp / "corpus" / "*.json"),
+        "output_dir": str(tmp / "out"),
+    }))
+    return config
+
+
+def run_commands(config: Path, commands) -> tuple[int, dict]:
+    """Exit code of the first failing command (or 0) and the output files,
+    over an emptied output directory."""
+    out = Path(json.loads(config.read_text())["output_dir"])
+    shutil.rmtree(out, ignore_errors=True)
+    code = 0
+    for command in commands:
+        code = main([command, "--config", str(config)])
+        if code != 0:
+            break
+    return code, outputs(out)
+
+
+def with_objects(graph):
+    """graph with an object on every tuple that has a predicate, which every
+    default predicate template names."""
+    def other(subject):
+        return next(e for e in graph.entities if e != subject)
+
+    return replace(graph, tuples=tuple(
+        t if t.predicate is None or t.object is not None else replace(t, object=other(t.subject))
+        for t in graph.tuples
+    ))
+
+
 class TestStageTable:
     @given(corpora)
     def test_staged_commands_write_what_run_writes(self, corpus):
         with tempfile.TemporaryDirectory() as tmp:
-            tmp = Path(tmp)
-            (tmp / "corpus").mkdir()
-            for graph in corpus:
-                (tmp / "corpus" / f"{graph.video_id}.json").write_text(json.dumps(scene_graph_to_doc(graph)))
-            profile = resources.files("eventprobe.data").joinpath("profile_default.json").read_text("utf-8")
-            (tmp / "profile.json").write_text(profile, encoding="utf-8")
-            config = tmp / "config.json"
-            config.write_text(json.dumps({
-                "global_seed": 3,
-                "profile_path": str(tmp / "profile.json"),
-                "input_glob": str(tmp / "corpus" / "*.json"),
-                "output_dir": str(tmp / "out"),
-            }))
-            results = []
-            for commands in (["run"], ["ingest", "probe", "render", "emit"]):
-                shutil.rmtree(tmp / "out", ignore_errors=True)
-                for command in commands:
-                    code = main([command, "--config", str(config)])
-                    if code != 0:
-                        break
-                results.append((code, outputs(tmp / "out")))
-        (run_code, run_files), (staged_code, staged_files) = results
+            config = write_workspace(Path(tmp), [(graph.video_id, graph) for graph in corpus])
+            run_code, run_files = run_commands(config, ["run"])
+            staged_code, staged_files = run_commands(config, ["ingest", "probe", "render", "emit"])
         assert staged_code == run_code
         if run_code == 0:  # a corpus without sites makes both end in exit 6
             assert len(run_files) == 4 and staged_files == run_files
+
+    @given(st.integers(0, 2**32), st.integers(1, 4))
+    def test_outputs_do_not_depend_on_input_order(self, seed, n_videos):
+        """Reversing the files, and each document's tuples and entities,
+        changes no output but graphs.jsonl, which keeps document order."""
+        rng = random.Random(seed)
+        graphs = [
+            with_objects(replace(random_profile_graph(rng, PROFILE), video_id=f"v{i}")) for i in range(n_videos)
+        ]
+        reversed_graphs = [
+            replace(g, tuples=g.tuples[::-1], entities=g.entities[::-1]) for g in reversed(graphs)
+        ]
+        results = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for corpus in (graphs, reversed_graphs):
+                config = write_workspace(Path(tmp), [(f"f{i}", g) for i, g in enumerate(corpus)])
+                results.append(run_commands(config, ["run"]))
+        (code, files), (reversed_code, reversed_files) = results
+        assert code == reversed_code
+        if code == 0:  # a corpus without sites makes both end in exit 6
+            assert files.pop("graphs.jsonl") != reversed_files.pop("graphs.jsonl")
+            assert len(files) == 3 and reversed_files == files
 
     @pytest.mark.parametrize("commands", [["run"], ["render"]], ids=["run", "render"])
     def test_failed_force_rerun_leaves_directory_unchanged(self, config_path, tmp_path, commands):
@@ -308,13 +366,42 @@ class TestStageTable:
         assert main(["probe", "--config", str(config_path)]) == 2
         assert "counterfactual.attribute.Smell" in capsys.readouterr().err
 
-    def test_cli_import_loads_no_thread_pool_or_http_client(self):
-        modules = ("concurrent.futures", "urllib.request", "requests")
-        code = f"import sys, eventprobe.cli; print([m for m in {modules!r} if m in sys.modules])"
-        src = str(Path(eventprobe.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "[]"
+    # In a fresh interpreter: this one has numpy loaded, and an earlier
+    # test may have bound the numeric commands' names in eventprobe.cli.
+    def test_cli_import_loads_no_thread_pool_or_http_client(self, config_path):
+        """Neither the import nor a pipeline run loads a thread pool, an HTTP
+        client, numpy or the modules that use it."""
+        unwanted = ("concurrent.futures", "urllib.request", "requests")
+        numeric = ("numpy", "eventprobe.evaluate", "eventprobe.losses")
+        code = (
+            "import sys, eventprobe.cli\n"
+            f"print([m for m in {unwanted + numeric!r} if m in sys.modules])\n"
+            f"assert eventprobe.cli.main(['run', '--config', {str(config_path)!r}]) == 0\n"
+            f"print([m for m in {numeric!r} if m in sys.modules])\n"
+        )
+        lines = fresh_python("-c", code).stdout.splitlines()
+        assert lines[0] == "[]" and lines[-1] == "[]"
+
+    @pytest.mark.parametrize("command", ["eval", "gap-report", "loss-selftest"])
+    def test_numeric_command_binds_its_names(self, tmp_path, fixtures_dir, command):
+        if command == "eval":
+            benchmark = tmp_path / "benchmark.jsonl"
+            benchmark.write_text("".join(
+                json.dumps({"pair_id": f"c{i}", "video_id": f"v{i}", "category": "temporal.predicate.Action",
+                            "positive": {"text": "a"}, "negative": {"text": "b"}}) + "\n"
+                for i in range(1, 5)
+            ))
+            scores = str(fixtures_dir / "score_matrix_f1.csv")
+            argv = ["eval", "--benchmark", str(benchmark), "--scores", scores, "--scores-control", scores,
+                    "--out", str(tmp_path / "reports")]
+        elif command == "gap-report":
+            recalls = tmp_path / "recalls.csv"
+            recalls.write_text("category,direction,k,pool,value\nc,T2V,1,positive,0.5\nc,T2V,1,control,0.25\n")
+            argv = ["gap-report", "--recalls", str(recalls), "--out", str(tmp_path / "reports")]
+        else:
+            (tmp_path / "batch.json").write_text(json.dumps({"V": [[0.1, 0.2]], "T": [[0.3, 0.1]]}))
+            argv = ["loss-selftest", "--input", str(tmp_path / "batch.json")]
+        fresh_python("-m", "eventprobe.cli", *argv)
 
 
 class TestEvalCommands:

@@ -174,6 +174,10 @@ VALUE_FAULTS = {
         "quota-fraction": edit_json(quotas={ACTION: 2.9}),
         "quota-true": edit_json(quotas={ACTION: True}),
         "categories-repeated": edit_json(categories=[ACTION, "temporal.attribute.Color", ACTION]),
+        "force-string": edit_json(force="false"),
+        "output-dir-null": edit_json(output_dir=None),
+        "profile-path-null": edit_json(profile_path=None),
+        "input-glob-number": edit_json(input_glob=5),
     },
     "profile": {"name-nan": edit_json(name=math.nan)},
     "templates": {"connectives-infinity": edit_json(connectives=math.inf)},

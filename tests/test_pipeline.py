@@ -51,6 +51,13 @@ class TestConfig:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "key, value", [("force", "false"), ("output_dir", None), ("profile_path", None), ("input_glob", 5)]
+    )
+    def test_path_and_force_values_keep_their_json_type(self, tmp_path, fixtures_dir, key, value):
+        with pytest.raises(ConfigError, match=key):
+            make_config(tmp_path, fixtures_dir, **{key: value})
+
     def test_flag_overrides_win(self, tmp_path, fixtures_dir):
         path = tmp_path / "config.json"
         path.write_text(
