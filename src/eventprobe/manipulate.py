@@ -13,8 +13,7 @@ from __future__ import annotations
 import hashlib
 import random
 from bisect import bisect_right
-from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -71,6 +70,13 @@ class CandidatePool:
             v for v in self.values if v not in self.exclusions and v != incumbent
         )
 
+    def has_usable(self, incumbent: str | None = None) -> bool:
+        """bool(self.usable(incumbent)), without building the candidates."""
+        for v in self.values:
+            if v not in self.exclusions and v != incumbent:
+                return True
+        return False
+
 
 @dataclass(frozen=True)
 class SlotRef:
@@ -106,6 +112,17 @@ class ManipulationRecord:
                 )
 
 
+def _derived(item: Any, **fields: Any) -> Any:
+    """item with fields replaced; dataclasses.replace without its per-call
+    field introspection. Every derived tuple is built here."""
+    return type(item)(**{**vars(item), **fields})
+
+
+def _event_key(e: EventTuple) -> tuple:
+    """Everything of a tuple but its id and time."""
+    return (e.subject, e.subject_attrs, e.predicate, e.object, e.object_attrs)
+
+
 # --- the three swap operators -------------------------------------------------
 
 
@@ -124,9 +141,9 @@ def temporal_predicate_swap(
         )
     if e1.time == e2.time:
         raise SameTimestamp(f"both events span {e1.time}")
-    if e1.key == e2.key:
+    if _event_key(e1) == _event_key(e2):
         raise IdenticalKeys("tuples share one key; swapping their times changes nothing")
-    return replace(e1, time=e2.time), replace(e2, time=e1.time)
+    return _derived(e1, time=e2.time), _derived(e2, time=e1.time)
 
 
 def temporal_attribute_swap(
@@ -146,8 +163,8 @@ def temporal_attribute_swap(
     if o1.time == o2.time:
         raise SameTimestamp(f"both observations span {o1.time}")
     return (
-        replace(o1, attribute=o2.attribute),
-        replace(o2, attribute=o1.attribute),
+        _derived(o1, attribute=o2.attribute),
+        _derived(o2, attribute=o1.attribute),
     )
 
 
@@ -199,7 +216,7 @@ def neighborhood_attribute_swap(
     object_attrs = list(e.object_attrs)
     subject_attrs[si] = AttributeValue(value=o_val, attr_type=kind)
     object_attrs[oi] = AttributeValue(value=s_val, attr_type=kind)
-    return replace(
+    return _derived(
         e, subject_attrs=tuple(subject_attrs), object_attrs=tuple(object_attrs)
     )
 
@@ -252,12 +269,12 @@ def counterfactual_substitute(
         )
     choice = rng.choice(usable)
     if slot == SLOT_PREDICATE:
-        return replace(
+        return _derived(
             e, predicate=PredicateValue(value=choice, pred_type=pool.fine_type)
         )
     attrs = list(e.subject_attrs)
     attrs[idx] = AttributeValue(value=choice, attr_type=pool.fine_type)
-    return replace(e, subject_attrs=tuple(attrs))
+    return _derived(e, subject_attrs=tuple(attrs))
 
 
 def _truthful_values(
@@ -413,12 +430,20 @@ def _interned(values: Iterable[Hashable]) -> list[int]:
     return [ids.setdefault(v, len(ids)) for v in values]
 
 
+def _bump(counts: dict[Hashable, int], key: Hashable) -> int:
+    """Count one more key; returns the count before."""
+    seen = counts.get(key, 0)
+    counts[key] = seen + 1
+    return seen
+
+
 class _TemporalPairs:
     """One video's temporal swap sites for one category, counted before built.
 
     Items are the category's predicate tuples, or its subject attribute
     observations, in sort_key order. Items i < j form a site when they share
-    a group (their subject, for attributes; predicates form one group),
+    a group (their subject's entity_id, which names one entity within a
+    graph, for attributes; predicates form one group),
     differ in time, and differ in key (the tuple key for predicates, the
     value for attributes). Sites are ordered by (i, j), which is their
     sort_key order, so the ordinal of a site is the same whether it is
@@ -435,7 +460,7 @@ class _TemporalPairs:
             )
             self.items = [(tid, idx) for tid, idx, _ in obs]
             tuples = [tup for _, _, tup in obs]
-            groups = _interned(tup.subject for tup in tuples)
+            groups = _interned(tup.subject.entity_id for tup in tuples)
             keys = _interned(tup.subject_attrs[idx].value for _, idx, tup in obs)
         else:
             tuples = sorted(
@@ -449,10 +474,7 @@ class _TemporalPairs:
             )
             self.items = [(t.tuple_id, None) for t in tuples]
             groups = [0] * len(tuples)
-            keys = _interned(
-                (t.subject, t.subject_attrs, t.predicate, t.object, t.object_attrs)
-                for t in tuples
-            )
+            keys = _interned(map(_event_key, tuples))
         times = _interned((t.time.start_s, t.time.end_s) for t in tuples)
         self._tags = list(zip(groups, times, keys))
         self._members: dict[int, list[int]] = {}
@@ -461,24 +483,21 @@ class _TemporalPairs:
 
         # Valid later partners of item i: later items of its group, minus
         # those at the same time, minus those with the same key, plus those
-        # with both (subtracted twice).
-        later: Counter = Counter()
-        same_time: Counter = Counter()
-        same_key: Counter = Counter()
-        same_both: Counter = Counter()
+        # with both (subtracted twice). Plain dicts: most keys occur once,
+        # and a Counter would call __missing__ for each new key.
+        later: dict[Hashable, int] = {}
+        same_time: dict[Hashable, int] = {}
+        same_key: dict[Hashable, int] = {}
+        same_both: dict[Hashable, int] = {}
         counts = [0] * len(tuples)
         for i in reversed(range(len(tuples))):
-            group, time, key = self._tags[i]
+            group, time, key = tag = self._tags[i]
             counts[i] = (
-                later[group]
-                - same_time[group, time]
-                - same_key[group, key]
-                + same_both[group, time, key]
+                _bump(later, group)
+                - _bump(same_time, (group, time))
+                - _bump(same_key, (group, key))
+                + _bump(same_both, tag)
             )
-            later[group] += 1
-            same_time[group, time] += 1
-            same_key[group, key] += 1
-            same_both[group, time, key] += 1
         self.starts = list(accumulate(counts, initial=0))
         self.total = self.starts[-1]
 
@@ -512,6 +531,7 @@ def enumerate_candidates(
     graph: SceneGraph,
     profile: DatasetProfile,
     category: ManipulationCategory,
+    pools: Mapping[str, CandidatePool] | None = None,
 ) -> list[Site]:
     """Exhaustively list the sites where the category's operator applies.
 
@@ -520,6 +540,8 @@ def enumerate_candidates(
     numbers a category's sites in this order, video by video; when it only
     counts sites it numbers them in the same order, which keeps record seeds
     and record_ids independent of whether the sites were counted or listed.
+    pools, when given, is the graph's _entity_pools for a counterfactual
+    category.
     """
     sites: list[Site] = []
     vid = graph.video_id
@@ -549,11 +571,12 @@ def enumerate_candidates(
                 for _, idx, tup in _subject_observations(graph, category.fine_type)
             ]
         if slots:
-            pools = _entity_pools(
-                graph, profile, category.fine_type, category.target == "predicate"
-            )
+            if pools is None:
+                pools = _entity_pools(
+                    graph, profile, category.fine_type, category.target == "predicate"
+                )
             for tup, slot, idx, incumbent in slots:
-                if pools[tup.subject.entity_id].usable(incumbent):
+                if pools[tup.subject.entity_id].has_usable(incumbent):
                     sites.append(CounterfactualSite(vid, tup.tuple_id, slot, idx))
 
     sites.sort(key=lambda s: s.sort_key)
@@ -613,7 +636,7 @@ def apply_site(
         def with_attr(tup: EventTuple, idx: int, attr: AttributeValue) -> EventTuple:
             attrs = list(tup.subject_attrs)
             attrs[idx] = attr
-            return replace(tup, subject_attrs=tuple(attrs))
+            return _derived(tup, subject_attrs=tuple(attrs))
 
         m1 = with_attr(e1, site.attr_index_a, r1.attribute)
         m2 = with_attr(e2, site.attr_index_b, r2.attribute)
@@ -651,14 +674,16 @@ def _sampled_sites(
     category: ManipulationCategory,
     quota: int | None,
     category_seed: int,
+    pools: Mapping[str, Mapping[str, CandidatePool]],
 ) -> list[tuple[int, SceneGraph, Site]]:
     """(ordinal, graph, site) for every site the quota keeps, by ordinal.
 
     Ordinals number the category's sites over the graphs in order, each
     graph's sites in enumerate_candidates order. A temporal category under a
-    quota below its site count is counted per video, and only the drawn
-    sites are built; everything else is listed through enumerate_candidates.
-    Both paths draw the same ordinals from the same count.
+    quota is counted per video: below its site count only the drawn sites
+    are built, otherwise the counted tables list them all. Everything else
+    is listed through enumerate_candidates, with each video's pools taken
+    from pools. Both paths draw the same ordinals from the same count.
     """
     if quota is not None and category.method == "temporal":
         tables = [_TemporalPairs(graph, category) for graph in graphs]
@@ -669,12 +694,17 @@ def _sampled_sites(
                 v = bisect_right(offsets, ordinal) - 1
                 chosen.append((ordinal, graphs[v], tables[v].nth(ordinal - offsets[v])))
             return chosen
-
-    listed = [
-        (graph, site)
-        for graph in graphs
-        for site in enumerate_candidates(graph, profile, category)
-    ]
+        listed = [
+            (graph, site) for graph, table in zip(graphs, tables) for site in table.sites()
+        ]
+    else:
+        listed = [
+            (graph, site)
+            for graph in graphs
+            for site in enumerate_candidates(
+                graph, profile, category, pools.get(graph.video_id)
+            )
+        ]
     if quota is None or quota >= len(listed):
         ordinals: Iterable[int] = range(len(listed))
     else:
@@ -715,14 +745,17 @@ def apply_corpus(
             seed, category.method, category.target, category.fine_type
         )
         quota = quotas.get(category.key)
-        pools: dict[str, dict[str, CandidatePool]] = {}
+        # Built once per video, for listing and applying alike.
+        pools = {
+            graph.video_id: _entity_pools(
+                graph, profile, category.fine_type, category.target == "predicate"
+            )
+            for graph in ordered
+            if category.method == "counterfactual"
+        }
         for ordinal, graph, site in _sampled_sites(
-            ordered, profile, category, quota, category_seed
+            ordered, profile, category, quota, category_seed, pools
         ):
-            if category.method == "counterfactual" and graph.video_id not in pools:
-                pools[graph.video_id] = _entity_pools(
-                    graph, profile, category.fine_type, category.target == "predicate"
-                )
             record_seed = derive_seed(category_seed, ordinal)
             # Only a counterfactual site draws from its record's generator.
             rng = random.Random(record_seed) if category.method == "counterfactual" else None
@@ -807,8 +840,7 @@ def record_from_doc(
                     raise MalformedDocument(f"tuple {tuple_id!r}: {name!r} is not a changeable field")
                 fields[name] = TUPLE_FIELDS[name][1](raw, tuple_id)
         original.append(orig)
-        # replace() without its per-call field introspection; this runs per tuple.
-        manipulated.append(EventTuple(**{**vars(orig), **fields}))
+        manipulated.append(_derived(orig, **fields))
     source_tuple_ids = tuple(require(doc, "source_tuple_ids", list))
     # key=str keeps the sort total when a document puts a non-string id here.
     if sorted(t.tuple_id for t in original) != sorted(source_tuple_ids, key=str):

@@ -10,7 +10,7 @@ across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Any, Callable, Iterable
 
 from .documents import parse_jsonl, read_json, require, to_jsonl
@@ -88,27 +88,6 @@ class EventTuple:
                 f"tuple {self.tuple_id!r} carries object attributes without an object"
             )
 
-    @property
-    def key(self) -> EventKey:
-        return EventKey(
-            subject=self.subject,
-            subject_attrs=self.subject_attrs,
-            predicate=self.predicate,
-            object=self.object,
-            object_attrs=self.object_attrs,
-        )
-
-
-@dataclass(frozen=True)
-class EventKey:
-    """An event tuple minus its timestamp."""
-
-    subject: EntityRef
-    subject_attrs: tuple[AttributeValue, ...]
-    predicate: PredicateValue | None
-    object: EntityRef | None
-    object_attrs: tuple[AttributeValue, ...]
-
 
 @dataclass(frozen=True)
 class SceneGraph:
@@ -135,7 +114,11 @@ class SceneGraph:
                 )
             seen_tuples.add(tup.tuple_id)
             for ref in (tup.subject, tup.object):
-                if ref is not None and by_id.get(ref.entity_id) != ref:
+                if ref is None:
+                    continue
+                # A parsed graph's refs are its entities: identity settles most.
+                known = by_id.get(ref.entity_id)
+                if known is not ref and known != ref:
                     raise DanglingEntityRef(
                         f"tuple {tup.tuple_id!r} references unknown entity {ref.entity_id!r}"
                     )
@@ -160,6 +143,15 @@ class Violation:
     detail: str
 
 
+# Parsing interns attribute and predicate values: a corpus holds one object
+# per distinct (value, type), so equal values compare by identity. Sharing is
+# safe because the classes are frozen. Times are not interned: they are
+# mostly distinct, and 0.0 == -0.0 would merge two times that serialize
+# differently.
+_attribute = lru_cache(maxsize=4096)(AttributeValue)
+_predicate = lru_cache(maxsize=4096)(PredicateValue)
+
+
 def _parse_attrs(raw: Any, tuple_id: str) -> tuple[AttributeValue, ...]:
     if raw is None:
         return ()
@@ -169,12 +161,7 @@ def _parse_attrs(raw: Any, tuple_id: str) -> tuple[AttributeValue, ...]:
     for item in raw:
         if not isinstance(item, dict):
             raise MalformedDocument(f"tuple {tuple_id!r}: attribute object expected")
-        attrs.append(
-            AttributeValue(
-                value=require(item, "value", str),
-                attr_type=require(item, "attr_type", str),
-            )
-        )
+        attrs.append(_attribute(require(item, "value", str), require(item, "attr_type", str)))
     return tuple(attrs)
 
 
@@ -183,7 +170,7 @@ def _parse_predicate(raw: Any, tuple_id: str) -> PredicateValue | None:
         return None
     if not isinstance(raw, dict):
         raise MalformedDocument(f"tuple {tuple_id!r}: predicate object expected")
-    return PredicateValue(require(raw, "value", str), require(raw, "pred_type", str))
+    return _predicate(require(raw, "value", str), require(raw, "pred_type", str))
 
 
 def _parse_time(raw: Any, tuple_id: str) -> TimeInterval:

@@ -6,6 +6,7 @@ import csv
 import io
 import random
 import string as _string
+from dataclasses import replace
 
 import numpy as np
 
@@ -191,6 +192,27 @@ def random_profile_graph(rng: random.Random, profile: DatasetProfile) -> SceneGr
         entities=entities,
         tuples=tuple(tuples),
     )
+
+
+def random_profile_corpus(
+    rng: random.Random, profile: DatasetProfile, n_videos: int
+) -> list[SceneGraph]:
+    """n_videos random_profile_graph graphs, with video_ids v0, v1, ..."""
+    return [
+        replace(random_profile_graph(rng, profile), video_id=f"v{i}") for i in range(n_videos)
+    ]
+
+
+def with_objects(graph: SceneGraph) -> SceneGraph:
+    """graph with an object on every tuple that has a predicate, which every
+    default predicate template names."""
+    def other(subject: EntityRef) -> EntityRef:
+        return next(e for e in graph.entities if e != subject)
+
+    return replace(graph, tuples=tuple(
+        t if t.predicate is None or t.object is not None else replace(t, object=other(t.subject))
+        for t in graph.tuples
+    ))
 
 
 def csv_reader_score_matrix(text: str) -> ScoreMatrix:

@@ -1,7 +1,9 @@
+import random
 from dataclasses import replace
 from importlib import resources
 
 import pytest
+from hypothesis import given, strategies as st
 
 from eventprobe.captions import (
     Caption,
@@ -25,10 +27,10 @@ from eventprobe.errors import (
 )
 from eventprobe.manipulate import apply_corpus
 from eventprobe.pipeline import PipelineConfig, run_pipeline, run_stages
-from eventprobe.profiles import ManipulationCategory
+from eventprobe.profiles import ManipulationCategory, default_profile
 
 from .goldens import GOLDEN_TEXTS, build_golden_records, record_for
-from .helpers import entity, make_tuple, pred, span
+from .helpers import entity, make_tuple, pred, random_profile_corpus, span, with_objects
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +115,23 @@ class TestSlotFidelity:
                 assert value in pair.positive.text, record.record_id
             for value in required["negative"]:
                 assert value in pair.negative.text, record.record_id
+
+    # Every predicate tuple gets an object: each default predicate template
+    # names one, and a tuple without it cannot be rendered.
+    @given(st.integers(0, 2**32), st.integers(1, 3))
+    def test_protected_values_survive_on_random_corpora(self, seed, n_videos):
+        profile = default_profile()
+        corpus = [with_objects(g) for g in random_profile_corpus(random.Random(seed), profile, n_videos)]
+        pairs = {}
+        for record in apply_corpus(corpus, profile, {}, seed):
+            pair = pairs[record.record_id] = render_pair(record, default_templates())
+            required = protected_values(record)
+            assert all(value in pair.positive.text for value in required["positive"]), record.record_id
+            assert all(value in pair.negative.text for value in required["negative"]), record.record_id
+        positives = {(p.video_id, p.category, p.positive.text) for p in pairs.values()}
+        for pair in pairs.values():
+            if pair.category.method == "counterfactual":
+                assert (pair.video_id, pair.category, pair.negative.text) not in positives
 
     def test_temporal_polarity_asymmetry(self, corpus, profile, templates):
         records = apply_corpus(corpus, profile, {}, 42)

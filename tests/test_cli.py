@@ -19,7 +19,7 @@ from eventprobe.cli import exit_code_for, main
 from eventprobe.errors import StageFailed
 from eventprobe.scene_graph import scene_graph_to_doc
 
-from .helpers import random_profile_graph
+from .helpers import random_profile_corpus, with_objects
 from .test_count_first import PROFILE, corpora
 
 
@@ -297,18 +297,6 @@ def run_commands(config: Path, commands) -> tuple[int, dict]:
     return code, outputs(out)
 
 
-def with_objects(graph):
-    """graph with an object on every tuple that has a predicate, which every
-    default predicate template names."""
-    def other(subject):
-        return next(e for e in graph.entities if e != subject)
-
-    return replace(graph, tuples=tuple(
-        t if t.predicate is None or t.object is not None else replace(t, object=other(t.subject))
-        for t in graph.tuples
-    ))
-
-
 class TestStageTable:
     @given(corpora)
     def test_staged_commands_write_what_run_writes(self, corpus):
@@ -325,9 +313,7 @@ class TestStageTable:
         """Reversing the files, and each document's tuples and entities,
         changes no output but graphs.jsonl, which keeps document order."""
         rng = random.Random(seed)
-        graphs = [
-            with_objects(replace(random_profile_graph(rng, PROFILE), video_id=f"v{i}")) for i in range(n_videos)
-        ]
+        graphs = [with_objects(g) for g in random_profile_corpus(rng, PROFILE, n_videos)]
         reversed_graphs = [
             replace(g, tuples=g.tuples[::-1], entities=g.entities[::-1]) for g in reversed(graphs)
         ]

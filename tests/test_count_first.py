@@ -1,22 +1,32 @@
-"""Count-first temporal probing agrees with listing every site.
+"""Count-first probing agrees with listing every site.
 
 Graphs are drawn with few entities, few distinct times and few values, so
 pairs at the same time, with the same key, and with both, are all common
-and every term of the site count's inclusion-exclusion is exercised.
+and every term of the site count's inclusion-exclusion is exercised. The
+same graphs check that a counterfactual listing, which tests each slot's
+pool without building its candidates and shares each video's pools with
+the records it applies, agrees with pools built slot by slot.
 """
 
 import random
+from dataclasses import replace
 from itertools import combinations
 
+import pytest
 from hypothesis import given, strategies as st
 
 from eventprobe.errors import ManipulationError
 from eventprobe.manipulate import (
+    SLOT_PREDICATE,
+    SLOT_SUBJECT_ATTRIBUTE,
     AttributeObservation,
+    CandidatePool,
     ManipulationRecord,
+    SlotRef,
     _TemporalPairs,
     apply_corpus,
     apply_site,
+    build_pool,
     derive_seed,
     enumerate_candidates,
     temporal_attribute_swap,
@@ -34,6 +44,10 @@ from eventprobe.scene_graph import (
 
 PROFILE = default_profile()
 PAIRWISE = tuple(c for c in PROFILE.category_set if c.method == "temporal")
+COUNTERFACTUAL = tuple(c for c in PROFILE.category_set if c.method == "counterfactual")
+# Only the two values the graphs draw from: a video can then hold every value
+# of a type for one entity, which leaves that entity's pool empty.
+NARROW = replace(PROFILE, vocab={name: values[:2] for name, values in PROFILE.vocab.items()})
 TIMES = (TimeInterval(0.0, 1.0), TimeInterval(2.0, 2.0), TimeInterval(0.0, 3.0))
 
 
@@ -111,13 +125,36 @@ def operator_sites(graph, category) -> list[tuple]:
     ]
 
 
-def listed_records(graphs, category, quota, seed):
-    """apply_corpus as enumerate-everything, then sample ordinals."""
+def usable_slots(graph, profile, category) -> list[tuple]:
+    """sort_keys of every counterfactual slot whose pool, built for that slot
+    alone, leaves a candidate besides the incumbent."""
+    found = []
+    for t in graph.tuples:
+        if category.target == "predicate":
+            slots = [(SLOT_PREDICATE, None, t.predicate.value)] if (
+                t.predicate is not None and t.predicate.pred_type == category.fine_type
+            ) else []
+        else:
+            slots = [
+                (SLOT_SUBJECT_ATTRIBUTE, i, a.value)
+                for i, a in enumerate(t.subject_attrs)
+                if a.attr_type == category.fine_type
+            ]
+        for kind, idx, incumbent in slots:
+            pool = build_pool(graph, profile, SlotRef(t.tuple_id, kind, idx), category.fine_type)
+            if pool.usable(incumbent):
+                found.append((t.tuple_id, kind, -1 if idx is None else idx))
+    return sorted(found)
+
+
+def listed_records(graphs, category, quota, seed, profile=PROFILE):
+    """apply_corpus as enumerate-everything, then sample ordinals, with every
+    counterfactual pool built for its site alone."""
     category_seed = derive_seed(seed, category.method, category.target, category.fine_type)
     listed = [
         (graph, site)
         for graph in sorted(graphs, key=lambda g: g.video_id)
-        for site in enumerate_candidates(graph, PROFILE, category)
+        for site in enumerate_candidates(graph, profile, category)
     ]
     if quota >= len(listed):
         chosen = range(len(listed))
@@ -129,7 +166,7 @@ def listed_records(graphs, category, quota, seed):
         graph, site = listed[ordinal]
         record_seed = derive_seed(category_seed, ordinal)
         original, manipulated, pool_size = apply_site(
-            graph, PROFILE, category, site, random.Random(record_seed)
+            graph, profile, category, site, random.Random(record_seed), pools=None
         )
         records.append(
             ManipulationRecord(
@@ -156,10 +193,53 @@ def test_count_equals_listed_sites(graph):
         assert [table.nth(ordinal) for ordinal in range(table.total)] == listed
 
 
+@given(graphs())
+def test_counterfactual_listing_matches_pools(graph):
+    for profile in (PROFILE, NARROW):
+        for category in COUNTERFACTUAL:
+            listed = enumerate_candidates(graph, profile, category)
+            assert [site.sort_key for site in listed] == usable_slots(graph, profile, category)
+
+
 @given(corpora, st.integers(0, 2**32))
 def test_quota_runs_match_listing(corpus, seed):
-    for category in PAIRWISE:
-        total = sum(_TemporalPairs(graph, category).total for graph in corpus)
-        for quota in sorted({q for q in (0, 1, total - 1, total) if q >= 0}):
-            got = apply_corpus(corpus, PROFILE, {category.key: quota}, seed, [category])
-            assert got == listed_records(corpus, category, quota, seed)
+    for profile in (PROFILE, NARROW):
+        for category in profile.category_set:
+            if category.method == "temporal":
+                total = sum(_TemporalPairs(graph, category).total for graph in corpus)
+            else:
+                total = sum(len(enumerate_candidates(g, profile, category)) for g in corpus)
+            for quota in sorted({q for q in (0, 1, total - 1, total) if q >= 0}):
+                got = apply_corpus(corpus, profile, {category.key: quota}, seed, [category])
+                assert got == listed_records(corpus, category, quota, seed, profile)
+
+
+_names = st.sampled_from("abcd")
+
+
+@given(
+    st.lists(_names, unique=True, max_size=3).map(tuple),
+    st.frozensets(_names, max_size=3),
+    st.none() | _names,
+)
+def test_has_usable_matches_usable(values, exclusions, incumbent):
+    pool = CandidatePool("Color", values, exclusions)
+    assert pool.has_usable(incumbent) == bool(pool.usable(incumbent))
+
+
+@pytest.mark.parametrize(
+    "values, exclusions, incumbent, expected",
+    [
+        (("red",), (), "red", False),  # no exclusions, the incumbent is all
+        (("red",), (), "blue", True),  # an incumbent outside the vocabulary
+        (("red",), (), None, True),
+        (("red", "blue"), (), "green", True),
+        (("red", "blue"), ("blue",), "red", False),
+        (("red", "blue"), ("red", "blue"), "green", False),
+        ((), (), None, False),
+    ],
+)
+def test_has_usable_on_hand_built_pools(values, exclusions, incumbent, expected):
+    pool = CandidatePool("Color", values, frozenset(exclusions))
+    assert pool.has_usable(incumbent) is expected
+    assert bool(pool.usable(incumbent)) is expected

@@ -42,6 +42,7 @@ from .helpers import (
     random_neighborhood_tuple,
     random_observation_pair,
     random_predicate_pair,
+    random_profile_corpus,
     span,
 )
 from .test_count_first import corpora
@@ -504,3 +505,32 @@ def test_records_round_trip_on_random_corpora(corpus, quotas, seed):
     records = apply_corpus(corpus, PROFILE, chosen, seed)
     assert records_from_jsonl(records_to_jsonl(records), corpus) == records
 
+
+def held_values(graph: SceneGraph) -> set[tuple[str, str, str]]:
+    """(entity id, type, value) for every value the video attributes to an
+    entity: a predicate to its subject, an attribute to its entity in either
+    role."""
+    held = set()
+    for t in graph.tuples:
+        if t.predicate is not None:
+            held.add((t.subject.entity_id, t.predicate.pred_type, t.predicate.value))
+        held.update((t.subject.entity_id, a.attr_type, a.value) for a in t.subject_attrs)
+        if t.object is not None:
+            held.update((t.object.entity_id, a.attr_type, a.value) for a in t.object_attrs)
+    return held
+
+
+@given(st.integers(0, 2**32), st.integers(1, 3))
+def test_counterfactual_negatives_are_false_in_their_video(seed, n_videos):
+    corpus = random_profile_corpus(random.Random(seed), PROFILE, n_videos)
+    held = {graph.video_id: held_values(graph) for graph in corpus}
+    records = [r for r in apply_corpus(corpus, PROFILE, {}, seed) if r.category.method == "counterfactual"]
+    for record in records:
+        (orig,), (manip,) = record.original, record.manipulated
+        fine_type = record.category.fine_type
+        if record.category.target == "predicate":
+            new = manip.predicate.value
+        else:
+            (new,) = [m.value for o, m in zip(orig.subject_attrs, manip.subject_attrs) if o != m]
+        assert new in PROFILE.vocab[fine_type]
+        assert (orig.subject.entity_id, fine_type, new) not in held[record.video_id], record.record_id

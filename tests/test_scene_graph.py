@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, fields
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,6 +8,7 @@ from eventprobe.errors import (
     IntervalOutOfRange,
     MalformedDocument,
 )
+from eventprobe.manipulate import apply_corpus, records_from_jsonl, records_to_jsonl
 from eventprobe.scene_graph import (
     AttributeValue,
     EntityRef,
@@ -19,7 +22,7 @@ from eventprobe.scene_graph import (
     validate,
 )
 
-from .helpers import attr, entity, make_tuple, pred
+from .helpers import attr, entity, make_tuple, pred, span
 
 
 MINIMAL_DOC = {
@@ -228,3 +231,39 @@ class TestRoundTrip:
 
     def test_fixture_round_trip(self, corpus):
         assert graphs_from_jsonl(graphs_to_jsonl(corpus)) == list(corpus)
+
+
+class TestInterning:
+    """Parsing builds one object per distinct attribute and predicate value."""
+
+    @staticmethod
+    def signed_zero_graph() -> SceneGraph:
+        """Times 0.0 and -0.0, which compare equal but serialize apart, and
+        one attribute value on every tuple, each built on its own."""
+        kite, ball = entity("e1", "kite"), entity("e2", "ball")
+        return SceneGraph("v0", 10.0, (kite, ball), (
+            make_tuple("t1", kite, attrs=(attr("red"),), predicate=pred("carries"), obj=ball, time=span(0.0, 1.0)),
+            make_tuple("t2", kite, attrs=(attr("red"),), predicate=pred("folds"), obj=ball, time=span(-0.0, 1.0)),
+            make_tuple("t3", ball, attrs=(attr("red"),), predicate=pred("opens"), obj=kite, time=span(2.0, 3.0)),
+        ))
+
+    def test_signed_zero_and_shared_values_round_trip(self, profile):
+        text = graphs_to_jsonl([self.signed_zero_graph()])
+        assert '"start_s":-0.0' in text and '"start_s":0.0' in text
+        graphs = graphs_from_jsonl(text)
+        assert graphs_to_jsonl(graphs) == text
+        t1, t2, t3 = graphs[0].tuples
+        assert t1.subject_attrs[0] is t2.subject_attrs[0] is t3.subject_attrs[0]
+        assert t1.time is not t2.time
+
+        records_text = records_to_jsonl(apply_corpus(graphs, profile, {}, 7))
+        assert '"start_s":-0.0' in records_text and '"start_s":0.0' in records_text
+        assert records_to_jsonl(records_from_jsonl(records_text, graphs)) == records_text
+
+    @pytest.mark.parametrize("kind", [AttributeValue, PredicateValue, EntityRef])
+    def test_shared_values_reject_assignment(self, kind):
+        tup = graphs_from_jsonl(graphs_to_jsonl([self.signed_zero_graph()]))[0].tuples[0]
+        value = {AttributeValue: tup.subject_attrs[0], PredicateValue: tup.predicate, EntityRef: tup.subject}[kind]
+        for field in fields(kind):
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, field.name, "changed")
