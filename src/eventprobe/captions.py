@@ -45,7 +45,6 @@ class Caption:
     polarity: str
     record_id: str
     renderer: str = "template"
-    template_id: str | None = None
 
     def __post_init__(self) -> None:
         if not self.text:
@@ -78,7 +77,6 @@ class TemplateSpec:
     """One pattern for one (category, polarity) combination."""
 
     template_id: str
-    category_key: str
     polarity: str
     pattern: str
 
@@ -127,7 +125,6 @@ def parse_templates(document: Any) -> TemplateTable:
                 )
             specs[(category_key, polarity)] = TemplateSpec(
                 template_id=f"{table_id}.{category_key}.{polarity}",
-                category_key=category_key,
                 polarity=polarity,
                 pattern=require(patterns, polarity, str),
             )
@@ -202,7 +199,6 @@ def _render_one(
         polarity=spec.polarity,
         record_id=record.record_id,
         renderer="template",
-        template_id=spec.template_id,
     )
 
 

@@ -9,6 +9,7 @@ never persisted.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
@@ -38,6 +39,22 @@ class DecoratorConfig:
     max_candidates: int = 10
 
     def __post_init__(self) -> None:
+        def fault(name: str, kind: str) -> ConfigError:
+            value = getattr(self, name)
+            return ConfigError(f"malformed config: decorator {name} must be {kind}, got {value!r}")
+
+        if not isinstance(self.enabled, bool):
+            raise fault("enabled", "true or false")
+        for name in ("endpoint", "model_name", "api_key_env"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise fault(name, "a string or null")
+        for name in ("temperature", "timeout_s"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise fault(name, "a finite number")
+        count = self.max_candidates
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise fault("max_candidates", "an integer >= 1")
         if self.enabled and (not self.endpoint or not self.api_key_env):
             raise ConfigError("enabled decorator needs endpoint and api_key_env")
         if not 0 <= self.temperature <= 2:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import zipfile
 import zlib
 from dataclasses import dataclass
@@ -363,6 +364,14 @@ def summarize(
     return {name.removesuffix(".csv"): out_dir / name for name in texts}
 
 
+def _recall(raw: Mapping[str, str], column: str) -> float:
+    """The row's column read as a recall: a number in [0, 1]."""
+    value = float(raw[column])
+    if not 0 <= value <= 1:  # NaN fails this too
+        raise ValueError(f"{column} must be a number in [0, 1], got {raw[column]!r}")
+    return value
+
+
 def gap_rows_from_csv(text: str) -> list[GapReport]:
     """Read gap rows from a recall CSV in either of two layouts.
 
@@ -371,48 +380,38 @@ def gap_rows_from_csv(text: str) -> list[GapReport]:
     what `eval` writes as recalls.csv: each positive row is paired with the
     control row of its category, direction and k. In both layouts, as in
     evaluate_pools, a zero positive recall yields no gap row, unless a wide
-    row gives its own delta_p.
+    row gives its own delta_p. Every p, p_control and value must be a
+    number in [0, 1], and a given delta_p a finite number; a row that is
+    not raises MalformedDocument naming its line.
     """
     reader = csv.DictReader(io.StringIO(text))
     columns = set(reader.fieldnames or ())
+    long = {"category", "direction", "k", "pool", "value"} <= columns
+    if not long and not {"category", "direction", "k", "p", "p_control"} <= columns:
+        raise MalformedDocument(
+            "recall CSV needs columns category,direction,k,pool,value "
+            "or category,direction,k,p,p_control"
+        )
+    recalls, rows = [], []
     try:
-        if {"category", "direction", "k", "pool", "value"} <= columns:
-            return _gap_rows_from_long(reader)
-        if not {"category", "direction", "k", "p", "p_control"} <= columns:
-            raise MalformedDocument(
-                "recall CSV needs columns category,direction,k,pool,value "
-                "or category,direction,k,p,p_control"
-            )
-        rows = []
         for raw in reader:
-            p = float(raw["p"])
-            p_control = float(raw["p_control"])
+            if long:
+                value = _recall(raw, "value")
+                recalls.append(RecallReport(raw["direction"], int(raw["k"]), value, raw["pool"], raw["category"]))
+                continue
+            p, p_control = _recall(raw, "p"), _recall(raw, "p_control")
             if raw.get("delta_p"):
                 delta = float(raw["delta_p"])
+                if not math.isfinite(delta):
+                    raise ValueError(f"delta_p must be a finite number, got {raw['delta_p']!r}")
             elif p == 0:
                 continue
             else:
                 delta = relative_gap(p, p_control)
-            rows.append(
-                GapReport(
-                    category=raw["category"],
-                    direction=raw["direction"],
-                    k=int(raw["k"]),
-                    p=p,
-                    p_control=p_control,
-                    delta_p=delta,
-                )
-            )
-        return rows
+            rows.append(GapReport(raw["category"], raw["direction"], int(raw["k"]), p, p_control, delta))
     except (TypeError, ValueError) as exc:
-        raise MalformedDocument(f"bad recall CSV row: {exc}") from None
-
-
-def _gap_rows_from_long(reader: csv.DictReader) -> list[GapReport]:
-    return _gaps_from_recalls(
-        RecallReport(raw["direction"], int(raw["k"]), float(raw["value"]), raw["pool"], raw["category"])
-        for raw in reader
-    )
+        raise MalformedDocument(f"recall CSV line {reader.line_num}: {exc}") from None
+    return _gaps_from_recalls(recalls) if long else rows
 
 
 def _gaps_from_recalls(recalls: Iterable[RecallReport]) -> list[GapReport]:

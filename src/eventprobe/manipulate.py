@@ -13,9 +13,10 @@ from __future__ import annotations
 import hashlib
 import random
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Hashable, Iterable, Iterator, Mapping
 
 from .documents import parse_jsonl, require, to_jsonl
 from .errors import (
@@ -76,15 +77,6 @@ class CandidatePool:
             if v not in self.exclusions and v != incumbent:
                 return True
         return False
-
-
-@dataclass(frozen=True)
-class SlotRef:
-    """Points at one substitutable slot inside one tuple."""
-
-    tuple_id: str
-    kind: str
-    attr_index: int | None = None
 
 
 @dataclass(frozen=True)
@@ -298,17 +290,18 @@ def _truthful_values(
                 yield tup.object.entity_id, attr.value
 
 
-def _check_type(profile: DatasetProfile, fine_type: str) -> None:
-    if fine_type not in profile.vocab:
-        raise UnknownType(f"fine type {fine_type!r} not in profile {profile.name!r}")
-
-
 def _entity_pools(
     graph: SceneGraph, profile: DatasetProfile, fine_type: str, predicate: bool
 ) -> dict[str, CandidatePool]:
     """The candidate pool of every entity the graph attributes a fine_type
-    value to, keyed by entity id, from one scan of the graph."""
-    _check_type(profile, fine_type)
+    value to, keyed by entity id, from one scan of the graph.
+
+    Values are the profile vocabulary of the fine type; exclusions are every
+    value the graph truthfully attributes to the entity, so sampled
+    substitutes are false by construction within the video.
+    """
+    if fine_type not in profile.vocab:
+        raise UnknownType(f"fine type {fine_type!r} not in profile {profile.name!r}")
     truthful: dict[str, set[str]] = {}
     for holder, value in _truthful_values(graph, fine_type, predicate):
         truthful.setdefault(holder, set()).add(value)
@@ -319,31 +312,6 @@ def _entity_pools(
     }
 
 
-def build_pool(
-    graph: SceneGraph,
-    profile: DatasetProfile,
-    slot: SlotRef,
-    fine_type: str,
-    pools: Mapping[str, CandidatePool] | None = None,
-) -> CandidatePool:
-    """Assemble the candidate pool for one slot.
-
-    Values are the profile vocabulary of the fine type; exclusions are every
-    value the graph truthfully attributes to the slot's subject, so sampled
-    substitutes are false by construction within the video. pools, when
-    given, is the graph's _entity_pools for the slot's type.
-    """
-    tup = graph.tuples_by_id.get(slot.tuple_id)
-    if tup is None:
-        raise SlotAbsent(f"tuple {slot.tuple_id!r} not in graph {graph.video_id!r}")
-    if slot.kind not in (SLOT_PREDICATE, SLOT_SUBJECT_ATTRIBUTE):
-        raise SlotAbsent(f"unknown slot kind {slot.kind!r}")
-    if pools is None:
-        pools = _entity_pools(graph, profile, fine_type, slot.kind == SLOT_PREDICATE)
-    pool = pools.get(tup.subject.entity_id)
-    return pool or CandidatePool(fine_type, profile.vocab[fine_type], frozenset())
-
-
 # --- site enumeration ----------------------------------------------------------
 
 
@@ -352,10 +320,6 @@ class TemporalPredicateSite:
     video_id: str
     tuple_id_a: str
     tuple_id_b: str
-
-    @property
-    def sort_key(self) -> tuple:
-        return (self.tuple_id_a, self.tuple_id_b)
 
     @property
     def source_tuple_ids(self) -> tuple[str, ...]:
@@ -371,10 +335,6 @@ class TemporalAttributeSite:
     attr_index_b: int
 
     @property
-    def sort_key(self) -> tuple:
-        return (self.tuple_id_a, self.attr_index_a, self.tuple_id_b, self.attr_index_b)
-
-    @property
     def source_tuple_ids(self) -> tuple[str, ...]:
         return (self.tuple_id_a, self.tuple_id_b)
 
@@ -383,10 +343,6 @@ class TemporalAttributeSite:
 class NeighborhoodSite:
     video_id: str
     tuple_id: str
-
-    @property
-    def sort_key(self) -> tuple:
-        return (self.tuple_id,)
 
     @property
     def source_tuple_ids(self) -> tuple[str, ...]:
@@ -399,10 +355,7 @@ class CounterfactualSite:
     tuple_id: str
     slot: str
     attr_index: int | None
-
-    @property
-    def sort_key(self) -> tuple:
-        return (self.tuple_id, self.slot, -1 if self.attr_index is None else self.attr_index)
+    pool: CandidatePool  # the slot subject's pool, which has a usable candidate
 
     @property
     def source_tuple_ids(self) -> tuple[str, ...]:
@@ -412,16 +365,29 @@ class CounterfactualSite:
 Site = TemporalPredicateSite | TemporalAttributeSite | NeighborhoodSite | CounterfactualSite
 
 
-def _subject_observations(
-    graph: SceneGraph, fine_type: str
-) -> list[tuple[str, int, EventTuple]]:
-    """(tuple_id, attr index, tuple) for each subject attribute of the type."""
-    found = []
-    for tup in graph.tuples:
-        for idx, attr in enumerate(tup.subject_attrs):
-            if attr.attr_type == fine_type:
-                found.append((tup.tuple_id, idx, tup))
-    return found
+def _by_tuple_id(graph: SceneGraph) -> list[EventTuple]:
+    """The graph's tuples in the order every site list follows. Tuple ids
+    are unique within a graph, so this order does not depend on the
+    document's, and sites listed in it never need sorting."""
+    return sorted(graph.tuples, key=lambda t: t.tuple_id)
+
+
+def _predicate_tuples(graph: SceneGraph, fine_type: str) -> list[EventTuple]:
+    """The tuples whose predicate has the type, by tuple_id."""
+    return [
+        t for t in _by_tuple_id(graph) if t.predicate is not None and t.predicate.pred_type == fine_type
+    ]
+
+
+def _subject_observations(graph: SceneGraph, fine_type: str) -> list[tuple[EventTuple, int]]:
+    """(tuple, attr index) for each subject attribute of the type, by
+    tuple_id, then by index."""
+    return [
+        (tup, idx)
+        for tup in _by_tuple_id(graph)
+        for idx, attr in enumerate(tup.subject_attrs)
+        if attr.attr_type == fine_type
+    ]
 
 
 def _interned(values: Iterable[Hashable]) -> list[int]:
@@ -437,41 +403,30 @@ def _bump(counts: dict[Hashable, int], key: Hashable) -> int:
     return seen
 
 
-class _TemporalPairs:
+class _TemporalPairs(Sequence):
     """One video's temporal swap sites for one category, counted before built.
 
     Items are the category's predicate tuples, or its subject attribute
-    observations, in sort_key order. Items i < j form a site when they share
-    a group (their subject's entity_id, which names one entity within a
-    graph, for attributes; predicates form one group),
+    observations, by tuple_id and then attribute index. Items i < j form a
+    site when they share a group (their subject's entity_id, which names one
+    entity within a graph, for attributes; predicates form one group),
     differ in time, and differ in key (the tuple key for predicates, the
-    value for attributes). Sites are ordered by (i, j), which is their
-    sort_key order, so the ordinal of a site is the same whether it is
-    counted here or listed by enumerate_candidates.
+    value for attributes). Sites are ordered by (i, j). Their number is
+    counted on construction; a site is built only when it is indexed or
+    iterated.
     """
 
     def __init__(self, graph: SceneGraph, category: ManipulationCategory) -> None:
         self.video_id = graph.video_id
         self.attribute = category.target == "attribute"
         if self.attribute:
-            obs = sorted(
-                _subject_observations(graph, category.fine_type),
-                key=lambda item: (item[0], item[1]),
-            )
-            self.items = [(tid, idx) for tid, idx, _ in obs]
-            tuples = [tup for _, _, tup in obs]
+            obs = _subject_observations(graph, category.fine_type)
+            self.items = [(tup.tuple_id, idx) for tup, idx in obs]
+            tuples = [tup for tup, _ in obs]
             groups = _interned(tup.subject.entity_id for tup in tuples)
-            keys = _interned(tup.subject_attrs[idx].value for _, idx, tup in obs)
+            keys = _interned(tup.subject_attrs[idx].value for tup, idx in obs)
         else:
-            tuples = sorted(
-                (
-                    t
-                    for t in graph.tuples
-                    if t.predicate is not None
-                    and t.predicate.pred_type == category.fine_type
-                ),
-                key=lambda t: t.tuple_id,
-            )
+            tuples = _predicate_tuples(graph, category.fine_type)
             self.items = [(t.tuple_id, None) for t in tuples]
             groups = [0] * len(tuples)
             keys = _interned(map(_event_key, tuples))
@@ -499,7 +454,6 @@ class _TemporalPairs:
                 + _bump(same_both, tag)
             )
         self.starts = list(accumulate(counts, initial=0))
-        self.total = self.starts[-1]
 
     def partners(self, i: int) -> list[int]:
         """The items j > i that form a site with item i, in order."""
@@ -518,68 +472,62 @@ class _TemporalPairs:
             return TemporalAttributeSite(self.video_id, tid_a, idx_a, tid_b, idx_b)
         return TemporalPredicateSite(self.video_id, tid_a, tid_b)
 
-    def sites(self) -> list[Site]:
-        return [self.site(i, j) for i in range(len(self.items)) for j in self.partners(i)]
+    def __len__(self) -> int:
+        return self.starts[-1]
 
-    def nth(self, ordinal: int) -> Site:
+    def __getitem__(self, ordinal: int) -> Site:
         """The site at this position of the video's site order."""
+        if not 0 <= ordinal < self.starts[-1]:
+            raise IndexError(f"site {ordinal} of {self.starts[-1]}")
         i = bisect_right(self.starts, ordinal) - 1
         return self.site(i, self.partners(i)[ordinal - self.starts[i]])
+
+    def __iter__(self) -> Iterator[Site]:
+        for i in range(len(self.items)):
+            for j in self.partners(i):
+                yield self.site(i, j)
 
 
 def enumerate_candidates(
     graph: SceneGraph,
     profile: DatasetProfile,
     category: ManipulationCategory,
-    pools: Mapping[str, CandidatePool] | None = None,
-) -> list[Site]:
+) -> Sequence[Site]:
     """Exhaustively list the sites where the category's operator applies.
 
-    The list is duplicate-free and sorted by sort_key, so it depends only on
-    tuple contents, never on their order in the document. apply_corpus
-    numbers a category's sites in this order, video by video; when it only
-    counts sites it numbers them in the same order, which keeps record seeds
-    and record_ids independent of whether the sites were counted or listed.
-    pools, when given, is the graph's _entity_pools for a counterfactual
-    category.
+    Sites are duplicate-free and listed by tuple_id, then attribute index (a
+    temporal pair by its first item, then its second), so their order
+    depends only on tuple contents, never on their order in the document.
+    apply_corpus numbers a category's sites in this order, video by video.
+    A temporal category returns its _TemporalPairs, which counts its sites
+    and builds one only when it is indexed or iterated; the others return a
+    list. A counterfactual site carries its subject's candidate pool.
     """
-    sites: list[Site] = []
     vid = graph.video_id
-
     if category.method == "temporal":
-        sites = _TemporalPairs(graph, category).sites()
-
-    elif category.method == "neighborhood":
-        for tup in graph.tuples:
-            if tup.object is None:
-                continue
-            pairs, _ = _neighborhood_pairs(tup, category.fine_type)
-            if pairs:
-                sites.append(NeighborhoodSite(vid, tup.tuple_id))
-
-    elif category.method == "counterfactual":
-        if category.target == "predicate":
-            slots = [
-                (tup, SLOT_PREDICATE, None, tup.predicate.value)
-                for tup in graph.tuples
-                if tup.predicate is not None
-                and tup.predicate.pred_type == category.fine_type
-            ]
-        else:
-            slots = [
-                (tup, SLOT_SUBJECT_ATTRIBUTE, idx, tup.subject_attrs[idx].value)
-                for _, idx, tup in _subject_observations(graph, category.fine_type)
-            ]
-        if slots:
-            if pools is None:
-                pools = _entity_pools(
-                    graph, profile, category.fine_type, category.target == "predicate"
-                )
-            for tup, slot, idx, incumbent in slots:
-                if pools[tup.subject.entity_id].has_usable(incumbent):
-                    sites.append(CounterfactualSite(vid, tup.tuple_id, slot, idx))
-
-    sites.sort(key=lambda s: s.sort_key)
+        return _TemporalPairs(graph, category)
+    if category.method == "neighborhood":
+        return [
+            NeighborhoodSite(vid, tup.tuple_id)
+            for tup in _by_tuple_id(graph)
+            if tup.object is not None and _neighborhood_pairs(tup, category.fine_type)[0]
+        ]
+    if category.target == "predicate":
+        slots = [
+            (tup, SLOT_PREDICATE, None, tup.predicate.value)
+            for tup in _predicate_tuples(graph, category.fine_type)
+        ]
+    else:
+        slots = [
+            (tup, SLOT_SUBJECT_ATTRIBUTE, idx, tup.subject_attrs[idx].value)
+            for tup, idx in _subject_observations(graph, category.fine_type)
+        ]
+    pools = _entity_pools(graph, profile, category.fine_type, category.target == "predicate")
+    sites: list[Site] = []
+    for tup, slot, idx, incumbent in slots:
+        pool = pools[tup.subject.entity_id]
+        if pool.has_usable(incumbent):
+            sites.append(CounterfactualSite(vid, tup.tuple_id, slot, idx, pool))
     return sites
 
 
@@ -604,15 +552,13 @@ def apply_site(
     category: ManipulationCategory,
     site: Site,
     rng: random.Random | None,
-    pools: Mapping[str, CandidatePool] | None = None,
 ) -> tuple[tuple[EventTuple, ...], tuple[EventTuple, ...], int | None]:
     """Run the category's operator at one site.
 
     Returns (original tuples, manipulated tuples, pool size); the two tuple
     lists are aligned componentwise, ordered by original start time. A
-    counterfactual site draws its substitute with rng, which the other
-    methods do not use and may be None, and takes its pool from pools (the
-    graph's _entity_pools for the category) when given.
+    counterfactual site draws its substitute from its own pool with rng,
+    which the other methods do not use and may be None.
     """
     by_id = graph.tuples_by_id
 
@@ -651,19 +597,20 @@ def apply_site(
 
     if isinstance(site, CounterfactualSite):
         tup = by_id[site.tuple_id]
-        slot = SlotRef(site.tuple_id, site.slot, site.attr_index)
-        pool = build_pool(graph, profile, slot, category.fine_type, pools)
         incumbent, _ = _resolve_slot(tup, site.slot, category.fine_type, site.attr_index)
         manipulated = counterfactual_substitute(
-            tup, site.slot, pool, rng, site.attr_index
+            tup, site.slot, site.pool, rng, site.attr_index
         )
-        return (tup,), (manipulated,), len(pool.usable(incumbent))
+        return (tup,), (manipulated,), len(site.pool.usable(incumbent))
 
     raise NotApplicable(f"unsupported site {site!r}")
 
 
-def _draw(total: int, quota: int, category_seed: int) -> list[int]:
-    """The ordinals a quota keeps out of total sites, ascending."""
+def _draw(total: int, quota: int | None, category_seed: int) -> list[int] | None:
+    """The ordinals a quota keeps out of total sites, ascending; None when
+    there is no quota or it keeps every site."""
+    if quota is None or quota >= total:
+        return None
     picker = random.Random(category_seed)
     return sorted(picker.sample(range(total), max(quota, 0)))
 
@@ -674,42 +621,25 @@ def _sampled_sites(
     category: ManipulationCategory,
     quota: int | None,
     category_seed: int,
-    pools: Mapping[str, Mapping[str, CandidatePool]],
 ) -> list[tuple[int, SceneGraph, Site]]:
     """(ordinal, graph, site) for every site the quota keeps, by ordinal.
 
     Ordinals number the category's sites over the graphs in order, each
-    graph's sites in enumerate_candidates order. A temporal category under a
-    quota is counted per video: below its site count only the drawn sites
-    are built, otherwise the counted tables list them all. Everything else
-    is listed through enumerate_candidates, with each video's pools taken
-    from pools. Both paths draw the same ordinals from the same count.
+    graph's sites in enumerate_candidates order. The draw takes its total
+    from the listings' lengths; a kept-all draw walks every site, any other
+    indexes only the drawn ones.
     """
-    if quota is not None and category.method == "temporal":
-        tables = [_TemporalPairs(graph, category) for graph in graphs]
-        offsets = list(accumulate((table.total for table in tables), initial=0))
-        if quota < offsets[-1]:
-            chosen = []
-            for ordinal in _draw(offsets[-1], quota, category_seed):
-                v = bisect_right(offsets, ordinal) - 1
-                chosen.append((ordinal, graphs[v], tables[v].nth(ordinal - offsets[v])))
-            return chosen
-        listed = [
-            (graph, site) for graph, table in zip(graphs, tables) for site in table.sites()
-        ]
-    else:
-        listed = [
-            (graph, site)
-            for graph in graphs
-            for site in enumerate_candidates(
-                graph, profile, category, pools.get(graph.video_id)
-            )
-        ]
-    if quota is None or quota >= len(listed):
-        ordinals: Iterable[int] = range(len(listed))
-    else:
-        ordinals = _draw(len(listed), quota, category_seed)
-    return [(ordinal, *listed[ordinal]) for ordinal in ordinals]
+    listings = [enumerate_candidates(graph, profile, category) for graph in graphs]
+    offsets = list(accumulate(map(len, listings), initial=0))
+    drawn = _draw(offsets[-1], quota, category_seed)
+    if drawn is None:
+        walked = ((graph, site) for graph, sites in zip(graphs, listings) for site in sites)
+        return [(ordinal, graph, site) for ordinal, (graph, site) in enumerate(walked)]
+    chosen = []
+    for ordinal in drawn:
+        v = bisect_right(offsets, ordinal) - 1
+        chosen.append((ordinal, graphs[v], listings[v][ordinal - offsets[v]]))
+    return chosen
 
 
 def apply_corpus(
@@ -724,12 +654,10 @@ def apply_corpus(
     By default every profile category runs. Per category, sites are numbered
     over videos in video_id order, each video's sites in enumerate_candidates
     order, and sampled without replacement up to the category's quota. A
-    temporal quota run counts its sites instead of listing them and builds
-    only the sampled ones; the ordinals index the same site order either
-    way, so seeds and record_ids do not change. Sampling uses a per-category
-    stream derived from the global seed, and every record carries its own
-    derived seed, so results are stable under quota changes in other
-    categories.
+    temporal category counts its sites and builds only the sampled ones.
+    Sampling uses a per-category stream derived from the global seed, and
+    every record carries its own derived seed, so results are stable under
+    quota changes in other categories.
     """
     quotas = dict(quotas or {})
     ordered = sorted(graphs, key=lambda g: g.video_id)
@@ -744,24 +672,13 @@ def apply_corpus(
         category_seed = derive_seed(
             seed, category.method, category.target, category.fine_type
         )
-        quota = quotas.get(category.key)
-        # Built once per video, for listing and applying alike.
-        pools = {
-            graph.video_id: _entity_pools(
-                graph, profile, category.fine_type, category.target == "predicate"
-            )
-            for graph in ordered
-            if category.method == "counterfactual"
-        }
         for ordinal, graph, site in _sampled_sites(
-            ordered, profile, category, quota, category_seed, pools
+            ordered, profile, category, quotas.get(category.key), category_seed
         ):
             record_seed = derive_seed(category_seed, ordinal)
             # Only a counterfactual site draws from its record's generator.
             rng = random.Random(record_seed) if category.method == "counterfactual" else None
-            original, manipulated, pool_size = apply_site(
-                graph, profile, category, site, rng, pools.get(graph.video_id)
-            )
+            original, manipulated, pool_size = apply_site(graph, profile, category, site, rng)
             records.append(
                 ManipulationRecord(
                     record_id=f"{category.key}#{ordinal:04d}",

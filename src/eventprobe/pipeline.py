@@ -93,8 +93,12 @@ class PipelineConfig:
                     f"categories must be a list of category keys or \"all-from-profile\", "
                     f"got the string {raw_categories!r}"
                 )
+            elif not (isinstance(raw_categories, list) and all(isinstance(c, str) for c in raw_categories)):
+                raise ConfigError(
+                    f"malformed config: categories must be a list of category key strings, got {raw_categories!r}"
+                )
             else:
-                categories = tuple(str(c) for c in raw_categories)
+                categories = tuple(raw_categories)
                 if len(set(categories)) < len(categories):
                     repeated = next(c for i, c in enumerate(categories) if c in categories[:i])
                     raise ConfigError(f"malformed config: categories lists {repeated!r} more than once")

@@ -112,8 +112,13 @@ class TestRunCommand:
         [
             {"decorator": {"enable": True}},
             {"quotas": {"temporal.predicate.Action": "many"}},
+            {"decorator": {"enabled": "false", "endpoint": "http://localhost:9", "api_key_env": "PROBE_KEY"}},
+            {"decorator": {"timeout_s": "10"}},
+            {"decorator": {"max_candidates": "ten"}},
+            {"categories": {"temporal.predicate.Action": 1}},
         ],
-        ids=["decorator-unknown-key", "quota-not-integer"],
+        ids=["decorator-unknown-key", "quota-not-integer", "decorator-enabled-string",
+             "decorator-timeout-string", "decorator-max-candidates-word", "categories-object"],
     )
     def test_malformed_config_exit_code(self, config_path, malformed, capsys):
         doc = json.loads(config_path.read_text())

@@ -4,8 +4,8 @@ Graphs are drawn with few entities, few distinct times and few values, so
 pairs at the same time, with the same key, and with both, are all common
 and every term of the site count's inclusion-exclusion is exercised. The
 same graphs check that a counterfactual listing, which tests each slot's
-pool without building its candidates and shares each video's pools with
-the records it applies, agrees with pools built slot by slot.
+pool without building its candidates, lists exactly the slots with a usable
+candidate, each carrying the pool a naive scan of the graph gives.
 """
 
 import random
@@ -21,12 +21,12 @@ from eventprobe.manipulate import (
     SLOT_SUBJECT_ATTRIBUTE,
     AttributeObservation,
     CandidatePool,
+    CounterfactualSite,
     ManipulationRecord,
-    SlotRef,
-    _TemporalPairs,
+    TemporalAttributeSite,
+    TemporalPredicateSite,
     apply_corpus,
     apply_site,
-    build_pool,
     derive_seed,
     enumerate_candidates,
     temporal_attribute_swap,
@@ -99,8 +99,10 @@ def _swap_applies(swap, a, b) -> bool:
     return True
 
 
-def operator_sites(graph, category) -> list[tuple]:
-    """sort_keys of every pair the category's swap operator accepts."""
+def operator_sites(graph, category) -> list:
+    """Every pair the category's swap operator accepts, as sites, ordered by
+    their items' (tuple_id, attribute index)."""
+    vid = graph.video_id
     if category.target == "predicate":
         items = sorted(
             (t.tuple_id, t)
@@ -108,7 +110,7 @@ def operator_sites(graph, category) -> list[tuple]:
             if t.predicate is not None and t.predicate.pred_type == category.fine_type
         )
         return [
-            (ida, idb)
+            TemporalPredicateSite(vid, ida, idb)
             for (ida, a), (idb, b) in combinations(items, 2)
             if _swap_applies(temporal_predicate_swap, a, b)
         ]
@@ -119,18 +121,40 @@ def operator_sites(graph, category) -> list[tuple]:
         if attr.attr_type == category.fine_type
     )
     return [
-        (*ka, *kb)
+        TemporalAttributeSite(vid, *ka, *kb)
         for (ka, a), (kb, b) in combinations(items, 2)
         if _swap_applies(temporal_attribute_swap, a, b)
     ]
 
 
-def usable_slots(graph, profile, category) -> list[tuple]:
-    """sort_keys of every counterfactual slot whose pool, built for that slot
-    alone, leaves a candidate besides the incumbent."""
+def truthful(graph, entity_id, fine_type, predicate) -> frozenset:
+    """Every fine_type value the graph attributes to the entity: a predicate
+    as its subject, an attribute in either role."""
+    values = set()
+    for tup in graph.tuples:
+        if predicate:
+            if (
+                tup.subject.entity_id == entity_id
+                and tup.predicate is not None
+                and tup.predicate.pred_type == fine_type
+            ):
+                values.add(tup.predicate.value)
+            continue
+        if tup.subject.entity_id == entity_id:
+            values.update(a.value for a in tup.subject_attrs if a.attr_type == fine_type)
+        if tup.object is not None and tup.object.entity_id == entity_id:
+            values.update(a.value for a in tup.object_attrs if a.attr_type == fine_type)
+    return frozenset(values)
+
+
+def usable_slots(graph, profile, category) -> list:
+    """Every counterfactual slot whose pool, from a naive scan of the graph,
+    leaves a candidate besides the incumbent, as a site carrying that pool,
+    ordered by (tuple_id, attribute index)."""
+    predicate = category.target == "predicate"
     found = []
     for t in graph.tuples:
-        if category.target == "predicate":
+        if predicate:
             slots = [(SLOT_PREDICATE, None, t.predicate.value)] if (
                 t.predicate is not None and t.predicate.pred_type == category.fine_type
             ) else []
@@ -141,22 +165,26 @@ def usable_slots(graph, profile, category) -> list[tuple]:
                 if a.attr_type == category.fine_type
             ]
         for kind, idx, incumbent in slots:
-            pool = build_pool(graph, profile, SlotRef(t.tuple_id, kind, idx), category.fine_type)
-            if pool.usable(incumbent):
-                found.append((t.tuple_id, kind, -1 if idx is None else idx))
-    return sorted(found)
+            exclusions = truthful(graph, t.subject.entity_id, category.fine_type, predicate)
+            candidates = [
+                v for v in profile.vocab[category.fine_type]
+                if v not in exclusions and v != incumbent
+            ]
+            if candidates:
+                pool = CandidatePool(category.fine_type, profile.vocab[category.fine_type], exclusions)
+                found.append(CounterfactualSite(graph.video_id, t.tuple_id, kind, idx, pool))
+    return sorted(found, key=lambda s: (s.tuple_id, -1 if s.attr_index is None else s.attr_index))
 
 
 def listed_records(graphs, category, quota, seed, profile=PROFILE):
-    """apply_corpus as enumerate-everything, then sample ordinals, with every
-    counterfactual pool built for its site alone."""
+    """apply_corpus as walk-every-site, then sample ordinals."""
     category_seed = derive_seed(seed, category.method, category.target, category.fine_type)
     listed = [
         (graph, site)
         for graph in sorted(graphs, key=lambda g: g.video_id)
         for site in enumerate_candidates(graph, profile, category)
     ]
-    if quota >= len(listed):
+    if quota is None or quota >= len(listed):
         chosen = range(len(listed))
     else:
         picker = random.Random(category_seed)
@@ -166,7 +194,7 @@ def listed_records(graphs, category, quota, seed, profile=PROFILE):
         graph, site = listed[ordinal]
         record_seed = derive_seed(category_seed, ordinal)
         original, manipulated, pool_size = apply_site(
-            graph, profile, category, site, random.Random(record_seed), pools=None
+            graph, profile, category, site, random.Random(record_seed)
         )
         records.append(
             ManipulationRecord(
@@ -186,11 +214,13 @@ def listed_records(graphs, category, quota, seed, profile=PROFILE):
 @given(graphs())
 def test_count_equals_listed_sites(graph):
     for category in PAIRWISE:
-        listed = enumerate_candidates(graph, PROFILE, category)
-        assert [site.sort_key for site in listed] == operator_sites(graph, category)
-        table = _TemporalPairs(graph, category)
-        assert table.total == len(listed)
-        assert [table.nth(ordinal) for ordinal in range(table.total)] == listed
+        expected = operator_sites(graph, category)
+        table = enumerate_candidates(graph, PROFILE, category)
+        assert len(table) == len(expected)
+        assert list(table) == expected
+        assert [table[ordinal] for ordinal in range(len(table))] == expected
+        with pytest.raises(IndexError):
+            table[len(table)]
 
 
 @given(graphs())
@@ -198,19 +228,18 @@ def test_counterfactual_listing_matches_pools(graph):
     for profile in (PROFILE, NARROW):
         for category in COUNTERFACTUAL:
             listed = enumerate_candidates(graph, profile, category)
-            assert [site.sort_key for site in listed] == usable_slots(graph, profile, category)
+            assert listed == usable_slots(graph, profile, category)
 
 
 @given(corpora, st.integers(0, 2**32))
 def test_quota_runs_match_listing(corpus, seed):
     for profile in (PROFILE, NARROW):
         for category in profile.category_set:
-            if category.method == "temporal":
-                total = sum(_TemporalPairs(graph, category).total for graph in corpus)
-            else:
-                total = sum(len(enumerate_candidates(g, profile, category)) for g in corpus)
-            for quota in sorted({q for q in (0, 1, total - 1, total) if q >= 0}):
-                got = apply_corpus(corpus, profile, {category.key: quota}, seed, [category])
+            total = sum(len(enumerate_candidates(g, profile, category)) for g in corpus)
+            quotas = sorted({q for q in (0, 1, total - 1, total) if q >= 0})
+            for quota in (None, *quotas):
+                caps = {} if quota is None else {category.key: quota}
+                got = apply_corpus(corpus, profile, caps, seed, [category])
                 assert got == listed_records(corpus, category, quota, seed, profile)
 
 

@@ -178,6 +178,19 @@ VALUE_FAULTS = {
         "output-dir-null": edit_json(output_dir=None),
         "profile-path-null": edit_json(profile_path=None),
         "input-glob-number": edit_json(input_glob=5),
+        "decorator-enabled-string": edit_json(decorator={
+            "enabled": "false", "endpoint": "http://localhost:9", "api_key_env": "PROBE_KEY"}),
+        "decorator-endpoint-number": edit_json(decorator={"endpoint": 5}),
+        "decorator-model-name-list": edit_json(decorator={"model_name": ["m"]}),
+        "decorator-api-key-env-true": edit_json(decorator={"api_key_env": True}),
+        "decorator-temperature-string": edit_json(decorator={"temperature": "0.2"}),
+        "decorator-timeout-string": edit_json(decorator={"timeout_s": "10"}),
+        "decorator-timeout-overflow": spell(edit_json(decorator={"timeout_s": 10.5}), 10.5, "1e999"),
+        "decorator-max-candidates-word": edit_json(decorator={"max_candidates": "ten"}),
+        "decorator-max-candidates-zero": edit_json(decorator={"max_candidates": 0}),
+        "decorator-max-candidates-fraction": edit_json(decorator={"max_candidates": 2.5}),
+        "categories-object": edit_json(categories={ACTION: 1}),
+        "categories-number": edit_json(categories=[ACTION, 5]),
     },
     "profile": {"name-nan": edit_json(name=math.nan)},
     "templates": {"connectives-infinity": edit_json(connectives=math.inf)},
@@ -197,6 +210,15 @@ VALUE_FAULTS = {
     "benchmark.jsonl": {"pair-id-infinity": edit_first_line(pair_id=math.inf)},
     "loss-selftest": {"tau-nan": lambda path: b'{"tau": NaN, "V": [[0.1]], "T": [[0.1]]}'},
     "eval-benchmark": {"pair-id-nan": edit_first_line(pair_id=math.nan)},
+    "gap-report": {
+        "long-value-nan": lambda path: path.read_bytes().replace(b"0.5", b"nan", 1),
+        "long-value-above-one": lambda path: path.read_bytes().replace(b"0.25", b"1.25", 1),
+        "wide-p-nan": b"category,direction,k,p,p_control\nc,T2V,1,nan,0.4\n",
+        "wide-p-control-infinity": b"category,direction,k,p,p_control\nc,T2V,1,0.5,inf\n",
+        "wide-p-seven": b"category,direction,k,p,p_control\nc,T2V,1,7,0.4\n",
+        "wide-p-control-negative": b"category,direction,k,p,p_control\nc,T2V,1,0.5,-3\n",
+        "wide-delta-p-infinity": b"category,direction,k,p,p_control,delta_p\nc,T2V,1,0.5,0.4,-inf\n",
+    },
 }
 
 CASES = [

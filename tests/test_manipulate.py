@@ -20,9 +20,7 @@ from eventprobe.manipulate import (
     SLOT_SUBJECT_ATTRIBUTE,
     AttributeObservation,
     CandidatePool,
-    SlotRef,
     apply_corpus,
-    build_pool,
     counterfactual_substitute,
     enumerate_candidates,
     neighborhood_attribute_swap,
@@ -303,14 +301,21 @@ def bike_graph():
     )
 
 
+def site_pool(graph, profile, category_key, tuple_id):
+    """The candidate pool of the category's listed site at tuple_id."""
+    sites = enumerate_candidates(graph, profile, ManipulationCategory.from_key(category_key))
+    (pool,) = [site.pool for site in sites if site.tuple_id == tuple_id]
+    return pool
+
+
 class TestBuildPool:
+    """The candidate pool each listed counterfactual site carries."""
+
     def test_exclusions_cover_all_truthful_values(self):
         # Hand enumeration: bike is yellow and black over time, so from the
         # vocabulary {yellow, black, red, blue} only {red, blue} is usable.
         graph = bike_graph()
-        pool = build_pool(
-            graph, two_color_profile(), SlotRef("t1", SLOT_SUBJECT_ATTRIBUTE, 0), "Color"
-        )
+        pool = site_pool(graph, two_color_profile(), "counterfactual.attribute.Color", "t1")
         assert pool.exclusions == frozenset({"yellow", "black"})
         assert pool.usable("yellow") == ("red", "blue")
 
@@ -319,14 +324,12 @@ class TestBuildPool:
         graph = SceneGraph(
             "v", 10.0, (dog,), (make_tuple("t1", dog, predicate=pred("runs")),)
         )
-        pool = build_pool(graph, two_color_profile(), SlotRef("t1", SLOT_PREDICATE), "Action")
+        pool = site_pool(graph, two_color_profile(), "counterfactual.predicate.Action", "t1")
         assert pool.exclusions == frozenset({"runs"})
         graph2 = SceneGraph(
             "v", 10.0, (dog,), (make_tuple("t1", dog, attrs=(attr("yellow"),)),)
         )
-        pool2 = build_pool(
-            graph2, two_color_profile(), SlotRef("t1", SLOT_SUBJECT_ATTRIBUTE, 0), "Color"
-        )
+        pool2 = site_pool(graph2, two_color_profile(), "counterfactual.attribute.Color", "t1")
         assert pool2.exclusions == frozenset({"yellow"})
 
     def test_object_attrs_count_as_truthful(self):
@@ -343,17 +346,14 @@ class TestBuildPool:
                 make_tuple("t2", bed, attrs=(attr("red"),), time=span(2, 3)),
             ),
         )
-        pool = build_pool(
-            graph, two_color_profile(), SlotRef("t2", SLOT_SUBJECT_ATTRIBUTE, 0), "Color"
-        )
+        pool = site_pool(graph, two_color_profile(), "counterfactual.attribute.Color", "t2")
         # bed is blue (as object) and red (as subject); both are excluded.
         assert pool.exclusions == frozenset({"blue", "red"})
 
     def test_unknown_type(self):
+        category = ManipulationCategory("counterfactual", "attribute", "Sound")
         with pytest.raises(UnknownType):
-            build_pool(
-                bike_graph(), two_color_profile(), SlotRef("t1", SLOT_SUBJECT_ATTRIBUTE, 0), "Sound"
-            )
+            enumerate_candidates(bike_graph(), two_color_profile(), category)
 
     def test_exhausted_vocab_leads_to_empty_pool(self):
         profile = parse_profile(
@@ -366,7 +366,10 @@ class TestBuildPool:
             }
         )
         graph = bike_graph()
-        pool = build_pool(graph, profile, SlotRef("t1", SLOT_SUBJECT_ATTRIBUTE, 0), "Color")
+        category = ManipulationCategory.from_key("counterfactual.attribute.Color")
+        assert enumerate_candidates(graph, profile, category) == []
+        # The pool the bike's slots would carry: every value is truthful.
+        pool = CandidatePool("Color", profile.vocab["Color"], frozenset({"yellow", "black"}))
         assert pool.usable("yellow") == ()
         with pytest.raises(EmptyPool):
             counterfactual_substitute(
@@ -387,7 +390,7 @@ class TestEnumerate:
             "v", 10.0, (dog,), (make_tuple("t1", dog, predicate=pred("slices")),)
         )
         category = ManipulationCategory("temporal", "predicate", "Action")
-        assert enumerate_candidates(graph, profile, category) == []
+        assert len(enumerate_candidates(graph, profile, category)) == 0
 
     def test_tuple_without_object_no_neighborhood_sites(self, profile):
         dog = entity("e1", "dog")
@@ -406,8 +409,8 @@ class TestEnumerate:
                 tuples=tuple(reversed(graph.tuples)),
             )
             for category in profile.category_set:
-                assert enumerate_candidates(graph, profile, category) == \
-                    enumerate_candidates(permuted, profile, category)
+                assert list(enumerate_candidates(graph, profile, category)) == \
+                    list(enumerate_candidates(permuted, profile, category))
 
 
 class TestApply:
