@@ -381,8 +381,10 @@ def gap_rows_from_csv(text: str) -> list[GapReport]:
     control row of its category, direction and k. In both layouts, as in
     evaluate_pools, a zero positive recall yields no gap row, unless a wide
     row gives its own delta_p. Every p, p_control and value must be a
-    number in [0, 1], and a given delta_p a finite number; a row that is
-    not raises MalformedDocument naming its line.
+    number in [0, 1], a given delta_p a finite number, a direction one of
+    DIRECTIONS and k an integer >= 1, and no row may repeat another's
+    category, direction, k (and pool); a row that breaks this raises
+    MalformedDocument naming its line.
     """
     reader = csv.DictReader(io.StringIO(text))
     columns = set(reader.fieldnames or ())
@@ -392,12 +394,19 @@ def gap_rows_from_csv(text: str) -> list[GapReport]:
             "recall CSV needs columns category,direction,k,pool,value "
             "or category,direction,k,p,p_control"
         )
-    recalls, rows = [], []
+    recalls, rows, seen = [], [], set()
     try:
         for raw in reader:
+            direction, k = raw["direction"], int(raw["k"])
+            if direction not in DIRECTIONS or k < 1:
+                raise ValueError(f"need a direction in {DIRECTIONS} and k >= 1, got {direction!r} and {k}")
+            key = (raw["category"], direction, k, raw["pool"] if long else None)
+            if key in seen:
+                raise ValueError(f"duplicate row for {raw['category']} {direction} k={k}")
+            seen.add(key)
             if long:
                 value = _recall(raw, "value")
-                recalls.append(RecallReport(raw["direction"], int(raw["k"]), value, raw["pool"], raw["category"]))
+                recalls.append(RecallReport(direction, k, value, raw["pool"], raw["category"]))
                 continue
             p, p_control = _recall(raw, "p"), _recall(raw, "p_control")
             if raw.get("delta_p"):
@@ -408,7 +417,7 @@ def gap_rows_from_csv(text: str) -> list[GapReport]:
                 continue
             else:
                 delta = relative_gap(p, p_control)
-            rows.append(GapReport(raw["category"], raw["direction"], int(raw["k"]), p, p_control, delta))
+            rows.append(GapReport(raw["category"], direction, k, p, p_control, delta))
     except (TypeError, ValueError) as exc:
         raise MalformedDocument(f"recall CSV line {reader.line_num}: {exc}") from None
     return _gaps_from_recalls(recalls) if long else rows

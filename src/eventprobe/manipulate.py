@@ -15,8 +15,9 @@ import random
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
-from typing import Any, Hashable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
 
 from .documents import parse_jsonl, require, to_jsonl
 from .errors import (
@@ -269,47 +270,27 @@ def counterfactual_substitute(
     return _derived(e, subject_attrs=tuple(attrs))
 
 
-def _truthful_values(
-    graph: SceneGraph, fine_type: str, predicate: bool
-) -> Iterator[tuple[str, str]]:
-    """(entity id, value) for every fine_type value the graph attributes.
-
-    A predicate counts for its subject; an attribute counts for its entity in
-    either role.
-    """
-    for tup in graph.tuples:
-        if predicate:
-            if tup.predicate is not None and tup.predicate.pred_type == fine_type:
-                yield tup.subject.entity_id, tup.predicate.value
-            continue
-        for attr in tup.subject_attrs:
-            if attr.attr_type == fine_type:
-                yield tup.subject.entity_id, attr.value
-        for attr in tup.object_attrs:
-            if attr.attr_type == fine_type:
-                yield tup.object.entity_id, attr.value
-
-
-def _entity_pools(
-    graph: SceneGraph, profile: DatasetProfile, fine_type: str, predicate: bool
+def _usable_pools(
+    graph: SceneGraph, profile: DatasetProfile, predicate: bool, fine_type: str
 ) -> dict[str, CandidatePool]:
     """The candidate pool of every entity the graph attributes a fine_type
-    value to, keyed by entity id, from one scan of the graph.
+    value to, keyed by entity id, if it leaves a usable candidate.
 
     Values are the profile vocabulary of the fine type; exclusions are every
     value the graph truthfully attributes to the entity, so sampled
-    substitutes are false by construction within the video.
+    substitutes are false by construction within the video. A slot's
+    incumbent is one of its subject's values, hence an exclusion, so a
+    slot's pool is usable exactly when its entity's is.
     """
     if fine_type not in profile.vocab:
         raise UnknownType(f"fine type {fine_type!r} not in profile {profile.name!r}")
-    truthful: dict[str, set[str]] = {}
-    for holder, value in _truthful_values(graph, fine_type, predicate):
-        truthful.setdefault(holder, set()).add(value)
     vocab = profile.vocab[fine_type]
-    return {
-        holder: CandidatePool(fine_type, vocab, frozenset(values))
-        for holder, values in truthful.items()
-    }
+    pools = {}
+    for holder, values in graph.groups.truthful.get((predicate, fine_type), {}).items():
+        pool = CandidatePool(fine_type, vocab, frozenset(values))
+        if pool.has_usable():
+            pools[holder] = pool
+    return pools
 
 
 # --- site enumeration ----------------------------------------------------------
@@ -365,31 +346,6 @@ class CounterfactualSite:
 Site = TemporalPredicateSite | TemporalAttributeSite | NeighborhoodSite | CounterfactualSite
 
 
-def _by_tuple_id(graph: SceneGraph) -> list[EventTuple]:
-    """The graph's tuples in the order every site list follows. Tuple ids
-    are unique within a graph, so this order does not depend on the
-    document's, and sites listed in it never need sorting."""
-    return sorted(graph.tuples, key=lambda t: t.tuple_id)
-
-
-def _predicate_tuples(graph: SceneGraph, fine_type: str) -> list[EventTuple]:
-    """The tuples whose predicate has the type, by tuple_id."""
-    return [
-        t for t in _by_tuple_id(graph) if t.predicate is not None and t.predicate.pred_type == fine_type
-    ]
-
-
-def _subject_observations(graph: SceneGraph, fine_type: str) -> list[tuple[EventTuple, int]]:
-    """(tuple, attr index) for each subject attribute of the type, by
-    tuple_id, then by index."""
-    return [
-        (tup, idx)
-        for tup in _by_tuple_id(graph)
-        for idx, attr in enumerate(tup.subject_attrs)
-        if attr.attr_type == fine_type
-    ]
-
-
 def _interned(values: Iterable[Hashable]) -> list[int]:
     """Equal values get equal small ints, so pair checks compare ints."""
     ids: dict[Hashable, int] = {}
@@ -419,15 +375,13 @@ class _TemporalPairs(Sequence):
     def __init__(self, graph: SceneGraph, category: ManipulationCategory) -> None:
         self.video_id = graph.video_id
         self.attribute = category.target == "attribute"
+        self.tuples, self.indices = tuples, indices = graph.groups.slots.get(
+            (not self.attribute, category.fine_type), ([], [])
+        )
         if self.attribute:
-            obs = _subject_observations(graph, category.fine_type)
-            self.items = [(tup.tuple_id, idx) for tup, idx in obs]
-            tuples = [tup for tup, _ in obs]
             groups = _interned(tup.subject.entity_id for tup in tuples)
-            keys = _interned(tup.subject_attrs[idx].value for tup, idx in obs)
+            keys = _interned(tup.subject_attrs[idx].value for tup, idx in zip(tuples, indices))
         else:
-            tuples = _predicate_tuples(graph, category.fine_type)
-            self.items = [(t.tuple_id, None) for t in tuples]
             groups = [0] * len(tuples)
             keys = _interned(map(_event_key, tuples))
         times = _interned((t.time.start_s, t.time.end_s) for t in tuples)
@@ -467,9 +421,9 @@ class _TemporalPairs(Sequence):
         ]
 
     def site(self, i: int, j: int) -> Site:
-        (tid_a, idx_a), (tid_b, idx_b) = self.items[i], self.items[j]
+        tid_a, tid_b = self.tuples[i].tuple_id, self.tuples[j].tuple_id
         if self.attribute:
-            return TemporalAttributeSite(self.video_id, tid_a, idx_a, tid_b, idx_b)
+            return TemporalAttributeSite(self.video_id, tid_a, self.indices[i], tid_b, self.indices[j])
         return TemporalPredicateSite(self.video_id, tid_a, tid_b)
 
     def __len__(self) -> int:
@@ -483,9 +437,27 @@ class _TemporalPairs(Sequence):
         return self.site(i, self.partners(i)[ordinal - self.starts[i]])
 
     def __iter__(self) -> Iterator[Site]:
-        for i in range(len(self.items)):
+        for i in range(len(self.tuples)):
             for j in self.partners(i):
                 yield self.site(i, j)
+
+
+class _Listing(Sequence):
+    """One video's sites for one category, counted before built: one key
+    of plain data per site, and make builds a key's site only when it is
+    indexed or iterated."""
+
+    def __init__(self, make: Callable[[Any], Site], keys: Sequence) -> None:
+        self.make, self.keys = make, keys
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, ordinal: int) -> Site:
+        return self.make(self.keys[ordinal])
+
+    def __iter__(self) -> Iterator[Site]:
+        return map(self.make, self.keys)
 
 
 def enumerate_candidates(
@@ -499,36 +471,31 @@ def enumerate_candidates(
     temporal pair by its first item, then its second), so their order
     depends only on tuple contents, never on their order in the document.
     apply_corpus numbers a category's sites in this order, video by video.
-    A temporal category returns its _TemporalPairs, which counts its sites
-    and builds one only when it is indexed or iterated; the others return a
-    list. A counterfactual site carries its subject's candidate pool.
+    Every listing counts its sites first and builds one only when it is
+    indexed or iterated: a temporal category returns its _TemporalPairs,
+    the others a _Listing of tuple ids (neighborhood) or of slot positions
+    (counterfactual). A counterfactual site carries its subject's candidate
+    pool.
     """
     vid = graph.video_id
     if category.method == "temporal":
         return _TemporalPairs(graph, category)
     if category.method == "neighborhood":
-        return [
-            NeighborhoodSite(vid, tup.tuple_id)
-            for tup in _by_tuple_id(graph)
-            if tup.object is not None and _neighborhood_pairs(tup, category.fine_type)[0]
-        ]
-    if category.target == "predicate":
-        slots = [
-            (tup, SLOT_PREDICATE, None, tup.predicate.value)
-            for tup in _predicate_tuples(graph, category.fine_type)
-        ]
-    else:
-        slots = [
-            (tup, SLOT_SUBJECT_ATTRIBUTE, idx, tup.subject_attrs[idx].value)
-            for tup, idx in _subject_observations(graph, category.fine_type)
-        ]
-    pools = _entity_pools(graph, profile, category.fine_type, category.target == "predicate")
-    sites: list[Site] = []
-    for tup, slot, idx, incumbent in slots:
-        pool = pools[tup.subject.entity_id]
-        if pool.has_usable(incumbent):
-            sites.append(CounterfactualSite(vid, tup.tuple_id, slot, idx, pool))
-    return sites
+        return _Listing(partial(NeighborhoodSite, vid), [
+            tup.tuple_id
+            for tup in graph.groups.ordered
+            if tup.object_attrs and _neighborhood_pairs(tup, category.fine_type)[0]
+        ])
+    key = (category.target == "predicate", category.fine_type)
+    slot = SLOT_PREDICATE if key[0] else SLOT_SUBJECT_ATTRIBUTE
+    pools = _usable_pools(graph, profile, *key)
+    tuples, indices = graph.groups.slots.get(key, ((), ()))
+
+    def make(i: int) -> Site:
+        tup = tuples[i]
+        return CounterfactualSite(vid, tup.tuple_id, slot, indices[i], pools[tup.subject.entity_id])
+
+    return _Listing(make, [i for i, tup in enumerate(tuples) if tup.subject.entity_id in pools])
 
 
 # --- seeded application ----------------------------------------------------------
@@ -597,11 +564,11 @@ def apply_site(
 
     if isinstance(site, CounterfactualSite):
         tup = by_id[site.tuple_id]
-        incumbent, _ = _resolve_slot(tup, site.slot, category.fine_type, site.attr_index)
         manipulated = counterfactual_substitute(
             tup, site.slot, site.pool, rng, site.attr_index
         )
-        return (tup,), (manipulated,), len(site.pool.usable(incumbent))
+        # The incumbent is an exclusion of its own pool, so it drops out.
+        return (tup,), (manipulated,), len(site.pool.usable())
 
     raise NotApplicable(f"unsupported site {site!r}")
 
@@ -653,8 +620,8 @@ def apply_corpus(
 
     By default every profile category runs. Per category, sites are numbered
     over videos in video_id order, each video's sites in enumerate_candidates
-    order, and sampled without replacement up to the category's quota. A
-    temporal category counts its sites and builds only the sampled ones.
+    order, and sampled without replacement up to the category's quota. Each
+    category counts its sites and builds only the sampled ones.
     Sampling uses a per-category stream derived from the global seed, and
     every record carries its own derived seed, so results are stable under
     quota changes in other categories.

@@ -211,7 +211,15 @@ def _ingest(config: PipelineConfig, values: Mapping[str, Any], transport: Transp
     paths = sorted(glob.glob(config.input_glob))
     if not paths:
         raise EmptyInput(f"input glob {config.input_glob!r} matched no files")
-    graphs = sorted((load_scene_graph(p) for p in paths), key=lambda g: g.video_id)
+    sources: dict[str, str] = {}  # video_id -> the file that gave it
+    graphs = []
+    for path in paths:
+        graph = load_scene_graph(path)
+        if graph.video_id in sources:
+            raise MalformedDocument(f"{sources[graph.video_id]} and {path} both have video_id {graph.video_id!r}")
+        sources[graph.video_id] = path
+        graphs.append(graph)
+    graphs.sort(key=lambda g: g.video_id)
     problems = []
     for graph in graphs:
         for violation in validate(graph, profile):

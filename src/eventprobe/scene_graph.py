@@ -9,6 +9,7 @@ across threads.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Any, Callable, Iterable
@@ -90,6 +91,21 @@ class EventTuple:
 
 
 @dataclass(frozen=True)
+class TupleGroups:
+    """A graph's tuples grouped as site listing reads them, each group in
+    tuple_id order. Tuple ids are unique within a graph, so this order does
+    not depend on the document's."""
+
+    ordered: tuple[EventTuple, ...]
+    # Keyed by (is predicate, type): a type's slots as two aligned lists, the
+    # tuples and each slot's subject attribute index (None for a predicate),
+    # so a graph keeps no object per slot; and the values each entity holds,
+    # a predicate's for its subject, an attribute's in either role.
+    slots: dict[tuple[bool, str], tuple[list[EventTuple], list[int | None]]]
+    truthful: dict[tuple[bool, str], dict[str, set[str]]]  # entity id -> values
+
+
+@dataclass(frozen=True)
 class SceneGraph:
     """All entities and event tuples annotated for one video."""
 
@@ -132,6 +148,30 @@ class SceneGraph:
     def tuples_by_id(self) -> dict[str, EventTuple]:
         """Index of the graph's tuples, built on first use."""
         return {tup.tuple_id: tup for tup in self.tuples}
+
+    @cached_property
+    def groups(self) -> TupleGroups:
+        """The tuples grouped for every site listing, in one scan, on first use."""
+        ordered = tuple(sorted(self.tuples, key=lambda t: t.tuple_id))
+        slots: defaultdict = defaultdict(lambda: ([], []))
+        truthful: defaultdict = defaultdict(lambda: defaultdict(set))
+        for tup in ordered:
+            subject = tup.subject.entity_id
+            if tup.predicate is not None:
+                key = (True, tup.predicate.pred_type)
+                tuples, indices = slots[key]
+                tuples.append(tup)
+                indices.append(None)
+                truthful[key][subject].add(tup.predicate.value)
+            for idx, attr in enumerate(tup.subject_attrs):
+                key = (False, attr.attr_type)
+                tuples, indices = slots[key]
+                tuples.append(tup)
+                indices.append(idx)
+                truthful[key][subject].add(attr.value)
+            for attr in tup.object_attrs:
+                truthful[False, attr.attr_type][tup.object.entity_id].add(attr.value)
+        return TupleGroups(ordered, dict(slots), dict(truthful))
 
 
 @dataclass(frozen=True)
@@ -307,7 +347,18 @@ def graphs_to_jsonl(graphs: Iterable[SceneGraph]) -> str:
 
 
 def graphs_from_jsonl(text: str, name: str = "graphs.jsonl") -> list[SceneGraph]:
-    return parse_jsonl(text, parse_scene_graph, name)
+    """The graphs of graphs_to_jsonl's text; a repeated video_id raises
+    MalformedDocument naming its line, since records name their graph by it."""
+    seen: set[str] = set()
+
+    def parse(doc: Any) -> SceneGraph:
+        graph = parse_scene_graph(doc)
+        if graph.video_id in seen:
+            raise MalformedDocument(f"video_id {graph.video_id!r} repeats an earlier line's")
+        seen.add(graph.video_id)
+        return graph
+
+    return parse_jsonl(text, parse, name)
 
 
 def validate(graph: SceneGraph, profile: DatasetProfile) -> list[Violation]:

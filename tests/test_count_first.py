@@ -3,12 +3,15 @@
 Graphs are drawn with few entities, few distinct times and few values, so
 pairs at the same time, with the same key, and with both, are all common
 and every term of the site count's inclusion-exclusion is exercised. The
-same graphs check that a counterfactual listing, which tests each slot's
-pool without building its candidates, lists exactly the slots with a usable
-candidate, each carrying the pool a naive scan of the graph gives.
+same graphs check that a counterfactual listing, which decides usability
+once per entity without building candidates, lists exactly the slots with a
+usable candidate, each carrying the pool a naive scan of the graph gives,
+and that a neighborhood listing lists exactly the tuples its operator
+accepts. Every listing is checked through len, iteration and indexing.
 """
 
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
@@ -23,12 +26,14 @@ from eventprobe.manipulate import (
     CandidatePool,
     CounterfactualSite,
     ManipulationRecord,
+    NeighborhoodSite,
     TemporalAttributeSite,
     TemporalPredicateSite,
     apply_corpus,
     apply_site,
     derive_seed,
     enumerate_candidates,
+    neighborhood_attribute_swap,
     temporal_attribute_swap,
     temporal_predicate_swap,
 )
@@ -42,9 +47,12 @@ from eventprobe.scene_graph import (
     TimeInterval,
 )
 
+from .helpers import random_profile_corpus
+
 PROFILE = default_profile()
 PAIRWISE = tuple(c for c in PROFILE.category_set if c.method == "temporal")
 COUNTERFACTUAL = tuple(c for c in PROFILE.category_set if c.method == "counterfactual")
+NEIGHBORHOOD = tuple(c for c in PROFILE.category_set if c.method == "neighborhood")
 # Only the two values the graphs draw from: a video can then hold every value
 # of a type for one entity, which leaves that entity's pool empty.
 NARROW = replace(PROFILE, vocab={name: values[:2] for name, values in PROFILE.vocab.items()})
@@ -91,9 +99,9 @@ corpora = st.integers(1, 3).flatmap(
 )
 
 
-def _swap_applies(swap, a, b) -> bool:
+def _swap_applies(swap, *operands) -> bool:
     try:
-        swap(a, b)
+        swap(*operands)
     except ManipulationError:
         return False
     return True
@@ -127,6 +135,15 @@ def operator_sites(graph, category) -> list:
     ]
 
 
+def neighborhood_sites(graph, category) -> list:
+    """Every tuple the category's swap operator accepts, as sites, by tuple_id."""
+    return [
+        NeighborhoodSite(graph.video_id, t.tuple_id)
+        for t in sorted(graph.tuples, key=lambda t: t.tuple_id)
+        if _swap_applies(neighborhood_attribute_swap, t, category.fine_type)
+    ]
+
+
 def truthful(graph, entity_id, fine_type, predicate) -> frozenset:
     """Every fine_type value the graph attributes to the entity: a predicate
     as its subject, an attribute in either role."""
@@ -147,33 +164,37 @@ def truthful(graph, entity_id, fine_type, predicate) -> frozenset:
     return frozenset(values)
 
 
-def usable_slots(graph, profile, category) -> list:
-    """Every counterfactual slot whose pool, from a naive scan of the graph,
-    leaves a candidate besides the incumbent, as a site carrying that pool,
+def slots(graph, profile, category) -> list:
+    """(site, incumbent) for every counterfactual slot of the category, the
+    site carrying the pool a naive scan of the graph gives its subject,
     ordered by (tuple_id, attribute index)."""
     predicate = category.target == "predicate"
     found = []
     for t in graph.tuples:
         if predicate:
-            slots = [(SLOT_PREDICATE, None, t.predicate.value)] if (
+            here = [(SLOT_PREDICATE, None, t.predicate.value)] if (
                 t.predicate is not None and t.predicate.pred_type == category.fine_type
             ) else []
         else:
-            slots = [
+            here = [
                 (SLOT_SUBJECT_ATTRIBUTE, i, a.value)
                 for i, a in enumerate(t.subject_attrs)
                 if a.attr_type == category.fine_type
             ]
-        for kind, idx, incumbent in slots:
+        for kind, idx, incumbent in here:
             exclusions = truthful(graph, t.subject.entity_id, category.fine_type, predicate)
-            candidates = [
-                v for v in profile.vocab[category.fine_type]
-                if v not in exclusions and v != incumbent
-            ]
-            if candidates:
-                pool = CandidatePool(category.fine_type, profile.vocab[category.fine_type], exclusions)
-                found.append(CounterfactualSite(graph.video_id, t.tuple_id, kind, idx, pool))
-    return sorted(found, key=lambda s: (s.tuple_id, -1 if s.attr_index is None else s.attr_index))
+            pool = CandidatePool(category.fine_type, profile.vocab[category.fine_type], exclusions)
+            found.append((CounterfactualSite(graph.video_id, t.tuple_id, kind, idx, pool), incumbent))
+    return sorted(found, key=lambda f: (f[0].tuple_id, -1 if f[0].attr_index is None else f[0].attr_index))
+
+
+def usable_slots(graph, profile, category) -> list:
+    """The sites of slots whose pool leaves a candidate besides the incumbent."""
+    return [
+        site
+        for site, incumbent in slots(graph, profile, category)
+        if [v for v in site.pool.values if v not in site.pool.exclusions and v != incumbent]
+    ]
 
 
 def listed_records(graphs, category, quota, seed, profile=PROFILE):
@@ -211,16 +232,19 @@ def listed_records(graphs, category, quota, seed, profile=PROFILE):
     return records
 
 
+def assert_lists(listing, expected):
+    """The listing's length, iteration and indexing all give expected."""
+    assert len(listing) == len(expected)
+    assert list(listing) == expected
+    assert [listing[ordinal] for ordinal in range(len(listing))] == expected
+    with pytest.raises(IndexError):
+        listing[len(listing)]
+
+
 @given(graphs())
 def test_count_equals_listed_sites(graph):
     for category in PAIRWISE:
-        expected = operator_sites(graph, category)
-        table = enumerate_candidates(graph, PROFILE, category)
-        assert len(table) == len(expected)
-        assert list(table) == expected
-        assert [table[ordinal] for ordinal in range(len(table))] == expected
-        with pytest.raises(IndexError):
-            table[len(table)]
+        assert_lists(enumerate_candidates(graph, PROFILE, category), operator_sites(graph, category))
 
 
 @given(graphs())
@@ -228,7 +252,58 @@ def test_counterfactual_listing_matches_pools(graph):
     for profile in (PROFILE, NARROW):
         for category in COUNTERFACTUAL:
             listed = enumerate_candidates(graph, profile, category)
-            assert listed == usable_slots(graph, profile, category)
+            assert_lists(listed, usable_slots(graph, profile, category))
+
+
+@given(graphs())
+def test_neighborhood_listing_matches_operator(graph):
+    for category in NEIGHBORHOOD:
+        assert_lists(enumerate_candidates(graph, PROFILE, category), neighborhood_sites(graph, category))
+
+
+@given(st.integers(0, 2**32), st.integers(1, 3))
+def test_incumbent_is_an_exclusion_of_its_pool(seed, n_videos):
+    """What per-entity usability rests on: a slot's incumbent is a value its
+    video gives the slot's entity, so the incumbent never decides whether
+    the pool is usable."""
+    for profile in (PROFILE, NARROW):
+        for graph in random_profile_corpus(random.Random(seed), profile, n_videos):
+            for category in COUNTERFACTUAL:
+                for site, incumbent in slots(graph, profile, category):
+                    assert incumbent in site.pool.exclusions
+                    assert site.pool.has_usable(incumbent) == site.pool.has_usable()
+                for site in enumerate_candidates(graph, profile, category):
+                    incumbent = (
+                        graph.tuples_by_id[site.tuple_id].predicate.value
+                        if site.attr_index is None
+                        else graph.tuples_by_id[site.tuple_id].subject_attrs[site.attr_index].value
+                    )
+                    assert incumbent in site.pool.exclusions
+
+
+def test_quota_builds_only_drawn_sites(monkeypatch):
+    """At quota 1 per category, apply_corpus builds one counterfactual or
+    neighborhood site per record of that method, not one per listed site."""
+    corpus = random_profile_corpus(random.Random(3), PROFILE, 12)
+    quotas = {category.key: 1 for category in PROFILE.category_set}
+    listed = Counter()
+    for graph in corpus:
+        for category in PROFILE.category_set:
+            listed[category.method] += len(enumerate_candidates(graph, PROFILE, category))
+    built = Counter()
+
+    def counting(method, init):
+        def __init__(self, *args, **kwargs):
+            built[method] += 1
+            init(self, *args, **kwargs)
+        return __init__
+
+    for method, site in (("counterfactual", CounterfactualSite), ("neighborhood", NeighborhoodSite)):
+        monkeypatch.setattr(site, "__init__", counting(method, site.__init__))
+    drawn = Counter(record.category.method for record in apply_corpus(corpus, PROFILE, quotas, 7))
+    for method in ("counterfactual", "neighborhood"):
+        assert listed[method] > drawn[method] > 0
+        assert built[method] == drawn[method]
 
 
 @given(corpora, st.integers(0, 2**32))

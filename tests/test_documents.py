@@ -163,7 +163,7 @@ ACTION = "temporal.predicate.Action"
 # Well-formed documents with a value out of contract: a config value of the
 # right JSON type but the wrong kind, NaN or Infinity anywhere (Python's json
 # reads them, RFC 8259 has no such numbers), a number too large for a float,
-# or an empty id.
+# an empty or repeated id, or a recall row `eval` never writes.
 VALUE_FAULTS = {
     "config": {
         "seed-fraction": edit_json(global_seed=1.5),
@@ -200,11 +200,13 @@ VALUE_FAULTS = {
         "end-infinity": edit_corpus(tuples=first_tuple(time={"start_s": 2.0, "end_s": math.inf})),
         "video-id-empty": edit_corpus(video_id=""),
         "tuple-id-empty": edit_corpus(tuples=first_tuple(tuple_id="")),
+        "video-id-repeated": edit_corpus(video_id="kitchen"),
     },
     "graphs.jsonl": {
         "duration-nan": edit_first_line(duration_s=math.nan),
         "start-minus-infinity": edit_first_line(tuples=first_tuple(time={"start_s": -math.inf, "end_s": 1.0})),
         "tuple-id-empty": edit_first_line(tuples=first_tuple(tuple_id="")),
+        "video-id-repeated": edit_first_line(video_id="kitchen"),
     },
     "records.jsonl": {"seed-nan": edit_first_line(seed=math.nan)},
     "benchmark.jsonl": {"pair-id-infinity": edit_first_line(pair_id=math.inf)},
@@ -218,6 +220,13 @@ VALUE_FAULTS = {
         "wide-p-seven": b"category,direction,k,p,p_control\nc,T2V,1,7,0.4\n",
         "wide-p-control-negative": b"category,direction,k,p,p_control\nc,T2V,1,0.5,-3\n",
         "wide-delta-p-infinity": b"category,direction,k,p,p_control,delta_p\nc,T2V,1,0.5,0.4,-inf\n",
+        "long-direction-unknown": lambda path: path.read_bytes().replace(b"T2V", b"T2X"),
+        "long-k-zero": lambda path: path.read_bytes().replace(b",1,", b",0,"),
+        "long-row-repeated": lambda path: path.read_bytes() + b"c,T2V,1,control,0.75\n",
+        "wide-direction-unknown": b"category,direction,k,p,p_control\nc,T2X,1,0.5,0.4\n",
+        "wide-k-zero": b"category,direction,k,p,p_control\nc,T2V,0,0.5,0.4\n",
+        "wide-k-negative": b"category,direction,k,p,p_control\nc,V2T,-5,0.5,0.4\n",
+        "wide-row-repeated": b"category,direction,k,p,p_control\nc,T2V,1,0.5,0.4\nc,T2V,1,0.9,0.1\n",
     },
 }
 
@@ -263,6 +272,19 @@ def test_input_fault_exit_code(tmp_path, fixtures_dir, capsys, name, fault, cont
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and named in err, err
     assert (outputs(ws.out) if ws.out.exists() else {}) == before
     assert not (tmp_path / "reports").exists()
+
+
+def test_repeated_video_id_names_both_files_and_the_line(tmp_path, fixtures_dir, capsys):
+    ws = Workspace(tmp_path, fixtures_dir)
+    kitchen, again = ws.corpus / "kitchen.json", ws.corpus / "again.json"
+    shutil.copy(kitchen, again)
+    assert main(["ingest", "--config", str(ws.config)]) == 4
+    err = capsys.readouterr().err
+    assert str(again) in err and str(kitchen) in err, err
+    assert not ws.out.exists() or not (ws.out / "graphs.jsonl").exists()
+    graph = SceneGraph("v", 1.0, (), ())
+    with pytest.raises(errors.MalformedDocument, match="graphs.jsonl line 2: video_id 'v'"):
+        graphs_from_jsonl(graphs_to_jsonl([graph, graph]))
 
 
 def test_jsonl_lines_break_only_at_newline():

@@ -367,7 +367,7 @@ class TestBuildPool:
         )
         graph = bike_graph()
         category = ManipulationCategory.from_key("counterfactual.attribute.Color")
-        assert enumerate_candidates(graph, profile, category) == []
+        assert list(enumerate_candidates(graph, profile, category)) == []
         # The pool the bike's slots would carry: every value is truthful.
         pool = CandidatePool("Color", profile.vocab["Color"], frozenset({"yellow", "black"}))
         assert pool.usable("yellow") == ()
@@ -398,7 +398,7 @@ class TestEnumerate:
             "v", 10.0, (dog,), (make_tuple("t1", dog, attrs=(attr("white"),)),)
         )
         category = ManipulationCategory("neighborhood", "attribute", "Color")
-        assert enumerate_candidates(graph, profile, category) == []
+        assert list(enumerate_candidates(graph, profile, category)) == []
 
     def test_frame_invariance(self, corpus, profile):
         for graph in corpus:
