@@ -39,18 +39,14 @@ ALLOWED_SLOTS = frozenset(
 
 @dataclass(frozen=True)
 class Caption:
-    """One rendered caption with its provenance."""
+    """One rendered caption and what rendered it."""
 
     text: str
-    polarity: str
-    record_id: str
-    renderer: str = "template"
+    renderer: str
 
     def __post_init__(self) -> None:
         if not self.text:
             raise MalformedDocument("caption text must be nonempty")
-        if self.polarity not in (POSITIVE, NEGATIVE):
-            raise MalformedDocument(f"bad polarity {self.polarity!r}")
         if self.renderer not in ("template", "llm"):
             raise MalformedDocument(f"bad renderer {self.renderer!r}")
 
@@ -66,8 +62,6 @@ class CaptionPair:
     negative: Caption
 
     def __post_init__(self) -> None:
-        if self.positive.polarity != POSITIVE or self.negative.polarity != NEGATIVE:
-            raise MalformedDocument(f"pair {self.pair_id!r}: polarity mismatch")
         if self.positive.text == self.negative.text:
             raise MalformedDocument(f"pair {self.pair_id!r}: captions are identical")
 
@@ -77,7 +71,6 @@ class TemplateSpec:
     """One pattern for one (category, polarity) combination."""
 
     template_id: str
-    polarity: str
     pattern: str
 
     def __post_init__(self) -> None:
@@ -92,7 +85,6 @@ class TemplateSpec:
 class TemplateTable:
     """All templates of one table plus the temporal connective lexicon."""
 
-    table_id: str
     connectives: Mapping[str, str]
     specs: Mapping[tuple[str, str], TemplateSpec]
 
@@ -125,10 +117,9 @@ def parse_templates(document: Any) -> TemplateTable:
                 )
             specs[(category_key, polarity)] = TemplateSpec(
                 template_id=f"{table_id}.{category_key}.{polarity}",
-                polarity=polarity,
                 pattern=require(patterns, polarity, str),
             )
-    return TemplateTable(table_id=table_id, connectives=connectives, specs=specs)
+    return TemplateTable(connectives=connectives, specs=specs)
 
 
 def load_templates(path: str | Path) -> TemplateTable:
@@ -194,12 +185,7 @@ def _render_one(
             f"record {record.record_id!r} cannot fill slot {exc.args[0]!r} "
             f"of template {spec.template_id!r}"
         ) from None
-    return Caption(
-        text=text,
-        polarity=spec.polarity,
-        record_id=record.record_id,
-        renderer="template",
-    )
+    return Caption(text, "template")
 
 
 def render_pair(record: ManipulationRecord, templates: TemplateTable) -> CaptionPair:
@@ -294,8 +280,8 @@ def pair_from_doc(doc: Any) -> CaptionPair:
         pair_id=pair_id,
         video_id=video_id,
         category=ManipulationCategory.from_key(category),
-        positive=Caption(texts[0], POSITIVE, pair_id, renderers[0]),
-        negative=Caption(texts[1], NEGATIVE, pair_id, renderers[1]),
+        positive=Caption(texts[0], renderers[0]),
+        negative=Caption(texts[1], renderers[1]),
     )
 
 

@@ -109,7 +109,7 @@ def _decorate_caption(
         return caption  # DecoratorUnavailable; renderer stays "template"
     for candidate in candidates:
         if candidate and all(value in candidate for value in required):
-            return replace(caption, text=candidate, renderer="llm")
+            return Caption(candidate, "llm")
     return caption
 
 

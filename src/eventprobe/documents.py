@@ -3,7 +3,8 @@
 A reader raises the error its caller passes in when the file is missing,
 and a MalformedDocument that names the file when the file cannot be read,
 is not UTF-8, is not JSON or is JSON of the wrong shape. The writer puts
-all of a command's outputs in place together, or none of them.
+all of a command's outputs in place together, or none of them, and names
+the directory in a ConfigError when it cannot.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import EventProbeError, MalformedDocument
+from .errors import ConfigError, EventProbeError, MalformedDocument
 
 
 @contextmanager
@@ -86,7 +87,8 @@ def read_json(
 # Objects inside a document are checked as dicts, as json.loads makes them:
 # isinstance against Mapping costs ten times as much, once per object.
 def require(doc: Mapping[str, Any], key: str, kind: type) -> Any:
-    """doc[key], which must be of type kind; a float key takes any finite number."""
+    """doc[key], which must be of type kind; a float key takes any finite
+    number, and an int key no bool."""
     if key not in doc:
         raise MalformedDocument(f"missing key {key!r}")
     value = doc[key]
@@ -97,7 +99,9 @@ def require(doc: Mapping[str, Any], key: str, kind: type) -> Any:
         if not math.isfinite(value):  # a literal such as 1e999 reads as inf
             raise MalformedDocument(f"key {key!r} must be a finite number")
         return value
-    if not isinstance(value, kind):
+    # A JSON value's type is exact, so a valid value passes the first test;
+    # the rest runs only on a fault, and for int it rejects a bool.
+    if type(value) is not kind and (kind is int or not isinstance(value, kind)):
         raise MalformedDocument(f"key {key!r} must be {kind.__name__}")
     return value
 
@@ -127,20 +131,24 @@ def to_jsonl(docs: Iterable[Any]) -> str:
 
 
 def write_outputs(out_dir: Path, texts: Mapping[str, str], remove: Sequence[str] = ()) -> None:
-    """Write each text to `<name>.tmp`, then move them all into place and
-    remove the files named in remove. If a write fails, the temporaries are
-    removed and the directory keeps the files it had."""
+    """Create out_dir if it is missing, write each text to `<name>.tmp`, then
+    move them all into place and remove the files named in remove. If a
+    write fails, the temporaries are removed and the directory keeps the
+    files it had; an OSError becomes a ConfigError naming out_dir."""
     temporaries = []
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in texts.items():
             temporaries.append(out_dir / f"{name}.tmp")
             with open(temporaries[-1], "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-    except BaseException:
+        for name, tmp in zip(texts, temporaries):
+            os.replace(tmp, out_dir / name)
+        for name in remove:
+            (out_dir / name).unlink(missing_ok=True)
+    except BaseException as exc:
         for tmp in temporaries:
             tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write output directory {out_dir}: {exc.strerror or exc}") from None
         raise
-    for name, tmp in zip(texts, temporaries):
-        os.replace(tmp, out_dir / name)
-    for name in remove:
-        (out_dir / name).unlink(missing_ok=True)

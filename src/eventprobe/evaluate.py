@@ -330,9 +330,9 @@ def evaluate_pools(
     return recalls, _gaps_from_recalls(recalls)
 
 
-def _csv(rows: Iterable[Sequence[object]]) -> str:
+def _csv(rows: Iterable[Sequence[object]], lineterminator: str) -> str:
     text = io.StringIO()
-    csv.writer(text).writerows(rows)
+    csv.writer(text, lineterminator=lineterminator).writerows(rows)
     return text.getvalue()
 
 
@@ -348,18 +348,21 @@ def summarize(
     texts = {
         "gaps.csv": _csv(
             [["category", "direction", "k", "p", "p_control", "delta_p"]]
-            + [[g.category, g.direction, g.k, repr(g.p), repr(g.p_control), repr(g.delta_p)] for g in gaps]
+            + [[g.category, g.direction, g.k, repr(g.p), repr(g.p_control), repr(g.delta_p)] for g in gaps],
+            "\r\n",
         ),
         "scatter.csv": _csv(
-            [["category", "model", "delta_p"]] + [[g.category, model, repr(g.delta_p)] for g in gaps]
+            [["category", "model", "delta_p"]] + [[g.category, model, repr(g.delta_p)] for g in gaps],
+            "\r\n",
         ),
     }
     if recalls is not None:
         # The long layout that gap_rows_from_csv reads back.
-        texts["recalls.csv"] = "category,direction,k,pool,value\n" + "".join(
-            f"{r.category},{r.direction},{r.k},{r.pool},{r.value!r}\n" for r in recalls
+        texts["recalls.csv"] = _csv(
+            [["category", "direction", "k", "pool", "value"]]
+            + [[r.category, r.direction, r.k, r.pool, repr(r.value)] for r in recalls],
+            "\n",
         )
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_outputs(out_dir, texts)
     return {name.removesuffix(".csv"): out_dir / name for name in texts}
 

@@ -15,7 +15,6 @@ import random
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
 
@@ -43,9 +42,6 @@ from .scene_graph import (
     TimeInterval,
 )
 
-SLOT_PREDICATE = "predicate"
-SLOT_SUBJECT_ATTRIBUTE = "subject_attribute"
-
 RECORDS_FORMAT = 2
 
 
@@ -56,28 +52,6 @@ class AttributeObservation:
     subject: EntityRef
     attribute: AttributeValue
     time: TimeInterval
-
-
-@dataclass(frozen=True)
-class CandidatePool:
-    """Vocabulary slice a counterfactual value may be drawn from."""
-
-    fine_type: str
-    values: tuple[str, ...]
-    exclusions: frozenset[str]
-
-    def usable(self, incumbent: str | None = None) -> tuple[str, ...]:
-        """Candidates left after exclusions; the incumbent never qualifies."""
-        return tuple(
-            v for v in self.values if v not in self.exclusions and v != incumbent
-        )
-
-    def has_usable(self, incumbent: str | None = None) -> bool:
-        """bool(self.usable(incumbent)), without building the candidates."""
-        for v in self.values:
-            if v not in self.exclusions and v != incumbent:
-                return True
-        return False
 
 
 @dataclass(frozen=True)
@@ -109,6 +83,13 @@ def _derived(item: Any, **fields: Any) -> Any:
     """item with fields replaced; dataclasses.replace without its per-call
     field introspection. Every derived tuple is built here."""
     return type(item)(**{**vars(item), **fields})
+
+
+def _with_subject_attr(e: EventTuple, idx: int, attr: AttributeValue) -> EventTuple:
+    """e with its subject attribute at idx replaced by attr."""
+    attrs = list(e.subject_attrs)
+    attrs[idx] = attr
+    return _derived(e, subject_attrs=tuple(attrs))
 
 
 def _event_key(e: EventTuple) -> tuple:
@@ -217,80 +198,61 @@ def neighborhood_attribute_swap(
 # --- counterfactual substitution ---------------------------------------------
 
 
-def _resolve_slot(
-    e: EventTuple, kind: str, fine_type: str, attr_index: int | None
-) -> tuple[str, int | None]:
-    """Locate the slot's incumbent value; returns (value, attr index or None)."""
-    if kind == SLOT_PREDICATE:
-        if e.predicate is None or e.predicate.pred_type != fine_type:
-            raise SlotAbsent(
-                f"tuple {e.tuple_id!r} has no {fine_type} predicate"
-            )
-        return e.predicate.value, None
-    if kind != SLOT_SUBJECT_ATTRIBUTE:
-        raise SlotAbsent(f"unknown slot kind {kind!r}")
-    attrs = e.subject_attrs
-    if attr_index is None:
-        for idx, attr in enumerate(attrs):
-            if attr.attr_type == fine_type:
-                return attr.value, idx
-        raise SlotAbsent(f"tuple {e.tuple_id!r} has no {fine_type} {kind}")
-    if attr_index >= len(attrs) or attrs[attr_index].attr_type != fine_type:
-        raise SlotAbsent(
-            f"tuple {e.tuple_id!r} has no {fine_type} {kind} at index {attr_index}"
-        )
-    return attrs[attr_index].value, attr_index
-
-
 def counterfactual_substitute(
     e: EventTuple,
-    slot: str,
-    pool: CandidatePool,
+    fine_type: str,
+    attr_index: int | None,
+    candidates: Sequence[str],
     rng: random.Random,
-    attr_index: int | None = None,
 ) -> EventTuple:
-    """Replace one slot's value with a uniformly sampled pool candidate.
+    """Replace one slot's value with a uniformly sampled candidate.
 
-    The incumbent value never qualifies, so the result always differs from
-    the input at the substituted slot. Deterministic given the rng state.
+    The slot is the fine_type predicate when attr_index is None, else the
+    fine_type subject attribute at attr_index. The incumbent value never
+    qualifies, so the result always differs from the input at the
+    substituted slot. Deterministic given the rng state.
     """
-    incumbent, idx = _resolve_slot(e, slot, pool.fine_type, attr_index)
-    usable = pool.usable(incumbent)
+    if attr_index is None:
+        if e.predicate is None or e.predicate.pred_type != fine_type:
+            raise SlotAbsent(f"tuple {e.tuple_id!r} has no {fine_type} predicate")
+        incumbent = e.predicate.value
+    else:
+        attrs = e.subject_attrs
+        if attr_index >= len(attrs) or attrs[attr_index].attr_type != fine_type:
+            raise SlotAbsent(
+                f"tuple {e.tuple_id!r} has no {fine_type} subject attribute at index {attr_index}"
+            )
+        incumbent = attrs[attr_index].value
+    usable = [v for v in candidates if v != incumbent]
     if not usable:
-        raise EmptyPool(
-            f"no usable {pool.fine_type} candidate for tuple {e.tuple_id!r}"
-        )
+        raise EmptyPool(f"no usable {fine_type} candidate for tuple {e.tuple_id!r}")
     choice = rng.choice(usable)
-    if slot == SLOT_PREDICATE:
-        return _derived(
-            e, predicate=PredicateValue(value=choice, pred_type=pool.fine_type)
-        )
-    attrs = list(e.subject_attrs)
-    attrs[idx] = AttributeValue(value=choice, attr_type=pool.fine_type)
-    return _derived(e, subject_attrs=tuple(attrs))
+    if attr_index is None:
+        return _derived(e, predicate=PredicateValue(value=choice, pred_type=fine_type))
+    return _with_subject_attr(e, attr_index, AttributeValue(value=choice, attr_type=fine_type))
 
 
-def _usable_pools(
+def _candidates(
     graph: SceneGraph, profile: DatasetProfile, predicate: bool, fine_type: str
-) -> dict[str, CandidatePool]:
-    """The candidate pool of every entity the graph attributes a fine_type
-    value to, keyed by entity id, if it leaves a usable candidate.
+) -> dict[str, tuple[str, ...]]:
+    """The counterfactual candidates of every entity the graph attributes a
+    fine_type value to, keyed by entity id, if it has any.
 
-    Values are the profile vocabulary of the fine type; exclusions are every
-    value the graph truthfully attributes to the entity, so sampled
-    substitutes are false by construction within the video. A slot's
-    incumbent is one of its subject's values, hence an exclusion, so a
-    slot's pool is usable exactly when its entity's is.
+    An entity's candidates are the profile vocabulary of the fine type, in
+    vocabulary order, minus every value the graph truthfully attributes to
+    the entity, so sampled substitutes are false by construction within the
+    video. A slot's incumbent is one of its subject's values, so it is
+    never a candidate.
     """
     if fine_type not in profile.vocab:
         raise UnknownType(f"fine type {fine_type!r} not in profile {profile.name!r}")
     vocab = profile.vocab[fine_type]
-    pools = {}
+    candidates = {}
     for holder, values in graph.groups.truthful.get((predicate, fine_type), {}).items():
-        pool = CandidatePool(fine_type, vocab, frozenset(values))
-        if pool.has_usable():
-            pools[holder] = pool
-    return pools
+        left = tuple(v for v in vocab if v not in values)
+        if left:
+            candidates[holder] = left
+    return candidates
 
 
 # --- site enumeration ----------------------------------------------------------
@@ -298,49 +260,28 @@ def _usable_pools(
 
 @dataclass(frozen=True)
 class TemporalPredicateSite:
-    video_id: str
     tuple_id_a: str
     tuple_id_b: str
-
-    @property
-    def source_tuple_ids(self) -> tuple[str, ...]:
-        return (self.tuple_id_a, self.tuple_id_b)
 
 
 @dataclass(frozen=True)
 class TemporalAttributeSite:
-    video_id: str
     tuple_id_a: str
     attr_index_a: int
     tuple_id_b: str
     attr_index_b: int
 
-    @property
-    def source_tuple_ids(self) -> tuple[str, ...]:
-        return (self.tuple_id_a, self.tuple_id_b)
-
 
 @dataclass(frozen=True)
 class NeighborhoodSite:
-    video_id: str
     tuple_id: str
-
-    @property
-    def source_tuple_ids(self) -> tuple[str, ...]:
-        return (self.tuple_id,)
 
 
 @dataclass(frozen=True)
 class CounterfactualSite:
-    video_id: str
     tuple_id: str
-    slot: str
-    attr_index: int | None
-    pool: CandidatePool  # the slot subject's pool, which has a usable candidate
-
-    @property
-    def source_tuple_ids(self) -> tuple[str, ...]:
-        return (self.tuple_id,)
+    attr_index: int | None  # None: the predicate slot
+    candidates: tuple[str, ...]  # the slot subject's candidates, never empty
 
 
 Site = TemporalPredicateSite | TemporalAttributeSite | NeighborhoodSite | CounterfactualSite
@@ -373,7 +314,6 @@ class _TemporalPairs(Sequence):
     """
 
     def __init__(self, graph: SceneGraph, category: ManipulationCategory) -> None:
-        self.video_id = graph.video_id
         self.attribute = category.target == "attribute"
         self.tuples, self.indices = tuples, indices = graph.groups.slots.get(
             (not self.attribute, category.fine_type), ([], [])
@@ -423,8 +363,8 @@ class _TemporalPairs(Sequence):
     def site(self, i: int, j: int) -> Site:
         tid_a, tid_b = self.tuples[i].tuple_id, self.tuples[j].tuple_id
         if self.attribute:
-            return TemporalAttributeSite(self.video_id, tid_a, self.indices[i], tid_b, self.indices[j])
-        return TemporalPredicateSite(self.video_id, tid_a, tid_b)
+            return TemporalAttributeSite(tid_a, self.indices[i], tid_b, self.indices[j])
+        return TemporalPredicateSite(tid_a, tid_b)
 
     def __len__(self) -> int:
         return self.starts[-1]
@@ -474,28 +414,26 @@ def enumerate_candidates(
     Every listing counts its sites first and builds one only when it is
     indexed or iterated: a temporal category returns its _TemporalPairs,
     the others a _Listing of tuple ids (neighborhood) or of slot positions
-    (counterfactual). A counterfactual site carries its subject's candidate
-    pool.
+    (counterfactual). A counterfactual site carries its subject's
+    candidates.
     """
-    vid = graph.video_id
     if category.method == "temporal":
         return _TemporalPairs(graph, category)
     if category.method == "neighborhood":
-        return _Listing(partial(NeighborhoodSite, vid), [
+        return _Listing(NeighborhoodSite, [
             tup.tuple_id
             for tup in graph.groups.ordered
             if tup.object_attrs and _neighborhood_pairs(tup, category.fine_type)[0]
         ])
     key = (category.target == "predicate", category.fine_type)
-    slot = SLOT_PREDICATE if key[0] else SLOT_SUBJECT_ATTRIBUTE
-    pools = _usable_pools(graph, profile, *key)
+    candidates = _candidates(graph, profile, *key)
     tuples, indices = graph.groups.slots.get(key, ((), ()))
 
     def make(i: int) -> Site:
         tup = tuples[i]
-        return CounterfactualSite(vid, tup.tuple_id, slot, indices[i], pools[tup.subject.entity_id])
+        return CounterfactualSite(tup.tuple_id, indices[i], candidates[tup.subject.entity_id])
 
-    return _Listing(make, [i for i, tup in enumerate(tuples) if tup.subject.entity_id in pools])
+    return _Listing(make, [i for i, tup in enumerate(tuples) if tup.subject.entity_id in candidates])
 
 
 # --- seeded application ----------------------------------------------------------
@@ -524,51 +462,36 @@ def apply_site(
 
     Returns (original tuples, manipulated tuples, pool size); the two tuple
     lists are aligned componentwise, ordered by original start time. A
-    counterfactual site draws its substitute from its own pool with rng,
+    counterfactual site draws its substitute from its candidates with rng,
     which the other methods do not use and may be None.
     """
     by_id = graph.tuples_by_id
 
-    if isinstance(site, TemporalPredicateSite):
-        e1, e2 = by_id[site.tuple_id_a], by_id[site.tuple_id_b]
-        s1, s2 = temporal_predicate_swap(e1, e2)
-        originals = time_order([e1, e2])
-        swapped = {s1.tuple_id: s1, s2.tuple_id: s2}
-        return tuple(originals), tuple(swapped[t.tuple_id] for t in originals), None
-
-    if isinstance(site, TemporalAttributeSite):
-        e1, e2 = by_id[site.tuple_id_a], by_id[site.tuple_id_b]
-        o1 = AttributeObservation(
-            e1.subject, e1.subject_attrs[site.attr_index_a], e1.time
-        )
-        o2 = AttributeObservation(
-            e2.subject, e2.subject_attrs[site.attr_index_b], e2.time
-        )
-        r1, r2 = temporal_attribute_swap(o1, o2)
-
-        def with_attr(tup: EventTuple, idx: int, attr: AttributeValue) -> EventTuple:
-            attrs = list(tup.subject_attrs)
-            attrs[idx] = attr
-            return _derived(tup, subject_attrs=tuple(attrs))
-
-        m1 = with_attr(e1, site.attr_index_a, r1.attribute)
-        m2 = with_attr(e2, site.attr_index_b, r2.attribute)
-        originals = time_order([e1, e2])
-        swapped = {m1.tuple_id: m1, m2.tuple_id: m2}
-        return tuple(originals), tuple(swapped[t.tuple_id] for t in originals), None
-
     if isinstance(site, NeighborhoodSite):
         tup = by_id[site.tuple_id]
-        manipulated = neighborhood_attribute_swap(tup, category.fine_type)
-        return (tup,), (manipulated,), None
+        return (tup,), (neighborhood_attribute_swap(tup, category.fine_type),), None
 
     if isinstance(site, CounterfactualSite):
         tup = by_id[site.tuple_id]
         manipulated = counterfactual_substitute(
-            tup, site.slot, site.pool, rng, site.attr_index
+            tup, category.fine_type, site.attr_index, site.candidates, rng
         )
-        # The incumbent is an exclusion of its own pool, so it drops out.
-        return (tup,), (manipulated,), len(site.pool.usable())
+        return (tup,), (manipulated,), len(site.candidates)
+
+    if isinstance(site, (TemporalPredicateSite, TemporalAttributeSite)):
+        e1, e2 = by_id[site.tuple_id_a], by_id[site.tuple_id_b]
+        if isinstance(site, TemporalPredicateSite):
+            m1, m2 = temporal_predicate_swap(e1, e2)
+        else:
+            ia, ib = site.attr_index_a, site.attr_index_b
+            r1, r2 = temporal_attribute_swap(
+                AttributeObservation(e1.subject, e1.subject_attrs[ia], e1.time),
+                AttributeObservation(e2.subject, e2.subject_attrs[ib], e2.time),
+            )
+            m1 = _with_subject_attr(e1, ia, r1.attribute)
+            m2 = _with_subject_attr(e2, ib, r2.attribute)
+        originals = time_order([e1, e2])
+        return tuple(originals), (m1, m2) if originals[0] is e1 else (m2, m1), None
 
     raise NotApplicable(f"unsupported site {site!r}")
 
@@ -651,7 +574,7 @@ def apply_corpus(
                     record_id=f"{category.key}#{ordinal:04d}",
                     category=category,
                     video_id=graph.video_id,
-                    source_tuple_ids=site.source_tuple_ids,
+                    source_tuple_ids=tuple(sorted(t.tuple_id for t in original)),
                     original=original,
                     manipulated=manipulated,
                     seed=record_seed,

@@ -77,6 +77,9 @@ class PipelineConfig:
         for key, value in overrides.items():
             if value is not None:
                 merged[key] = value
+        unknown = sorted(set(merged) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ConfigError(f"malformed config: unknown key {', '.join(map(repr, unknown))}")
         if "global_seed" not in merged or merged["global_seed"] is None:
             raise ConfigError("global_seed is required; there is no wall-clock default")
         if not _is_int(merged["global_seed"]):
@@ -331,7 +334,6 @@ def run_stages(
         for stage in STAGES[first : last + 1]:
             if (out_dir / stage.output).exists():
                 raise OutputExists(f"{out_dir / stage.output} exists; rerun with force")
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     values: dict[str, Any] = {}
     texts: dict[str, str] = {}

@@ -151,8 +151,8 @@ class TestEmit:
                     pair_id=f"pair-{i}",
                     video_id="v",
                     category=ManipulationCategory.from_key(category),
-                    positive=Caption(text=f"the bike is black {i}", polarity="positive", record_id=f"pair-{i}"),
-                    negative=Caption(text=f"the bike is red {i}", polarity="negative", record_id=f"pair-{i}"),
+                    positive=Caption(f"the bike is black {i}", "template"),
+                    negative=Caption(f"the bike is red {i}", "template"),
                 )
             )
         return pairs
@@ -186,8 +186,8 @@ class TestEmit:
                 pair_id="pair-x",
                 video_id="v",
                 category=ManipulationCategory.from_key("temporal.attribute.Color"),
-                positive=Caption(text="a then b", polarity="positive", record_id="pair-x"),
-                negative=Caption(text="b then a", polarity="negative", record_id="pair-x"),
+                positive=Caption("a then b", "template"),
+                negative=Caption("b then a", "template"),
             )
         ]
         assert benchmark_categories(pairs) == {

@@ -116,9 +116,12 @@ class TestRunCommand:
             {"decorator": {"timeout_s": "10"}},
             {"decorator": {"max_candidates": "ten"}},
             {"categories": {"temporal.predicate.Action": 1}},
+            {"quota": {"temporal.predicate.Action": 1}},
+            {"template_path": "templates.json"},
         ],
         ids=["decorator-unknown-key", "quota-not-integer", "decorator-enabled-string",
-             "decorator-timeout-string", "decorator-max-candidates-word", "categories-object"],
+             "decorator-timeout-string", "decorator-max-candidates-word", "categories-object",
+             "unknown-key-quota", "unknown-key-template-path"],
     )
     def test_malformed_config_exit_code(self, config_path, malformed, capsys):
         doc = json.loads(config_path.read_text())
@@ -126,6 +129,14 @@ class TestRunCommand:
         config_path.write_text(json.dumps(doc))
         assert main(["run", "--config", str(config_path)]) == 2
         assert capsys.readouterr().err.startswith("error: malformed config")
+
+    @pytest.mark.parametrize("out", ["blocker", "blocker/sub"], ids=["file", "under-file"])
+    def test_output_directory_unwritable(self, config_path, tmp_path, capsys, out):
+        (tmp_path / "blocker").write_text("x")
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output directory") and str(tmp_path / out) in err
+        assert (tmp_path / "blocker").read_text() == "x"
 
     def test_categories_string_asks_for_list(self, config_path, capsys):
         doc = json.loads(config_path.read_text())
@@ -197,6 +208,9 @@ class TestStagedCommands:
             (rewrite_first_record(lambda d: {**d, "manipulated": [], "source_tuple_ids": []}), 4,
              "holds no tuple"),
             (rewrite_first_record(lambda d: {**d, "seed": "7"}), 4, "'seed' must be int"),
+            (rewrite_first_record(lambda d: {**d, "seed": True}), 4, "records.jsonl line 1: key 'seed' must be int"),
+            (rewrite_first_record(lambda d: {**d, "pool_size": False}), 4,
+             "records.jsonl line 1: key 'pool_size' must be int"),
             (write_records(b"{oops\n"), 4, "records.jsonl line 1"),
             (write_records(b"\xff\n"), 4, "not UTF-8"),
             (unlink_graphs, 6, "graphs.jsonl not found"),
@@ -204,7 +218,8 @@ class TestStagedCommands:
         ids=[
             "format-1", "no-format", "record-id-only", "unknown-video", "unknown-tuple",
             "source-ids-mismatch", "unknown-field", "malformed-field-value", "inverted-interval",
-            "unchanged", "no-tuples", "seed-string", "invalid-json", "non-utf8", "graphs-absent",
+            "unchanged", "no-tuples", "seed-string", "seed-bool", "pool-size-bool", "invalid-json",
+            "non-utf8", "graphs-absent",
         ],
     )
     def test_render_bad_records_exit_code(self, config_path, tmp_path, capsys, edit, code, message):
@@ -267,7 +282,7 @@ class TestInputFileErrors:
         assert main([command, "--config", str(config_path)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and str(corpus / "broken.json") in err
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
 
 def write_workspace(tmp: Path, corpus) -> Path:
@@ -291,7 +306,7 @@ def write_workspace(tmp: Path, corpus) -> Path:
 
 def run_commands(config: Path, commands) -> tuple[int, dict]:
     """Exit code of the first failing command (or 0) and the output files,
-    over an emptied output directory."""
+    over an emptied output directory; none if the directory was not made."""
     out = Path(json.loads(config.read_text())["output_dir"])
     shutil.rmtree(out, ignore_errors=True)
     code = 0
@@ -299,7 +314,7 @@ def run_commands(config: Path, commands) -> tuple[int, dict]:
         code = main([command, "--config", str(config)])
         if code != 0:
             break
-    return code, outputs(out)
+    return code, outputs(out) if out.exists() else {}
 
 
 class TestStageTable:
@@ -495,6 +510,26 @@ class TestEvalCommands:
         assert len(eval_gaps.splitlines()) > 1
         assert (tmp_path / "gap" / "gaps.csv").read_bytes() == eval_gaps
 
+    def test_gap_report_reads_eval_recalls_of_a_comma_category(self, tmp_path):
+        category = "counterfactual.attribute.Col,or"
+        benchmark = tmp_path / "benchmark.jsonl"
+        benchmark.write_text("".join(
+            json.dumps({"pair_id": f"c{i}", "video_id": f"v{i}", "category": category,
+                        "positive": {"text": f"a {i}"}, "negative": {"text": f"b {i}"}}) + "\n"
+            for i in range(2)
+        ))
+        for name, hit in (("positive", "0.9"), ("control", "0.5")):
+            (tmp_path / f"{name}.csv").write_text(f"video_id,c0,c1\nv0,{hit},0.5\nv1,0.5,{hit}\n")
+        argv = ["eval", "--benchmark", str(benchmark), "--scores", str(tmp_path / "positive.csv"),
+                "--scores-control", str(tmp_path / "control.csv"), "--ks", "1", "--out", str(tmp_path / "eval")]
+        assert main(argv) == 0
+        recalls = tmp_path / "eval" / "recalls.csv"
+        assert f'"{category}",T2V,1,positive,1.0' in recalls.read_text().splitlines()
+        assert main(["gap-report", "--recalls", str(recalls), "--out", str(tmp_path / "gap")]) == 0
+        eval_gaps = (tmp_path / "eval" / "gaps.csv").read_bytes()
+        assert len(eval_gaps.splitlines()) > 1
+        assert (tmp_path / "gap" / "gaps.csv").read_bytes() == eval_gaps
+
     def test_gap_report_unpaired_long_row(self, tmp_path):
         recalls = tmp_path / "recalls.csv"
         recalls.write_text(
@@ -515,9 +550,10 @@ class TestEvalCommands:
             (["--directions", "T2X"], 2),
             (["--scores", "{tmp}/absent.csv"], 6),
             (["--scores-control", "{tmp}/latin1.csv"], 4),
+            (["--out", "{tmp}/latin1.csv/reports"], 2),
         ],
         ids=["k-zero", "k-not-a-number", "ks-empty", "ks-repeated", "unknown-direction",
-             "missing-scores", "non-utf8-scores"],
+             "missing-scores", "non-utf8-scores", "out-under-a-file"],
     )
     def test_eval_bad_input_exit_code(self, config_path, tmp_path, capsys, flags, code):
         benchmark, positive, control = self.build_benchmark(config_path, tmp_path)

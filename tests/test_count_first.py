@@ -3,10 +3,9 @@
 Graphs are drawn with few entities, few distinct times and few values, so
 pairs at the same time, with the same key, and with both, are all common
 and every term of the site count's inclusion-exclusion is exercised. The
-same graphs check that a counterfactual listing, which decides usability
-once per entity without building candidates, lists exactly the slots with a
-usable candidate, each carrying the pool a naive scan of the graph gives,
-and that a neighborhood listing lists exactly the tuples its operator
+same graphs check that a counterfactual listing, which computes candidates
+once per entity, lists exactly the slots with a usable candidate, each
+carrying the candidates a naive scan of the graph gives, and that a neighborhood listing lists exactly the tuples its operator
 accepts. Every listing is checked through len, iteration and indexing.
 """
 
@@ -20,10 +19,7 @@ from hypothesis import given, strategies as st
 
 from eventprobe.errors import ManipulationError
 from eventprobe.manipulate import (
-    SLOT_PREDICATE,
-    SLOT_SUBJECT_ATTRIBUTE,
     AttributeObservation,
-    CandidatePool,
     CounterfactualSite,
     ManipulationRecord,
     NeighborhoodSite,
@@ -54,7 +50,7 @@ PAIRWISE = tuple(c for c in PROFILE.category_set if c.method == "temporal")
 COUNTERFACTUAL = tuple(c for c in PROFILE.category_set if c.method == "counterfactual")
 NEIGHBORHOOD = tuple(c for c in PROFILE.category_set if c.method == "neighborhood")
 # Only the two values the graphs draw from: a video can then hold every value
-# of a type for one entity, which leaves that entity's pool empty.
+# of a type for one entity, which leaves that entity no candidate.
 NARROW = replace(PROFILE, vocab={name: values[:2] for name, values in PROFILE.vocab.items()})
 TIMES = (TimeInterval(0.0, 1.0), TimeInterval(2.0, 2.0), TimeInterval(0.0, 3.0))
 
@@ -110,7 +106,6 @@ def _swap_applies(swap, *operands) -> bool:
 def operator_sites(graph, category) -> list:
     """Every pair the category's swap operator accepts, as sites, ordered by
     their items' (tuple_id, attribute index)."""
-    vid = graph.video_id
     if category.target == "predicate":
         items = sorted(
             (t.tuple_id, t)
@@ -118,7 +113,7 @@ def operator_sites(graph, category) -> list:
             if t.predicate is not None and t.predicate.pred_type == category.fine_type
         )
         return [
-            TemporalPredicateSite(vid, ida, idb)
+            TemporalPredicateSite(ida, idb)
             for (ida, a), (idb, b) in combinations(items, 2)
             if _swap_applies(temporal_predicate_swap, a, b)
         ]
@@ -129,7 +124,7 @@ def operator_sites(graph, category) -> list:
         if attr.attr_type == category.fine_type
     )
     return [
-        TemporalAttributeSite(vid, *ka, *kb)
+        TemporalAttributeSite(*ka, *kb)
         for (ka, a), (kb, b) in combinations(items, 2)
         if _swap_applies(temporal_attribute_swap, a, b)
     ]
@@ -138,7 +133,7 @@ def operator_sites(graph, category) -> list:
 def neighborhood_sites(graph, category) -> list:
     """Every tuple the category's swap operator accepts, as sites, by tuple_id."""
     return [
-        NeighborhoodSite(graph.video_id, t.tuple_id)
+        NeighborhoodSite(t.tuple_id)
         for t in sorted(graph.tuples, key=lambda t: t.tuple_id)
         if _swap_applies(neighborhood_attribute_swap, t, category.fine_type)
     ]
@@ -166,34 +161,34 @@ def truthful(graph, entity_id, fine_type, predicate) -> frozenset:
 
 def slots(graph, profile, category) -> list:
     """(site, incumbent) for every counterfactual slot of the category, the
-    site carrying the pool a naive scan of the graph gives its subject,
-    ordered by (tuple_id, attribute index)."""
+    site carrying the candidates a naive scan of the graph gives its
+    subject, ordered by (tuple_id, attribute index)."""
     predicate = category.target == "predicate"
     found = []
     for t in graph.tuples:
         if predicate:
-            here = [(SLOT_PREDICATE, None, t.predicate.value)] if (
+            here = [(None, t.predicate.value)] if (
                 t.predicate is not None and t.predicate.pred_type == category.fine_type
             ) else []
         else:
             here = [
-                (SLOT_SUBJECT_ATTRIBUTE, i, a.value)
+                (i, a.value)
                 for i, a in enumerate(t.subject_attrs)
                 if a.attr_type == category.fine_type
             ]
-        for kind, idx, incumbent in here:
+        for idx, incumbent in here:
             exclusions = truthful(graph, t.subject.entity_id, category.fine_type, predicate)
-            pool = CandidatePool(category.fine_type, profile.vocab[category.fine_type], exclusions)
-            found.append((CounterfactualSite(graph.video_id, t.tuple_id, kind, idx, pool), incumbent))
+            candidates = tuple(v for v in profile.vocab[category.fine_type] if v not in exclusions)
+            found.append((CounterfactualSite(t.tuple_id, idx, candidates), incumbent))
     return sorted(found, key=lambda f: (f[0].tuple_id, -1 if f[0].attr_index is None else f[0].attr_index))
 
 
 def usable_slots(graph, profile, category) -> list:
-    """The sites of slots whose pool leaves a candidate besides the incumbent."""
+    """The sites of slots with a candidate besides the incumbent."""
     return [
         site
         for site, incumbent in slots(graph, profile, category)
-        if [v for v in site.pool.values if v not in site.pool.exclusions and v != incumbent]
+        if [v for v in site.candidates if v != incumbent]
     ]
 
 
@@ -222,7 +217,7 @@ def listed_records(graphs, category, quota, seed, profile=PROFILE):
                 record_id=f"{category.key}#{ordinal:04d}",
                 category=category,
                 video_id=graph.video_id,
-                source_tuple_ids=site.source_tuple_ids,
+                source_tuple_ids=tuple(sorted(t.tuple_id for t in original)),
                 original=original,
                 manipulated=manipulated,
                 seed=record_seed,
@@ -263,22 +258,20 @@ def test_neighborhood_listing_matches_operator(graph):
 
 @given(st.integers(0, 2**32), st.integers(1, 3))
 def test_incumbent_is_an_exclusion_of_its_pool(seed, n_videos):
-    """What per-entity usability rests on: a slot's incumbent is a value its
-    video gives the slot's entity, so the incumbent never decides whether
-    the pool is usable."""
+    """What per-entity candidates rest on: a slot's incumbent is a value its
+    video gives the slot's entity, so it is never one of its candidates."""
     for profile in (PROFILE, NARROW):
         for graph in random_profile_corpus(random.Random(seed), profile, n_videos):
             for category in COUNTERFACTUAL:
                 for site, incumbent in slots(graph, profile, category):
-                    assert incumbent in site.pool.exclusions
-                    assert site.pool.has_usable(incumbent) == site.pool.has_usable()
+                    assert incumbent not in site.candidates
                 for site in enumerate_candidates(graph, profile, category):
                     incumbent = (
                         graph.tuples_by_id[site.tuple_id].predicate.value
                         if site.attr_index is None
                         else graph.tuples_by_id[site.tuple_id].subject_attrs[site.attr_index].value
                     )
-                    assert incumbent in site.pool.exclusions
+                    assert incumbent not in site.candidates
 
 
 def test_quota_builds_only_drawn_sites(monkeypatch):
@@ -317,33 +310,3 @@ def test_quota_runs_match_listing(corpus, seed):
                 got = apply_corpus(corpus, profile, caps, seed, [category])
                 assert got == listed_records(corpus, category, quota, seed, profile)
 
-
-_names = st.sampled_from("abcd")
-
-
-@given(
-    st.lists(_names, unique=True, max_size=3).map(tuple),
-    st.frozensets(_names, max_size=3),
-    st.none() | _names,
-)
-def test_has_usable_matches_usable(values, exclusions, incumbent):
-    pool = CandidatePool("Color", values, exclusions)
-    assert pool.has_usable(incumbent) == bool(pool.usable(incumbent))
-
-
-@pytest.mark.parametrize(
-    "values, exclusions, incumbent, expected",
-    [
-        (("red",), (), "red", False),  # no exclusions, the incumbent is all
-        (("red",), (), "blue", True),  # an incumbent outside the vocabulary
-        (("red",), (), None, True),
-        (("red", "blue"), (), "green", True),
-        (("red", "blue"), ("blue",), "red", False),
-        (("red", "blue"), ("red", "blue"), "green", False),
-        ((), (), None, False),
-    ],
-)
-def test_has_usable_on_hand_built_pools(values, exclusions, incumbent, expected):
-    pool = CandidatePool("Color", values, frozenset(exclusions))
-    assert pool.has_usable(incumbent) is expected
-    assert bool(pool.usable(incumbent)) is expected

@@ -17,8 +17,8 @@ def pair():
         pair_id="r1",
         video_id="v",
         category=ManipulationCategory.from_key("counterfactual.predicate.Action"),
-        positive=Caption(text="Greg Focker carries lawn chairs", polarity="positive", record_id="r1"),
-        negative=Caption(text="Greg Focker assembles lawn chairs", polarity="negative", record_id="r1"),
+        positive=Caption("Greg Focker carries lawn chairs", "template"),
+        negative=Caption("Greg Focker assembles lawn chairs", "template"),
     )
 
 
@@ -168,7 +168,9 @@ def rewriter(monkeypatch):
             pass
 
     server = HTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever)
+    # A short poll interval lets shutdown() return without waiting out the
+    # default half second.
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_port}/v1", reply, seen

@@ -272,8 +272,8 @@ def make_pair(pair_id, video_id, category="counterfactual.attribute.Color",
         pair_id=pair_id,
         video_id=video_id,
         category=ManipulationCategory.from_key(category),
-        positive=Caption(text=positive, polarity="positive", record_id=pair_id),
-        negative=Caption(text=negative, polarity="negative", record_id=pair_id),
+        positive=Caption(positive, "template"),
+        negative=Caption(negative, "template"),
     )
 
 

@@ -16,10 +16,8 @@ from eventprobe.errors import (
     UnknownType,
 )
 from eventprobe.manipulate import (
-    SLOT_PREDICATE,
-    SLOT_SUBJECT_ATTRIBUTE,
     AttributeObservation,
-    CandidatePool,
+    TemporalPredicateSite,
     apply_corpus,
     counterfactual_substitute,
     enumerate_candidates,
@@ -214,12 +212,7 @@ class TestNeighborhoodSwap:
             assert neighborhood_attribute_swap(neighborhood_attribute_swap(tup)) == tup
 
 
-def color_pool(*exclusions):
-    return CandidatePool(
-        fine_type="Color",
-        values=("yellow", "black", "white", "shiny", "red", "blue"),
-        exclusions=frozenset(exclusions),
-    )
+COLORS = ("yellow", "black", "white", "shiny", "red", "blue")
 
 
 class TestCounterfactualSubstitute:
@@ -228,45 +221,36 @@ class TestCounterfactualSubstitute:
             "t1", entity("e1", "bike"), attrs=(attr("black"),),
             predicate=pred("parks"), time=span(0, 5),
         )
-        pool = color_pool("black")
-        result = counterfactual_substitute(
-            bike, SLOT_SUBJECT_ATTRIBUTE, pool, random.Random(3)
-        )
+        candidates = tuple(v for v in COLORS if v != "black")
+        result = counterfactual_substitute(bike, "Color", 0, candidates, random.Random(3))
         new_value = result.subject_attrs[0].value
-        assert new_value in pool.values and new_value != "black"
+        assert new_value in candidates
         assert result.subject_attrs[0].attr_type == "Color"
         assert result.predicate == bike.predicate
 
     def test_deterministic_given_seed(self):
         bike = make_tuple("t1", entity("e1", "bike"), attrs=(attr("black"),))
-        pool = color_pool()
-        first = counterfactual_substitute(bike, SLOT_SUBJECT_ATTRIBUTE, pool, random.Random(11))
-        second = counterfactual_substitute(bike, SLOT_SUBJECT_ATTRIBUTE, pool, random.Random(11))
+        first = counterfactual_substitute(bike, "Color", 0, COLORS, random.Random(11))
+        second = counterfactual_substitute(bike, "Color", 0, COLORS, random.Random(11))
         assert first == second
 
     def test_incumbent_never_sampled(self):
         bike = make_tuple("t1", entity("e1", "bike"), attrs=(attr("black"),))
-        pool = color_pool()
         for seed in range(50):
-            result = counterfactual_substitute(
-                bike, SLOT_SUBJECT_ATTRIBUTE, pool, random.Random(seed)
-            )
+            result = counterfactual_substitute(bike, "Color", 0, COLORS, random.Random(seed))
             assert result.subject_attrs[0].value != "black"
 
     def test_empty_pool(self):
         bike = make_tuple("t1", entity("e1", "bike"), attrs=(attr("black"),))
-        pool = CandidatePool(
-            fine_type="Color",
-            values=("yellow", "black"),
-            exclusions=frozenset(("yellow", "black")),
-        )
-        with pytest.raises(EmptyPool):
-            counterfactual_substitute(bike, SLOT_SUBJECT_ATTRIBUTE, pool, random.Random(0))
+        for candidates in ((), ("black",)):
+            with pytest.raises(EmptyPool):
+                counterfactual_substitute(bike, "Color", 0, candidates, random.Random(0))
 
     def test_slot_absent(self):
         bike = make_tuple("t1", entity("e1", "bike"), attrs=(attr("black"),))
-        with pytest.raises(SlotAbsent):
-            counterfactual_substitute(bike, SLOT_PREDICATE, color_pool(), random.Random(0))
+        for fine_type, attr_index in (("Color", None), ("Color", 1), ("Material", 0)):
+            with pytest.raises(SlotAbsent):
+                counterfactual_substitute(bike, fine_type, attr_index, COLORS, random.Random(0))
 
 
 def two_color_profile():
@@ -301,36 +285,35 @@ def bike_graph():
     )
 
 
-def site_pool(graph, profile, category_key, tuple_id):
-    """The candidate pool of the category's listed site at tuple_id."""
+def site_candidates(graph, profile, category_key, tuple_id):
+    """The candidates of the category's listed site at tuple_id."""
     sites = enumerate_candidates(graph, profile, ManipulationCategory.from_key(category_key))
-    (pool,) = [site.pool for site in sites if site.tuple_id == tuple_id]
-    return pool
+    (candidates,) = [site.candidates for site in sites if site.tuple_id == tuple_id]
+    return candidates
 
 
 class TestBuildPool:
-    """The candidate pool each listed counterfactual site carries."""
+    """The candidates each listed counterfactual site carries."""
 
     def test_exclusions_cover_all_truthful_values(self):
         # Hand enumeration: bike is yellow and black over time, so from the
         # vocabulary {yellow, black, red, blue} only {red, blue} is usable.
         graph = bike_graph()
-        pool = site_pool(graph, two_color_profile(), "counterfactual.attribute.Color", "t1")
-        assert pool.exclusions == frozenset({"yellow", "black"})
-        assert pool.usable("yellow") == ("red", "blue")
+        candidates = site_candidates(graph, two_color_profile(), "counterfactual.attribute.Color", "t1")
+        assert candidates == ("red", "blue")
 
     def test_entity_without_attribute_type(self):
         dog = entity("e1", "dog")
         graph = SceneGraph(
             "v", 10.0, (dog,), (make_tuple("t1", dog, predicate=pred("runs")),)
         )
-        pool = site_pool(graph, two_color_profile(), "counterfactual.predicate.Action", "t1")
-        assert pool.exclusions == frozenset({"runs"})
+        candidates = site_candidates(graph, two_color_profile(), "counterfactual.predicate.Action", "t1")
+        assert candidates == ("sits", "naps")
         graph2 = SceneGraph(
             "v", 10.0, (dog,), (make_tuple("t1", dog, attrs=(attr("yellow"),)),)
         )
-        pool2 = site_pool(graph2, two_color_profile(), "counterfactual.attribute.Color", "t1")
-        assert pool2.exclusions == frozenset({"yellow"})
+        candidates2 = site_candidates(graph2, two_color_profile(), "counterfactual.attribute.Color", "t1")
+        assert candidates2 == ("black", "red", "blue")
 
     def test_object_attrs_count_as_truthful(self):
         dog, bed = entity("e1", "dog"), entity("e2", "bed")
@@ -346,9 +329,9 @@ class TestBuildPool:
                 make_tuple("t2", bed, attrs=(attr("red"),), time=span(2, 3)),
             ),
         )
-        pool = site_pool(graph, two_color_profile(), "counterfactual.attribute.Color", "t2")
+        candidates = site_candidates(graph, two_color_profile(), "counterfactual.attribute.Color", "t2")
         # bed is blue (as object) and red (as subject); both are excluded.
-        assert pool.exclusions == frozenset({"blue", "red"})
+        assert candidates == ("yellow", "black")
 
     def test_unknown_type(self):
         category = ManipulationCategory("counterfactual", "attribute", "Sound")
@@ -368,13 +351,9 @@ class TestBuildPool:
         graph = bike_graph()
         category = ManipulationCategory.from_key("counterfactual.attribute.Color")
         assert list(enumerate_candidates(graph, profile, category)) == []
-        # The pool the bike's slots would carry: every value is truthful.
-        pool = CandidatePool("Color", profile.vocab["Color"], frozenset({"yellow", "black"}))
-        assert pool.usable("yellow") == ()
+        # The bike's slots would carry no candidate: every value is truthful.
         with pytest.raises(EmptyPool):
-            counterfactual_substitute(
-                graph.tuples[0], SLOT_SUBJECT_ATTRIBUTE, pool, random.Random(0)
-            )
+            counterfactual_substitute(graph.tuples[0], "Color", 0, (), random.Random(0))
 
 
 class TestEnumerate:
@@ -382,7 +361,7 @@ class TestEnumerate:
         category = ManipulationCategory("temporal", "predicate", "Action")
         sites = enumerate_candidates(kitchen, profile, category)
         assert len(sites) == 1
-        assert sites[0].source_tuple_ids == ("k1", "k2")
+        assert list(sites) == [TemporalPredicateSite("k1", "k2")]
 
     def test_single_tuple_no_temporal_sites(self, profile):
         dog = entity("e1", "dog")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib import resources
 from pathlib import Path
@@ -102,6 +103,30 @@ class TestRunPipeline:
         assert manifest_a.digest() == manifest_b.digest()
         assert isinstance(manifest_a, RunManifest)
 
+    @pytest.mark.parametrize(
+        "quota, digests",
+        [
+            (None, {
+                "graphs.jsonl": "c7d747f3b3b675c3d8fe78613344b96c14e999400eaa9c120e690c7130c43f6f",
+                "records.jsonl": "4b31c36570f877afac6b9284d0cd00d83f1af67b75fdf228343ca49572385961",
+                "benchmark.jsonl": "2c9241e310448b8004e9c4caee17dc1f00a113ac1bae679126466d008e5e6964",
+            }),
+            (1, {
+                "graphs.jsonl": "c7d747f3b3b675c3d8fe78613344b96c14e999400eaa9c120e690c7130c43f6f",
+                "records.jsonl": "5fa556312b0a73ea1621031ed6252d7668955d8c55ae1481d0ebaf7847bf49eb",
+                "benchmark.jsonl": "0ee404ea24a1d8eefacc8af169a3476ac173349ddc39072e9640fa026522018b",
+            }),
+        ],
+        ids=["no-quotas", "quota-1"],
+    )
+    def test_output_bytes_are_pinned(self, tmp_path, fixtures_dir, quota, digests):
+        """The fixtures' outputs at seed 42 under the default profile: any
+        change to them is a change of the shipped benchmark."""
+        quotas = {} if quota is None else {key: quota for key in EXPECTED_SITE_COUNTS}
+        run_pipeline(make_config(tmp_path, fixtures_dir, quotas=quotas))
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name
+
     def test_unquoted_run_covers_all_sites(self, tmp_path, fixtures_dir):
         config = make_config(tmp_path, fixtures_dir)
         manifest = run_pipeline(config)
@@ -172,7 +197,7 @@ class TestRunPipeline:
         )
         with pytest.raises(StageFailed):
             run_pipeline(config)
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
 
     def test_stage_files_written(self, tmp_path, fixtures_dir):
         config = make_config(tmp_path, fixtures_dir)
