@@ -9,13 +9,13 @@ never persisted.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 from .captions import NEGATIVE, POSITIVE, Caption, CaptionPair
-from .errors import ConfigError
+from .documents import require, require_strings
+from .errors import ConfigError, MalformedDocument
 
 Transport = Callable[[str, dict, dict, float], dict]
 
@@ -39,22 +39,20 @@ class DecoratorConfig:
     max_candidates: int = 10
 
     def __post_init__(self) -> None:
-        def fault(name: str, kind: str) -> ConfigError:
-            value = getattr(self, name)
-            return ConfigError(f"malformed config: decorator {name} must be {kind}, got {value!r}")
-
-        if not isinstance(self.enabled, bool):
-            raise fault("enabled", "true or false")
-        for name in ("endpoint", "model_name", "api_key_env"):
-            if not isinstance(getattr(self, name), (str, type(None))):
-                raise fault(name, "a string or null")
-        for name in ("temperature", "timeout_s"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise fault(name, "a finite number")
-        count = self.max_candidates
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-            raise fault("max_candidates", "an integer >= 1")
+        # Checked as document fields, but each value keeps its type: an
+        # integer timeout_s stays one in the config digest.
+        settings = vars(self)
+        try:
+            require(settings, "enabled", bool)
+            for name in ("endpoint", "model_name", "api_key_env"):
+                if settings[name] is not None:
+                    require(settings, name, str)
+            require(settings, "temperature", float)
+            require(settings, "timeout_s", float)
+            if require(settings, "max_candidates", int) < 1:
+                raise MalformedDocument("key 'max_candidates' must be at least 1")
+        except MalformedDocument as exc:
+            raise ConfigError(f"malformed config: decorator: {exc}") from None
         if self.enabled and (not self.endpoint or not self.api_key_env):
             raise ConfigError("enabled decorator needs endpoint and api_key_env")
         if not 0 <= self.temperature <= 2:
@@ -80,7 +78,7 @@ def _call_remote(
     prompt_template: str,
     config: DecoratorConfig,
     transport: Transport,
-) -> list[str]:
+) -> tuple[str, ...]:
     api_key = os.environ.get(config.api_key_env or "", "")
     if not api_key:
         raise ConfigError(f"environment variable {config.api_key_env!r} is unset")
@@ -91,10 +89,7 @@ def _call_remote(
     }
     headers = {"Authorization": f"Bearer {api_key}"}
     response = transport(config.endpoint or "", payload, headers, config.timeout_s)
-    candidates = response.get("candidates")
-    if not isinstance(candidates, list) or not all(isinstance(c, str) for c in candidates):
-        raise ValueError("decorator response lacks a candidates list")
-    return candidates
+    return require_strings(response, "candidates")
 
 
 def _decorate_caption(

@@ -95,7 +95,10 @@ def require(doc: Mapping[str, Any], key: str, kind: type) -> Any:
     if kind is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise MalformedDocument(f"key {key!r} must be a number")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
         if not math.isfinite(value):  # a literal such as 1e999 reads as inf
             raise MalformedDocument(f"key {key!r} must be a finite number")
         return value
@@ -104,6 +107,14 @@ def require(doc: Mapping[str, Any], key: str, kind: type) -> Any:
     if type(value) is not kind and (kind is int or not isinstance(value, kind)):
         raise MalformedDocument(f"key {key!r} must be {kind.__name__}")
     return value
+
+
+def require_strings(doc: Mapping[str, Any], key: str) -> tuple[str, ...]:
+    """doc[key], which must be a list of strings, as a tuple."""
+    values = require(doc, key, list)
+    if not all(isinstance(value, str) for value in values):
+        raise MalformedDocument(f"key {key!r} must be a list of strings")
+    return tuple(values)
 
 
 def parse_jsonl(text: str, parse: Callable[[Any], Any], name: str) -> list[Any]:

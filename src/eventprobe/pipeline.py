@@ -21,6 +21,7 @@ import dataclasses
 import glob
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,7 +38,7 @@ from .captions import (
     render_pair,
 )
 from .decorator import DecoratorConfig, Transport, decorate
-from .documents import read_json, read_text, write_outputs
+from .documents import naming, read_json, read_text, require, require_strings, write_outputs
 from .errors import (
     ConfigError,
     EmptyInput,
@@ -80,62 +81,41 @@ class PipelineConfig:
         unknown = sorted(set(merged) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
             raise ConfigError(f"malformed config: unknown key {', '.join(map(repr, unknown))}")
-        if "global_seed" not in merged or merged["global_seed"] is None:
+        if merged.get("global_seed") is None:
             raise ConfigError("global_seed is required; there is no wall-clock default")
-        if not _is_int(merged["global_seed"]):
-            raise ConfigError(
-                f"malformed config: global_seed must be an integer, got {merged['global_seed']!r}"
-            )
         try:
-            decorator = DecoratorConfig(**(merged.get("decorator") or {}))
-            raw_categories = merged.get("categories")
-            if raw_categories in (None, "all-from-profile"):
+            quotas = {} if merged.get("quotas") is None else require(merged, "quotas", dict)
+            with naming("quotas"):
+                for key in quotas:
+                    if require(quotas, key, int) < 0:
+                        raise MalformedDocument(f"key {key!r} must be a non-negative integer, got {quotas[key]}")
+            categories = merged.get("categories")
+            if categories == "all-from-profile":
                 categories = None
-            elif isinstance(raw_categories, str):
-                raise ConfigError(
+            elif isinstance(categories, str):
+                raise MalformedDocument(
                     f"categories must be a list of category keys or \"all-from-profile\", "
-                    f"got the string {raw_categories!r}"
+                    f"got the string {categories!r}"
                 )
-            elif not (isinstance(raw_categories, list) and all(isinstance(c, str) for c in raw_categories)):
-                raise ConfigError(
-                    f"malformed config: categories must be a list of category key strings, got {raw_categories!r}"
-                )
-            else:
-                categories = tuple(raw_categories)
+            elif categories is not None:
+                categories = require_strings(merged, "categories")
                 if len(set(categories)) < len(categories):
                     repeated = next(c for i, c in enumerate(categories) if c in categories[:i])
-                    raise ConfigError(f"malformed config: categories lists {repeated!r} more than once")
-            raw_quotas = merged.get("quotas") or {}
-            if not isinstance(raw_quotas, Mapping):
-                raise ConfigError("quotas must map category keys to counts")
-            for key, quota in raw_quotas.items():
-                if not (_is_int(quota) and quota >= 0):
-                    raise ConfigError(
-                        f"malformed config: quota for {key!r} must be a non-negative integer, got {quota!r}"
-                    )
-            for key in ("profile_path", "input_glob", "output_dir"):
-                if not isinstance(merged[key], str):
-                    raise ConfigError(f"malformed config: {key} must be a path string, got {merged[key]!r}")
+                    raise MalformedDocument(f"categories lists {repeated!r} more than once")
             templates_path = merged.get("templates_path")
-            if templates_path is not None and not isinstance(templates_path, str):
-                raise ConfigError(f"templates_path must be a path string, got {templates_path!r}")
-            force = merged.get("force", False)
-            if not isinstance(force, bool):
-                raise ConfigError(f"malformed config: force must be true or false, got {force!r}")
+            decorator = {} if merged.get("decorator") is None else require(merged, "decorator", dict)
             return cls(
-                global_seed=merged["global_seed"],
-                profile_path=merged["profile_path"],
-                input_glob=merged["input_glob"],
-                output_dir=merged["output_dir"],
-                quotas={str(k): v for k, v in raw_quotas.items()},
+                global_seed=require(merged, "global_seed", int),
+                profile_path=require(merged, "profile_path", str),
+                input_glob=require(merged, "input_glob", str),
+                output_dir=require(merged, "output_dir", str),
+                quotas=dict(quotas),
                 categories=categories,
-                templates_path=templates_path,
-                decorator=decorator,
-                force=force,
+                templates_path=None if templates_path is None else require(merged, "templates_path", str),
+                decorator=DecoratorConfig(**decorator),
+                force=require(merged, "force", bool) if "force" in merged else False,
             )
-        except KeyError as exc:
-            raise ConfigError(f"config lacks required key {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
+        except (MalformedDocument, TypeError) as exc:  # TypeError: an unknown decorator key
             raise ConfigError(f"malformed config: {exc}") from None
 
     @classmethod
@@ -156,11 +136,6 @@ class PipelineConfig:
         if self.categories is not None:
             doc["categories"] = sorted(self.categories)
         return _sha256(doc)
-
-
-def _is_int(value: Any) -> bool:
-    """Whether value is a JSON integer: an int, and not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _sha256(doc: Mapping[str, Any]) -> str:
@@ -330,6 +305,10 @@ def run_stages(
     stages = [stage for stage in STAGES if stage.name in names]
     out_dir = Path(config.output_dir)
     first, last = STAGES.index(stages[0]), STAGES.index(stages[-1])
+    # Name an output directory at or under a file before a stage reads there.
+    existing = next((path for path in (out_dir, *out_dir.parents) if os.path.exists(path)), out_dir)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"cannot write output directory {out_dir}: Not a directory")
     if not config.force:
         for stage in STAGES[first : last + 1]:
             if (out_dir / stage.output).exists():

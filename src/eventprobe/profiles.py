@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Any, Mapping
 
-from .documents import read_json, require
+from .documents import read_json, require, require_strings
 from .errors import MalformedDocument, ProfileNotFound
 
 METHODS = ("temporal", "neighborhood", "counterfactual")
@@ -94,13 +94,6 @@ class DatasetProfile:
         raise MalformedDocument(f"profile {self.name!r} declares no category {key!r}")
 
 
-def _strings(doc: dict[str, Any], key: str) -> tuple[str, ...]:
-    values = require(doc, key, list)
-    if not all(isinstance(value, str) for value in values):
-        raise MalformedDocument(f"key {key!r} must be a list of strings")
-    return tuple(values)
-
-
 def _parse_category(raw: Any) -> ManipulationCategory:
     if isinstance(raw, str):
         return ManipulationCategory.from_key(raw)
@@ -116,9 +109,9 @@ def parse_profile(document: Any) -> DatasetProfile:
     vocab = require(document, "vocab", dict)
     return DatasetProfile(
         name=require(document, "name", str),
-        predicate_types=_strings(document, "predicate_types"),
-        attribute_types=_strings(document, "attribute_types"),
-        vocab={type_name: _strings(vocab, type_name) for type_name in vocab},
+        predicate_types=require_strings(document, "predicate_types"),
+        attribute_types=require_strings(document, "attribute_types"),
+        vocab={type_name: require_strings(vocab, type_name) for type_name in vocab},
         category_set=tuple(map(_parse_category, require(document, "categories", list))),
     )
 

@@ -98,9 +98,10 @@ class TupleGroups:
 
     ordered: tuple[EventTuple, ...]
     # Keyed by (is predicate, type): a type's slots as two aligned lists, the
-    # tuples and each slot's subject attribute index (None for a predicate),
-    # so a graph keeps no object per slot; and the values each entity holds,
-    # a predicate's for its subject, an attribute's in either role.
+    # tuples and each slot's subject attribute index (None for a predicate,
+    # listed only when its tuple has an object), so a graph keeps no object
+    # per slot; and the values each entity holds, a predicate's for its
+    # subject, an attribute's in either role.
     slots: dict[tuple[bool, str], tuple[list[EventTuple], list[int | None]]]
     truthful: dict[tuple[bool, str], dict[str, set[str]]]  # entity id -> values
 
@@ -159,9 +160,10 @@ class SceneGraph:
             subject = tup.subject.entity_id
             if tup.predicate is not None:
                 key = (True, tup.predicate.pred_type)
-                tuples, indices = slots[key]
-                tuples.append(tup)
-                indices.append(None)
+                if tup.object is not None:  # every predicate caption names the object
+                    tuples, indices = slots[key]
+                    tuples.append(tup)
+                    indices.append(None)
                 truthful[key][subject].add(tup.predicate.value)
             for idx, attr in enumerate(tup.subject_attrs):
                 key = (False, attr.attr_type)

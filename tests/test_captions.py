@@ -30,7 +30,7 @@ from eventprobe.pipeline import PipelineConfig, run_pipeline, run_stages
 from eventprobe.profiles import ManipulationCategory, default_profile
 
 from .goldens import GOLDEN_TEXTS, build_golden_records, record_for
-from .helpers import entity, make_tuple, pred, random_profile_corpus, span, with_objects
+from .helpers import entity, make_tuple, pred, random_profile_corpus, span
 
 
 @pytest.fixture(scope="module")
@@ -116,12 +116,12 @@ class TestSlotFidelity:
             for value in required["negative"]:
                 assert value in pair.negative.text, record.record_id
 
-    # Every predicate tuple gets an object: each default predicate template
-    # names one, and a tuple without it cannot be rendered.
+    # Predicate tuples without an object give no predicate sites, so the
+    # generated corpora render as they are.
     @given(st.integers(0, 2**32), st.integers(1, 3))
     def test_protected_values_survive_on_random_corpora(self, seed, n_videos):
         profile = default_profile()
-        corpus = [with_objects(g) for g in random_profile_corpus(random.Random(seed), profile, n_videos)]
+        corpus = random_profile_corpus(random.Random(seed), profile, n_videos)
         pairs = {}
         for record in apply_corpus(corpus, profile, {}, seed):
             pair = pairs[record.record_id] = render_pair(record, default_templates())

@@ -131,12 +131,25 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error: malformed config")
 
     @pytest.mark.parametrize("out", ["blocker", "blocker/sub"], ids=["file", "under-file"])
-    def test_output_directory_unwritable(self, config_path, tmp_path, capsys, out):
+    @pytest.mark.parametrize("command", ["run", "ingest", "probe", "render", "emit"])
+    def test_output_directory_unwritable(self, config_path, tmp_path, capsys, command, out):
         (tmp_path / "blocker").write_text("x")
-        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / out)]) == 2
+        assert main([command, "--config", str(config_path), "--out", str(tmp_path / out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write output directory") and str(tmp_path / out) in err
         assert (tmp_path / "blocker").read_text() == "x"
+
+    def test_predicate_tuple_without_object_gives_no_predicate_sites(self, config_path, tmp_path, fixtures_dir, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(fixtures_dir, corpus)
+        doc = json.loads((corpus / "kitchen.json").read_text())
+        k1 = next(t for t in doc["tuples"] if t["tuple_id"] == "k1")
+        del k1["object"], k1["object_attrs"]
+        (corpus / "kitchen.json").write_text(json.dumps(doc))
+        edit_config(config_path, input_glob=str(corpus / "*.json"))
+        assert main(["run", "--config", str(config_path)]) == 0, capsys.readouterr().err
+        records = map(json.loads, (tmp_path / "out" / "records.jsonl").read_text().splitlines())
+        assert not any("k1" in r["source_tuple_ids"] and ".predicate." in r["category"] for r in records)
 
     def test_categories_string_asks_for_list(self, config_path, capsys):
         doc = json.loads(config_path.read_text())

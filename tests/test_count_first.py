@@ -105,12 +105,13 @@ def _swap_applies(swap, *operands) -> bool:
 
 def operator_sites(graph, category) -> list:
     """Every pair the category's swap operator accepts, as sites, ordered by
-    their items' (tuple_id, attribute index)."""
+    their items' (tuple_id, attribute index); a predicate tuple is an item
+    only when it has an object, which every predicate caption names."""
     if category.target == "predicate":
         items = sorted(
             (t.tuple_id, t)
             for t in graph.tuples
-            if t.predicate is not None and t.predicate.pred_type == category.fine_type
+            if t.predicate is not None and t.predicate.pred_type == category.fine_type and t.object is not None
         )
         return [
             TemporalPredicateSite(ida, idb)
@@ -160,15 +161,16 @@ def truthful(graph, entity_id, fine_type, predicate) -> frozenset:
 
 
 def slots(graph, profile, category) -> list:
-    """(site, incumbent) for every counterfactual slot of the category, the
-    site carrying the candidates a naive scan of the graph gives its
-    subject, ordered by (tuple_id, attribute index)."""
+    """(site, incumbent) for every counterfactual slot of the category (a
+    predicate's only when its tuple has an object), the site carrying the
+    candidates a naive scan of the graph gives its subject, ordered by
+    (tuple_id, attribute index)."""
     predicate = category.target == "predicate"
     found = []
     for t in graph.tuples:
         if predicate:
             here = [(None, t.predicate.value)] if (
-                t.predicate is not None and t.predicate.pred_type == category.fine_type
+                t.predicate is not None and t.predicate.pred_type == category.fine_type and t.object is not None
             ) else []
         else:
             here = [

@@ -186,17 +186,23 @@ VALUE_FAULTS = {
         "decorator-temperature-string": edit_json(decorator={"temperature": "0.2"}),
         "decorator-timeout-string": edit_json(decorator={"timeout_s": "10"}),
         "decorator-timeout-overflow": spell(edit_json(decorator={"timeout_s": 10.5}), 10.5, "1e999"),
+        "decorator-timeout-integer-overflow": spell(edit_json(decorator={"timeout_s": 10.5}), 10.5, "9" * 400),
         "decorator-max-candidates-word": edit_json(decorator={"max_candidates": "ten"}),
         "decorator-max-candidates-zero": edit_json(decorator={"max_candidates": 0}),
         "decorator-max-candidates-fraction": edit_json(decorator={"max_candidates": 2.5}),
         "categories-object": edit_json(categories={ACTION: 1}),
         "categories-number": edit_json(categories=[ACTION, 5]),
+        "quotas-list": edit_json(quotas=[]),
+        "quotas-zero": edit_json(quotas=0),
+        "decorator-false": edit_json(decorator=False),
+        "decorator-list": edit_json(decorator=[]),
     },
     "profile": {"name-nan": edit_json(name=math.nan)},
     "templates": {"connectives-infinity": edit_json(connectives=math.inf)},
     "corpus": {
         "duration-nan": edit_corpus(duration_s=math.nan),
         "duration-overflow": spell(edit_corpus(duration_s=120.0), 120.0, "1e999"),
+        "duration-integer-overflow": spell(edit_corpus(duration_s=120.0), 120.0, "9" * 400),
         "end-infinity": edit_corpus(tuples=first_tuple(time={"start_s": 2.0, "end_s": math.inf})),
         "video-id-empty": edit_corpus(video_id=""),
         "tuple-id-empty": edit_corpus(tuples=first_tuple(tuple_id="")),

@@ -303,9 +303,9 @@ class TestBuildPool:
         assert candidates == ("red", "blue")
 
     def test_entity_without_attribute_type(self):
-        dog = entity("e1", "dog")
+        dog, ball = entity("e1", "dog"), entity("e2", "ball")
         graph = SceneGraph(
-            "v", 10.0, (dog,), (make_tuple("t1", dog, predicate=pred("runs")),)
+            "v", 10.0, (dog, ball), (make_tuple("t1", dog, predicate=pred("runs"), obj=ball),)
         )
         candidates = site_candidates(graph, two_color_profile(), "counterfactual.predicate.Action", "t1")
         assert candidates == ("sits", "naps")

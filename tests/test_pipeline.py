@@ -59,6 +59,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             make_config(tmp_path, fixtures_dir, **{key: value})
 
+    def test_null_optional_values_take_their_defaults(self, tmp_path, fixtures_dir):
+        nulls = dict.fromkeys(("quotas", "categories", "templates_path", "decorator"))
+        assert make_config(tmp_path, fixtures_dir, **nulls) == make_config(tmp_path, fixtures_dir)
+
     def test_flag_overrides_win(self, tmp_path, fixtures_dir):
         path = tmp_path / "config.json"
         path.write_text(
