@@ -235,21 +235,12 @@ def protected_values(record: ManipulationRecord) -> dict[str, tuple[str, ...]]:
         raise MalformedDocument(f"record {record.record_id!r} changed no slot")
 
     if category.method == "temporal" and category.target == "predicate":
-        values = tuple(t.predicate.value for t in record.original if t.predicate)
+        shown = [t.predicate.value for t in record.original if t.predicate]
     elif category.method == "temporal":
-        values = tuple(
-            a.value
-            for t in record.original
-            for a in t.subject_attrs
-            if a.attr_type == category.fine_type
-        )
+        shown = [_first_attr(t, "subject", category.fine_type) for t in record.original]
     else:  # neighborhood
-        orig = record.original[0]
-        values = tuple(
-            a.value
-            for a in orig.subject_attrs + orig.object_attrs
-            if a.attr_type == category.fine_type
-        )
+        shown = [_first_attr(record.original[0], side, category.fine_type) for side in ("subject", "object")]
+    values = tuple(value for value in shown if value is not None)
     return {POSITIVE: values, NEGATIVE: values}
 
 

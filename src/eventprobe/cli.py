@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__, errors
 from .captions import pairs_from_jsonl
-from .documents import naming, parse_json, read_text, require
+from .documents import decode, naming, parse_json, read_text, require
 from .errors import EventProbeError, StageFailed
 from .pipeline import STAGE_BY_NAME, PipelineConfig, run_stages
 
@@ -135,10 +135,8 @@ def cmd_loss_selftest(args: argparse.Namespace) -> int:
     _bind("losses")
     if args.input:
         text = read_text(args.input, errors.EmptyInput(f"self-test input not found: {args.input}"))
-    else:
-        text = sys.stdin.buffer.read()
     with naming(args.input or "stdin"):
-        doc = parse_json(text)
+        doc = parse_json(text if args.input else decode(sys.stdin.buffer.read()))
         params = LossParams(tau=doc.get("tau", 0.05), beta=doc.get("beta", 0.5))
         G = () if doc.get("G") is None else require(doc, "G", list)
         batch = LossBatch(V=require(doc, "V", list), T=require(doc, "T", list), G=G)

@@ -41,12 +41,17 @@ def open_input(path: str | Path, missing: EventProbeError) -> Iterator[BinaryIO]
         yield fh
 
 
+def decode(data: bytes) -> str:
+    """data read as UTF-8, the encoding of every document."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"not UTF-8: {exc}") from None
+
+
 def read_text(path: str | Path, missing: EventProbeError) -> str:
     with open_input(path, missing) as fh:
-        try:
-            return fh.read().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedDocument(f"not UTF-8: {exc}") from None
+        return decode(fh.read())
 
 
 def _reject_constant(name: str) -> None:
@@ -59,16 +64,12 @@ def _reject_constant(name: str) -> None:
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
-def parse_json(text: str | bytes) -> dict[str, Any]:
-    """The JSON object text holds; bytes are decoded as json.loads does."""
+def parse_json(text: str) -> dict[str, Any]:
+    """The JSON object text holds."""
     try:
-        if isinstance(text, bytes):
-            text = text.decode(json.detect_encoding(text), "surrogatepass")
         doc = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"invalid JSON: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise MalformedDocument(f"not UTF-8: {exc}") from None
     if not isinstance(doc, dict):
         raise MalformedDocument("top-level value must be a JSON object")
     return doc

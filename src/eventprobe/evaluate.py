@@ -20,7 +20,7 @@ from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .captions import CaptionPair
+from .captions import CaptionPair, benchmark_categories
 from .documents import open_input, write_outputs
 from .errors import (
     EmptyInput,
@@ -263,44 +263,21 @@ def relative_gap(p: float, p_control: float) -> float:
 # --- pools -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RetrievalPool:
-    """One category's candidate set: its videos, caption ids and ground truth."""
-
-    category: str
-    video_ids: tuple[str, ...]
-    caption_ids: tuple[str, ...]
-    gt: GroundTruth
-
-
-def build_control_pool(pairs: Sequence[CaptionPair]) -> dict[str, RetrievalPool]:
-    """Build one pool per category from caption pairs.
+def build_control_pool(pairs: Sequence[CaptionPair]) -> dict[str, GroundTruth]:
+    """One pool per category key, by key: the ground truth of its pairs,
+    whose videos and caption ids are the pool's candidates.
 
     A caption id is a pair id, so the positive and the control score matrix
     are both read over the same pool: the control matrix scores each pair's
     negative text where the positive matrix scores its positive text.
     """
-    if not pairs:
-        raise EmptyInput("no caption pairs")
-    by_category: dict[str, list[CaptionPair]] = {}
+    benchmark_categories(pairs)  # raises on no pairs or a repeated pair_id
+    by_category: dict[str, dict[str, set[str]]] = {}
     for pair in pairs:
         if not pair.negative.text.strip():
             raise MissingNegative(f"pair {pair.pair_id!r} lacks negative text")
-        by_category.setdefault(pair.category.key, []).append(pair)
-
-    pools: dict[str, RetrievalPool] = {}
-    for category, members in sorted(by_category.items()):
-        members = sorted(members, key=lambda p: p.pair_id)
-        gt_mapping: dict[str, set[str]] = {}
-        for pair in members:
-            gt_mapping.setdefault(pair.video_id, set()).add(pair.pair_id)
-        pools[category] = RetrievalPool(
-            category=category,
-            video_ids=tuple(sorted({p.video_id for p in members})),
-            caption_ids=tuple(p.pair_id for p in members),
-            gt=GroundTruth.from_mapping(gt_mapping),
-        )
-    return pools
+        by_category.setdefault(pair.category.key, {}).setdefault(pair.video_id, set()).add(pair.pair_id)
+    return {category: GroundTruth.from_mapping(gt) for category, gt in sorted(by_category.items())}
 
 
 def evaluate_pools(
@@ -318,12 +295,13 @@ def evaluate_pools(
     if any(k < 1 for k in ks) or len(set(ks)) < len(ks) or len(set(directions)) < len(directions):
         raise ValueError(f"need distinct ks >= 1 and distinct directions, got {ks} and {directions}")
     recalls: list[RecallReport] = []
-    for category, pool in build_control_pool(pairs).items():
-        m_pos = positive_scores.submatrix(pool.video_ids, pool.caption_ids)
-        m_ctl = control_scores.submatrix(pool.video_ids, pool.caption_ids)
+    for category, gt in build_control_pool(pairs).items():
+        video_ids, caption_ids = sorted(gt.video_to_captions), sorted(gt.caption_to_video)
+        m_pos = positive_scores.submatrix(video_ids, caption_ids)
+        m_ctl = control_scores.submatrix(video_ids, caption_ids)
         for direction in directions:
-            ranks = pessimistic_ranks(m_pos, pool.gt, direction)
-            ranks_control = pessimistic_ranks(m_ctl, pool.gt, direction)
+            ranks = pessimistic_ranks(m_pos, gt, direction)
+            ranks_control = pessimistic_ranks(m_ctl, gt, direction)
             for k in ks:
                 recalls.append(RecallReport(direction, k, _share_within(ranks, k), "positive", category))
                 recalls.append(RecallReport(direction, k, _share_within(ranks_control, k), "control", category))

@@ -108,10 +108,6 @@ class LossBatch:
     def n_items(self) -> int:
         return self.V.shape[0]
 
-    @property
-    def n_gen(self) -> tuple[int, ...]:
-        return tuple(g.shape[0] for g in self.G)
-
 
 def _address(a: np.ndarray) -> int:
     return a.__array_interface__["data"][0]

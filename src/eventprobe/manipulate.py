@@ -40,6 +40,7 @@ from .scene_graph import (
     PredicateValue,
     SceneGraph,
     TimeInterval,
+    first_of_type,
 )
 
 RECORDS_FORMAT = 2
@@ -61,7 +62,6 @@ class ManipulationRecord:
     record_id: str
     category: ManipulationCategory
     video_id: str
-    source_tuple_ids: tuple[str, ...]
     original: tuple[EventTuple, ...]
     manipulated: tuple[EventTuple, ...]
     seed: int
@@ -77,6 +77,10 @@ class ManipulationRecord:
                 raise MalformedDocument(
                     f"record {self.record_id!r}: manipulation left a tuple unchanged"
                 )
+
+    @property
+    def source_tuple_ids(self) -> tuple[str, ...]:
+        return tuple(sorted(t.tuple_id for t in self.original))
 
 
 def _derived(item: Any, **fields: Any) -> Any:
@@ -145,7 +149,9 @@ def temporal_attribute_swap(
 def _neighborhood_pairs(
     e: EventTuple, attr_type: str | None
 ) -> tuple[list[tuple[str, str, str, int, int]], bool]:
-    """All (type, subject value, object value, subject idx, object idx) pairs.
+    """The (type, subject value, object value, subject idx, object idx) pairs
+    of differing values, one per type both sides carry: each side's first
+    attribute of the type, the one a caption shows.
 
     Second return flags whether any same-type pair exists at all, regardless
     of value equality.
@@ -153,26 +159,24 @@ def _neighborhood_pairs(
     pairs = []
     any_shared = False
     for si, sa in enumerate(e.subject_attrs):
-        for oi, oa in enumerate(e.object_attrs):
-            if sa.attr_type != oa.attr_type:
-                continue
-            if attr_type is not None and sa.attr_type != attr_type:
-                continue
-            any_shared = True
-            if sa.value != oa.value:
-                pairs.append((sa.attr_type, sa.value, oa.value, si, oi))
+        if (attr_type is None or sa.attr_type == attr_type) and first_of_type(e.subject_attrs, si):
+            for oi, oa in enumerate(e.object_attrs):
+                if oa.attr_type == sa.attr_type:  # the object's first of the type
+                    any_shared = True
+                    if sa.value != oa.value:
+                        pairs.append((sa.attr_type, sa.value, oa.value, si, oi))
+                    break
     return pairs, any_shared
 
 
 def neighborhood_attribute_swap(
     e: EventTuple, attr_type: str | None = None
 ) -> EventTuple:
-    """Exchange one same-type attribute pair between subject and object.
+    """Exchange one same-type attribute pair between subject and object:
+    each side's first attribute of the type, the one a caption shows.
 
-    When several pairs qualify, the first in (attr_type, subject value,
-    object value) order is swapped; the choice is unambiguous whenever each
-    entity carries at most one attribute per type, which also makes the
-    operator an involution on that domain.
+    When several types qualify, the pair of the first type is swapped, so
+    the operator is an involution.
     """
     if e.object is None:
         raise NotApplicable(f"tuple {e.tuple_id!r} has no object")
@@ -574,7 +578,6 @@ def apply_corpus(
                     record_id=f"{category.key}#{ordinal:04d}",
                     category=category,
                     video_id=graph.video_id,
-                    source_tuple_ids=tuple(sorted(t.tuple_id for t in original)),
                     original=original,
                     manipulated=manipulated,
                     seed=record_seed,
@@ -648,15 +651,13 @@ def record_from_doc(
                 fields[name] = TUPLE_FIELDS[name][1](raw, tuple_id)
         original.append(orig)
         manipulated.append(_derived(orig, **fields))
-    source_tuple_ids = tuple(require(doc, "source_tuple_ids", list))
     # key=str keeps the sort total when a document puts a non-string id here.
-    if sorted(t.tuple_id for t in original) != sorted(source_tuple_ids, key=str):
+    if sorted(t.tuple_id for t in original) != sorted(require(doc, "source_tuple_ids", list), key=str):
         raise MalformedDocument("source_tuple_ids must name the manipulated tuples")
     return ManipulationRecord(
         record_id=require(doc, "record_id", str),
         category=ManipulationCategory.from_key(require(doc, "category", str)),
         video_id=video_id,
-        source_tuple_ids=source_tuple_ids,
         original=tuple(original),
         manipulated=tuple(manipulated),
         seed=require(doc, "seed", int),

@@ -37,7 +37,7 @@ from .captions import (
     protected_values,
     render_pair,
 )
-from .decorator import DecoratorConfig, Transport, decorate
+from .decorator import DecoratorConfig, decorate
 from .documents import naming, read_json, read_text, require, require_strings, write_outputs
 from .errors import (
     ConfigError,
@@ -166,24 +166,26 @@ class RunManifest:
 
 
 def resolve_categories(config: PipelineConfig, profile: DatasetProfile):
-    """Categories the run processes: the config's subset, or all-from-profile.
-    Raises ConfigError for a quota or category key the profile lacks."""
+    """Categories the run processes: the config's subset in profile order, or
+    all-from-profile (None). The config's list acts as a set, as it does in
+    the config digest. Raises ConfigError for a quota or category key the
+    profile lacks."""
     unknown = sorted(set(config.quotas) - {cat.key for cat in profile.category_set})
     if unknown:
         raise ConfigError(f"quota keys not in profile categories: {', '.join(unknown)}")
     if config.categories is None:
         return None
     try:
-        return tuple(profile.category(key) for key in config.categories)
+        named = {profile.category(key) for key in config.categories}
     except MalformedDocument as exc:
         raise ConfigError(str(exc)) from None
+    return tuple(cat for cat in profile.category_set if cat in named)
 
 
 # Each stage function takes the config, the values of the stages before it
-# by name (computed in this command or loaded from their files), the
-# decorator transport and the time the command started, and returns its
-# stage's value.
-def _ingest(config: PipelineConfig, values: Mapping[str, Any], transport: Transport | None, started_at: float) -> list:
+# by name (computed in this command or loaded from their files) and the time
+# the command started, and returns its stage's value.
+def _ingest(config: PipelineConfig, values: Mapping[str, Any], started_at: float) -> list:
     """Parse and profile-validate every document matched by the input glob."""
     profile = load_profile(config.profile_path)
     paths = sorted(glob.glob(config.input_glob))
@@ -209,7 +211,7 @@ def _ingest(config: PipelineConfig, values: Mapping[str, Any], transport: Transp
     return graphs
 
 
-def _probe(config: PipelineConfig, values: Mapping[str, Any], transport: Transport | None, started_at: float) -> list:
+def _probe(config: PipelineConfig, values: Mapping[str, Any], started_at: float) -> list:
     profile = load_profile(config.profile_path)
     categories = resolve_categories(config, profile)
     return apply_corpus(
@@ -217,7 +219,7 @@ def _probe(config: PipelineConfig, values: Mapping[str, Any], transport: Transpo
     )
 
 
-def _render(config: PipelineConfig, values: Mapping[str, Any], transport: Transport | None, started_at: float) -> list:
+def _render(config: PipelineConfig, values: Mapping[str, Any], started_at: float) -> list:
     templates = (
         load_templates(config.templates_path) if config.templates_path else default_templates()
     )
@@ -225,15 +227,13 @@ def _render(config: PipelineConfig, values: Mapping[str, Any], transport: Transp
     for record in values["probe"]:
         pair = render_pair(record, templates)
         if config.decorator.enabled:
-            pair = decorate(
-                pair, config.decorator, required=protected_values(record), transport=transport
-            )
+            pair = decorate(pair, config.decorator, required=protected_values(record))
         pairs.append(pair)
     benchmark_categories(pairs)  # raises on no pairs or a repeated pair_id
     return pairs
 
 
-def _emit(config: PipelineConfig, values: Mapping[str, Any], transport: Transport | None, started_at: float) -> RunManifest:
+def _emit(config: PipelineConfig, values: Mapping[str, Any], started_at: float) -> RunManifest:
     """The run manifest. Its stage_counts are the line counts of the earlier
     outputs, one line per item, so that `emit` run on its own reports what
     `run` does: a stage this command did not load is counted on disk."""
@@ -268,7 +268,7 @@ class Stage:
     name: str
     reads: tuple[str, ...]
     output: str
-    fn: Callable[[PipelineConfig, Mapping[str, Any], Transport | None, float], Any]
+    fn: Callable[[PipelineConfig, Mapping[str, Any], float], Any]
     write: Callable[[Any], str]
     read: Callable[[str, str, Mapping[str, Any]], Any] | None
 
@@ -291,9 +291,7 @@ def _read_output(out_dir: Path, stage: Stage) -> str:
     return read_text(path, EmptyInput(f"{path} not found; run {stage.name} first"))
 
 
-def run_stages(
-    config: PipelineConfig, names: Sequence[str], transport: Transport | None = None
-) -> RunManifest | None:
+def run_stages(config: PipelineConfig, names: Sequence[str]) -> RunManifest | None:
     """Execute one stage, or every stage in table order; returns the run
     manifest when emit is among them, else None.
 
@@ -323,7 +321,7 @@ def run_stages(
                     source = STAGE_BY_NAME[name]
                     text = _read_output(out_dir, source)
                     values[name] = source.read(text, str(out_dir / source.output), values)
-            values[stage.name] = stage.fn(config, values, transport, started_at)
+            values[stage.name] = stage.fn(config, values, started_at)
             texts[stage.output] = stage.write(values[stage.name])
         except Exception as exc:
             raise StageFailed(stage.name, exc) from exc
@@ -331,8 +329,6 @@ def run_stages(
     return values.get("emit")
 
 
-def run_pipeline(
-    config: PipelineConfig, transport: Transport | None = None
-) -> RunManifest:
+def run_pipeline(config: PipelineConfig) -> RunManifest:
     """Execute every stage in memory; returns the run manifest."""
-    return run_stages(config, list(STAGE_BY_NAME), transport)
+    return run_stages(config, list(STAGE_BY_NAME))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from .documents import parse_jsonl, read_json, require, to_jsonl
 from .errors import (
@@ -90,6 +90,12 @@ class EventTuple:
             )
 
 
+def first_of_type(attrs: Sequence[AttributeValue], idx: int) -> bool:
+    """Whether attrs[idx] is the first of its type in attrs: the attribute a
+    caption shows, and the only one of its type a manipulation changes."""
+    return idx == 0 or all(a.attr_type != attrs[idx].attr_type for a in attrs[:idx])
+
+
 @dataclass(frozen=True)
 class TupleGroups:
     """A graph's tuples grouped as site listing reads them, each group in
@@ -99,9 +105,10 @@ class TupleGroups:
     ordered: tuple[EventTuple, ...]
     # Keyed by (is predicate, type): a type's slots as two aligned lists, the
     # tuples and each slot's subject attribute index (None for a predicate,
-    # listed only when its tuple has an object), so a graph keeps no object
-    # per slot; and the values each entity holds, a predicate's for its
-    # subject, an attribute's in either role.
+    # listed only when its tuple has an object; an attribute listed only when
+    # first_of_type), so a graph keeps no object per slot; and every value
+    # each entity holds, a predicate's for its subject, an attribute's in
+    # either role.
     slots: dict[tuple[bool, str], tuple[list[EventTuple], list[int | None]]]
     truthful: dict[tuple[bool, str], dict[str, set[str]]]  # entity id -> values
 
@@ -167,9 +174,10 @@ class SceneGraph:
                 truthful[key][subject].add(tup.predicate.value)
             for idx, attr in enumerate(tup.subject_attrs):
                 key = (False, attr.attr_type)
-                tuples, indices = slots[key]
-                tuples.append(tup)
-                indices.append(idx)
+                if first_of_type(tup.subject_attrs, idx):  # the value captions show
+                    tuples, indices = slots[key]
+                    tuples.append(tup)
+                    indices.append(idx)
                 truthful[key][subject].add(attr.value)
             for attr in tup.object_attrs:
                 truthful[False, attr.attr_type][tup.object.entity_id].add(attr.value)

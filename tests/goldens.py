@@ -20,7 +20,6 @@ def record_for(category_key, original, manipulated, video_id="v", record_id=None
         record_id=record_id or f"{category_key}#0000",
         category=ManipulationCategory.from_key(category_key),
         video_id=video_id,
-        source_tuple_ids=tuple(t.tuple_id for t in original),
         original=tuple(original),
         manipulated=tuple(manipulated),
         seed=0,

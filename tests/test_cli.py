@@ -151,6 +151,30 @@ class TestRunCommand:
         records = map(json.loads, (tmp_path / "out" / "records.jsonl").read_text().splitlines())
         assert not any("k1" in r["source_tuple_ids"] and ".predicate." in r["category"] for r in records)
 
+    def test_only_a_sides_first_attribute_of_a_type_is_manipulated(self, config_path, tmp_path, capsys):
+        """Captions show a side's first attribute of each type, so a kite that
+        is red and blue, or red and green, still gives pairs whose captions
+        differ: no manipulation changes the second color alone."""
+
+        def colors(*values):
+            return [{"value": value, "attr_type": "Color"} for value in values]
+
+        def tup(tuple_id, start, attrs, **rest):
+            return {"tuple_id": tuple_id, "subject": "a", "subject_attrs": attrs,
+                    "time": {"start_s": start, "end_s": start + 1}, **rest}
+
+        doc = {"video_id": "kites", "duration_s": 10.0,
+               "entities": [{"entity_id": "a", "name": "kite"}, {"entity_id": "b", "name": "bird"}],
+               "tuples": [tup("t1", 0, colors("red", "blue")), tup("t2", 2, colors("red", "green")),
+                          tup("t3", 4, colors("yellow")),
+                          tup("t4", 6, colors("red", "blue"), object="b", object_attrs=colors("yellow", "green"))]}
+        (tmp_path / "kites.json").write_text(json.dumps(doc))
+        edit_config(config_path, input_glob=str(tmp_path / "kites.json"))
+        assert main(["run", "--config", str(config_path)]) == 0, capsys.readouterr().err
+        pairs = [json.loads(line) for line in (tmp_path / "out" / "benchmark.jsonl").read_text().splitlines()]
+        assert {p["category"].split(".")[0] for p in pairs} == {"temporal", "neighborhood", "counterfactual"}
+        assert all(p["positive"]["text"] != p["negative"]["text"] for p in pairs)
+
     def test_categories_string_asks_for_list(self, config_path, capsys):
         doc = json.loads(config_path.read_text())
         doc["categories"] = "temporal.predicate.Action"
@@ -641,6 +665,24 @@ class TestEvalCommands:
         for report in ("recalls.csv", "gaps.csv", "scatter.csv"):
             assert (tmp_path / "npz" / report).read_bytes() == (tmp_path / "csv" / report).read_bytes()
         assert len((tmp_path / "csv" / "gaps.csv").read_bytes().splitlines()) > 1
+
+    def test_eval_repeated_pair_id_exit_code(self, config_path, tmp_path, capsys):
+        benchmark, positive, control = self.build_benchmark(config_path, tmp_path)
+        first = benchmark.read_text().splitlines(keepends=True)[0]
+        with open(benchmark, "a", encoding="utf-8") as fh:
+            fh.write(first)
+        capsys.readouterr()
+        argv = [
+            "eval",
+            "--benchmark", str(benchmark),
+            "--scores", str(positive),
+            "--scores-control", str(control),
+            "--out", str(tmp_path / "reports"),
+        ]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(json.loads(first)["pair_id"]) in err, err
+        assert not (tmp_path / "reports").exists()
 
     def test_eval_unknown_id_exit_code(self, config_path, tmp_path, capsys):
         benchmark, positive, control = self.build_benchmark(config_path, tmp_path)

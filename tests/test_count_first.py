@@ -103,10 +103,17 @@ def _swap_applies(swap, *operands) -> bool:
     return True
 
 
+def first_index(attrs, fine_type):
+    """The index of the first fine_type attribute, the one a caption shows;
+    None if there is none."""
+    return next((i for i, a in enumerate(attrs) if a.attr_type == fine_type), None)
+
+
 def operator_sites(graph, category) -> list:
     """Every pair the category's swap operator accepts, as sites, ordered by
     their items' (tuple_id, attribute index); a predicate tuple is an item
-    only when it has an object, which every predicate caption names."""
+    only when it has an object, which every predicate caption names, and an
+    attribute only when it is its tuple's first of the fine type."""
     if category.target == "predicate":
         items = sorted(
             (t.tuple_id, t)
@@ -119,10 +126,9 @@ def operator_sites(graph, category) -> list:
             if _swap_applies(temporal_predicate_swap, a, b)
         ]
     items = sorted(
-        ((t.tuple_id, i), AttributeObservation(t.subject, attr, t.time))
+        ((t.tuple_id, i), AttributeObservation(t.subject, t.subject_attrs[i], t.time))
         for t in graph.tuples
-        for i, attr in enumerate(t.subject_attrs)
-        if attr.attr_type == category.fine_type
+        if (i := first_index(t.subject_attrs, category.fine_type)) is not None
     )
     return [
         TemporalAttributeSite(*ka, *kb)
@@ -162,7 +168,8 @@ def truthful(graph, entity_id, fine_type, predicate) -> frozenset:
 
 def slots(graph, profile, category) -> list:
     """(site, incumbent) for every counterfactual slot of the category (a
-    predicate's only when its tuple has an object), the site carrying the
+    predicate's only when its tuple has an object, an attribute's only when
+    it is its tuple's first of the fine type), the site carrying the
     candidates a naive scan of the graph gives its subject, ordered by
     (tuple_id, attribute index)."""
     predicate = category.target == "predicate"
@@ -173,11 +180,8 @@ def slots(graph, profile, category) -> list:
                 t.predicate is not None and t.predicate.pred_type == category.fine_type and t.object is not None
             ) else []
         else:
-            here = [
-                (i, a.value)
-                for i, a in enumerate(t.subject_attrs)
-                if a.attr_type == category.fine_type
-            ]
+            i = first_index(t.subject_attrs, category.fine_type)
+            here = [] if i is None else [(i, t.subject_attrs[i].value)]
         for idx, incumbent in here:
             exclusions = truthful(graph, t.subject.entity_id, category.fine_type, predicate)
             candidates = tuple(v for v in profile.vocab[category.fine_type] if v not in exclusions)
@@ -219,7 +223,6 @@ def listed_records(graphs, category, quota, seed, profile=PROFILE):
                 record_id=f"{category.key}#{ordinal:04d}",
                 category=category,
                 video_id=graph.video_id,
-                source_tuple_ids=tuple(sorted(t.tuple_id for t in original)),
                 original=original,
                 manipulated=manipulated,
                 seed=record_seed,

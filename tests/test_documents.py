@@ -8,6 +8,7 @@ and a failed pipeline command must leave its output directory as it was.
 """
 
 import ast
+import io
 import json
 import math
 import shutil
@@ -115,6 +116,10 @@ def first_tuple(**changes):
 
 
 JSON_FAULTS = {"not-utf8": b'{"name": "caf\xe9"}', "invalid-json": b"{not json", "not-an-object": b"[1, 2]\n"}
+# A self-test document in JSON's other encodings, which json.loads detects
+# but no eventprobe input takes, from a file or from stdin.
+BATCH = {"V": [[1.0]], "T": [[1.0]]}
+OTHER_ENCODINGS = {"utf8-bom": "utf-8-sig", "utf16": "utf-16"}
 CSV_FAULTS = {"not-utf8": b"video_id,caf\xe9\n", "bad-header": b"nope,c1\nv,0.5\n"}
 
 # input: (how to reach it, the file, exit code when missing, when malformed,
@@ -145,7 +150,9 @@ INPUTS = {
                         {"pair-id-number": edit_first_line(pair_id=5)}, True),
     "loss-selftest": (lambda ws: ["loss-selftest", "--input", str(ws.tmp / "batch.json")],
                       lambda ws: ws.tmp / "batch.json", 6, 4,
-                      {"V-number": lambda path: b'{"V": 5, "T": [[0.1]]}'}, True),
+                      {"V-number": lambda path: b'{"V": 5, "T": [[0.1]]}',
+                       **{name: json.dumps(BATCH).encode(encoding) for name, encoding in OTHER_ENCODINGS.items()}},
+                      True),
     "eval-benchmark": (lambda ws: ws.eval_argv(),
                        lambda ws: ws.tmp / "bench.jsonl", 6, 4,
                        {"pair-id-number": edit_first_line(pair_id=5)}, True),
@@ -278,6 +285,16 @@ def test_input_fault_exit_code(tmp_path, fixtures_dir, capsys, name, fault, cont
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and named in err, err
     assert (outputs(ws.out) if ws.out.exists() else {}) == before
     assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize("encoding, code", [("utf-8", 0), *((e, 4) for e in OTHER_ENCODINGS.values())],
+                         ids=["utf8", *OTHER_ENCODINGS])
+def test_stdin_is_decoded_as_files_are(monkeypatch, capsys, encoding, code):
+    """loss-selftest reads stdin as UTF-8, as it reads its --input file."""
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(json.dumps(BATCH).encode(encoding))))
+    assert main(["loss-selftest"]) == code
+    err = capsys.readouterr().err
+    assert err == "" if code == 0 else len(err.splitlines()) == 1 and err.startswith("error: stdin: "), err
 
 
 def test_repeated_video_id_names_both_files_and_the_line(tmp_path, fixtures_dir, capsys):

@@ -280,10 +280,9 @@ def make_pair(pair_id, video_id, category="counterfactual.attribute.Color",
 class TestPools:
     def test_aligned_pools(self):
         pairs = [make_pair(f"p{i}", f"v{i % 2}") for i in range(3)]
-        pool = build_control_pool(pairs)["counterfactual.attribute.Color"]
-        assert pool.caption_ids == ("p0", "p1", "p2")
-        assert pool.video_ids == ("v0", "v1")
-        assert pool.gt.video_to_captions["v0"] == frozenset({"p0", "p2"})
+        gt = build_control_pool(pairs)["counterfactual.attribute.Color"]
+        assert gt.video_to_captions == {"v0": frozenset({"p0", "p2"}), "v1": frozenset({"p1"})}
+        assert gt.caption_to_video == {"p0": "v0", "p1": "v1", "p2": "v0"}
 
     def test_one_pool_pair_per_category(self):
         pairs = [
@@ -305,6 +304,10 @@ class TestPools:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             build_control_pool([])
+
+    def test_repeated_pair_id(self):
+        with pytest.raises(MalformedDocument, match="duplicate pair_id 'p0'"):
+            build_control_pool([make_pair("p0", "v0"), make_pair("p0", "v0")])
 
 
 class TestEvaluatePools:
@@ -348,13 +351,15 @@ class TestEvaluatePools:
         ks = (1, 2, 5)
         recalls, gaps = evaluate_pools(pairs, positive, control, ks=ks)
         expected_recalls, expected_gaps = [], []
-        for category, pool in build_control_pool(pairs).items():
-            pos = positive.submatrix(pool.video_ids, pool.caption_ids)
-            ctl = control.submatrix(pool.video_ids, pool.caption_ids)
+        for category, gt in build_control_pool(pairs).items():
+            videos = sorted({p.video_id for p in pairs if p.category.key == category})
+            captions = sorted(p.pair_id for p in pairs if p.category.key == category)
+            pos = positive.submatrix(videos, captions)
+            ctl = control.submatrix(videos, captions)
             for direction in ("T2V", "V2T"):
                 for k in ks:
-                    p = loop_recall(pos, pool.gt, k, direction)
-                    p_control = loop_recall(ctl, pool.gt, k, direction)
+                    p = loop_recall(pos, gt, k, direction)
+                    p_control = loop_recall(ctl, gt, k, direction)
                     expected_recalls.append((category, direction, k, "positive", p))
                     expected_recalls.append((category, direction, k, "control", p_control))
                     if p > 0:

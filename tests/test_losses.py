@@ -325,7 +325,8 @@ class TestRaggedOracle:
         batches = [random_batch(rng, gen_max=4) for _ in range(40)]
         batches.append(batch_without_gens(random_batch(rng, n=6)))  # all-empty G
         batches.append(random_batch(rng, n=1, gen_max=4))
-        assert any(0 < sum(b.n_gen) and 0 in b.n_gen for b in batches)
+        counts = [[len(g) for g in b.G] for b in batches]
+        assert any(0 < sum(n_gen) and 0 in n_gen for n_gen in counts)
         for batch in batches:
             tau = float(rng.uniform(0.1, 1.0))
             beta = float(rng.uniform(0.0, 2.0))

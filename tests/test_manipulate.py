@@ -205,6 +205,28 @@ class TestNeighborhoodSwap:
         swapped = neighborhood_attribute_swap(tup)
         assert swapped.subject_attrs == (attr("metal", "Material"), attr("brown", "Color"))
 
+    def test_swaps_the_attributes_captions_show(self):
+        # Only each side's first Color is shown, so red is never swapped.
+        tup = make_tuple(
+            "t1",
+            entity("e1"),
+            attrs=(attr("white"), attr("red")),
+            obj=entity("e2"),
+            obj_attrs=(attr("brown"), attr("white")),
+        )
+        swapped = neighborhood_attribute_swap(tup)
+        assert swapped.subject_attrs == (attr("brown"), attr("red"))
+        assert swapped.object_attrs == (attr("white"), attr("white"))
+        same_first = make_tuple(
+            "t2",
+            entity("e1"),
+            attrs=(attr("white"), attr("red")),
+            obj=entity("e2"),
+            obj_attrs=(attr("white"), attr("brown")),
+        )
+        with pytest.raises(NoObservableChange):
+            neighborhood_attribute_swap(same_first)
+
     def test_involution(self):
         rng = random.Random(9)
         for _ in range(50):

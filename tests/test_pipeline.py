@@ -153,6 +153,17 @@ class TestRunPipeline:
             "counterfactual.predicate.Action": 4,
         }
 
+    def test_category_order_does_not_matter(self, tmp_path, fixtures_dir):
+        """A categories list acts as a set, as the config digest reads it:
+        the categories run in profile order whatever order it names them in."""
+        keys = ["temporal.predicate.Contact", "counterfactual.attribute.Color"]
+        manifests, benchmarks = [], []
+        for order in (keys, keys[::-1]):
+            manifests.append(run_pipeline(make_config(tmp_path, fixtures_dir, categories=order, force=True)))
+            benchmarks.append((tmp_path / "out" / "benchmark.jsonl").read_bytes())
+        assert benchmarks[0] == benchmarks[1]
+        assert manifests[0].digest() == manifests[1].digest()
+
     def test_unknown_category_key_rejected(self, tmp_path, fixtures_dir):
         config = make_config(tmp_path, fixtures_dir, categories=["temporal.attribute.Sound"])
         with pytest.raises(StageFailed) as info:
@@ -243,8 +254,9 @@ class TestDecoratorWiring:
         def flaky(endpoint, payload, headers, timeout):
             raise TimeoutError("down")
 
+        monkeypatch.setattr(eventprobe.decorator, "_http_transport", flaky)
         config = self.decorated_config(tmp_path, fixtures_dir)
-        manifest = run_pipeline(config, transport=flaky)
+        manifest = run_pipeline(config)
         assert manifest.decorator_failures == 2 * manifest.stage_counts["pairs"]
 
     def test_decorated_run_rewrites_captions(self, tmp_path, fixtures_dir, monkeypatch):
@@ -254,8 +266,9 @@ class TestDecoratorWiring:
             sentence = payload["prompt"].rsplit("Sentence: ", 1)[1]
             return {"candidates": [f"In the clip, {sentence}"]}
 
+        monkeypatch.setattr(eventprobe.decorator, "_http_transport", echoing)
         config = self.decorated_config(tmp_path, fixtures_dir)
-        manifest = run_pipeline(config, transport=echoing)
+        manifest = run_pipeline(config)
         assert manifest.decorator_failures == 0
         lines = (tmp_path / "out" / "benchmark.jsonl").read_text().splitlines()
         first = json.loads(lines[0])
