@@ -13,7 +13,7 @@ import string
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     EmptyInput,
@@ -37,33 +37,48 @@ ALLOWED_SLOTS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Caption:
-    """One rendered caption and what rendered it."""
-
+class _Caption(NamedTuple):
     text: str
     renderer: str
 
-    def __post_init__(self) -> None:
-        if not self.text:
+
+class Caption(_Caption):
+    """One rendered caption and what rendered it."""
+
+    __slots__ = ()
+
+    def __new__(cls, text: str, renderer: str) -> Caption:
+        if not text:
             raise MalformedDocument("caption text must be nonempty")
-        if self.renderer not in ("template", "llm"):
-            raise MalformedDocument(f"bad renderer {self.renderer!r}")
+        if renderer not in ("template", "llm"):
+            raise MalformedDocument(f"bad renderer {renderer!r}")
+        return tuple.__new__(cls, (text, renderer))
 
 
-@dataclass(frozen=True)
-class CaptionPair:
-    """Positive and negative caption for one manipulation record."""
-
+class _CaptionPair(NamedTuple):
     pair_id: str
     video_id: str
     category: ManipulationCategory
     positive: Caption
     negative: Caption
 
-    def __post_init__(self) -> None:
-        if self.positive.text == self.negative.text:
-            raise MalformedDocument(f"pair {self.pair_id!r}: captions are identical")
+
+class CaptionPair(_CaptionPair):
+    """Positive and negative caption for one manipulation record."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        pair_id: str,
+        video_id: str,
+        category: ManipulationCategory,
+        positive: Caption,
+        negative: Caption,
+    ) -> CaptionPair:
+        if positive.text == negative.text:
+            raise MalformedDocument(f"pair {pair_id!r}: captions are identical")
+        return tuple.__new__(cls, (pair_id, video_id, category, positive, negative))
 
 
 @dataclass(frozen=True)
@@ -281,7 +296,11 @@ def pairs_to_jsonl(pairs: Iterable[CaptionPair]) -> str:
 
 
 def pairs_from_jsonl(text: str, name: str = "caption pairs") -> list[CaptionPair]:
-    return parse_jsonl(text, pair_from_doc, name)
+    """The pairs of a benchmark file; EmptyInput, naming it, if it holds none."""
+    pairs = parse_jsonl(text, pair_from_doc, name)
+    if not pairs:
+        raise EmptyInput(f"{name}: no caption pairs")
+    return pairs
 
 
 def benchmark_categories(pairs: Sequence[CaptionPair]) -> dict[str, int]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .captions import NEGATIVE, POSITIVE, Caption, CaptionPair
@@ -133,5 +133,5 @@ def decorate(
     )
     if positive.text == negative.text:
         return pair  # degenerate rewrite; keep the distinguishable template pair
-    return replace(pair, positive=positive, negative=negative)
+    return CaptionPair(pair.pair_id, pair.video_id, pair.category, positive, negative)
 

@@ -14,9 +14,8 @@ import hashlib
 import random
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .documents import parse_jsonl, require, to_jsonl
 from .errors import (
@@ -46,8 +45,7 @@ from .scene_graph import (
 RECORDS_FORMAT = 2
 
 
-@dataclass(frozen=True)
-class AttributeObservation:
+class AttributeObservation(NamedTuple):
     """One attribute seen on one entity during one interval."""
 
     subject: EntityRef
@@ -55,10 +53,7 @@ class AttributeObservation:
     time: TimeInterval
 
 
-@dataclass(frozen=True)
-class ManipulationRecord:
-    """Provenance-carrying result of applying one operator at one site."""
-
+class _ManipulationRecord(NamedTuple):
     record_id: str
     category: ManipulationCategory
     video_id: str
@@ -67,16 +62,34 @@ class ManipulationRecord:
     seed: int
     pool_size: int | None = None
 
-    def __post_init__(self) -> None:
-        if not self.original:
-            raise MalformedDocument(f"record {self.record_id!r} holds no tuple")
-        if len(self.original) != len(self.manipulated):
+
+class ManipulationRecord(_ManipulationRecord):
+    """Provenance-carrying result of applying one operator at one site."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        record_id: str,
+        category: ManipulationCategory,
+        video_id: str,
+        original: tuple[EventTuple, ...],
+        manipulated: tuple[EventTuple, ...],
+        seed: int,
+        pool_size: int | None = None,
+    ) -> ManipulationRecord:
+        if not original:
+            raise MalformedDocument(f"record {record_id!r} holds no tuple")
+        if len(original) != len(manipulated):
             raise MalformedDocument("original/manipulated tuple counts differ")
-        for orig, manip in zip(self.original, self.manipulated):
+        for orig, manip in zip(original, manipulated):
             if orig == manip:
                 raise MalformedDocument(
-                    f"record {self.record_id!r}: manipulation left a tuple unchanged"
+                    f"record {record_id!r}: manipulation left a tuple unchanged"
                 )
+        return tuple.__new__(
+            cls, (record_id, category, video_id, original, manipulated, seed, pool_size)
+        )
 
     @property
     def source_tuple_ids(self) -> tuple[str, ...]:
@@ -84,9 +97,13 @@ class ManipulationRecord:
 
 
 def _derived(item: Any, **fields: Any) -> Any:
-    """item with fields replaced; dataclasses.replace without its per-call
-    field introspection. Every derived tuple is built here."""
-    return type(item)(**{**vars(item), **fields})
+    """item with fields replaced, built through its type's constructor, so a
+    derived value is checked as a parsed one is. Every derived tuple is
+    built here."""
+    values = [*map(fields.pop, item._fields, item)]
+    if fields:
+        raise TypeError(f"{type(item).__name__} has no field {', '.join(fields)}")
+    return type(item)(*values)
 
 
 def _with_subject_attr(e: EventTuple, idx: int, attr: AttributeValue) -> EventTuple:
@@ -262,27 +279,23 @@ def _candidates(
 # --- site enumeration ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TemporalPredicateSite:
+class TemporalPredicateSite(NamedTuple):
     tuple_id_a: str
     tuple_id_b: str
 
 
-@dataclass(frozen=True)
-class TemporalAttributeSite:
+class TemporalAttributeSite(NamedTuple):
     tuple_id_a: str
     attr_index_a: int
     tuple_id_b: str
     attr_index_b: int
 
 
-@dataclass(frozen=True)
-class NeighborhoodSite:
+class NeighborhoodSite(NamedTuple):
     tuple_id: str
 
 
-@dataclass(frozen=True)
-class CounterfactualSite:
+class CounterfactualSite(NamedTuple):
     tuple_id: str
     attr_index: int | None  # None: the predicate slot
     candidates: tuple[str, ...]  # the slot subject's candidates, never empty
@@ -328,7 +341,7 @@ class _TemporalPairs(Sequence):
         else:
             groups = [0] * len(tuples)
             keys = _interned(map(_event_key, tuples))
-        times = _interned((t.time.start_s, t.time.end_s) for t in tuples)
+        times = _interned(t.time for t in tuples)
         self._tags = list(zip(groups, times, keys))
         self._members: dict[int, list[int]] = {}
         for i, group in enumerate(groups):

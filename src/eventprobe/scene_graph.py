@@ -3,8 +3,13 @@
 A scene graph is a normalized JSON document describing one video: its
 entities and a list of timestamped event tuples
 (subject, subject attributes, predicate, object, object attributes, time).
-All values are immutable after construction, so graphs can be shared freely
-across threads.
+
+Entities, values, intervals and event tuples are tuples. They are
+immutable, so graphs can be shared freely across threads. They are equal by
+field values whatever their type: an AttributeValue equals the
+PredicateValue of the same two strings, so no set, dict or comparison may
+mix two value types. A type with rules checks them in its __new__, through
+which every value, parsed or derived, is built.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .documents import parse_jsonl, read_json, require, to_jsonl
 from .errors import (
@@ -24,53 +29,54 @@ from .errors import (
 from .profiles import DatasetProfile
 
 
-@dataclass(frozen=True)
-class EntityRef:
-    """A named entity, unique by entity_id within one video."""
-
+class _EntityRef(NamedTuple):
     entity_id: str
     name: str
     entity_class: str | None = None
 
-    def __post_init__(self) -> None:
-        if not self.entity_id:
+
+class EntityRef(_EntityRef):
+    """A named entity, unique by entity_id within one video."""
+
+    __slots__ = ()
+
+    def __new__(cls, entity_id: str, name: str, entity_class: str | None = None) -> EntityRef:
+        if not entity_id:
             raise MalformedDocument("entity_id must be nonempty")
+        return tuple.__new__(cls, (entity_id, name, entity_class))
 
 
-@dataclass(frozen=True)
-class AttributeValue:
+class AttributeValue(NamedTuple):
     """One attribute observation, e.g. value='yellow', attr_type='Color'."""
 
     value: str
     attr_type: str
 
 
-@dataclass(frozen=True)
-class PredicateValue:
+class PredicateValue(NamedTuple):
     """One predicate, e.g. value='touches', pred_type='Contact'."""
 
     value: str
     pred_type: str
 
 
-@dataclass(frozen=True, order=True)
-class TimeInterval:
-    """Seconds-based interval; point events use start_s == end_s."""
-
+class _TimeInterval(NamedTuple):
     start_s: float
     end_s: float
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.start_s <= self.end_s):
-            raise IntervalOutOfRange(
-                f"invalid interval [{self.start_s}, {self.end_s}]"
-            )
+
+class TimeInterval(_TimeInterval):
+    """Seconds-based interval; point events use start_s == end_s."""
+
+    __slots__ = ()
+
+    def __new__(cls, start_s: float, end_s: float) -> TimeInterval:
+        if not (0 <= start_s <= end_s):
+            raise IntervalOutOfRange(f"invalid interval [{start_s}, {end_s}]")
+        return tuple.__new__(cls, (start_s, end_s))
 
 
-@dataclass(frozen=True)
-class EventTuple:
-    """One timestamped observation about a subject (and optional object)."""
-
+class _EventTuple(NamedTuple):
     tuple_id: str
     subject: EntityRef
     subject_attrs: tuple[AttributeValue, ...]
@@ -79,15 +85,33 @@ class EventTuple:
     object_attrs: tuple[AttributeValue, ...]
     time: TimeInterval
 
-    def __post_init__(self) -> None:
-        if self.predicate is None and not self.subject_attrs:
+
+class EventTuple(_EventTuple):
+    """One timestamped observation about a subject (and optional object)."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        tuple_id: str,
+        subject: EntityRef,
+        subject_attrs: tuple[AttributeValue, ...],
+        predicate: PredicateValue | None,
+        object: EntityRef | None,
+        object_attrs: tuple[AttributeValue, ...],
+        time: TimeInterval,
+    ) -> EventTuple:
+        if predicate is None and not subject_attrs:
             raise MalformedDocument(
-                f"tuple {self.tuple_id!r} has neither predicate nor subject attributes"
+                f"tuple {tuple_id!r} has neither predicate nor subject attributes"
             )
-        if self.object is None and self.object_attrs:
+        if object is None and object_attrs:
             raise MalformedDocument(
-                f"tuple {self.tuple_id!r} carries object attributes without an object"
+                f"tuple {tuple_id!r} carries object attributes without an object"
             )
+        return tuple.__new__(
+            cls, (tuple_id, subject, subject_attrs, predicate, object, object_attrs, time)
+        )
 
 
 def first_of_type(attrs: Sequence[AttributeValue], idx: int) -> bool:
@@ -195,9 +219,9 @@ class Violation:
 
 # Parsing interns attribute and predicate values: a corpus holds one object
 # per distinct (value, type), so equal values compare by identity. Sharing is
-# safe because the classes are frozen. Times are not interned: they are
-# mostly distinct, and 0.0 == -0.0 would merge two times that serialize
-# differently.
+# safe because the values are tuples, which nothing can change. Times are not
+# interned: they are mostly distinct, and 0.0 == -0.0 would merge two times
+# that serialize differently.
 _attribute = lru_cache(maxsize=4096)(AttributeValue)
 _predicate = lru_cache(maxsize=4096)(PredicateValue)
 

@@ -7,9 +7,7 @@ against them byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from eventprobe.manipulate import ManipulationRecord
+from eventprobe.manipulate import ManipulationRecord, _derived
 from eventprobe.profiles import ManipulationCategory
 
 from .helpers import attr, entity, make_tuple, pred, span
@@ -27,7 +25,7 @@ def record_for(category_key, original, manipulated, video_id="v", record_id=None
 
 
 def swap_times(e1, e2):
-    return replace(e1, time=e2.time), replace(e2, time=e1.time)
+    return _derived(e1, time=e2.time), _derived(e2, time=e1.time)
 
 
 def build_golden_records() -> dict[str, ManipulationRecord]:
@@ -80,15 +78,15 @@ def build_golden_records() -> dict[str, ManipulationRecord]:
             "temporal.attribute.Color",
             [f1, f2],
             [
-                replace(f1, subject_attrs=(attr("black"),)),
-                replace(f2, subject_attrs=(attr("yellow"),)),
+                _derived(f1, subject_attrs=(attr("black"),)),
+                _derived(f2, subject_attrs=(attr("yellow"),)),
             ],
         ),
         "neighborhood.attribute.Color": record_for(
             "neighborhood.attribute.Color",
             [smoke],
             [
-                replace(
+                _derived(
                     smoke,
                     subject_attrs=(attr("brown"),),
                     object_attrs=(attr("white"),),
@@ -98,22 +96,22 @@ def build_golden_records() -> dict[str, ManipulationRecord]:
         "counterfactual.predicate.Action": record_for(
             "counterfactual.predicate.Action",
             [greg],
-            [replace(greg, predicate=pred("assembles"))],
+            [_derived(greg, predicate=pred("assembles"))],
         ),
         "counterfactual.predicate.Contact": record_for(
             "counterfactual.predicate.Contact",
             [chalk],
-            [replace(chalk, predicate=pred("is erased from", "Contact"))],
+            [_derived(chalk, predicate=pred("is erased from", "Contact"))],
         ),
         "counterfactual.predicate.SpatialRelationship": record_for(
             "counterfactual.predicate.SpatialRelationship",
             [boy],
-            [replace(boy, predicate=pred("beside", "SpatialRelationship"))],
+            [_derived(boy, predicate=pred("beside", "SpatialRelationship"))],
         ),
         "counterfactual.attribute.Color": record_for(
             "counterfactual.attribute.Color",
             [f2],
-            [replace(f2, subject_attrs=(attr("red"),))],
+            [_derived(f2, subject_attrs=(attr("red"),))],
         ),
     }
 

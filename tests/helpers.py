@@ -12,7 +12,7 @@ import numpy as np
 
 from eventprobe.errors import MalformedDocument
 from eventprobe.evaluate import ScoreMatrix
-from eventprobe.manipulate import AttributeObservation
+from eventprobe.manipulate import AttributeObservation, _derived
 from eventprobe.profiles import DatasetProfile
 from eventprobe.scene_graph import (
     AttributeValue,
@@ -210,7 +210,7 @@ def with_objects(graph: SceneGraph) -> SceneGraph:
         return next(e for e in graph.entities if e != subject)
 
     return replace(graph, tuples=tuple(
-        t if t.predicate is None or t.object is not None else replace(t, object=other(t.subject))
+        t if t.predicate is None or t.object is not None else _derived(t, object=other(t.subject))
         for t in graph.tuples
     ))
 

@@ -25,7 +25,7 @@ from eventprobe.errors import (
     TemplateMissing,
     TemplateSlotMissing,
 )
-from eventprobe.manipulate import apply_corpus
+from eventprobe.manipulate import _derived, apply_corpus
 from eventprobe.pipeline import PipelineConfig, run_pipeline, run_stages
 from eventprobe.profiles import ManipulationCategory, default_profile
 
@@ -66,7 +66,7 @@ class TestRenderErrors:
         record = record_for(
             "counterfactual.predicate.Action",
             [greg],
-            [replace(greg, predicate=pred("assembles"))],
+            [_derived(greg, predicate=pred("assembles"))],
         )
         with pytest.raises(TemplateSlotMissing):
             render_pair(record, templates)
@@ -85,7 +85,7 @@ class TestRenderErrors:
         record = record_for(
             "counterfactual.attribute.Color",
             [tup],
-            [replace(tup, subject_attrs=(attr("wood", "Material"),))],
+            [_derived(tup, subject_attrs=(attr("wood", "Material"),))],
         )
         with pytest.raises(TemplateSlotMissing):
             render_pair(record, templates)

@@ -5,8 +5,10 @@ pairs at the same time, with the same key, and with both, are all common
 and every term of the site count's inclusion-exclusion is exercised. The
 same graphs check that a counterfactual listing, which computes candidates
 once per entity, lists exactly the slots with a usable candidate, each
-carrying the candidates a naive scan of the graph gives, and that a neighborhood listing lists exactly the tuples its operator
-accepts. Every listing is checked through len, iteration and indexing.
+carrying the candidates a naive scan of the graph gives, and that a
+neighborhood listing lists exactly the tuples whose subject and object show
+different values of the fine type. Every listing is checked through len,
+iteration and indexing.
 """
 
 import random
@@ -29,7 +31,6 @@ from eventprobe.manipulate import (
     apply_site,
     derive_seed,
     enumerate_candidates,
-    neighborhood_attribute_swap,
     temporal_attribute_swap,
     temporal_predicate_swap,
 )
@@ -71,7 +72,7 @@ def graphs(draw, video_id="v0"):
         if pred_type is None and not colors:
             pred_type = "Action"
         obj = draw(st.sampled_from((None, *entities)))
-        obj_colors = draw(st.lists(_values("Color"), max_size=1)) if obj else []
+        obj_colors = draw(st.lists(_values("Color"), max_size=2)) if obj else []
         tuples.append(
             EventTuple(
                 tuple_id=f"t{draw(st.integers(0, 99)):02d}-{t}",
@@ -138,12 +139,16 @@ def operator_sites(graph, category) -> list:
 
 
 def neighborhood_sites(graph, category) -> list:
-    """Every tuple the category's swap operator accepts, as sites, by tuple_id."""
-    return [
-        NeighborhoodSite(t.tuple_id)
-        for t in sorted(graph.tuples, key=lambda t: t.tuple_id)
-        if _swap_applies(neighborhood_attribute_swap, t, category.fine_type)
-    ]
+    """A site for every tuple whose subject and object each carry a fine_type
+    attribute, their first of it (the one a caption shows) differing, by
+    tuple_id. Only a tuple with an object carries object attributes."""
+    sites = []
+    for t in sorted(graph.tuples, key=lambda t: t.tuple_id):
+        i = first_index(t.subject_attrs, category.fine_type)
+        j = first_index(t.object_attrs, category.fine_type)
+        if i is not None and j is not None and t.subject_attrs[i].value != t.object_attrs[j].value:
+            sites.append(NeighborhoodSite(t.tuple_id))
+    return sites
 
 
 def truthful(graph, entity_id, fine_type, predicate) -> frozenset:
@@ -290,14 +295,14 @@ def test_quota_builds_only_drawn_sites(monkeypatch):
             listed[category.method] += len(enumerate_candidates(graph, PROFILE, category))
     built = Counter()
 
-    def counting(method, init):
-        def __init__(self, *args, **kwargs):
+    def counting(method, new):
+        def __new__(cls, *args, **kwargs):
             built[method] += 1
-            init(self, *args, **kwargs)
-        return __init__
+            return new(cls, *args, **kwargs)
+        return __new__
 
     for method, site in (("counterfactual", CounterfactualSite), ("neighborhood", NeighborhoodSite)):
-        monkeypatch.setattr(site, "__init__", counting(method, site.__init__))
+        monkeypatch.setattr(site, "__new__", counting(method, site.__new__))
     drawn = Counter(record.category.method for record in apply_corpus(corpus, PROFILE, quotas, 7))
     for method in ("counterfactual", "neighborhood"):
         assert listed[method] > drawn[method] > 0

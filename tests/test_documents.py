@@ -1,8 +1,9 @@
 """Every file input of the eventprobe command, with every kind of fault.
 
-Each input is missing, not UTF-8, not JSON (or not the CSV it should be),
-not a JSON object, a document with a field of the wrong type, or a
-well-formed document holding a value the contract forbids. Every case must
+Each input is missing, empty (a benchmark file), not UTF-8, not JSON (or
+not the CSV it should be), not a JSON object, a document with a field of
+the wrong type, or a well-formed document holding a value the contract
+forbids. Every case must
 end in the documented exit code with one `error:` line that names the file,
 and a failed pipeline command must leave its output directory as it was.
 """
@@ -243,11 +244,15 @@ VALUE_FAULTS = {
     },
 }
 
+# Inputs for which a file without a line is as empty as a missing one.
+EMPTY_FAULTS = {"eval-benchmark": {"empty": b""}, "benchmark.jsonl": {"empty": b""}}
+
 CASES = [
     (name, fault, content)
     for name, (_, _, _, _, own, uses_json) in INPUTS.items()
     for fault, content in [
         ("missing", None),
+        *EMPTY_FAULTS.get(name, {}).items(),
         *(JSON_FAULTS if uses_json else CSV_FAULTS).items(),
         *own.items(),
         *VALUE_FAULTS.get(name, {}).items(),
@@ -281,7 +286,7 @@ def test_input_fault_exit_code(tmp_path, fixtures_dir, capsys, name, fault, cont
     code = main(argv)
 
     err = capsys.readouterr().err
-    assert code == (missing_code if content is None else malformed_code), err
+    assert code == (missing_code if content is None or fault == "empty" else malformed_code), err
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and named in err, err
     assert (outputs(ws.out) if ws.out.exists() else {}) == before
     assert not (tmp_path / "reports").exists()

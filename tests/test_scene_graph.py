@@ -1,5 +1,3 @@
-from dataclasses import FrozenInstanceError, fields
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,7 +6,20 @@ from eventprobe.errors import (
     IntervalOutOfRange,
     MalformedDocument,
 )
-from eventprobe.manipulate import apply_corpus, records_from_jsonl, records_to_jsonl
+from eventprobe.captions import Caption, CaptionPair
+from eventprobe.manipulate import (
+    AttributeObservation,
+    CounterfactualSite,
+    ManipulationRecord,
+    NeighborhoodSite,
+    TemporalAttributeSite,
+    TemporalPredicateSite,
+    _derived,
+    apply_corpus,
+    records_from_jsonl,
+    records_to_jsonl,
+)
+from eventprobe.profiles import ManipulationCategory
 from eventprobe.scene_graph import (
     AttributeValue,
     EntityRef,
@@ -260,10 +271,35 @@ class TestInterning:
         assert '"start_s":-0.0' in records_text and '"start_s":0.0' in records_text
         assert records_to_jsonl(records_from_jsonl(records_text, graphs)) == records_text
 
-    @pytest.mark.parametrize("kind", [AttributeValue, PredicateValue, EntityRef])
+    @pytest.mark.parametrize("kind", [
+        AttributeValue, PredicateValue, EntityRef, TimeInterval, EventTuple, AttributeObservation,
+        ManipulationRecord, TemporalPredicateSite, TemporalAttributeSite, NeighborhoodSite,
+        CounterfactualSite, Caption, CaptionPair,
+    ])
     def test_shared_values_reject_assignment(self, kind):
+        """Interned values are shared by many tuples, and every value type is
+        hashed as a key: none takes a field or any other attribute."""
         tup = graphs_from_jsonl(graphs_to_jsonl([self.signed_zero_graph()]))[0].tuples[0]
-        value = {AttributeValue: tup.subject_attrs[0], PredicateValue: tup.predicate, EntityRef: tup.subject}[kind]
-        for field in fields(kind):
-            with pytest.raises(FrozenInstanceError):
-                setattr(value, field.name, "changed")
+        record = ManipulationRecord(
+            "r", ManipulationCategory.from_key("temporal.predicate.Action"), "v0",
+            (tup,), (_derived(tup, time=span(5.0, 6.0)),), 7,
+        )
+        caption = Caption("a red kite", "template")
+        value = {
+            AttributeValue: tup.subject_attrs[0],
+            PredicateValue: tup.predicate,
+            EntityRef: tup.subject,
+            TimeInterval: tup.time,
+            EventTuple: tup,
+            AttributeObservation: AttributeObservation(tup.subject, tup.subject_attrs[0], tup.time),
+            ManipulationRecord: record,
+            TemporalPredicateSite: TemporalPredicateSite("t1", "t3"),
+            TemporalAttributeSite: TemporalAttributeSite("t1", 0, "t3", 0),
+            NeighborhoodSite: NeighborhoodSite("t1"),
+            CounterfactualSite: CounterfactualSite("t1", None, ("opens",)),
+            Caption: caption,
+            CaptionPair: CaptionPair("p", "v0", record.category, caption, Caption("a blue kite", "template")),
+        }[kind]
+        for name in (*kind._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, "changed")
