@@ -24,7 +24,7 @@ from .errors import (
 from .documents import parse_jsonl, read_json, require, to_jsonl
 from .manipulate import ManipulationRecord, time_order
 from .profiles import ManipulationCategory
-from .scene_graph import EventTuple
+from .scene_graph import EventTuple, shown_index
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -82,34 +82,28 @@ class CaptionPair(_CaptionPair):
 
 
 @dataclass(frozen=True)
-class TemplateSpec:
-    """One pattern for one (category, polarity) combination."""
-
-    template_id: str
-    pattern: str
-
-    def __post_init__(self) -> None:
-        for _, field_name, _, _ in string.Formatter().parse(self.pattern):
-            if field_name is not None and field_name not in ALLOWED_SLOTS:
-                raise MalformedDocument(
-                    f"template {self.template_id!r} uses unknown slot {field_name!r}"
-                )
-
-
-@dataclass(frozen=True)
 class TemplateTable:
-    """All templates of one table plus the temporal connective lexicon."""
+    """All patterns of one table, by (category key, polarity), plus the
+    temporal connective lexicon."""
 
+    table_id: str
     connectives: Mapping[str, str]
-    specs: Mapping[tuple[str, str], TemplateSpec]
+    patterns: Mapping[tuple[str, str], str]
 
-    def spec(self, category_key: str, polarity: str) -> TemplateSpec:
-        try:
-            return self.specs[(category_key, polarity)]
-        except KeyError:
-            raise TemplateMissing(
-                f"no {polarity} template for category {category_key!r}"
-            ) from None
+
+_EMPTY_SLOTS = dict.fromkeys(ALLOWED_SLOTS, "")
+
+
+def _check_pattern(pattern: str) -> None:
+    """Raise ValueError unless pattern names only allowed slots, holds no
+    slot in a format spec and formats with every slot empty. Slot values
+    are strings, so rendering it can then fail only on a missing slot."""
+    for _, field_name, format_spec, _ in string.Formatter().parse(pattern):
+        if field_name is not None and field_name not in ALLOWED_SLOTS:
+            raise ValueError(f"unknown slot {field_name!r}")
+        if format_spec and any(f is not None for _, f, _, _ in string.Formatter().parse(format_spec)):
+            raise ValueError(f"slot {field_name!r} takes its format spec from a slot")
+    pattern.format_map(_EMPTY_SLOTS)
 
 
 def parse_templates(document: Any) -> TemplateTable:
@@ -120,21 +114,24 @@ def parse_templates(document: Any) -> TemplateTable:
     connectives = require(document, "connectives", dict) if "connectives" in document else {}
     for polarity in connectives:
         require(connectives, polarity, str)
-    specs: dict[tuple[str, str], TemplateSpec] = {}
+    patterns: dict[tuple[str, str], str] = {}
     templates = require(document, "templates", dict) if "templates" in document else {}
-    for category_key, patterns in templates.items():
-        if not isinstance(patterns, dict):
+    for category_key, by_polarity in templates.items():
+        if not isinstance(by_polarity, dict):
             raise MalformedDocument(f"category {category_key!r}: pattern object expected")
         for polarity in (POSITIVE, NEGATIVE):
-            if polarity not in patterns:
+            if polarity not in by_polarity:
                 raise MalformedDocument(
                     f"category {category_key!r} lacks a {polarity} pattern"
                 )
-            specs[(category_key, polarity)] = TemplateSpec(
-                template_id=f"{table_id}.{category_key}.{polarity}",
-                pattern=require(patterns, polarity, str),
-            )
-    return TemplateTable(connectives=connectives, specs=specs)
+            pattern = require(by_polarity, polarity, str)
+            try:
+                _check_pattern(pattern)
+            except ValueError as exc:
+                template_id = f"{table_id}.{category_key}.{polarity}"
+                raise MalformedDocument(f"template {template_id!r}: {exc}") from None
+            patterns[(category_key, polarity)] = pattern
+    return TemplateTable(table_id, connectives, patterns)
 
 
 def load_templates(path: str | Path) -> TemplateTable:
@@ -145,14 +142,6 @@ def default_templates() -> TemplateTable:
     """The table shipped with the package (matches the default profile)."""
     text = resources.files("eventprobe.data").joinpath("templates_t1.json").read_text("utf-8")
     return parse_templates(json.loads(text))
-
-
-def _first_attr(tup: EventTuple, side: str, fine_type: str | None) -> str | None:
-    attrs = tup.subject_attrs if side == "subject" else tup.object_attrs
-    for attr in attrs:
-        if fine_type is None or attr.attr_type == fine_type:
-            return attr.value
-    return None
 
 
 def _tuple_slots(
@@ -169,21 +158,23 @@ def _tuple_slots(
         slots[f"predicate{suffix}"] = tup.predicate.value
     if tup.object is not None:
         slots[f"object{suffix}"] = tup.object.name
-    subject_attr = _first_attr(tup, "subject", fine)
-    if subject_attr is not None:
-        slots[f"subject_attr{suffix}"] = subject_attr
-    object_attr = _first_attr(tup, "object", fine)
-    if object_attr is not None:
-        slots[f"object_attr{suffix}"] = object_attr
+    for name, attrs in (("subject_attr", tup.subject_attrs), ("object_attr", tup.object_attrs)):
+        idx = shown_index(attrs, fine)
+        if idx is not None:
+            slots[f"{name}{suffix}"] = attrs[idx].value
     return slots
 
 
 def _render_one(
     record: ManipulationRecord,
     tuples: Sequence[EventTuple],
-    spec: TemplateSpec,
-    connective: str | None,
+    templates: TemplateTable,
+    polarity: str,
 ) -> Caption:
+    key = record.category.key
+    pattern = templates.patterns.get((key, polarity))
+    if pattern is None:
+        raise TemplateMissing(f"no {polarity} template for category {key!r}")
     ordered = time_order(tuples)
     slots: dict[str, str] = {}
     if len(ordered) == 1:
@@ -191,14 +182,15 @@ def _render_one(
     else:
         slots.update(_tuple_slots(ordered[0], record.category, suffix="1"))
         slots.update(_tuple_slots(ordered[1], record.category, suffix="2"))
-    if connective is not None:
-        slots["connective"] = connective
+    if polarity in templates.connectives:
+        slots["connective"] = templates.connectives[polarity]
     try:
-        text = spec.pattern.format_map(slots)
+        text = pattern.format_map(slots)
     except KeyError as exc:
+        template_id = f"{templates.table_id}.{key}.{polarity}"
         raise TemplateSlotMissing(
             f"record {record.record_id!r} cannot fill slot {exc.args[0]!r} "
-            f"of template {spec.template_id!r}"
+            f"of template {template_id!r}"
         ) from None
     return Caption(text, "template")
 
@@ -206,56 +198,39 @@ def _render_one(
 def render_pair(record: ManipulationRecord, templates: TemplateTable) -> CaptionPair:
     """Render the positive caption from the record's original tuples and the
     negative caption from the manipulated ones."""
-    key = record.category.key
-    positive = _render_one(
-        record,
-        record.original,
-        templates.spec(key, POSITIVE),
-        templates.connectives.get(POSITIVE),
-    )
-    negative = _render_one(
-        record,
-        record.manipulated,
-        templates.spec(key, NEGATIVE),
-        templates.connectives.get(NEGATIVE),
-    )
     return CaptionPair(
         pair_id=record.record_id,
         video_id=record.video_id,
         category=record.category,
-        positive=positive,
-        negative=negative,
+        positive=_render_one(record, record.original, templates, POSITIVE),
+        negative=_render_one(record, record.manipulated, templates, NEGATIVE),
     )
 
 
 def protected_values(record: ManipulationRecord) -> dict[str, tuple[str, ...]]:
-    """Slot values that must survive verbatim in each polarity's caption.
+    """Slot values that must survive verbatim in each polarity's caption:
+    the manipulated slot, as the captions show it.
 
-    Counterfactual records protect the substituted slot (original value in
-    the positive, replacement in the negative); swap-based records protect
-    both exchanged values in both captions.
+    A counterfactual record protects its original value in the positive and
+    its substitute in the negative. A temporal record protects each original
+    tuple's value, and a neighborhood record the subject's and the object's,
+    in both captions.
     """
     category = record.category
-    if category.method == "counterfactual":
-        orig, manip = record.original[0], record.manipulated[0]
-        if category.target == "predicate":
-            assert orig.predicate is not None and manip.predicate is not None
-            return {POSITIVE: (orig.predicate.value,), NEGATIVE: (manip.predicate.value,)}
-        for o_attr, m_attr in zip(
-            orig.subject_attrs + orig.object_attrs,
-            manip.subject_attrs + manip.object_attrs,
-        ):
-            if o_attr != m_attr:
-                return {POSITIVE: (o_attr.value,), NEGATIVE: (m_attr.value,)}
-        raise MalformedDocument(f"record {record.record_id!r} changed no slot")
+    if category.target == "predicate":
+        names = ("predicate",)
+    elif category.method == "neighborhood":
+        names = ("subject_attr", "object_attr")
+    else:
+        names = ("subject_attr",)
 
-    if category.method == "temporal" and category.target == "predicate":
-        shown = [t.predicate.value for t in record.original if t.predicate]
-    elif category.method == "temporal":
-        shown = [_first_attr(t, "subject", category.fine_type) for t in record.original]
-    else:  # neighborhood
-        shown = [_first_attr(record.original[0], side, category.fine_type) for side in ("subject", "object")]
-    values = tuple(value for value in shown if value is not None)
+    def shown(tuples: Sequence[EventTuple]) -> tuple[str, ...]:
+        slots = [_tuple_slots(tup, category) for tup in tuples]
+        return tuple(s[name] for s in slots for name in names if name in s)
+
+    values = shown(record.original)
+    if category.method == "counterfactual":
+        return {POSITIVE: values, NEGATIVE: shown(record.manipulated)}
     return {POSITIVE: values, NEGATIVE: values}
 
 

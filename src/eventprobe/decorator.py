@@ -73,19 +73,14 @@ def _http_transport(endpoint: str, payload: dict, headers: dict, timeout: float)
         return json.loads(response.read())
 
 
-def _call_remote(
-    text: str,
-    prompt_template: str,
-    config: DecoratorConfig,
-    transport: Transport,
-) -> tuple[str, ...]:
+def _call_remote(text: str, config: DecoratorConfig, transport: Transport) -> tuple[str, ...]:
     api_key = os.environ.get(config.api_key_env or "", "")
     if not api_key:
         raise ConfigError(f"environment variable {config.api_key_env!r} is unset")
     payload = {
         "model": config.model_name,
         "temperature": config.temperature,
-        "prompt": prompt_template.format(n=config.max_candidates, text=text),
+        "prompt": _NATURALIZE_PROMPT.format(n=config.max_candidates, text=text),
     }
     headers = {"Authorization": f"Bearer {api_key}"}
     response = transport(config.endpoint or "", payload, headers, config.timeout_s)
@@ -99,7 +94,7 @@ def _decorate_caption(
     transport: Transport,
 ) -> Caption:
     try:
-        candidates = _call_remote(caption.text, _NATURALIZE_PROMPT, config, transport)
+        candidates = _call_remote(caption.text, config, transport)
     except Exception:
         return caption  # DecoratorUnavailable; renderer stays "template"
     for candidate in candidates:

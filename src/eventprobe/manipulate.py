@@ -39,7 +39,7 @@ from .scene_graph import (
     PredicateValue,
     SceneGraph,
     TimeInterval,
-    first_of_type,
+    shown_index,
 )
 
 RECORDS_FORMAT = 2
@@ -167,22 +167,22 @@ def _neighborhood_pairs(
     e: EventTuple, attr_type: str | None
 ) -> tuple[list[tuple[str, str, str, int, int]], bool]:
     """The (type, subject value, object value, subject idx, object idx) pairs
-    of differing values, one per type both sides carry: each side's first
-    attribute of the type, the one a caption shows.
+    of differing values, one per type both sides carry: each side's
+    attribute of the type that a caption shows.
 
     Second return flags whether any same-type pair exists at all, regardless
     of value equality.
     """
     pairs = []
     any_shared = False
-    for si, sa in enumerate(e.subject_attrs):
-        if (attr_type is None or sa.attr_type == attr_type) and first_of_type(e.subject_attrs, si):
-            for oi, oa in enumerate(e.object_attrs):
-                if oa.attr_type == sa.attr_type:  # the object's first of the type
-                    any_shared = True
-                    if sa.value != oa.value:
-                        pairs.append((sa.attr_type, sa.value, oa.value, si, oi))
-                    break
+    kinds = dict.fromkeys(a.attr_type for a in e.subject_attrs) if attr_type is None else (attr_type,)
+    for kind in kinds:
+        si, oi = shown_index(e.subject_attrs, kind), shown_index(e.object_attrs, kind)
+        if si is not None and oi is not None:
+            any_shared = True
+            s_val, o_val = e.subject_attrs[si].value, e.object_attrs[oi].value
+            if s_val != o_val:
+                pairs.append((kind, s_val, o_val, si, oi))
     return pairs, any_shared
 
 
@@ -436,15 +436,13 @@ def enumerate_candidates(
     """
     if category.method == "temporal":
         return _TemporalPairs(graph, category)
+    key = (category.target == "predicate", category.fine_type)
+    tuples, indices = graph.groups.slots.get(key, ((), ()))
     if category.method == "neighborhood":
         return _Listing(NeighborhoodSite, [
-            tup.tuple_id
-            for tup in graph.groups.ordered
-            if tup.object_attrs and _neighborhood_pairs(tup, category.fine_type)[0]
+            tup.tuple_id for tup in tuples if _neighborhood_pairs(tup, category.fine_type)[0]
         ])
-    key = (category.target == "predicate", category.fine_type)
     candidates = _candidates(graph, profile, *key)
-    tuples, indices = graph.groups.slots.get(key, ((), ()))
 
     def make(i: int) -> Site:
         tup = tuples[i]

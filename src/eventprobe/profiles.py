@@ -39,7 +39,7 @@ class ManipulationCategory:
         if not self.fine_type:
             raise MalformedDocument("fine_type must be nonempty")
 
-    @property
+    @cached_property  # frozen but not slotted: the value lands in __dict__
     def key(self) -> str:
         return f"{self.method}.{self.target}.{self.fine_type}"
 
@@ -75,7 +75,11 @@ class DatasetProfile:
                 raise MalformedDocument(f"empty vocabulary for type {type_name!r}")
             if len(set(values)) != len(values):
                 raise MalformedDocument(f"duplicate values in {type_name!r} vocabulary")
+        keys: set[str] = set()
         for cat in self.category_set:
+            if cat.key in keys:
+                raise MalformedDocument(f"categories lists {cat.key!r} more than once")
+            keys.add(cat.key)
             allowed = self.predicate_types if cat.target == "predicate" else self.attribute_types
             if cat.fine_type not in allowed:
                 raise MalformedDocument(

@@ -114,10 +114,14 @@ class EventTuple(_EventTuple):
         )
 
 
-def first_of_type(attrs: Sequence[AttributeValue], idx: int) -> bool:
-    """Whether attrs[idx] is the first of its type in attrs: the attribute a
-    caption shows, and the only one of its type a manipulation changes."""
-    return idx == 0 or all(a.attr_type != attrs[idx].attr_type for a in attrs[:idx])
+def shown_index(attrs: Sequence[AttributeValue], attr_type: str | None) -> int | None:
+    """The index of the attribute a caption shows: the first of attr_type in
+    attrs, or the first of any type when attr_type is None; None if there is
+    none. It is the only attribute of its type a manipulation changes."""
+    for idx, attr in enumerate(attrs):
+        if attr_type is None or attr.attr_type == attr_type:
+            return idx
+    return None
 
 
 @dataclass(frozen=True)
@@ -126,11 +130,10 @@ class TupleGroups:
     tuple_id order. Tuple ids are unique within a graph, so this order does
     not depend on the document's."""
 
-    ordered: tuple[EventTuple, ...]
     # Keyed by (is predicate, type): a type's slots as two aligned lists, the
     # tuples and each slot's subject attribute index (None for a predicate,
-    # listed only when its tuple has an object; an attribute listed only when
-    # first_of_type), so a graph keeps no object per slot; and every value
+    # listed only when its tuple has an object; an attribute listed only at
+    # its shown_index), so a graph keeps no object per slot; and every value
     # each entity holds, a predicate's for its subject, an attribute's in
     # either role.
     slots: dict[tuple[bool, str], tuple[list[EventTuple], list[int | None]]]
@@ -184,10 +187,9 @@ class SceneGraph:
     @cached_property
     def groups(self) -> TupleGroups:
         """The tuples grouped for every site listing, in one scan, on first use."""
-        ordered = tuple(sorted(self.tuples, key=lambda t: t.tuple_id))
         slots: defaultdict = defaultdict(lambda: ([], []))
         truthful: defaultdict = defaultdict(lambda: defaultdict(set))
-        for tup in ordered:
+        for tup in sorted(self.tuples, key=lambda t: t.tuple_id):
             subject = tup.subject.entity_id
             if tup.predicate is not None:
                 key = (True, tup.predicate.pred_type)
@@ -198,14 +200,14 @@ class SceneGraph:
                 truthful[key][subject].add(tup.predicate.value)
             for idx, attr in enumerate(tup.subject_attrs):
                 key = (False, attr.attr_type)
-                if first_of_type(tup.subject_attrs, idx):  # the value captions show
+                if shown_index(tup.subject_attrs, attr.attr_type) == idx:
                     tuples, indices = slots[key]
                     tuples.append(tup)
                     indices.append(idx)
                 truthful[key][subject].add(attr.value)
             for attr in tup.object_attrs:
                 truthful[False, attr.attr_type][tup.object.entity_id].add(attr.value)
-        return TupleGroups(ordered, dict(slots), dict(truthful))
+        return TupleGroups(dict(slots), dict(truthful))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from eventprobe.pipeline import PipelineConfig, run_pipeline, run_stages
 from eventprobe.profiles import ManipulationCategory, default_profile
 
 from .goldens import GOLDEN_TEXTS, build_golden_records, record_for
-from .helpers import entity, make_tuple, pred, random_profile_corpus, span
+from .helpers import attr, entity, make_tuple, pred, random_profile_corpus, span
 
 
 @pytest.fixture(scope="module")
@@ -108,13 +108,21 @@ class TestSlotFidelity:
     def test_protected_values_appear_verbatim(self, corpus, profile, templates):
         records = apply_corpus(corpus, profile, {}, 42)
         assert records
-        for record in records:
+        # Captions show a kite's first Color, the only one a foil changes.
+        kite = make_tuple("t1", entity("k1", "kite"), attrs=(attr("red"), attr("blue")))
+        two_colors = record_for(
+            "counterfactual.attribute.Color",
+            [kite],
+            [_derived(kite, subject_attrs=(attr("green"), attr("blue")))],
+        )
+        for record in [*records, two_colors]:
             pair = render_pair(record, templates)
             required = protected_values(record)
             for value in required["positive"]:
                 assert value in pair.positive.text, record.record_id
             for value in required["negative"]:
                 assert value in pair.negative.text, record.record_id
+        assert protected_values(two_colors) == {"positive": ("red",), "negative": ("green",)}
 
     # Predicate tuples without an object give no predicate sites, so the
     # generated corpora render as they are.

@@ -167,6 +167,13 @@ INPUTS = {
 }
 
 ACTION = "temporal.predicate.Action"
+COLOR = "counterfactual.attribute.Color"
+
+
+def color_positive(pattern):
+    """The template table with COLOR's positive pattern replaced."""
+    return edit_json(templates=lambda t: {**t, COLOR: {**t[COLOR], "positive": pattern}})
+
 
 # Well-formed documents with a value out of contract: a config value of the
 # right JSON type but the wrong kind, NaN or Infinity anywhere (Python's json
@@ -205,8 +212,24 @@ VALUE_FAULTS = {
         "decorator-false": edit_json(decorator=False),
         "decorator-list": edit_json(decorator=[]),
     },
-    "profile": {"name-nan": edit_json(name=math.nan)},
-    "templates": {"connectives-infinity": edit_json(connectives=math.inf)},
+    "profile": {
+        "name-nan": edit_json(name=math.nan),
+        "categories-repeated": edit_json(categories=lambda c: [
+            *c, {"method": "temporal", "target": "predicate", "fine_type": "Action"}]),
+    },
+    # A pattern that would fail to render whatever its slots hold: a brace
+    # out of place, a format spec or conversion a string does not take, or a
+    # slot in a format spec, whose value would become the spec. The last two
+    # render with every slot empty.
+    "templates": {
+        "connectives-infinity": edit_json(connectives=math.inf),
+        "pattern-open-brace": color_positive("the {subject is {subject_attr}"),
+        "pattern-close-brace": color_positive("the {subject} is {subject_attr}}"),
+        "pattern-integer-spec": color_positive("the {subject:d} is {subject_attr}"),
+        "pattern-unknown-conversion": color_positive("the {subject!x} is {subject_attr}"),
+        "pattern-slot-spec": color_positive("the {subject:{subject_attr}}"),
+        "pattern-slot-in-spec": color_positive("the {subject:{subject_attr}>5}"),
+    },
     "corpus": {
         "duration-nan": edit_corpus(duration_s=math.nan),
         "duration-overflow": spell(edit_corpus(duration_s=120.0), 120.0, "1e999"),
@@ -290,6 +313,15 @@ def test_input_fault_exit_code(tmp_path, fixtures_dir, capsys, name, fault, cont
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and named in err, err
     assert (outputs(ws.out) if ws.out.exists() else {}) == before
     assert not (tmp_path / "reports").exists()
+
+
+def test_a_pattern_that_formats_every_slot_renders(tmp_path, fixtures_dir, capsys):
+    ws = Workspace(tmp_path, fixtures_dir)
+    ws.templates.write_bytes(color_positive("the {subject!r} is {subject_attr}")(ws.templates))
+    assert main(["run", "--config", str(ws.config)]) == 0, capsys.readouterr().err
+    pairs = [json.loads(line) for line in (ws.out / "benchmark.jsonl").read_text(encoding="utf-8").splitlines()]
+    positives = [pair["positive"]["text"] for pair in pairs if pair["category"] == COLOR]
+    assert positives and all(text.startswith("the '") for text in positives), positives
 
 
 @pytest.mark.parametrize("encoding, code", [("utf-8", 0), *((e, 4) for e in OTHER_ENCODINGS.values())],
