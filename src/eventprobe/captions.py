@@ -108,8 +108,6 @@ def _check_pattern(pattern: str) -> None:
 
 def parse_templates(document: Any) -> TemplateTable:
     """Parse a template document, as json.loads returns it."""
-    if not isinstance(document, dict):
-        raise MalformedDocument("template document must be an object")
     table_id = require(document, "table_id", str) if "table_id" in document else "custom"
     connectives = require(document, "connectives", dict) if "connectives" in document else {}
     for polarity in connectives:

@@ -137,7 +137,7 @@ def cmd_loss_selftest(args: argparse.Namespace) -> int:
         text = read_text(args.input, errors.EmptyInput(f"self-test input not found: {args.input}"))
     with naming(args.input or "stdin"):
         doc = parse_json(text if args.input else decode(sys.stdin.buffer.read()))
-        params = LossParams(tau=doc.get("tau", 0.05), beta=doc.get("beta", 0.5))
+        params = LossParams(**{key: doc[key] for key in ("tau", "beta") if key in doc})
         G = () if doc.get("G") is None else require(doc, "G", list)
         batch = LossBatch(V=require(doc, "V", list), T=require(doc, "T", list), G=G)
     loss = hn_nce_forward(batch, params)

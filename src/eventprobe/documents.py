@@ -64,12 +64,19 @@ def _reject_constant(name: str) -> None:
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
+def _json_value(text: str) -> Any:
+    """The JSON value text holds. Beside a JSONDecodeError, the decoder
+    raises RecursionError for nesting deeper than Python's recursion limit
+    and ValueError for an integer past its 4,300-digit limit."""
+    try:
+        return _DECODER.decode(text)
+    except (ValueError, RecursionError) as exc:
+        raise MalformedDocument(f"invalid JSON: {exc}") from None
+
+
 def parse_json(text: str) -> dict[str, Any]:
     """The JSON object text holds."""
-    try:
-        doc = _DECODER.decode(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"invalid JSON: {exc}") from None
+    doc = _json_value(text)
     if not isinstance(doc, dict):
         raise MalformedDocument("top-level value must be a JSON object")
     return doc
@@ -119,16 +126,16 @@ def require_strings(doc: Mapping[str, Any], key: str) -> tuple[str, ...]:
 
 
 def parse_jsonl(text: str, parse: Callable[[Any], Any], name: str) -> list[Any]:
-    """parse applied to the JSON value of every non-blank line of text; invalid
-    JSON and parse's MalformedDocument become one naming the line. Lines end
+    """parse applied to the JSON value of every non-blank line of text; a
+    MalformedDocument, for invalid JSON or from parse, names the line. Lines end
     at "\\n" only: to_jsonl leaves U+2028 and the other characters at which
     str.splitlines also breaks unescaped."""
     parsed = []
     for number, line in enumerate(text.split("\n"), 1):
         if line.strip():
             try:
-                parsed.append(parse(_DECODER.decode(line)))
-            except (json.JSONDecodeError, MalformedDocument) as exc:
+                parsed.append(parse(_json_value(line)))
+            except MalformedDocument as exc:
                 raise MalformedDocument(f"{name} line {number}: {exc}") from None
     return parsed
 
@@ -151,8 +158,9 @@ def write_outputs(out_dir: Path, texts: Mapping[str, str], remove: Sequence[str]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in texts.items():
-            temporaries.append(out_dir / f"{name}.tmp")
-            with open(temporaries[-1], "w", encoding="utf-8", newline="") as fh:
+            tmp = out_dir / f"{name}.tmp"
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                temporaries.append(tmp)  # ours to remove only once open has made it
                 fh.write(text)
         for name, tmp in zip(texts, temporaries):
             os.replace(tmp, out_dir / name)

@@ -78,18 +78,14 @@ def _positions(axis: Sequence[str], ids: Iterable[str], kind: str) -> np.ndarray
         raise UnknownId(f"{kind} {exc.args[0]!r} missing from score matrix") from None
 
 
-def score_matrix_from_csv(text: str) -> ScoreMatrix:
-    """Parse the CSV interchange format: header 'video_id,<caption ids...>'."""
-    return _read_score_csv(io.StringIO(text, newline=""))
-
-
 def load_score_matrix(path: str | Path) -> ScoreMatrix:
     """Read a score matrix: `.npz` by suffix, CSV otherwise. The file is
     streamed into numpy, not read whole, which bounds memory."""
     with open_input(path, EmptyInput(f"score file not found: {path}")) as fh:
         if Path(path).suffix.lower() == ".npz":
             return _read_score_npz(fh)
-        return _read_score_csv(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
+        with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+            return _read_score_csv(text)
 
 
 def _read_score_csv(fh: TextIO) -> ScoreMatrix:
@@ -406,14 +402,12 @@ def gap_rows_from_csv(text: str) -> list[GapReport]:
 
 def _gaps_from_recalls(recalls: Iterable[RecallReport]) -> list[GapReport]:
     """Pair each positive recall with the control recall of its category,
-    direction and k; a zero positive recall yields no gap row."""
+    direction and k; a zero positive recall yields no gap row. Each caller
+    gives at most one recall per category, direction, k and pool."""
     pools: dict[tuple[str, str, int], dict[str, float]] = {}
     for recall in recalls:
         key = (recall.category, recall.direction, recall.k)
-        values = pools.setdefault(key, {})
-        if recall.pool in values:
-            raise MalformedDocument(f"recalls: duplicate {recall.pool} row for {key}")
-        values[recall.pool] = recall.value
+        pools.setdefault(key, {})[recall.pool] = recall.value
     rows = []
     for (category, direction, k), values in pools.items():
         if set(values) != {"positive", "control"}:

@@ -304,21 +304,10 @@ def hn_nce_weights(batch: LossBatch, params: LossParams) -> HnWeights:
         return HnWeights(np.exp(logw_in, out=logw_in), v2t_gen, np.exp(logw_t2v, out=logw_t2v))
 
 
-def hn_nce_forward(batch: LossBatch, params: LossParams, weights: HnWeights | None = None) -> float:
-    """Mean over the batch of the two contrastive terms.
-
-    Pass precomputed weights to evaluate the loss with the weights frozen
-    (the stop-gradient reading used by the gradient and its checker); by
-    default they are recomputed from the batch.
-    """
+def hn_nce_forward(batch: LossBatch, params: LossParams) -> float:
+    """Mean over the batch of the two contrastive terms."""
     L, L_gen = _logits(batch.V, batch.T, batch.G_padded, params.tau)
-    if weights is None:
-        logw = _log_weights(L, L_gen, batch.gen_mask, params.beta)
-    else:
-        logw_gen = np.full(L_gen.shape, _NEG_INF)
-        with np.errstate(divide="ignore"):
-            logw_gen[batch.gen_mask] = np.log(np.concatenate(weights.v2t_gen))
-            logw = np.log(weights.v2t_in), logw_gen, np.log(weights.t2v)
+    logw = _log_weights(L, L_gen, batch.gen_mask, params.beta)
     term1, term2, _, _, _ = _terms(L, L_gen, *logw)
     return float(np.mean(term1 + term2))
 

@@ -566,12 +566,6 @@ def apply_corpus(
     """
     quotas = dict(quotas or {})
     ordered = sorted(graphs, key=lambda g: g.video_id)
-    seen_videos: set[str] = set()
-    for graph in ordered:
-        if graph.video_id in seen_videos:
-            raise MalformedDocument(f"duplicate video_id {graph.video_id!r} in corpus")
-        seen_videos.add(graph.video_id)
-
     records: list[ManipulationRecord] = []
     for category in (profile.category_set if categories is None else categories):
         category_seed = derive_seed(

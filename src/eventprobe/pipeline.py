@@ -72,8 +72,6 @@ class PipelineConfig:
 
     @classmethod
     def from_doc(cls, doc: Mapping[str, Any], **overrides: Any) -> "PipelineConfig":
-        if not isinstance(doc, Mapping):
-            raise ConfigError("config must be a JSON object")
         merged = dict(doc)
         for key, value in overrides.items():
             if value is not None:
@@ -200,14 +198,11 @@ def _ingest(config: PipelineConfig, values: Mapping[str, Any], started_at: float
         sources[graph.video_id] = path
         graphs.append(graph)
     graphs.sort(key=lambda g: g.video_id)
-    problems = []
     for graph in graphs:
-        for violation in validate(graph, profile):
-            problems.append(f"{graph.video_id}/{violation.tuple_id}: {violation.kind} ({violation.detail})")
-    if problems:
-        raise MalformedDocument(
-            "corpus uses vocabulary the profile does not license:\n  " + "\n  ".join(problems)
-        )
+        violations = validate(graph, profile)
+        if violations:
+            found = "; ".join(f"tuple {v.tuple_id!r}: {v.kind} ({v.detail})" for v in violations)
+            raise MalformedDocument(f"{sources[graph.video_id]}: vocabulary the profile does not license: {found}")
     return graphs
 
 

@@ -8,10 +8,8 @@ profile data rather than hard-coded enums.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from importlib import resources
 from typing import Any, Mapping
 
 from .documents import read_json, require, require_strings
@@ -108,8 +106,6 @@ def _parse_category(raw: Any) -> ManipulationCategory:
 
 def parse_profile(document: Any) -> DatasetProfile:
     """Parse a profile document, as json.loads returns it."""
-    if not isinstance(document, dict):
-        raise MalformedDocument("profile document must be an object")
     vocab = require(document, "vocab", dict)
     return DatasetProfile(
         name=require(document, "name", str),
@@ -123,8 +119,3 @@ def parse_profile(document: Any) -> DatasetProfile:
 def load_profile(path: str) -> DatasetProfile:
     return read_json(path, ProfileNotFound(f"profile file not found: {path}"), parse_profile)
 
-
-def default_profile() -> DatasetProfile:
-    """The profile shipped with the package (matches the built-in templates)."""
-    text = resources.files("eventprobe.data").joinpath("profile_default.json").read_text("utf-8")
-    return parse_profile(json.loads(text))

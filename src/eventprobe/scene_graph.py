@@ -292,22 +292,20 @@ def parse_scene_graph(document: Any) -> SceneGraph:
         raise MalformedDocument("video_id must be nonempty")
     duration_s = require(document, "duration_s", float)
 
-    entities: dict[str, EntityRef] = {}
+    entities = []
     for raw in require(document, "entities", list):
         if not isinstance(raw, dict):
             raise MalformedDocument("entity object expected")
-        ent = EntityRef(
+        entities.append(EntityRef(
             entity_id=require(raw, "entity_id", str),
             name=require(raw, "name", str),
             entity_class=None if raw.get("entity_class") is None else require(raw, "entity_class", str),
-        )
-        if ent.entity_id in entities:
-            raise MalformedDocument(f"duplicate entity_id {ent.entity_id!r}")
-        entities[ent.entity_id] = ent
+        ))
+    by_id = {ent.entity_id: ent for ent in entities}  # SceneGraph rejects a repeated id
 
     def resolve(entity_id: str, tuple_id: str) -> EntityRef:
         try:
-            return entities[entity_id]
+            return by_id[entity_id]
         except KeyError:
             raise DanglingEntityRef(
                 f"tuple {tuple_id!r} references unknown entity {entity_id!r}"
@@ -336,7 +334,7 @@ def parse_scene_graph(document: Any) -> SceneGraph:
     return SceneGraph(
         video_id=video_id,
         duration_s=duration_s,
-        entities=tuple(entities.values()),
+        entities=tuple(entities),
         tuples=tuple(tuples),
     )
 

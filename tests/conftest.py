@@ -4,8 +4,9 @@ import pytest
 from hypothesis import settings
 
 from eventprobe.captions import default_templates
-from eventprobe.profiles import default_profile
 from eventprobe.scene_graph import load_scene_graph
+
+from .helpers import default_profile
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS_FILES = ("focker.json", "forrest.json", "kitchen.json")

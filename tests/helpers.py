@@ -4,16 +4,20 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import random
 import string as _string
+import tempfile
 from dataclasses import replace
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
 from eventprobe.errors import MalformedDocument
-from eventprobe.evaluate import ScoreMatrix
+from eventprobe.evaluate import ScoreMatrix, load_score_matrix
 from eventprobe.manipulate import AttributeObservation, _derived
-from eventprobe.profiles import DatasetProfile
+from eventprobe.profiles import DatasetProfile, parse_profile
 from eventprobe.scene_graph import (
     AttributeValue,
     EntityRef,
@@ -22,6 +26,13 @@ from eventprobe.scene_graph import (
     SceneGraph,
     TimeInterval,
 )
+
+
+def default_profile() -> DatasetProfile:
+    """The profile shipped with the package (matches the built-in templates)."""
+    text = resources.files("eventprobe.data").joinpath("profile_default.json").read_text("utf-8")
+    return parse_profile(json.loads(text))
+
 
 WORDS = (
     "amber", "basalt", "cedar", "drift", "ember", "fjord", "garnet", "heath",
@@ -213,6 +224,15 @@ def with_objects(graph: SceneGraph) -> SceneGraph:
         t if t.predicate is None or t.object is not None else _derived(t, object=other(t.subject))
         for t in graph.tuples
     ))
+
+
+def score_matrix_from_csv(text: str) -> ScoreMatrix:
+    """load_score_matrix over text written to a temporary CSV file, so that
+    the text is read as `eval` reads its --scores."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scores.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        return load_score_matrix(path)
 
 
 def csv_reader_score_matrix(text: str) -> ScoreMatrix:

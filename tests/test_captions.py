@@ -27,10 +27,10 @@ from eventprobe.errors import (
 )
 from eventprobe.manipulate import _derived, apply_corpus
 from eventprobe.pipeline import PipelineConfig, run_pipeline, run_stages
-from eventprobe.profiles import ManipulationCategory, default_profile
+from eventprobe.profiles import ManipulationCategory
 
 from .goldens import GOLDEN_TEXTS, build_golden_records, record_for
-from .helpers import attr, entity, make_tuple, pred, random_profile_corpus, span
+from .helpers import attr, default_profile, entity, make_tuple, pred, random_profile_corpus, span
 
 
 @pytest.fixture(scope="module")

@@ -139,6 +139,16 @@ class TestRunCommand:
         assert err.startswith("error: cannot write output directory") and str(tmp_path / out) in err
         assert (tmp_path / "blocker").read_text() == "x"
 
+    def test_a_taken_temporary_name_is_left_alone(self, config_path, tmp_path, capsys):
+        """A write that cannot open `<name>.tmp` removes only the temporaries it made."""
+        out = tmp_path / "out"
+        (out / "benchmark.jsonl.tmp").mkdir(parents=True)
+        listing = sorted(out.rglob("*"))
+        assert main(["run", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: cannot write output directory") and str(out) in err, err
+        assert sorted(out.rglob("*")) == listing
+
     def test_predicate_tuple_without_object_gives_no_predicate_sites(self, config_path, tmp_path, fixtures_dir, capsys):
         corpus = tmp_path / "corpus"
         shutil.copytree(fixtures_dir, corpus)
@@ -742,12 +752,17 @@ class TestLossSelftest:
             ({"V": [[0.1, 0.2], [0.3]], "T": [[0.1, 0.2], [0.3, 0.4]]}, "V is not"),
             ({"V": [[0.1, 0.2]], "T": [[0.3, 0.1]], "tau": "a"}, "tau"),
             ({"V": [[0.1, 0.2]], "T": [[0.3, 0.1]], "G": 5}, "'G' must be list"),
+            ('{"V": [[0.1, 0.2]], "T": [[0.3, 0.1]], "G": [[[1e999, 0.2]]]}', "G[0] has non-finite entries"),
+            ({"V": [0.1, 0.2], "T": [0.3, 0.1]}, "must be 2-d"),
+            ({"V": [[]], "T": [[]]}, "at least one item and one dimension"),
+            ({"V": [[0.1, 0.2]], "T": [[0.3, 0.1]], "G": [[[0.1, 0.2]], [[0.3, 0.4]]]}, "one entry per item"),
         ],
-        ids=["missing-V", "array-document", "ragged-V", "tau-string", "G-number"],
+        ids=["missing-V", "array-document", "ragged-V", "tau-string", "G-number",
+             "G-overflow", "V-one-dimensional", "V-empty", "G-too-many-entries"],
     )
     def test_malformed_document_exit_code(self, tmp_path, capsys, doc, field):
         path = tmp_path / "batch.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
         assert main(["loss-selftest", "--input", str(path)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err

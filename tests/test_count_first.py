@@ -34,7 +34,6 @@ from eventprobe.manipulate import (
     temporal_attribute_swap,
     temporal_predicate_swap,
 )
-from eventprobe.profiles import default_profile
 from eventprobe.scene_graph import (
     AttributeValue,
     EntityRef,
@@ -44,7 +43,7 @@ from eventprobe.scene_graph import (
     TimeInterval,
 )
 
-from .helpers import random_profile_corpus
+from .helpers import default_profile, random_profile_corpus
 
 PROFILE = default_profile()
 PAIRWISE = tuple(c for c in PROFILE.category_set if c.method == "temporal")

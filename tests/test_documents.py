@@ -116,7 +116,15 @@ def first_tuple(**changes):
     return lambda tuples: [{**tuples[0], **changes}, *tuples[1:]]
 
 
-JSON_FAULTS = {"not-utf8": b'{"name": "caf\xe9"}', "invalid-json": b"{not json", "not-an-object": b"[1, 2]\n"}
+# The last two are valid JSON text that Python's decoder still rejects, with
+# a RecursionError and a ValueError rather than a JSONDecodeError.
+JSON_FAULTS = {
+    "not-utf8": b'{"name": "caf\xe9"}',
+    "invalid-json": b"{not json",
+    "not-an-object": b"[1, 2]\n",
+    "deep-nesting": b'{"a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    "huge-integer": b'{"a": ' + b"1" * 5_001 + b"}",
+}
 # A self-test document in JSON's other encodings, which json.loads detects
 # but no eventprobe input takes, from a file or from stdin.
 BATCH = {"V": [[1.0]], "T": [[1.0]]}
@@ -238,6 +246,7 @@ VALUE_FAULTS = {
         "video-id-empty": edit_corpus(video_id=""),
         "tuple-id-empty": edit_corpus(tuples=first_tuple(tuple_id="")),
         "video-id-repeated": edit_corpus(video_id="kitchen"),
+        "value-out-of-vocabulary": edit_corpus(tuples=first_tuple(predicate={"value": "juggles", "pred_type": "Action"})),
     },
     "graphs.jsonl": {
         "duration-nan": edit_first_line(duration_s=math.nan),
@@ -374,9 +383,9 @@ def _file_access(tree):
 
 
 def test_only_the_document_layer_touches_files():
-    # The two loaders read package data that ships with the code; every
+    # The template loader reads package data that ships with the code; every
     # file a user names goes through eventprobe.documents.
-    allowed = {("profiles", "default_profile"), ("captions", "default_templates")}
+    allowed = {("captions", "default_templates")}
     package = Path(eventprobe.__file__).parent
     offenders = []
     for source in sorted(package.glob("*.py")):

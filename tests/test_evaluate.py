@@ -28,12 +28,11 @@ from eventprobe.evaluate import (
     pessimistic_ranks,
     recall_at_k,
     relative_gap,
-    score_matrix_from_csv,
     summarize,
 )
 from eventprobe.profiles import ManipulationCategory
 
-from .helpers import csv_reader_score_matrix
+from .helpers import csv_reader_score_matrix, score_matrix_from_csv
 
 # --- independent oracle -------------------------------------------------------
 # Exhaustive sort-based ranking, deliberately different from the counting
@@ -537,11 +536,12 @@ class TestScoreMatrixNpz:
             ({"video_ids": ["v1"], "caption_ids": ["c1"], "scores": [[0.5j]]}, "2-D real"),
             ({"video_ids": ["v1"], "caption_ids": ["c1"], "scores": [["0.5"]]}, "2-D real"),
             ({"video_ids": ["v1", "v1"], "caption_ids": ["c1"], "scores": [[0.5], [1]]}, "duplicate"),
+            ({"video_ids": ["v1"], "caption_ids": ["c1", "c1"], "scores": [[0.5, 1]]}, "duplicate caption ids"),
             ({"video_ids": ["v1"], "caption_ids": ["c1", "c2"], "scores": [[0.5]]}, "does not match"),
             ({"video_ids": ["v1"], "caption_ids": ["c1"], "scores": [[np.inf]]}, "finite"),
         ],
         ids=["missing-array", "numeric-ids", "1-d-scores", "complex-scores", "string-scores",
-             "duplicate-ids", "wrong-shape", "non-finite"],
+             "duplicate-ids", "duplicate-caption-ids", "wrong-shape", "non-finite"],
     )
     def test_malformed_archive(self, tmp_path, arrays, message):
         path = tmp_path / "scores.npz"

@@ -27,11 +27,12 @@ from eventprobe.manipulate import (
     temporal_attribute_swap,
     temporal_predicate_swap,
 )
-from eventprobe.profiles import ManipulationCategory, default_profile, parse_profile
+from eventprobe.profiles import ManipulationCategory, parse_profile
 from eventprobe.scene_graph import TUPLE_FIELDS, SceneGraph
 
 from .helpers import (
     attr,
+    default_profile,
     entity,
     make_tuple,
     pred,

@@ -63,6 +63,10 @@ class TestConfig:
         nulls = dict.fromkeys(("quotas", "categories", "templates_path", "decorator"))
         assert make_config(tmp_path, fixtures_dir, **nulls) == make_config(tmp_path, fixtures_dir)
 
+    def test_all_from_profile_is_every_category(self, tmp_path, fixtures_dir):
+        config = make_config(tmp_path, fixtures_dir, categories="all-from-profile")
+        assert config.categories is None and config == make_config(tmp_path, fixtures_dir)
+
     def test_flag_overrides_win(self, tmp_path, fixtures_dir):
         path = tmp_path / "config.json"
         path.write_text(

@@ -72,6 +72,12 @@ class TestParse:
         with pytest.raises(DanglingEntityRef):
             parse_scene_graph(doc)
 
+    @pytest.mark.parametrize("subject", [entity("e9"), entity("e1", "cat")], ids=["unknown-id", "other-entity"])
+    def test_graph_built_directly_checks_its_references(self, subject):
+        tup = make_tuple("t1", subject, attrs=(attr("brown"),))
+        with pytest.raises(DanglingEntityRef, match=f"tuple 't1' references unknown entity {subject.entity_id!r}"):
+            SceneGraph("v0", 10.0, (entity("e1", "dog"),), (tup,))
+
     def test_fixture_counts(self, forrest):
         # Hand count of tests/fixtures/forrest.json: 2 entities, 3 tuples.
         assert len(forrest.entities) == 2
@@ -116,7 +122,7 @@ class TestParse:
                 {"entity_id": "e1", "name": "cat"},
             ],
         )
-        with pytest.raises(MalformedDocument):
+        with pytest.raises(MalformedDocument, match="duplicate entity_id 'e1' in video 'v0'"):
             parse_scene_graph(doc)
 
     def test_tuple_needs_predicate_or_attrs(self):
