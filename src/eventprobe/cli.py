@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 from . import __version__, errors
 from .captions import pairs_from_jsonl
 from .documents import decode, naming, parse_json, read_text, require
-from .errors import EventProbeError, StageFailed
+from .errors import EventProbeError
 from .pipeline import STAGE_BY_NAME, PipelineConfig, run_stages
 
 if TYPE_CHECKING:
@@ -68,8 +68,6 @@ EXIT_CODES: tuple[tuple[type[EventProbeError], int], ...] = (
 
 
 def exit_code_for(exc: Exception) -> int:
-    if isinstance(exc, StageFailed) and isinstance(exc.cause, Exception):
-        return exit_code_for(exc.cause)
     for klass, code in EXIT_CODES:
         if isinstance(exc, klass):
             return code
@@ -141,7 +139,7 @@ def cmd_loss_selftest(args: argparse.Namespace) -> int:
         G = () if doc.get("G") is None else require(doc, "G", list)
         batch = LossBatch(V=require(doc, "V", list), T=require(doc, "T", list), G=G)
     loss = hn_nce_forward(batch, params)
-    err = finite_diff_check(batch, params, h=args.step)
+    err = finite_diff_check(batch, params)
     print(json.dumps({"loss": loss, "fd_max_rel_err": err}))
     return 0
 
@@ -190,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("loss-selftest", help="forward value and gradient check")
     p.add_argument("--input", default=None, help="JSON file (default: stdin)")
-    p.add_argument("--step", type=float, default=1e-5, help="finite-difference step")
     p.set_defaults(handler=cmd_loss_selftest)
 
     return parser

@@ -106,7 +106,7 @@ def _decorate_caption(
 def decorate(
     pair: CaptionPair,
     config: DecoratorConfig,
-    required: Mapping[str, Sequence[str]] | None = None,
+    required: Mapping[str, Sequence[str]],
     transport: Transport | None = None,
 ) -> CaptionPair:
     """Naturalize both captions of a pair, keeping protected values verbatim.
@@ -119,7 +119,6 @@ def decorate(
     if not config.enabled:
         return pair
     transport = transport or _http_transport
-    required = required or {}
     positive = _decorate_caption(
         pair.positive, tuple(required.get(POSITIVE, ())), config, transport
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
@@ -64,14 +65,27 @@ def _reject_constant(name: str) -> None:
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
+# A \u escape of a UTF-16 surrogate: half of a pair, or a lone one, which
+# the decoder turns into a string that cannot be written as UTF-8.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def _json_value(text: str) -> Any:
     """The JSON value text holds. Beside a JSONDecodeError, the decoder
     raises RecursionError for nesting deeper than Python's recursion limit
-    and ValueError for an integer past its 4,300-digit limit."""
+    and ValueError for an integer past its 4,300-digit limit. A lone
+    surrogate escape is rejected too; the value is encoded to find one only
+    when the text has a surrogate escape at all."""
     try:
-        return _DECODER.decode(text)
+        value = _DECODER.decode(text)
     except (ValueError, RecursionError) as exc:
         raise MalformedDocument(f"invalid JSON: {exc}") from None
+    if "\\u" in text and _SURROGATE_ESCAPE.search(text):
+        try:
+            _JSON_LINE.encode(value).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise MalformedDocument(f"invalid JSON: lone surrogate {exc.object[exc.start]!r}") from None
+    return value
 
 
 def parse_json(text: str) -> dict[str, Any]:

@@ -107,12 +107,3 @@ class ZeroBaseline(EventProbeError):
 
 class ConfigError(EventProbeError):
     """Pipeline configuration is incomplete or inconsistent."""
-
-
-class StageFailed(EventProbeError):
-    """A pipeline stage failed; carries the stage name and the cause."""
-
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage '{stage}' failed: {cause}")
-        self.stage = stage
-        self.cause = cause

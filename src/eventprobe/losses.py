@@ -23,11 +23,11 @@ are dropped, and the loss is exactly zero. Embeddings are consumed as-is
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .documents import require
 from .errors import MalformedDocument
 
 _NEG_INF = float("-inf")
@@ -41,20 +41,18 @@ class LossParams:
     beta: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("tau", "beta"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise MalformedDocument(f"{name} must be a number, got {value!r}")
-        if not 0 < self.tau < math.inf:
-            raise MalformedDocument(f"tau must be positive and finite, got {self.tau}")
-        if not 0 <= self.beta < math.inf:
-            raise MalformedDocument(f"beta must be non-negative and finite, got {self.beta}")
+        # Checked as document fields; each value keeps its type.
+        settings = vars(self)
+        if not require(settings, "tau", float) > 0:
+            raise MalformedDocument(f"key 'tau' must be positive, got {self.tau}")
+        if not require(settings, "beta", float) >= 0:
+            raise MalformedDocument(f"key 'beta' must be non-negative, got {self.beta}")
 
 
 def _float_array(value, name: str) -> np.ndarray:
     try:
         return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer past the float range
         raise MalformedDocument(f"{name} is not a numeric array: {exc}") from None
 
 
@@ -89,10 +87,9 @@ class LossBatch:
             raise MalformedDocument("need at least one item and one dimension")
         if not (np.isfinite(V).all() and np.isfinite(T).all()):
             raise MalformedDocument("V and T must be finite")
-        G = () if self.G is None else self.G
-        stacked = _row_stack(G, n, d)
+        stacked = _row_stack(self.G, n, d)
         if stacked is None:
-            padded, counts = _padded_copy(G, n, d)
+            padded, counts = _padded_copy(self.G, n, d)
         else:
             padded, counts = stacked.view(), np.full(n, stacked.shape[1])
         padded.flags.writeable = False
@@ -340,9 +337,7 @@ def hn_nce_grad(batch: LossBatch, params: LossParams) -> LossOutput:
     return LossOutput(loss, grad_V, grad_T, _unpad(grad_G, batch.gen_mask))
 
 
-def finite_diff_check(
-    batch: LossBatch, params: LossParams, h: float = 1e-5, output: LossOutput | None = None
-) -> float:
+def finite_diff_check(batch: LossBatch, params: LossParams, h: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     The differenced function keeps the weights frozen at their unperturbed
@@ -351,7 +346,7 @@ def finite_diff_check(
     """
     if not 0 < h < math.inf:
         raise MalformedDocument(f"step size must be positive and finite, got {h}")
-    analytic = output if output is not None else hn_nce_grad(batch, params)
+    analytic = hn_nce_grad(batch, params)
     (n, d), g, tau = batch.V.shape, batch.G_padded.shape[1], params.tau
     L, L_gen = _logits(batch.V, batch.T, batch.G_padded, tau)
     # Differencing at h=1e-5 leaves ~eps/h of roundoff in every numeric

@@ -23,7 +23,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -42,9 +42,9 @@ from .documents import naming, read_json, read_text, require, require_strings, w
 from .errors import (
     ConfigError,
     EmptyInput,
+    EventProbeError,
     MalformedDocument,
     OutputExists,
-    StageFailed,
 )
 from .manipulate import apply_corpus, records_from_jsonl, records_to_jsonl
 from .profiles import DatasetProfile, load_profile
@@ -64,11 +64,11 @@ class PipelineConfig:
     profile_path: str
     input_glob: str
     output_dir: str
-    quotas: Mapping[str, int] = field(default_factory=dict)
-    categories: tuple[str, ...] | None = None  # None means all-from-profile
-    templates_path: str | None = None
-    decorator: DecoratorConfig = field(default_factory=DecoratorConfig)
-    force: bool = False
+    quotas: Mapping[str, int]
+    categories: tuple[str, ...] | None  # None means all-from-profile
+    templates_path: str | None
+    decorator: DecoratorConfig
+    force: bool
 
     @classmethod
     def from_doc(cls, doc: Mapping[str, Any], **overrides: Any) -> "PipelineConfig":
@@ -199,10 +199,8 @@ def _ingest(config: PipelineConfig, values: Mapping[str, Any], started_at: float
         graphs.append(graph)
     graphs.sort(key=lambda g: g.video_id)
     for graph in graphs:
-        violations = validate(graph, profile)
-        if violations:
-            found = "; ".join(f"tuple {v.tuple_id!r}: {v.kind} ({v.detail})" for v in violations)
-            raise MalformedDocument(f"{sources[graph.video_id]}: vocabulary the profile does not license: {found}")
+        with naming(sources[graph.video_id]):
+            validate(graph, profile)
     return graphs
 
 
@@ -291,8 +289,11 @@ def run_stages(config: PipelineConfig, names: Sequence[str]) -> RunManifest | No
     manifest when emit is among them, else None.
 
     The stages before the first named one contribute their output files in
-    the output directory. The first failing stage aborts the command with a
-    StageFailed error naming the stage, and the directory is left as it was.
+    the output directory. The first failing stage aborts the command, and
+    the directory is left as it was. Its error is raised again as the same
+    class, its message prefixed with "stage '<name>' failed: "; any other
+    exception becomes an EventProbeError with that prefix. Either way the
+    new error is chained from the original.
     """
     started_at = time.time()
     stages = [stage for stage in STAGES if stage.name in names]
@@ -319,7 +320,8 @@ def run_stages(config: PipelineConfig, names: Sequence[str]) -> RunManifest | No
             values[stage.name] = stage.fn(config, values, started_at)
             texts[stage.output] = stage.write(values[stage.name])
         except Exception as exc:
-            raise StageFailed(stage.name, exc) from exc
+            klass = type(exc) if isinstance(exc, EventProbeError) else EventProbeError
+            raise klass(f"stage '{stage.name}' failed: {exc}") from exc
     write_outputs(out_dir, texts, remove=[stage.output for stage in STAGES[last + 1 :]])
     return values.get("emit")
 

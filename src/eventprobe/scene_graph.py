@@ -210,15 +210,6 @@ class SceneGraph:
         return TupleGroups(dict(slots), dict(truthful))
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One profile-licensing problem found by validate(); data, not an error."""
-
-    kind: str
-    tuple_id: str
-    detail: str
-
-
 # Parsing interns attribute and predicate values: a corpus holds one object
 # per distinct (value, type), so equal values compare by identity. Sharing is
 # safe because the values are tuples, which nothing can change. Times are not
@@ -395,23 +386,19 @@ def graphs_from_jsonl(text: str, name: str = "graphs.jsonl") -> list[SceneGraph]
     return parse_jsonl(text, parse, name)
 
 
-def validate(graph: SceneGraph, profile: DatasetProfile) -> list[Violation]:
+def validate(graph: SceneGraph, profile: DatasetProfile) -> None:
     """Check every type and value in the graph against the profile.
 
-    Returns a list of violations; an empty list means the graph only uses
-    vocabulary the profile licenses.
+    Raises one MalformedDocument that lists every tuple using vocabulary the
+    profile does not license, each with the kind of fault it is.
     """
-    violations: list[Violation] = []
+    found: list[str] = []
 
     def check(tuple_id: str, slot: str, type_name: str, value: str, declared: tuple[str, ...]) -> None:
         if type_name not in declared:
-            violations.append(Violation(
-                f"Unknown{slot.title()}Type", tuple_id, f"{slot} type {type_name!r} not in profile"
-            ))
+            found.append(f"tuple {tuple_id!r}: Unknown{slot.title()}Type ({slot} type {type_name!r} not in profile)")
         elif value not in profile.vocab_sets[type_name]:
-            violations.append(Violation(
-                "OutOfVocabularyValue", tuple_id, f"value {value!r} not in {type_name} vocabulary"
-            ))
+            found.append(f"tuple {tuple_id!r}: OutOfVocabularyValue (value {value!r} not in {type_name} vocabulary)")
 
     for tup in graph.tuples:
         if tup.predicate is not None:
@@ -419,5 +406,6 @@ def validate(graph: SceneGraph, profile: DatasetProfile) -> list[Violation]:
             check(tup.tuple_id, "predicate", pred.pred_type, pred.value, profile.predicate_types)
         for attr in tup.subject_attrs + tup.object_attrs:
             check(tup.tuple_id, "attribute", attr.attr_type, attr.value, profile.attribute_types)
-    return violations
+    if found:
+        raise MalformedDocument(f"vocabulary the profile does not license: {'; '.join(found)}")
 

@@ -14,9 +14,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import eventprobe
-from eventprobe import errors
+from eventprobe import errors, pipeline
 from eventprobe.cli import exit_code_for, main
-from eventprobe.errors import StageFailed
 from eventprobe.scene_graph import scene_graph_to_doc
 
 from .helpers import random_profile_corpus, with_objects
@@ -794,4 +793,16 @@ class TestExitCodes:
         assert exit_code_for(errors.TemplateSlotMissing("x")) == 7
         assert exit_code_for(errors.UnknownId("x")) == 8
         assert exit_code_for(errors.EmptyPool("x")) == 9
-        assert exit_code_for(StageFailed("probe", errors.EmptyPool("x"))) == 9
+        assert exit_code_for(errors.EventProbeError("x")) == 1
+
+    def test_an_unexpected_stage_error_exits_1_on_one_line(self, config_path, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(pipeline, "apply_corpus", boom)
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == "error: stage 'probe' failed: boom\n"
+        with pytest.raises(errors.EventProbeError, match="^stage 'probe' failed: boom$") as info:
+            pipeline.run_pipeline(pipeline.PipelineConfig.from_file(config_path))
+        assert type(info.value) is errors.EventProbeError
+        assert isinstance(info.value.__cause__, RuntimeError)

@@ -39,7 +39,7 @@ REQUIRED = {"positive": ("carries",), "negative": ("assembles",)}
 
 def test_disabled_is_identity(pair):
     config = DecoratorConfig(enabled=False)
-    assert decorate(pair, config) is pair
+    assert decorate(pair, config, required=REQUIRED) is pair
 
 
 def test_enabled_requires_endpoint_and_key_env():

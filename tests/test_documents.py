@@ -183,10 +183,14 @@ def color_positive(pattern):
     return edit_json(templates=lambda t: {**t, COLOR: {**t[COLOR], "positive": pattern}})
 
 
+LONE = "\ud800"  # json.dumps writes it as the escape \ud800, which no UTF-8 text holds
+HUGE = b"9" * 401  # an integer past the float range
+
 # Well-formed documents with a value out of contract: a config value of the
 # right JSON type but the wrong kind, NaN or Infinity anywhere (Python's json
 # reads them, RFC 8259 has no such numbers), a number too large for a float,
-# an empty or repeated id, or a recall row `eval` never writes.
+# a lone surrogate escape in a string the input otherwise accepts, an empty
+# or repeated id, or a recall row `eval` never writes.
 VALUE_FAULTS = {
     "config": {
         "seed-fraction": edit_json(global_seed=1.5),
@@ -219,11 +223,13 @@ VALUE_FAULTS = {
         "quotas-zero": edit_json(quotas=0),
         "decorator-false": edit_json(decorator=False),
         "decorator-list": edit_json(decorator=[]),
+        "lone-surrogate": edit_json(decorator={"model_name": "m" + LONE}),
     },
     "profile": {
         "name-nan": edit_json(name=math.nan),
         "categories-repeated": edit_json(categories=lambda c: [
             *c, {"method": "temporal", "target": "predicate", "fine_type": "Action"}]),
+        "lone-surrogate": edit_json(name="probe" + LONE),
     },
     # A pattern that would fail to render whatever its slots hold: a brace
     # out of place, a format spec or conversion a string does not take, or a
@@ -237,6 +243,7 @@ VALUE_FAULTS = {
         "pattern-unknown-conversion": color_positive("the {subject!x} is {subject_attr}"),
         "pattern-slot-spec": color_positive("the {subject:{subject_attr}}"),
         "pattern-slot-in-spec": color_positive("the {subject:{subject_attr}>5}"),
+        "lone-surrogate": edit_json(connectives=lambda c: {**c, "negative": "while" + LONE}),
     },
     "corpus": {
         "duration-nan": edit_corpus(duration_s=math.nan),
@@ -247,17 +254,35 @@ VALUE_FAULTS = {
         "tuple-id-empty": edit_corpus(tuples=first_tuple(tuple_id="")),
         "video-id-repeated": edit_corpus(video_id="kitchen"),
         "value-out-of-vocabulary": edit_corpus(tuples=first_tuple(predicate={"value": "juggles", "pred_type": "Action"})),
+        "lone-surrogate": edit_corpus(video_id="kitchen" + LONE),
     },
     "graphs.jsonl": {
         "duration-nan": edit_first_line(duration_s=math.nan),
         "start-minus-infinity": edit_first_line(tuples=first_tuple(time={"start_s": -math.inf, "end_s": 1.0})),
         "tuple-id-empty": edit_first_line(tuples=first_tuple(tuple_id="")),
         "video-id-repeated": edit_first_line(video_id="kitchen"),
+        "lone-surrogate": edit_first_line(video_id=lambda v: v + LONE),
     },
-    "records.jsonl": {"seed-nan": edit_first_line(seed=math.nan)},
-    "benchmark.jsonl": {"pair-id-infinity": edit_first_line(pair_id=math.inf)},
-    "loss-selftest": {"tau-nan": lambda path: b'{"tau": NaN, "V": [[0.1]], "T": [[0.1]]}'},
-    "eval-benchmark": {"pair-id-nan": edit_first_line(pair_id=math.nan)},
+    "records.jsonl": {
+        "seed-nan": edit_first_line(seed=math.nan),
+        "lone-surrogate": edit_first_line(record_id=lambda r: r + LONE),
+    },
+    "benchmark.jsonl": {
+        "pair-id-infinity": edit_first_line(pair_id=math.inf),
+        "lone-surrogate": edit_first_line(pair_id=lambda p: p + LONE),
+    },
+    "loss-selftest": {
+        "tau-nan": lambda path: b'{"tau": NaN, "V": [[0.1]], "T": [[0.1]]}',
+        "V-integer-overflow": b'{"V": [[' + HUGE + b']], "T": [[0.1]]}',
+        "G-integer-overflow": b'{"V": [[0.1]], "T": [[0.1]], "G": [[[' + HUGE + b']]]}',
+        "tau-integer-overflow": b'{"tau": ' + HUGE + b', "V": [[0.1]], "T": [[0.1]]}',
+        "beta-integer-overflow": b'{"beta": ' + HUGE + b', "V": [[0.1]], "T": [[0.1]]}',
+        "lone-surrogate": b'{"note": "\\ud800", "V": [[0.1]], "T": [[0.1]]}',
+    },
+    "eval-benchmark": {
+        "pair-id-nan": edit_first_line(pair_id=math.nan),
+        "lone-surrogate": edit_first_line(pair_id=lambda p: p + LONE),
+    },
     "gap-report": {
         "long-value-nan": lambda path: path.read_bytes().replace(b"0.5", b"nan", 1),
         "long-value-above-one": lambda path: path.read_bytes().replace(b"0.25", b"1.25", 1),
@@ -406,5 +431,4 @@ def test_every_error_class_has_its_own_exit_code():
     classes = list(subclasses(errors.EventProbeError))
     assert len(classes) > 20
     for klass in classes:
-        exc = klass("stage", errors.MalformedDocument("x")) if klass is errors.StageFailed else klass("x")
-        assert exit_code_for(exc) != 1, klass.__name__
+        assert exit_code_for(klass("x")) != 1, klass.__name__

@@ -142,7 +142,7 @@ class TestParse:
 class TestValidate:
     def test_clean_graph(self, profile, corpus):
         for graph in corpus:
-            assert validate(graph, profile) == []
+            validate(graph, profile)
 
     def test_licensed_attribute(self, profile):
         graph = SceneGraph(
@@ -151,7 +151,7 @@ class TestValidate:
             entities=(entity("e1"),),
             tuples=(make_tuple("t1", entity("e1"), attrs=(attr("white", "Color"),)),),
         )
-        assert validate(graph, profile) == []
+        validate(graph, profile)
 
     def test_unknown_predicate_type(self, profile):
         graph = SceneGraph(
@@ -162,8 +162,11 @@ class TestValidate:
                 make_tuple("t1", entity("e1"), predicate=pred("zap", "Teleport")),
             ),
         )
-        kinds = [v.kind for v in validate(graph, profile)]
-        assert kinds == ["UnknownPredicateType"]
+        with pytest.raises(MalformedDocument, match=(
+            r"^vocabulary the profile does not license: "
+            r"tuple 't1': UnknownPredicateType \(predicate type 'Teleport' not in profile\)$"
+        )):
+            validate(graph, profile)
 
     def test_out_of_vocabulary_value(self, profile):
         graph = SceneGraph(
@@ -172,8 +175,11 @@ class TestValidate:
             entities=(entity("e1"),),
             tuples=(make_tuple("t1", entity("e1"), attrs=(attr("purple", "Color"),)),),
         )
-        kinds = [v.kind for v in validate(graph, profile)]
-        assert kinds == ["OutOfVocabularyValue"]
+        with pytest.raises(MalformedDocument, match=(
+            r"^vocabulary the profile does not license: "
+            r"tuple 't1': OutOfVocabularyValue \(value 'purple' not in Color vocabulary\)$"
+        )):
+            validate(graph, profile)
 
     def test_unknown_attribute_type(self, profile):
         graph = SceneGraph(
@@ -182,8 +188,11 @@ class TestValidate:
             entities=(entity("e1"),),
             tuples=(make_tuple("t1", entity("e1"), attrs=(attr("tall", "Height"),)),),
         )
-        kinds = [v.kind for v in validate(graph, profile)]
-        assert kinds == ["UnknownAttributeType"]
+        with pytest.raises(MalformedDocument, match=(
+            r"^vocabulary the profile does not license: "
+            r"tuple 't1': UnknownAttributeType \(attribute type 'Height' not in profile\)$"
+        )):
+            validate(graph, profile)
 
 
 # --- round-trip property ----------------------------------------------------
