@@ -68,6 +68,9 @@ _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 # A \u escape of a UTF-16 surrogate: half of a pair, or a lone one, which
 # the decoder turns into a string that cannot be written as UTF-8.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+# Finds a lone surrogate by encoding; it takes the inf that 1e999 reads as,
+# so that the checks after decoding report that fault.
+_SURROGATE_CHECK = json.JSONEncoder(ensure_ascii=False, check_circular=False)
 
 
 def _json_value(text: str) -> Any:
@@ -80,9 +83,9 @@ def _json_value(text: str) -> Any:
         value = _DECODER.decode(text)
     except (ValueError, RecursionError) as exc:
         raise MalformedDocument(f"invalid JSON: {exc}") from None
-    if "\\u" in text and _SURROGATE_ESCAPE.search(text):
+    if _SURROGATE_ESCAPE.search(text):
         try:
-            _JSON_LINE.encode(value).encode("utf-8")
+            _SURROGATE_CHECK.encode(value).encode("utf-8")
         except UnicodeEncodeError as exc:
             raise MalformedDocument(f"invalid JSON: lone surrogate {exc.object[exc.start]!r}") from None
     return value

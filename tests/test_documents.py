@@ -184,6 +184,7 @@ def color_positive(pattern):
 
 
 LONE = "\ud800"  # json.dumps writes it as the escape \ud800, which no UTF-8 text holds
+PAIR = "broken\U0001F600"  # json.dumps writes the emoji as the valid pair \ud83d\ude00
 HUGE = b"9" * 401  # an integer past the float range
 
 # Well-formed documents with a value out of contract: a config value of the
@@ -224,6 +225,8 @@ VALUE_FAULTS = {
         "decorator-false": edit_json(decorator=False),
         "decorator-list": edit_json(decorator=[]),
         "lone-surrogate": edit_json(decorator={"model_name": "m" + LONE}),
+        "timeout-overflow-beside-pair": spell(edit_json(decorator={"model_name": PAIR, "timeout_s": 10.5}),
+                                              10.5, "1e999"),
     },
     "profile": {
         "name-nan": edit_json(name=math.nan),
@@ -255,6 +258,7 @@ VALUE_FAULTS = {
         "video-id-repeated": edit_corpus(video_id="kitchen"),
         "value-out-of-vocabulary": edit_corpus(tuples=first_tuple(predicate={"value": "juggles", "pred_type": "Action"})),
         "lone-surrogate": edit_corpus(video_id="kitchen" + LONE),
+        "duration-overflow-beside-pair": spell(edit_corpus(video_id=PAIR, duration_s=120.0), 120.0, "1e999"),
     },
     "graphs.jsonl": {
         "duration-nan": edit_first_line(duration_s=math.nan),
@@ -262,6 +266,7 @@ VALUE_FAULTS = {
         "tuple-id-empty": edit_first_line(tuples=first_tuple(tuple_id="")),
         "video-id-repeated": edit_first_line(video_id="kitchen"),
         "lone-surrogate": edit_first_line(video_id=lambda v: v + LONE),
+        "duration-overflow-beside-pair": spell(edit_first_line(video_id=PAIR, duration_s=120.0), 120.0, "1e999"),
     },
     "records.jsonl": {
         "seed-nan": edit_first_line(seed=math.nan),
@@ -278,6 +283,7 @@ VALUE_FAULTS = {
         "tau-integer-overflow": b'{"tau": ' + HUGE + b', "V": [[0.1]], "T": [[0.1]]}',
         "beta-integer-overflow": b'{"beta": ' + HUGE + b', "V": [[0.1]], "T": [[0.1]]}',
         "lone-surrogate": b'{"note": "\\ud800", "V": [[0.1]], "T": [[0.1]]}',
+        "V-overflow-beside-pair": b'{"note": "\\ud83d\\ude00", "V": [[1e999]], "T": [[0.1]]}',
     },
     "eval-benchmark": {
         "pair-id-nan": edit_first_line(pair_id=math.nan),
