@@ -15,12 +15,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import (
-    EmptyInput,
-    MalformedDocument,
-    TemplateMissing,
-    TemplateSlotMissing,
-)
+from .errors import EmptyInput, MalformedDocument, TemplateError
 from .documents import parse_jsonl, read_json, require, to_jsonl
 from .manipulate import ManipulationRecord, time_order
 from .profiles import ManipulationCategory
@@ -133,7 +128,7 @@ def parse_templates(document: Any) -> TemplateTable:
 
 
 def load_templates(path: str | Path) -> TemplateTable:
-    return read_json(path, TemplateMissing(f"template file not found: {path}"), parse_templates)
+    return read_json(path, TemplateError(f"template file not found: {path}"), parse_templates)
 
 
 def default_templates() -> TemplateTable:
@@ -172,7 +167,7 @@ def _render_one(
     key = record.category.key
     pattern = templates.patterns.get((key, polarity))
     if pattern is None:
-        raise TemplateMissing(f"no {polarity} template for category {key!r}")
+        raise TemplateError(f"no {polarity} template for category {key!r}")
     ordered = time_order(tuples)
     slots: dict[str, str] = {}
     if len(ordered) == 1:
@@ -186,7 +181,7 @@ def _render_one(
         text = pattern.format_map(slots)
     except KeyError as exc:
         template_id = f"{templates.table_id}.{key}.{polarity}"
-        raise TemplateSlotMissing(
+        raise TemplateError(
             f"record {record.record_id!r} cannot fill slot {exc.args[0]!r} "
             f"of template {template_id!r}"
         ) from None
@@ -268,7 +263,7 @@ def pairs_to_jsonl(pairs: Iterable[CaptionPair]) -> str:
     return to_jsonl(map(pair_to_doc, pairs))
 
 
-def pairs_from_jsonl(text: str, name: str = "caption pairs") -> list[CaptionPair]:
+def pairs_from_jsonl(text: str, name: str) -> list[CaptionPair]:
     """The pairs of a benchmark file; EmptyInput, naming it, if it holds none."""
     pairs = parse_jsonl(text, pair_from_doc, name)
     if not pairs:

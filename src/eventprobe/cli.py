@@ -3,8 +3,8 @@
 `run` executes the whole pipeline from one JSON config; the stage commands
 (ingest, probe, render, emit) each execute one stage over the previous
 stages' files in the configured output directory, so external score
-matrices can be injected between emit and eval. Exit codes are stable per
-error class (see EXIT_CODES).
+matrices can be injected between emit and eval. Each error class carries
+its stable exit code (see errors.py).
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import __version__, errors
+from . import __version__
 from .captions import pairs_from_jsonl
-from .documents import decode, naming, parse_json, read_text, require
-from .errors import EventProbeError
+from .documents import decode, naming, parse_json, read_text, require_numbers
+from .errors import ConfigError, EmptyInput, EventProbeError
 from .pipeline import STAGE_BY_NAME, PipelineConfig, run_stages
 
 if TYPE_CHECKING:
@@ -51,28 +51,6 @@ def __getattr__(name: str):
             return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-EXIT_CODES: tuple[tuple[type[EventProbeError], int], ...] = (
-    (errors.ConfigError, 2),
-    (errors.ProfileNotFound, 3),
-    (errors.OutputExists, 5),
-    (errors.EmptyInput, 6),
-    (errors.TemplateMissing, 7),
-    (errors.TemplateSlotMissing, 7),
-    (errors.MissingNegative, 8),
-    (errors.UnknownId, 8),
-    (errors.EmptyMatrix, 8),
-    (errors.ZeroBaseline, 8),
-    (errors.ManipulationError, 9),
-    (errors.MalformedDocument, 4),
-)
-
-
-def exit_code_for(exc: Exception) -> int:
-    for klass, code in EXIT_CODES:
-        if isinstance(exc, klass):
-            return code
-    return 1
-
 
 def cmd_stage(args: argparse.Namespace) -> int:
     config = PipelineConfig.from_file(
@@ -95,10 +73,10 @@ def _eval_flags(args: argparse.Namespace) -> tuple[list[int], list[str]]:
     comma-separated list of distinct valid values."""
     ks = [k.strip() for k in args.ks.split(",") if k.strip()]
     if not ks or not all(k.isdecimal() and int(k) >= 1 for k in ks) or len(set(map(int, ks))) < len(ks):
-        raise errors.ConfigError(f"--ks {args.ks!r}: need distinct integers >= 1, comma-separated")
+        raise ConfigError(f"--ks {args.ks!r}: need distinct integers >= 1, comma-separated")
     directions = [d.strip() for d in args.directions.split(",") if d.strip()]
     if not directions or not set(directions) <= set(DIRECTIONS) or len(set(directions)) < len(directions):
-        raise errors.ConfigError(
+        raise ConfigError(
             f"--directions {args.directions!r}: need distinct values from {','.join(DIRECTIONS)}"
         )
     return [int(k) for k in ks], directions
@@ -108,7 +86,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _bind("evaluate")
     ks, directions = _eval_flags(args)
     benchmark = args.benchmark
-    text = read_text(benchmark, errors.EmptyInput(f"benchmark file not found: {benchmark}"))
+    text = read_text(benchmark, EmptyInput(f"benchmark file not found: {benchmark}"))
     pairs = pairs_from_jsonl(text, benchmark)
     positive = load_score_matrix(args.scores)
     control = load_score_matrix(args.scores_control)
@@ -121,7 +99,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_gap_report(args: argparse.Namespace) -> int:
     _bind("evaluate")
     path = args.recalls
-    text = read_text(path, errors.EmptyInput(f"recall CSV not found: {path}"))
+    text = read_text(path, EmptyInput(f"recall CSV not found: {path}"))
     with naming(path):
         gaps = gap_rows_from_csv(text)
     paths = summarize(gaps, args.out, model=args.model)
@@ -132,12 +110,12 @@ def cmd_gap_report(args: argparse.Namespace) -> int:
 def cmd_loss_selftest(args: argparse.Namespace) -> int:
     _bind("losses")
     if args.input:
-        text = read_text(args.input, errors.EmptyInput(f"self-test input not found: {args.input}"))
+        text = read_text(args.input, EmptyInput(f"self-test input not found: {args.input}"))
     with naming(args.input or "stdin"):
         doc = parse_json(text if args.input else decode(sys.stdin.buffer.read()))
         params = LossParams(**{key: doc[key] for key in ("tau", "beta") if key in doc})
-        G = () if doc.get("G") is None else require(doc, "G", list)
-        batch = LossBatch(V=require(doc, "V", list), T=require(doc, "T", list), G=G)
+        G = () if doc.get("G") is None else require_numbers(doc, "G")
+        batch = LossBatch(V=require_numbers(doc, "V"), T=require_numbers(doc, "T"), G=G)
     loss = hn_nce_forward(batch, params)
     err = finite_diff_check(batch, params)
     print(json.dumps({"loss": loss, "fd_max_rel_err": err}))
@@ -200,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except EventProbeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -142,6 +142,20 @@ def require_strings(doc: Mapping[str, Any], key: str) -> tuple[str, ...]:
     return tuple(values)
 
 
+def require_numbers(doc: Mapping[str, Any], key: str) -> list:
+    """doc[key], which must be a list whose nested leaves are all JSON
+    numbers: numpy would read a string or a bool among them as a number."""
+    value = require(doc, key, list)
+    pending = [value]
+    while pending:  # a loop, not recursion: the JSON may nest as deep as the decoder allows
+        item = pending.pop()
+        if type(item) is list:
+            pending.extend(item)
+        elif type(item) is not int and type(item) is not float:
+            raise MalformedDocument(f"key {key!r} must hold only numbers, got {type(item).__name__}")
+    return value
+
+
 def parse_jsonl(text: str, parse: Callable[[Any], Any], name: str) -> list[Any]:
     """parse applied to the JSON value of every non-blank line of text; a
     MalformedDocument, for invalid JSON or from parse, names the line. Lines end

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the toolchain."""
+"""Exception classes shared across the toolchain: one class per exit code.
+
+`main` prints an error's message on one `error:` line and exits with its
+class's `exit_code`.
+"""
 
 from __future__ import annotations
 
@@ -6,104 +10,52 @@ from __future__ import annotations
 class EventProbeError(Exception):
     """Base class for all errors raised by this package."""
 
-
-# --- scene-graph ingestion ------------------------------------------------
-
-class MalformedDocument(EventProbeError):
-    """Input document violates the expected schema or syntax."""
+    exit_code = 1
 
 
-class DanglingEntityRef(MalformedDocument):
-    """A tuple references an entity_id that does not resolve."""
+class ConfigError(EventProbeError):
+    """Pipeline configuration or a command-line value is incomplete or inconsistent."""
 
-
-class IntervalOutOfRange(MalformedDocument):
-    """A time interval is negative, inverted, or exceeds the video duration."""
+    exit_code = 2
 
 
 class ProfileNotFound(EventProbeError):
     """Dataset profile file missing at the configured path."""
 
-
-# --- manipulation operators -------------------------------------------------
-
-class ManipulationError(EventProbeError):
-    """An operator's precondition does not hold for the given inputs."""
+    exit_code = 3
 
 
-class SameTimestamp(ManipulationError):
-    """Temporal swap requires two distinct time intervals."""
+class MalformedDocument(EventProbeError):
+    """An input breaks its schema or syntax, or holds a value out of contract."""
 
-
-class TypeMismatch(ManipulationError):
-    """The two operands do not share the required fine-grained type."""
-
-
-class IdenticalKeys(ManipulationError):
-    """Swapping would be vacuous because both tuples share one key."""
-
-
-class SubjectMismatch(ManipulationError):
-    """Attribute observations belong to different entities."""
-
-
-class NoObservableChange(ManipulationError):
-    """The swap would produce an output identical to the input."""
-
-
-class NotApplicable(ManipulationError):
-    """The tuple offers no slot the operator could act on."""
-
-
-class EmptyPool(ManipulationError):
-    """No usable counterfactual candidate remains after exclusions."""
-
-
-class SlotAbsent(ManipulationError):
-    """The tuple has no slot of the requested kind and fine type."""
-
-
-class UnknownType(ManipulationError):
-    """Fine-grained type not declared by the dataset profile."""
-
-
-# --- caption rendering ------------------------------------------------------
-
-class TemplateMissing(EventProbeError):
-    """No template registered for a category/polarity combination."""
-
-
-class TemplateSlotMissing(EventProbeError):
-    """A pattern slot cannot be filled from the record's tuples."""
+    exit_code = 4
 
 
 class OutputExists(EventProbeError):
     """Refusing to overwrite an existing output without --force."""
 
+    exit_code = 5
+
 
 class EmptyInput(EventProbeError):
     """An operation that requires at least one item received none."""
 
-
-# --- evaluation ---------------------------------------------------------------
-
-class MissingNegative(EventProbeError):
-    """A caption pair lacks usable negative text."""
+    exit_code = 6
 
 
-class UnknownId(EventProbeError):
-    """Ground truth references an id absent from the score matrix."""
+class TemplateError(EventProbeError):
+    """No template for a category and polarity, or a slot its record cannot fill."""
+
+    exit_code = 7
 
 
-class EmptyMatrix(EventProbeError):
-    """Score matrix has zero rows or zero columns."""
+class EvaluationError(EventProbeError):
+    """Scores and ground truth do not fit, or a gap is undefined."""
+
+    exit_code = 8
 
 
-class ZeroBaseline(EventProbeError):
-    """Relative gap is undefined when baseline performance is zero."""
+class ManipulationError(EventProbeError):
+    """An operator's precondition does not hold for the given inputs."""
 
-
-# --- pipeline -----------------------------------------------------------------
-
-class ConfigError(EventProbeError):
-    """Pipeline configuration is incomplete or inconsistent."""
+    exit_code = 9

@@ -22,14 +22,7 @@ import numpy as np
 
 from .captions import CaptionPair, benchmark_categories
 from .documents import open_input, write_outputs
-from .errors import (
-    EmptyInput,
-    EmptyMatrix,
-    MalformedDocument,
-    MissingNegative,
-    UnknownId,
-    ZeroBaseline,
-)
+from .errors import EmptyInput, EvaluationError, MalformedDocument
 
 T2V = "T2V"
 V2T = "V2T"
@@ -70,12 +63,12 @@ class ScoreMatrix:
 
 
 def _positions(axis: Sequence[str], ids: Iterable[str], kind: str) -> np.ndarray:
-    """Index of each id along one matrix axis; UnknownId if one is absent."""
+    """Index of each id along one matrix axis; EvaluationError if one is absent."""
     index = dict(zip(axis, range(len(axis))))
     try:
         return np.fromiter(map(index.__getitem__, ids), dtype=np.intp)
     except KeyError as exc:
-        raise UnknownId(f"{kind} {exc.args[0]!r} missing from score matrix") from None
+        raise EvaluationError(f"{kind} {exc.args[0]!r} missing from score matrix") from None
 
 
 def load_score_matrix(path: str | Path) -> ScoreMatrix:
@@ -129,7 +122,10 @@ def _read_score_csv(fh: TextIO) -> ScoreMatrix:
     except csv.Error as exc:
         raise MalformedDocument(f"score CSV header: {exc}") from None
     except ValueError as exc:
-        row = next(csv.reader([line]), None) or [""]
+        try:
+            row = next(csv.reader([line]), None) or [""]
+        except csv.Error as row_exc:  # a field past csv's size limit, which numpy read
+            raise MalformedDocument(f"score CSV row: {row_exc}") from None
         if len(row) != len(header):
             raise MalformedDocument(f"row {row[0]!r} has {len(row) - 1} scores") from None
         raise MalformedDocument(f"row {row[0]!r}: {exc}") from None
@@ -203,7 +199,7 @@ def pessimistic_ranks(m: ScoreMatrix, gt: GroundTruth, direction: str) -> np.nda
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
     if m.scores.size == 0:
-        raise EmptyMatrix("score matrix has no entries")
+        raise EvaluationError("score matrix has no entries")
     s = m.scores
     if direction == T2V:
         captions = sorted(gt.caption_to_video)
@@ -250,9 +246,9 @@ class GapReport:
 
 
 def relative_gap(p: float, p_control: float) -> float:
-    """(p - p_control) / p; undefined (ZeroBaseline) when p is zero."""
+    """(p - p_control) / p; undefined (EvaluationError) when p is zero."""
     if p == 0:
-        raise ZeroBaseline("baseline performance is zero; gap undefined")
+        raise EvaluationError("baseline performance is zero; gap undefined")
     return (p - p_control) / p
 
 
@@ -271,7 +267,7 @@ def build_control_pool(pairs: Sequence[CaptionPair]) -> dict[str, GroundTruth]:
     by_category: dict[str, dict[str, set[str]]] = {}
     for pair in pairs:
         if not pair.negative.text.strip():
-            raise MissingNegative(f"pair {pair.pair_id!r} lacks negative text")
+            raise EvaluationError(f"pair {pair.pair_id!r} lacks negative text")
         by_category.setdefault(pair.category.key, {}).setdefault(pair.video_id, set()).add(pair.pair_id)
     return {category: GroundTruth.from_mapping(gt) for category, gt in sorted(by_category.items())}
 
@@ -280,8 +276,8 @@ def evaluate_pools(
     pairs: Sequence[CaptionPair],
     positive_scores: ScoreMatrix,
     control_scores: ScoreMatrix,
-    ks: Sequence[int] = (1, 5),
-    directions: Sequence[str] = DIRECTIONS,
+    ks: Sequence[int],
+    directions: Sequence[str],
 ) -> tuple[list[RecallReport], list[GapReport]]:
     """Compute per-category recalls on both pools and the resulting gaps.
 
@@ -313,7 +309,7 @@ def _csv(rows: Iterable[Sequence[object]], lineterminator: str) -> str:
 def summarize(
     gaps: Sequence[GapReport],
     out_dir: str | Path,
-    model: str = "unknown",
+    model: str,
     recalls: Sequence[RecallReport] | None = None,
 ) -> dict[str, Path]:
     """Write the gap CSV, a scatter-data file and, when given, the recalls;
@@ -364,15 +360,15 @@ def gap_rows_from_csv(text: str) -> list[GapReport]:
     MalformedDocument naming its line.
     """
     reader = csv.DictReader(io.StringIO(text))
-    columns = set(reader.fieldnames or ())
-    long = {"category", "direction", "k", "pool", "value"} <= columns
-    if not long and not {"category", "direction", "k", "p", "p_control"} <= columns:
-        raise MalformedDocument(
-            "recall CSV needs columns category,direction,k,pool,value "
-            "or category,direction,k,p,p_control"
-        )
     recalls, rows, seen = [], [], set()
     try:
+        columns = set(reader.fieldnames or ())
+        long = {"category", "direction", "k", "pool", "value"} <= columns
+        if not long and not {"category", "direction", "k", "p", "p_control"} <= columns:
+            raise MalformedDocument(
+                "recall CSV needs columns category,direction,k,pool,value "
+                "or category,direction,k,p,p_control"
+            )
         for raw in reader:
             direction, k = raw["direction"], int(raw["k"])
             if direction not in DIRECTIONS or k < 1:
@@ -397,6 +393,8 @@ def gap_rows_from_csv(text: str) -> list[GapReport]:
             rows.append(GapReport(raw["category"], direction, k, p, p_control, delta))
     except (TypeError, ValueError) as exc:
         raise MalformedDocument(f"recall CSV line {reader.line_num}: {exc}") from None
+    except csv.Error as exc:  # a field past csv's size limit, on the line after the last one read
+        raise MalformedDocument(f"recall CSV line {reader.line_num + 1}: {exc}") from None
     return _gaps_from_recalls(recalls) if long else rows
 
 

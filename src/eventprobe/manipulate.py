@@ -18,18 +18,7 @@ from itertools import accumulate
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .documents import parse_jsonl, require, to_jsonl
-from .errors import (
-    EmptyPool,
-    IdenticalKeys,
-    MalformedDocument,
-    NoObservableChange,
-    NotApplicable,
-    SameTimestamp,
-    SlotAbsent,
-    SubjectMismatch,
-    TypeMismatch,
-    UnknownType,
-)
+from .errors import MalformedDocument, ManipulationError
 from .profiles import DatasetProfile, ManipulationCategory
 from .scene_graph import (
     TUPLE_FIELDS,
@@ -129,15 +118,15 @@ def temporal_predicate_swap(
     Applying the swap to its own output restores the original tuples.
     """
     if e1.predicate is None or e2.predicate is None:
-        raise TypeMismatch("both tuples must carry a predicate")
+        raise ManipulationError("both tuples must carry a predicate")
     if e1.predicate.pred_type != e2.predicate.pred_type:
-        raise TypeMismatch(
+        raise ManipulationError(
             f"predicate types differ: {e1.predicate.pred_type} vs {e2.predicate.pred_type}"
         )
     if e1.time == e2.time:
-        raise SameTimestamp(f"both events span {e1.time}")
+        raise ManipulationError(f"both events span {e1.time}")
     if _event_key(e1) == _event_key(e2):
-        raise IdenticalKeys("tuples share one key; swapping their times changes nothing")
+        raise ManipulationError("tuples share one key; swapping their times changes nothing")
     return _derived(e1, time=e2.time), _derived(e2, time=e1.time)
 
 
@@ -146,17 +135,17 @@ def temporal_attribute_swap(
 ) -> tuple[AttributeObservation, AttributeObservation]:
     """Exchange two attribute values of one entity across their intervals."""
     if o1.subject != o2.subject:
-        raise SubjectMismatch(
+        raise ManipulationError(
             f"observations belong to {o1.subject.entity_id!r} and {o2.subject.entity_id!r}"
         )
     if o1.attribute.attr_type != o2.attribute.attr_type:
-        raise TypeMismatch(
+        raise ManipulationError(
             f"attribute types differ: {o1.attribute.attr_type} vs {o2.attribute.attr_type}"
         )
     if o1.attribute.value == o2.attribute.value:
-        raise NoObservableChange(f"both observations read {o1.attribute.value!r}")
+        raise ManipulationError(f"both observations read {o1.attribute.value!r}")
     if o1.time == o2.time:
-        raise SameTimestamp(f"both observations span {o1.time}")
+        raise ManipulationError(f"both observations span {o1.time}")
     return (
         _derived(o1, attribute=o2.attribute),
         _derived(o2, attribute=o1.attribute),
@@ -196,14 +185,14 @@ def neighborhood_attribute_swap(
     the operator is an involution.
     """
     if e.object is None:
-        raise NotApplicable(f"tuple {e.tuple_id!r} has no object")
+        raise ManipulationError(f"tuple {e.tuple_id!r} has no object")
     pairs, any_shared = _neighborhood_pairs(e, attr_type)
     if not any_shared:
-        raise NotApplicable(
+        raise ManipulationError(
             f"tuple {e.tuple_id!r} has no shared-type subject/object attribute pair"
         )
     if not pairs:
-        raise NoObservableChange(
+        raise ManipulationError(
             f"tuple {e.tuple_id!r}: all shared-type attribute pairs hold equal values"
         )
     kind, s_val, o_val, si, oi = min(pairs)
@@ -235,18 +224,18 @@ def counterfactual_substitute(
     """
     if attr_index is None:
         if e.predicate is None or e.predicate.pred_type != fine_type:
-            raise SlotAbsent(f"tuple {e.tuple_id!r} has no {fine_type} predicate")
+            raise ManipulationError(f"tuple {e.tuple_id!r} has no {fine_type} predicate")
         incumbent = e.predicate.value
     else:
         attrs = e.subject_attrs
         if attr_index >= len(attrs) or attrs[attr_index].attr_type != fine_type:
-            raise SlotAbsent(
+            raise ManipulationError(
                 f"tuple {e.tuple_id!r} has no {fine_type} subject attribute at index {attr_index}"
             )
         incumbent = attrs[attr_index].value
     usable = [v for v in candidates if v != incumbent]
     if not usable:
-        raise EmptyPool(f"no usable {fine_type} candidate for tuple {e.tuple_id!r}")
+        raise ManipulationError(f"no usable {fine_type} candidate for tuple {e.tuple_id!r}")
     choice = rng.choice(usable)
     if attr_index is None:
         return _derived(e, predicate=PredicateValue(value=choice, pred_type=fine_type))
@@ -266,7 +255,7 @@ def _candidates(
     never a candidate.
     """
     if fine_type not in profile.vocab:
-        raise UnknownType(f"fine type {fine_type!r} not in profile {profile.name!r}")
+        raise ManipulationError(f"fine type {fine_type!r} not in profile {profile.name!r}")
     vocab = profile.vocab[fine_type]
     candidates = {}
     for holder, values in graph.groups.truthful.get((predicate, fine_type), {}).items():
@@ -508,7 +497,7 @@ def apply_site(
         originals = time_order([e1, e2])
         return tuple(originals), (m1, m2) if originals[0] is e1 else (m2, m1), None
 
-    raise NotApplicable(f"unsupported site {site!r}")
+    raise ManipulationError(f"unsupported site {site!r}")
 
 
 def _draw(total: int, quota: int | None, category_seed: int) -> list[int] | None:
@@ -550,7 +539,7 @@ def _sampled_sites(
 def apply_corpus(
     graphs: Sequence[SceneGraph],
     profile: DatasetProfile,
-    quotas: Mapping[str, int] | None,
+    quotas: Mapping[str, int],
     seed: int,
     categories: Sequence[ManipulationCategory] | None = None,
 ) -> list[ManipulationRecord]:
@@ -564,7 +553,6 @@ def apply_corpus(
     every record carries its own derived seed, so results are stable under
     quota changes in other categories.
     """
-    quotas = dict(quotas or {})
     ordered = sorted(graphs, key=lambda g: g.video_id)
     records: list[ManipulationRecord] = []
     for category in (profile.category_set if categories is None else categories):
@@ -675,7 +663,7 @@ def records_to_jsonl(records: Iterable[ManipulationRecord]) -> str:
 
 
 def records_from_jsonl(
-    text: str, graphs: Iterable[SceneGraph], name: str = "records.jsonl"
+    text: str, graphs: Iterable[SceneGraph], name: str
 ) -> list[ManipulationRecord]:
     """Records from records_to_jsonl's text, against the graphs they came from.
 

@@ -20,12 +20,7 @@ from functools import cached_property, lru_cache
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .documents import parse_jsonl, read_json, require, to_jsonl
-from .errors import (
-    DanglingEntityRef,
-    EmptyInput,
-    IntervalOutOfRange,
-    MalformedDocument,
-)
+from .errors import EmptyInput, MalformedDocument
 from .profiles import DatasetProfile
 
 
@@ -72,7 +67,7 @@ class TimeInterval(_TimeInterval):
 
     def __new__(cls, start_s: float, end_s: float) -> TimeInterval:
         if not (0 <= start_s <= end_s):
-            raise IntervalOutOfRange(f"invalid interval [{start_s}, {end_s}]")
+            raise MalformedDocument(f"invalid interval [{start_s}, {end_s}]")
         return tuple.__new__(cls, (start_s, end_s))
 
 
@@ -170,11 +165,11 @@ class SceneGraph:
                 # A parsed graph's refs are its entities: identity settles most.
                 known = by_id.get(ref.entity_id)
                 if known is not ref and known != ref:
-                    raise DanglingEntityRef(
+                    raise MalformedDocument(
                         f"tuple {tup.tuple_id!r} references unknown entity {ref.entity_id!r}"
                     )
             if tup.time.end_s > self.duration_s:
-                raise IntervalOutOfRange(
+                raise MalformedDocument(
                     f"tuple {tup.tuple_id!r} ends at {tup.time.end_s}s, "
                     f"beyond duration {self.duration_s}s"
                 )
@@ -272,8 +267,8 @@ TUPLE_FIELDS: dict[str, tuple[Callable, Callable]] = {
 def parse_scene_graph(document: Any) -> SceneGraph:
     """Parse one canonical scene-graph document, as json.loads returns it.
 
-    Raises MalformedDocument for schema problems, DanglingEntityRef when a
-    tuple cites an unknown entity, and IntervalOutOfRange for bad timestamps.
+    Raises MalformedDocument for schema problems, a tuple citing an unknown
+    entity, and bad timestamps.
     """
     if not isinstance(document, dict):
         raise MalformedDocument("top-level value must be an object")
@@ -298,7 +293,7 @@ def parse_scene_graph(document: Any) -> SceneGraph:
         try:
             return by_id[entity_id]
         except KeyError:
-            raise DanglingEntityRef(
+            raise MalformedDocument(
                 f"tuple {tuple_id!r} references unknown entity {entity_id!r}"
             ) from None
 
@@ -371,7 +366,7 @@ def graphs_to_jsonl(graphs: Iterable[SceneGraph]) -> str:
     return to_jsonl(map(scene_graph_to_doc, graphs))
 
 
-def graphs_from_jsonl(text: str, name: str = "graphs.jsonl") -> list[SceneGraph]:
+def graphs_from_jsonl(text: str, name: str) -> list[SceneGraph]:
     """The graphs of graphs_to_jsonl's text; a repeated video_id raises
     MalformedDocument naming its line, since records name their graph by it."""
     seen: set[str] = set()

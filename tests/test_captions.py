@@ -22,8 +22,7 @@ from eventprobe.errors import (
     EmptyInput,
     MalformedDocument,
     OutputExists,
-    TemplateMissing,
-    TemplateSlotMissing,
+    TemplateError,
 )
 from eventprobe.manipulate import _derived, apply_corpus
 from eventprobe.pipeline import PipelineConfig, run_pipeline, run_stages
@@ -68,12 +67,12 @@ class TestRenderErrors:
             [greg],
             [_derived(greg, predicate=pred("assembles"))],
         )
-        with pytest.raises(TemplateSlotMissing):
+        with pytest.raises(TemplateError, match=r"^record 'counterfactual\.predicate\.Action#0000' cannot fill slot 'object' of template 't1\.counterfactual\.predicate\.Action\.positive'$"):
             render_pair(record, templates)
 
     def test_template_missing(self, golden_records):
         table = parse_templates({"table_id": "empty", "templates": {}})
-        with pytest.raises(TemplateMissing):
+        with pytest.raises(TemplateError, match="^no positive template for category 'counterfactual.attribute.Color'$"):
             render_pair(golden_records["counterfactual.attribute.Color"], table)
 
     def test_attr_slot_never_filled_from_other_type(self, templates):
@@ -87,7 +86,7 @@ class TestRenderErrors:
             [tup],
             [_derived(tup, subject_attrs=(attr("wood", "Material"),))],
         )
-        with pytest.raises(TemplateSlotMissing):
+        with pytest.raises(TemplateError, match=r"^record 'counterfactual\.attribute\.Color#0000' cannot fill slot 'subject_attr' of template 't1\.counterfactual\.attribute\.Color\.positive'$"):
             render_pair(record, templates)
 
     def test_unknown_slot_rejected_at_load(self):
@@ -168,7 +167,7 @@ class TestEmit:
     def test_two_pairs_two_lines(self):
         text = pairs_to_jsonl(self.make_pairs(2))
         assert len(text.splitlines()) == 2
-        assert [p.pair_id for p in pairs_from_jsonl(text)] == ["pair-0", "pair-1"]
+        assert [p.pair_id for p in pairs_from_jsonl(text, "benchmark.jsonl")] == ["pair-0", "pair-1"]
 
     def test_output_exists(self, tmp_path, fixtures_dir):
         profile = resources.files("eventprobe.data").joinpath("profile_default.json").read_text("utf-8")
@@ -212,7 +211,7 @@ class TestEmit:
 class TestPairSerialization:
     def test_round_trip(self, golden_records, templates):
         pairs = [render_pair(r, templates) for r in golden_records.values()]
-        restored = pairs_from_jsonl(pairs_to_jsonl(pairs))
+        restored = pairs_from_jsonl(pairs_to_jsonl(pairs), "benchmark.jsonl")
         assert [p.pair_id for p in restored] == [p.pair_id for p in pairs]
         assert [p.positive.text for p in restored] == [p.positive.text for p in pairs]
         assert [p.negative.text for p in restored] == [p.negative.text for p in pairs]

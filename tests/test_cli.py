@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 
 import eventprobe
 from eventprobe import errors, pipeline
-from eventprobe.cli import exit_code_for, main
+from eventprobe.cli import main
 from eventprobe.scene_graph import scene_graph_to_doc
 
 from .helpers import random_profile_corpus, with_objects
@@ -784,16 +784,15 @@ class TestLossSelftest:
 
 class TestExitCodes:
     def test_mapping_is_stable(self):
-        assert exit_code_for(errors.ConfigError("x")) == 2
-        assert exit_code_for(errors.ProfileNotFound("x")) == 3
-        assert exit_code_for(errors.MalformedDocument("x")) == 4
-        assert exit_code_for(errors.DanglingEntityRef("x")) == 4
-        assert exit_code_for(errors.OutputExists("x")) == 5
-        assert exit_code_for(errors.EmptyInput("x")) == 6
-        assert exit_code_for(errors.TemplateSlotMissing("x")) == 7
-        assert exit_code_for(errors.UnknownId("x")) == 8
-        assert exit_code_for(errors.EmptyPool("x")) == 9
-        assert exit_code_for(errors.EventProbeError("x")) == 1
+        assert errors.EventProbeError.exit_code == 1
+        assert errors.ConfigError.exit_code == 2
+        assert errors.ProfileNotFound.exit_code == 3
+        assert errors.MalformedDocument.exit_code == 4
+        assert errors.OutputExists.exit_code == 5
+        assert errors.EmptyInput.exit_code == 6
+        assert errors.TemplateError.exit_code == 7
+        assert errors.EvaluationError.exit_code == 8
+        assert errors.ManipulationError.exit_code == 9
 
     def test_an_unexpected_stage_error_exits_1_on_one_line(self, config_path, capsys, monkeypatch):
         def boom(*args, **kwargs):

@@ -20,7 +20,7 @@ import pytest
 
 import eventprobe
 from eventprobe import errors
-from eventprobe.cli import exit_code_for, main
+from eventprobe.cli import main
 from eventprobe.scene_graph import EntityRef, SceneGraph, graphs_from_jsonl, graphs_to_jsonl
 
 from .test_cli import outputs
@@ -102,6 +102,14 @@ def spell(fault, value, token):
     return lambda path: fault(path).replace(json.dumps(value).encode(), token.encode(), 1)
 
 
+def over_limit_row(path):
+    """The score CSV with its first row's id past csv's field size limit and
+    its first score not a number."""
+    header, first, rest = path.read_bytes().split(b"\n", 2)
+    scores = first.split(b",", 2)[2:]
+    return b"\n".join([header, b",".join([OVER_LIMIT, b"high", *scores]), rest])
+
+
 def edit_corpus(**changes):
     """A corpus file: the kitchen fixture, renamed, with changes applied."""
 
@@ -129,7 +137,9 @@ JSON_FAULTS = {
 # but no eventprobe input takes, from a file or from stdin.
 BATCH = {"V": [[1.0]], "T": [[1.0]]}
 OTHER_ENCODINGS = {"utf8-bom": "utf-8-sig", "utf16": "utf-16"}
-CSV_FAULTS = {"not-utf8": b"video_id,caf\xe9\n", "bad-header": b"nope,c1\nv,0.5\n"}
+OVER_LIMIT = b"x" * 131_073  # one character past csv's default field size limit
+CSV_FAULTS = {"not-utf8": b"video_id,caf\xe9\n", "bad-header": b"nope,c1\nv,0.5\n",
+              "header-field-over-limit": b"video_id," + OVER_LIMIT + b"\nv,0.5\n"}
 
 # input: (how to reach it, the file, exit code when missing, when malformed,
 # the malformed contents besides JSON_FAULTS, whether JSON_FAULTS apply)
@@ -284,7 +294,12 @@ VALUE_FAULTS = {
         "beta-integer-overflow": b'{"beta": ' + HUGE + b', "V": [[0.1]], "T": [[0.1]]}',
         "lone-surrogate": b'{"note": "\\ud800", "V": [[0.1]], "T": [[0.1]]}',
         "V-overflow-beside-pair": b'{"note": "\\ud83d\\ude00", "V": [[1e999]], "T": [[0.1]]}',
+        "V-string": b'{"V": [["0.1"]], "T": [[0.1]]}',
+        "T-true": b'{"V": [[0.1]], "T": [[true]]}',
+        "G-string": b'{"V": [[0.1]], "T": [[0.1]], "G": [[["0.1"]]]}',
+        "V-mixed-bool": b'{"V": [[0.1, true]], "T": [[0.1, 0.3]]}',
     },
+    "eval-scores": {"id-over-limit-beside-high": over_limit_row},
     "eval-benchmark": {
         "pair-id-nan": edit_first_line(pair_id=math.nan),
         "lone-surrogate": edit_first_line(pair_id=lambda p: p + LONE),
@@ -304,6 +319,7 @@ VALUE_FAULTS = {
         "wide-k-zero": b"category,direction,k,p,p_control\nc,T2V,0,0.5,0.4\n",
         "wide-k-negative": b"category,direction,k,p,p_control\nc,V2T,-5,0.5,0.4\n",
         "wide-row-repeated": b"category,direction,k,p,p_control\nc,T2V,1,0.5,0.4\nc,T2V,1,0.9,0.1\n",
+        "wide-category-over-limit": b"category,direction,k,p,p_control\n" + OVER_LIMIT + b",T2V,1,0.5,0.4\n",
     },
 }
 
@@ -384,7 +400,7 @@ def test_repeated_video_id_names_both_files_and_the_line(tmp_path, fixtures_dir,
     assert not ws.out.exists() or not (ws.out / "graphs.jsonl").exists()
     graph = SceneGraph("v", 1.0, (), ())
     with pytest.raises(errors.MalformedDocument, match="graphs.jsonl line 2: video_id 'v'"):
-        graphs_from_jsonl(graphs_to_jsonl([graph, graph]))
+        graphs_from_jsonl(graphs_to_jsonl([graph, graph]), "graphs.jsonl")
 
 
 def test_jsonl_lines_break_only_at_newline():
@@ -393,7 +409,7 @@ def test_jsonl_lines_break_only_at_newline():
     graph = SceneGraph("v\x85", 1.0, (EntityRef("e1", "a\u2028b"),), ())
     text = graphs_to_jsonl([graph])
     assert text.count("\n") == 1
-    assert graphs_from_jsonl(text) == [graph]
+    assert graphs_from_jsonl(text, "graphs.jsonl") == [graph]
 
 
 def _file_access(tree):
@@ -429,12 +445,7 @@ def test_only_the_document_layer_touches_files():
 
 
 def test_every_error_class_has_its_own_exit_code():
-    def subclasses(klass):
-        for sub in klass.__subclasses__():
-            yield sub
-            yield from subclasses(sub)
-
-    classes = list(subclasses(errors.EventProbeError))
-    assert len(classes) > 20
-    for klass in classes:
-        assert exit_code_for(klass("x")) != 1, klass.__name__
+    classes = errors.EventProbeError.__subclasses__()
+    codes = {klass.exit_code for klass in classes}
+    assert len(classes) == 8 and len(codes) == 8 and 1 not in codes
+    assert all(not klass.__subclasses__() for klass in classes)

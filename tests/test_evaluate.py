@@ -10,15 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eventprobe.captions import Caption, CaptionPair
-from eventprobe.errors import (
-    EmptyInput,
-    EmptyMatrix,
-    MalformedDocument,
-    MissingNegative,
-    UnknownId,
-    ZeroBaseline,
-)
+from eventprobe.errors import EmptyInput, EvaluationError, MalformedDocument
 from eventprobe.evaluate import (
+    DIRECTIONS,
     GapReport,
     GroundTruth,
     ScoreMatrix,
@@ -234,12 +228,12 @@ class TestRecall:
     def test_unknown_id(self):
         m = matrix(np.ones((2, 2)))
         gt = GroundTruth.from_mapping({"v1": ["c1"], "nope": ["c2"]})
-        with pytest.raises(UnknownId):
+        with pytest.raises(EvaluationError, match="^video 'nope' missing from score matrix$"):
             recall_at_k(m, gt, 1, "V2T")
 
     def test_empty_matrix(self):
         m = ScoreMatrix(video_ids=(), caption_ids=(), scores=np.zeros((0, 0)))
-        with pytest.raises(EmptyMatrix):
+        with pytest.raises(EvaluationError, match="^score matrix has no entries$"):
             recall_at_k(m, identity_gt(1), 1, "T2V")
 
     def test_bad_k(self):
@@ -257,7 +251,7 @@ class TestRelativeGap:
             assert relative_gap(p, p) == 0.0
 
     def test_zero_baseline(self):
-        with pytest.raises(ZeroBaseline):
+        with pytest.raises(EvaluationError, match="^baseline performance is zero; gap undefined$"):
             relative_gap(0.0, 0.4)
 
     def test_strictly_decreasing_in_control(self):
@@ -297,7 +291,7 @@ class TestPools:
 
     def test_missing_negative(self):
         pair = make_pair("p0", "v0", negative=" ")
-        with pytest.raises(MissingNegative):
+        with pytest.raises(EvaluationError, match="^pair 'p0' lacks negative text$"):
             build_control_pool([pair])
 
     def test_empty_input(self):
@@ -348,7 +342,7 @@ class TestEvaluatePools:
             for _ in range(2)
         )
         ks = (1, 2, 5)
-        recalls, gaps = evaluate_pools(pairs, positive, control, ks=ks)
+        recalls, gaps = evaluate_pools(pairs, positive, control, ks=ks, directions=DIRECTIONS)
         expected_recalls, expected_gaps = [], []
         for category, gt in build_control_pool(pairs).items():
             videos = sorted({p.video_id for p in pairs if p.category.key == category})
@@ -397,11 +391,11 @@ class TestSummarize:
             for d in ("T2V", "V2T")
             for k in (1, 5)
         ]
-        paths = summarize(gaps, tmp_path)
+        paths = summarize(gaps, tmp_path, model="unknown")
         assert len(paths["gaps"].read_text().splitlines()) == 1 + 32
 
     def test_empty_input_writes_header_only(self, tmp_path):
-        paths = summarize([], tmp_path)
+        paths = summarize([], tmp_path, model="unknown")
         assert paths["gaps"].read_text().splitlines() == [
             "category,direction,k,p,p_control,delta_p"
         ]

@@ -4,17 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from eventprobe.errors import (
-    EmptyPool,
-    IdenticalKeys,
-    NoObservableChange,
-    NotApplicable,
-    SameTimestamp,
-    SlotAbsent,
-    SubjectMismatch,
-    TypeMismatch,
-    UnknownType,
-)
+from eventprobe.errors import ManipulationError
 from eventprobe.manipulate import (
     AttributeObservation,
     TemporalPredicateSite,
@@ -67,25 +57,25 @@ class TestTemporalPredicateSwap:
     def test_same_timestamp(self):
         e1 = make_tuple("t1", entity("e1"), predicate=pred("a"), time=span(0, 5))
         e2 = make_tuple("t2", entity("e2"), predicate=pred("b"), time=span(0, 5))
-        with pytest.raises(SameTimestamp):
+        with pytest.raises(ManipulationError, match="^both events span "):
             temporal_predicate_swap(e1, e2)
 
     def test_type_mismatch(self):
         e1 = make_tuple("t1", entity("e1"), predicate=pred("a", "Action"), time=span(0, 5))
         e2 = make_tuple("t2", entity("e2"), predicate=pred("b", "Contact"), time=span(6, 8))
-        with pytest.raises(TypeMismatch):
+        with pytest.raises(ManipulationError, match="^predicate types differ: Action vs Contact$"):
             temporal_predicate_swap(e1, e2)
 
     def test_missing_predicate(self):
         e1 = make_tuple("t1", entity("e1"), attrs=(attr("red"),), time=span(0, 5))
         e2 = make_tuple("t2", entity("e2"), predicate=pred("b"), time=span(6, 8))
-        with pytest.raises(TypeMismatch):
+        with pytest.raises(ManipulationError, match="^both tuples must carry a predicate$"):
             temporal_predicate_swap(e1, e2)
 
     def test_identical_keys(self):
         e1 = make_tuple("t1", entity("e1"), predicate=pred("a"), time=span(0, 5))
         e2 = make_tuple("t2", entity("e1"), predicate=pred("a"), time=span(6, 8))
-        with pytest.raises(IdenticalKeys):
+        with pytest.raises(ManipulationError, match="^tuples share one key; swapping their times changes nothing$"):
             temporal_predicate_swap(e1, e2)
 
     def test_involution(self):
@@ -110,27 +100,27 @@ class TestTemporalAttributeSwap:
         bike = entity("e1", "bike")
         o1 = AttributeObservation(bike, attr("black"), span(0, 5))
         o2 = AttributeObservation(bike, attr("black"), span(20, 25))
-        with pytest.raises(NoObservableChange):
+        with pytest.raises(ManipulationError, match="^both observations read 'black'$"):
             temporal_attribute_swap(o1, o2)
 
     def test_subject_mismatch(self):
         o1 = AttributeObservation(entity("e1", "bike"), attr("yellow"), span(0, 5))
         o2 = AttributeObservation(entity("e2", "car"), attr("black"), span(20, 25))
-        with pytest.raises(SubjectMismatch):
+        with pytest.raises(ManipulationError, match="^observations belong to 'e1' and 'e2'$"):
             temporal_attribute_swap(o1, o2)
 
     def test_type_mismatch(self):
         bike = entity("e1", "bike")
         o1 = AttributeObservation(bike, attr("yellow", "Color"), span(0, 5))
         o2 = AttributeObservation(bike, attr("metal", "Material"), span(20, 25))
-        with pytest.raises(TypeMismatch):
+        with pytest.raises(ManipulationError, match="^attribute types differ: Color vs Material$"):
             temporal_attribute_swap(o1, o2)
 
     def test_same_interval(self):
         bike = entity("e1", "bike")
         o1 = AttributeObservation(bike, attr("yellow"), span(0, 5))
         o2 = AttributeObservation(bike, attr("black"), span(0, 5))
-        with pytest.raises(SameTimestamp):
+        with pytest.raises(ManipulationError, match="^both observations span "):
             temporal_attribute_swap(o1, o2)
 
     def test_involution(self):
@@ -157,7 +147,7 @@ class TestNeighborhoodSwap:
 
     def test_no_object(self):
         tup = make_tuple("t1", entity("e1"), attrs=(attr("white"),))
-        with pytest.raises(NotApplicable):
+        with pytest.raises(ManipulationError, match="^tuple 't1' has no object$"):
             neighborhood_attribute_swap(tup)
 
     def test_no_shared_type(self):
@@ -168,7 +158,7 @@ class TestNeighborhoodSwap:
             obj=entity("e2"),
             obj_attrs=(attr("metal", "Material"),),
         )
-        with pytest.raises(NotApplicable):
+        with pytest.raises(ManipulationError, match="^tuple 't1' has no shared-type subject/object attribute pair$"):
             neighborhood_attribute_swap(tup)
 
     def test_equal_values(self):
@@ -179,7 +169,7 @@ class TestNeighborhoodSwap:
             obj=entity("e2"),
             obj_attrs=(attr("white"),),
         )
-        with pytest.raises(NoObservableChange):
+        with pytest.raises(ManipulationError, match="^tuple 't1': all shared-type attribute pairs hold equal values$"):
             neighborhood_attribute_swap(tup)
 
     def test_type_filter(self):
@@ -225,7 +215,7 @@ class TestNeighborhoodSwap:
             obj=entity("e2"),
             obj_attrs=(attr("white"), attr("brown")),
         )
-        with pytest.raises(NoObservableChange):
+        with pytest.raises(ManipulationError, match="^tuple 't2': all shared-type attribute pairs hold equal values$"):
             neighborhood_attribute_swap(same_first)
 
     def test_involution(self):
@@ -266,13 +256,13 @@ class TestCounterfactualSubstitute:
     def test_empty_pool(self):
         bike = make_tuple("t1", entity("e1", "bike"), attrs=(attr("black"),))
         for candidates in ((), ("black",)):
-            with pytest.raises(EmptyPool):
+            with pytest.raises(ManipulationError, match="^no usable Color candidate for tuple 't1'$"):
                 counterfactual_substitute(bike, "Color", 0, candidates, random.Random(0))
 
     def test_slot_absent(self):
         bike = make_tuple("t1", entity("e1", "bike"), attrs=(attr("black"),))
         for fine_type, attr_index in (("Color", None), ("Color", 1), ("Material", 0)):
-            with pytest.raises(SlotAbsent):
+            with pytest.raises(ManipulationError, match=f"^tuple 't1' has no {fine_type} (predicate|subject attribute at index {attr_index})$"):
                 counterfactual_substitute(bike, fine_type, attr_index, COLORS, random.Random(0))
 
 
@@ -358,7 +348,7 @@ class TestBuildPool:
 
     def test_unknown_type(self):
         category = ManipulationCategory("counterfactual", "attribute", "Sound")
-        with pytest.raises(UnknownType):
+        with pytest.raises(ManipulationError, match="^fine type 'Sound' not in profile "):
             enumerate_candidates(bike_graph(), two_color_profile(), category)
 
     def test_exhausted_vocab_leads_to_empty_pool(self):
@@ -375,7 +365,7 @@ class TestBuildPool:
         category = ManipulationCategory.from_key("counterfactual.attribute.Color")
         assert list(enumerate_candidates(graph, profile, category)) == []
         # The bike's slots would carry no candidate: every value is truthful.
-        with pytest.raises(EmptyPool):
+        with pytest.raises(ManipulationError, match="^no usable Color candidate for tuple "):
             counterfactual_substitute(graph.tuples[0], "Color", 0, (), random.Random(0))
 
 
@@ -480,7 +470,7 @@ class TestApply:
 
     def test_records_jsonl_round_trip(self, corpus, profile):
         records = apply_corpus(corpus, profile, {}, 42)
-        assert records_from_jsonl(records_to_jsonl(records), corpus) == records
+        assert records_from_jsonl(records_to_jsonl(records), corpus, "records.jsonl") == records
 
     def test_record_lines_carry_only_changed_fields(self, corpus, profile):
         records = apply_corpus(corpus, profile, {}, 42)
@@ -508,7 +498,7 @@ CATEGORY_KEYS = tuple(c.key for c in PROFILE.category_set)
 def test_records_round_trip_on_random_corpora(corpus, quotas, seed):
     chosen = {key: quota for key, quota in zip(CATEGORY_KEYS, quotas) if quota is not None}
     records = apply_corpus(corpus, PROFILE, chosen, seed)
-    assert records_from_jsonl(records_to_jsonl(records), corpus) == records
+    assert records_from_jsonl(records_to_jsonl(records), corpus, "records.jsonl") == records
 
 
 def held_values(graph: SceneGraph) -> set[tuple[str, str, str]]:

@@ -13,7 +13,7 @@ import pytest
 
 import eventprobe
 from eventprobe.captions import Caption, CaptionPair
-from eventprobe.errors import IntervalOutOfRange, MalformedDocument
+from eventprobe.errors import MalformedDocument
 from eventprobe.manipulate import ManipulationRecord, _derived
 from eventprobe.profiles import ManipulationCategory
 from eventprobe.scene_graph import AttributeValue, EntityRef, EventTuple, TimeInterval
@@ -91,8 +91,8 @@ VALID = {
 # rule a value type checks, with the message it has always given.
 INVALID = [
     ("entity-id-empty", EntityRef, {"entity_id": ""}, MalformedDocument, "entity_id must be nonempty"),
-    ("interval-reversed", TimeInterval, {"start_s": 3.0}, IntervalOutOfRange, "invalid interval [3.0, 2.0]"),
-    ("interval-negative", TimeInterval, {"start_s": -1.0}, IntervalOutOfRange, "invalid interval [-1.0, 2.0]"),
+    ("interval-reversed", TimeInterval, {"start_s": 3.0}, MalformedDocument, "invalid interval [3.0, 2.0]"),
+    ("interval-negative", TimeInterval, {"start_s": -1.0}, MalformedDocument, "invalid interval [-1.0, 2.0]"),
     ("tuple-no-predicate-no-attributes", EventTuple, {"subject_attrs": ()}, MalformedDocument,
      "tuple 't1' has neither predicate nor subject attributes"),
     ("tuple-object-attributes-no-object", EventTuple, {"object_attrs": (AttributeValue("blue", "Color"),)},
