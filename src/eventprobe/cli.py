@@ -23,7 +23,7 @@ from .errors import ConfigError, EmptyInput, EventProbeError
 from .pipeline import STAGE_BY_NAME, PipelineConfig, run_stages
 
 if TYPE_CHECKING:
-    from .evaluate import DIRECTIONS, evaluate_pools, gap_rows_from_csv, load_score_matrix, summarize
+    from .evaluate import DIRECTIONS, evaluate_pools, gap_rows_from_csv, in_child, load_score_matrix, summarize
     from .losses import LossBatch, LossParams, finite_diff_check, hn_nce_forward
 
 # The names below come from modules that import numpy, which only eval,
@@ -31,7 +31,7 @@ if TYPE_CHECKING:
 # They are bound in this module on first use, and stay reachable as its
 # attributes through __getattr__.
 _LAZY_NAMES = {
-    "evaluate": ("DIRECTIONS", "evaluate_pools", "gap_rows_from_csv", "load_score_matrix", "summarize"),
+    "evaluate": ("DIRECTIONS", "evaluate_pools", "gap_rows_from_csv", "in_child", "load_score_matrix", "summarize"),
     "losses": ("LossBatch", "LossParams", "finite_diff_check", "hn_nce_forward"),
 }
 
@@ -86,10 +86,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _bind("evaluate")
     ks, directions = _eval_flags(args)
     benchmark = args.benchmark
-    text = read_text(benchmark, EmptyInput(f"benchmark file not found: {benchmark}"))
-    pairs = pairs_from_jsonl(text, benchmark)
-    positive = load_score_matrix(args.scores)
-    control = load_score_matrix(args.scores_control)
+    # The control matrix is parsed on a second CPU while this process reads
+    # the rest; its error, if any, is raised where it was loaded before, so
+    # a bad benchmark still wins over a bad --scores, and that over a bad
+    # --scores-control.
+    with in_child(load_score_matrix, args.scores_control) as load_control:
+        text = read_text(benchmark, EmptyInput(f"benchmark file not found: {benchmark}"))
+        pairs = pairs_from_jsonl(text, benchmark)
+        positive = load_score_matrix(args.scores)
+        control = load_control()
     recalls, gaps = evaluate_pools(pairs, positive, control, ks=ks, directions=directions)
     paths = summarize(gaps, args.out, model=args.model, recalls=recalls)
     print(f"wrote {paths['gaps']}, {paths['scatter']}, {paths['recalls']}")

@@ -11,18 +11,22 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import pickle
+import signal
 import zipfile
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO, TypeVar
 
 import numpy as np
 
 from .captions import CaptionPair, benchmark_categories
 from .documents import open_input, write_outputs
-from .errors import EmptyInput, EvaluationError, MalformedDocument
+from .errors import EmptyInput, EvaluationError, EventProbeError, MalformedDocument
 
 T2V = "T2V"
 V2T = "V2T"
@@ -31,11 +35,13 @@ DIRECTIONS = (T2V, V2T)
 
 @dataclass(frozen=True)
 class ScoreMatrix:
-    """Dense video-by-caption similarity scores."""
+    """Dense video-by-caption similarity scores; name is what errors call
+    the matrix: the file it was read from."""
 
     video_ids: tuple[str, ...]
     caption_ids: tuple[str, ...]
     scores: np.ndarray
+    name: str = "score matrix"
 
     def __post_init__(self) -> None:
         scores = np.asarray(self.scores, dtype=np.float64)
@@ -53,22 +59,24 @@ class ScoreMatrix:
             raise MalformedDocument("scores must all be finite")
 
     def submatrix(self, video_ids: Sequence[str], caption_ids: Sequence[str]) -> "ScoreMatrix":
-        rows = _positions(self.video_ids, video_ids, "video")
-        cols = _positions(self.caption_ids, caption_ids, "caption")
+        rows = _positions(self.video_ids, video_ids, "video", self.name)
+        cols = _positions(self.caption_ids, caption_ids, "caption", self.name)
         return ScoreMatrix(
             video_ids=tuple(video_ids),
             caption_ids=tuple(caption_ids),
             scores=self.scores[np.ix_(rows, cols)],
+            name=self.name,
         )
 
 
-def _positions(axis: Sequence[str], ids: Iterable[str], kind: str) -> np.ndarray:
-    """Index of each id along one matrix axis; EvaluationError if one is absent."""
+def _positions(axis: Sequence[str], ids: Iterable[str], kind: str, name: str) -> np.ndarray:
+    """Index of each id along one axis of the matrix called name;
+    EvaluationError if one is absent."""
     index = dict(zip(axis, range(len(axis))))
     try:
         return np.fromiter(map(index.__getitem__, ids), dtype=np.intp)
     except KeyError as exc:
-        raise EvaluationError(f"{kind} {exc.args[0]!r} missing from score matrix") from None
+        raise EvaluationError(f"{kind} {exc.args[0]!r} missing from {name}") from None
 
 
 def load_score_matrix(path: str | Path) -> ScoreMatrix:
@@ -76,12 +84,105 @@ def load_score_matrix(path: str | Path) -> ScoreMatrix:
     streamed into numpy, not read whole, which bounds memory."""
     with open_input(path, EmptyInput(f"score file not found: {path}")) as fh:
         if Path(path).suffix.lower() == ".npz":
-            return _read_score_npz(fh)
+            return _read_score_npz(fh, str(path))
         with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
-            return _read_score_csv(text)
+            return _read_score_csv(text, str(path))
 
 
-def _read_score_csv(fh: TextIO) -> ScoreMatrix:
+# On a 2-vCPU x86 VM a score CSV parses at about 85 MB/s, and reading one in
+# a child costs about 8 ms more than in process (fork, pipe, reaping), so a
+# child only pays for a CSV of about 1 MiB or more. An .npz loads at disk
+# speed, and sending its matrix back through a pipe costs more than that.
+CHILD_MIN_CSV_BYTES = 1 << 20
+
+
+def _child_pays(path: str) -> bool:
+    """Whether reading the score file at path in a forked child can save
+    time: fork exists, two CPUs are usable, and path is a CSV of at least
+    CHILD_MIN_CSV_BYTES."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return False
+    try:
+        size = os.stat(path).st_size
+    except OSError:  # load(path) reports it, where the caller takes the value
+        return False
+    return Path(path).suffix.lower() != ".npz" and size >= CHILD_MIN_CSV_BYTES
+
+
+T = TypeVar("T")
+
+
+@contextmanager
+def in_child(load: Callable[[str], T], path: str) -> Iterator[Callable[[], T]]:
+    """Starts load(path), a read of the score file at path, in a forked
+    child, so that it runs on a second CPU while the caller goes on, and
+    yields a function that returns its value or raises its error, as the
+    same class with the same message. Where a child cannot save time (see
+    _child_pays), or when fork fails, that function calls load(path) in
+    this process instead. On exit the child is stopped, if it still runs,
+    and reaped."""
+    pid = -1
+    if _child_pays(path):
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+    if pid < 0:
+        yield lambda: load(path)
+        return
+    if pid == 0:
+        os.close(read_fd)
+        _send(load, path, write_fd)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            yield lambda: _receive(pipe, path)
+    finally:
+        # A child whose value was never taken may still be parsing; a
+        # finished one is a zombie until reaped, and the kill is a no-op.
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def _send(load: Callable[[str], object], path: str, write_fd: int) -> NoReturn:
+    """The child: writes (True, value) or (False, error) to the pipe, with
+    each array's memory out of band after a pickled list of their sizes,
+    and exits without returning into its parent's stack."""
+    try:
+        with os.fdopen(write_fd, "wb") as pipe:
+            try:
+                outcome = (True, load(path))
+            except Exception as exc:
+                outcome = (False, exc)
+            buffers: list[pickle.PickleBuffer] = []
+            header = pickle.dumps(outcome, protocol=5, buffer_callback=buffers.append)
+            pickle.dump(([buffer.raw().nbytes for buffer in buffers], header), pipe)
+            for buffer in buffers:
+                pipe.write(buffer.raw())
+    finally:
+        os._exit(0)
+
+
+def _receive(pipe: BinaryIO, path: str):
+    """What _send wrote: the value, or its error raised. Each array is read
+    straight into the memory it keeps, so this process never holds a second
+    copy of it."""
+    try:
+        sizes, header = pickle.load(pipe)
+        buffers = [bytearray(size) for size in sizes]
+        if any(pipe.readinto(buffer) != len(buffer) for buffer in buffers):
+            raise EOFError
+        ok, value = pickle.loads(header, buffers=buffers)
+    except (EOFError, pickle.UnpicklingError):
+        raise EventProbeError(f"{path}: the process reading it ended without a result") from None
+    if not ok:
+        raise value
+    return value
+
+
+def _read_score_csv(fh: TextIO, name: str) -> ScoreMatrix:
     """Parse a score CSV from a text stream opened with newline="".
 
     csv reads the header; one numpy pass reads every data row, handing the
@@ -133,13 +234,14 @@ def _read_score_csv(fh: TextIO) -> ScoreMatrix:
         video_ids=tuple(video_ids[1:]),
         caption_ids=tuple(header[1:]),
         scores=np.ascontiguousarray(cells[1:, 1:]),
+        name=name,
     )
 
 
 NPZ_ARRAYS = ("video_ids", "caption_ids", "scores")
 
 
-def _read_score_npz(fh: BinaryIO) -> ScoreMatrix:
+def _read_score_npz(fh: BinaryIO, name: str) -> ScoreMatrix:
     """Arrays `video_ids` and `caption_ids` (1-D strings) and `scores` (2-D real)."""
     try:
         data = np.load(fh, allow_pickle=False)
@@ -161,6 +263,7 @@ def _read_score_npz(fh: BinaryIO) -> ScoreMatrix:
         video_ids=tuple(video_ids.tolist()),
         caption_ids=tuple(caption_ids.tolist()),
         scores=scores,
+        name=name,
     )
 
 
@@ -203,14 +306,14 @@ def pessimistic_ranks(m: ScoreMatrix, gt: GroundTruth, direction: str) -> np.nda
     s = m.scores
     if direction == T2V:
         captions = sorted(gt.caption_to_video)
-        rows = _positions(m.video_ids, map(gt.caption_to_video.__getitem__, captions), "video")
-        cols = _positions(m.caption_ids, captions, "caption")
+        rows = _positions(m.video_ids, map(gt.caption_to_video.__getitem__, captions), "video", m.name)
+        cols = _positions(m.caption_ids, captions, "caption", m.name)
         return (s[:, cols] >= s[rows, cols]).sum(axis=0)
     videos = sorted(gt.video_to_captions)
     correct = list(map(gt.video_to_captions.__getitem__, videos))
     counts = np.fromiter(map(len, correct), dtype=np.intp, count=len(correct))
-    rows = np.repeat(_positions(m.video_ids, videos, "video"), counts)
-    cols = _positions(m.caption_ids, chain.from_iterable(correct), "caption")
+    rows = np.repeat(_positions(m.video_ids, videos, "video", m.name), counts)
+    cols = _positions(m.caption_ids, chain.from_iterable(correct), "caption", m.name)
     pair_ranks = (s[rows] >= s[rows, cols][:, None]).sum(axis=1)
     return np.minimum.reduceat(pair_ranks, np.cumsum(counts) - counts)
 

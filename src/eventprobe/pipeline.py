@@ -100,13 +100,16 @@ class PipelineConfig:
                 if len(set(categories)) < len(categories):
                     repeated = next(c for i, c in enumerate(categories) if c in categories[:i])
                     raise MalformedDocument(f"categories lists {repeated!r} more than once")
+            output_dir = require(merged, "output_dir", str)
+            if not output_dir:  # Path("") is the working directory
+                raise MalformedDocument("key 'output_dir' must name a directory, got an empty string")
             templates_path = merged.get("templates_path")
             decorator = {} if merged.get("decorator") is None else require(merged, "decorator", dict)
             return cls(
                 global_seed=require(merged, "global_seed", int),
                 profile_path=require(merged, "profile_path", str),
                 input_glob=require(merged, "input_glob", str),
-                output_dir=require(merged, "output_dir", str),
+                output_dir=output_dir,
                 quotas=dict(quotas),
                 categories=categories,
                 templates_path=None if templates_path is None else require(merged, "templates_path", str),
@@ -167,11 +170,15 @@ def resolve_categories(config: PipelineConfig, profile: DatasetProfile):
     """Categories the run processes: the config's subset in profile order, or
     all-from-profile (None). The config's list acts as a set, as it does in
     the config digest. Raises ConfigError for a quota or category key the
-    profile lacks."""
+    profile lacks, and EmptyInput when no category is left to probe."""
     unknown = sorted(set(config.quotas) - {cat.key for cat in profile.category_set})
     if unknown:
         raise ConfigError(f"quota keys not in profile categories: {', '.join(unknown)}")
+    if config.categories == ():
+        raise EmptyInput("config key 'categories' lists no category; nothing to probe")
     if config.categories is None:
+        if not profile.category_set:
+            raise EmptyInput(f"profile {config.profile_path} declares no categories; nothing to probe")
         return None
     try:
         named = {profile.category(key) for key in config.categories}

@@ -1,12 +1,16 @@
+import errno
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import replace
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +18,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import eventprobe
-from eventprobe import errors, pipeline
+from eventprobe import cli, errors, evaluate, pipeline
 from eventprobe.cli import main
+from eventprobe.evaluate import CHILD_MIN_CSV_BYTES
 from eventprobe.scene_graph import scene_graph_to_doc
 
 from .helpers import random_profile_corpus, with_objects
@@ -191,6 +196,43 @@ class TestRunCommand:
         assert main(["run", "--config", str(config_path)]) == 2
         err = capsys.readouterr().err
         assert "categories must be a list" in err and "'t'" not in err
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_empty_output_dir_is_a_config_error(self, config_path, tmp_path, capsys, monkeypatch, where):
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        argv = ["run", "--config", str(config_path)]
+        if where == "config":
+            edit_config(config_path, output_dir="")
+        else:
+            argv += ["--out", ""]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: malformed config: key 'output_dir' must name a directory, "
+                       f"got an empty string (config file {config_path})\n")
+        assert list(cwd.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["run", "probe"])
+    @pytest.mark.parametrize("where", ["profile", "config"])
+    def test_no_category_left_to_probe(self, config_path, tmp_path, capsys, command, where):
+        if command == "probe":
+            assert main(["ingest", "--config", str(config_path)]) == 0
+        if where == "profile":
+            profile = tmp_path / "profile.json"
+            profile.write_text(json.dumps({**json.loads(profile.read_text()), "categories": []}))
+            cause = f"profile {profile} declares no categories; nothing to probe"
+        else:
+            edit_config(config_path, categories=[])
+            cause = "config key 'categories' lists no category; nothing to probe"
+        before = outputs(tmp_path / "out") if command == "probe" else None
+        capsys.readouterr()
+        assert main([command, "--config", str(config_path)]) == 6
+        assert capsys.readouterr().err == f"error: stage 'probe' failed: {cause}\n"
+        if command == "probe":
+            assert outputs(tmp_path / "out") == before
+        else:
+            assert not (tmp_path / "out").exists()
 
     def test_seed_override_changes_digest(self, config_path, tmp_path, capsys):
         assert main(["run", "--config", str(config_path)]) == 0
@@ -527,23 +569,28 @@ class TestEvalCommands:
         rows = (tmp_path / "r" / "gaps.csv").read_text().splitlines()
         assert rows == ["category,direction,k,p,p_control,delta_p"]
 
-    def test_gap_report_reads_eval_recalls(self, config_path, tmp_path, capsys):
-        benchmark, _, _ = self.build_benchmark(config_path, tmp_path)
+    def coarse_inputs(self, config_path, tmp_path):
+        """A benchmark and two score CSVs of coarse scores: ties, partial
+        recalls and some zero positive recalls."""
+        benchmark, positive, control = self.build_benchmark(config_path, tmp_path)
         pairs = [json.loads(line) for line in benchmark.read_text().splitlines()]
         video_ids = sorted({p["video_id"] for p in pairs})
         rng = np.random.default_rng(3)
-        # Coarse scores: ties, partial recalls and some zero positive recalls.
-        for name in ("positive", "control"):
+        for path in (positive, control):
             scores = rng.integers(0, 4, size=(len(video_ids), len(pairs))) / 4
             lines = ["video_id," + ",".join(p["pair_id"] for p in pairs)]
             lines += [v + "," + ",".join(map(str, row)) for v, row in zip(video_ids, scores)]
-            (tmp_path / f"coarse_{name}.csv").write_text("\n".join(lines) + "\n")
+            path.write_text("\n".join(lines) + "\n")
+        return benchmark, positive, control
+
+    def test_gap_report_reads_eval_recalls(self, config_path, tmp_path, capsys):
+        benchmark, positive, control = self.coarse_inputs(config_path, tmp_path)
         code = main(
             [
                 "eval",
                 "--benchmark", str(benchmark),
-                "--scores", str(tmp_path / "coarse_positive.csv"),
-                "--scores-control", str(tmp_path / "coarse_control.csv"),
+                "--scores", str(positive),
+                "--scores-control", str(control),
                 "--ks", "1,5",
                 "--out", str(tmp_path / "eval"),
             ]
@@ -697,16 +744,107 @@ class TestEvalCommands:
         benchmark, positive, control = self.build_benchmark(config_path, tmp_path)
         bad = tmp_path / "bad.csv"
         bad.write_text("video_id,capX\nvidX,0.1\n", encoding="utf-8")
-        code = main(
-            [
-                "eval",
-                "--benchmark", str(benchmark),
-                "--scores", str(bad),
-                "--scores-control", str(control),
-                "--out", str(tmp_path / "reports"),
-            ]
+        for flag in ("--scores", "--scores-control"):
+            scores = {"--scores": str(positive), "--scores-control": str(control), flag: str(bad)}
+            capsys.readouterr()
+            argv = ["eval", "--benchmark", str(benchmark), *chain.from_iterable(scores.items()),
+                    "--out", str(tmp_path / "reports")]
+            assert main(argv) == 8
+            err = capsys.readouterr().err
+            assert re.fullmatch(f"error: video '[^']+' missing from {re.escape(str(bad))}\n", err), err
+
+    @staticmethod
+    def eval_with_cpus(argv, cpus, monkeypatch, capsys, min_bytes=0):
+        """main(argv) with `cpus` usable CPUs, reading a control CSV of
+        min_bytes or more in a child: its exit code, its stderr and the
+        reports it wrote. No child process and no open file may outlive it."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(evaluate, "CHILD_MIN_CSV_BYTES", min_bytes)
+        out = Path(argv[argv.index("--out") + 1])
+        shutil.rmtree(out, ignore_errors=True)
+        fds = sorted(os.listdir("/dev/fd"))
+        capsys.readouterr()
+        code = main(argv)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert sorted(os.listdir("/dev/fd")) == fds
+        reports = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+        return code, capsys.readouterr().err, reports
+
+    def test_the_control_matrix_read_in_a_child_gives_the_same_reports(self, config_path, tmp_path, capsys, monkeypatch):
+        benchmark, positive, control = self.coarse_inputs(config_path, tmp_path)
+        argv = ["eval", "--benchmark", str(benchmark), "--scores", str(positive), "--scores-control", str(control),
+                "--ks", "1,2,5", "--out", str(tmp_path / "reports")]
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        in_process = self.eval_with_cpus(argv, 1, monkeypatch, capsys)
+        assert forks == []
+        assert self.eval_with_cpus(argv, 2, monkeypatch, capsys) == in_process
+        assert forks == [1]
+        assert in_process[0] == 0 and len(in_process[2]["gaps.csv"].splitlines()) > 1
+        # These CSVs are far under a MiB: a fork would cost more than it saves.
+        assert self.eval_with_cpus(argv, 2, monkeypatch, capsys, CHILD_MIN_CSV_BYTES) == in_process
+        assert forks == [1]
+
+    @pytest.mark.parametrize(
+        "faults",
+        [{"benchmark"}, {"positive"}, {"control"}, {"benchmark", "positive"}, {"benchmark", "control"},
+         {"positive", "control"}, {"benchmark", "positive", "control"}],
+        ids=lambda faults: "+".join(sorted(faults)),
+    )
+    def test_a_fault_in_any_eval_input_ends_as_in_process(self, config_path, tmp_path, capsys, monkeypatch, faults):
+        benchmark, positive, control = self.build_benchmark(config_path, tmp_path)
+        if "benchmark" in faults:
+            benchmark.write_text("{oops\n")
+        if "positive" in faults:
+            positive.unlink()
+        if "control" in faults:
+            control.write_text(control.read_text().replace("0.5", "nan", 1))
+        argv = ["eval", "--benchmark", str(benchmark), "--scores", str(positive), "--scores-control", str(control),
+                "--out", str(tmp_path / "reports")]
+        in_process = self.eval_with_cpus(argv, 1, monkeypatch, capsys)
+        assert self.eval_with_cpus(argv, 2, monkeypatch, capsys) == in_process
+        first = next(name for name in ("benchmark", "positive", "control") if name in faults)
+        code, err, reports = in_process
+        assert (code, reports) == ({"benchmark": 4, "positive": 6, "control": 4}[first], {})
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert str(dict(benchmark=benchmark, positive=positive, control=control)[first]) in err
+
+    def test_a_child_that_dies_names_the_control_file(self, config_path, tmp_path, capsys, monkeypatch):
+        benchmark, positive, control = self.build_benchmark(config_path, tmp_path)
+        load = cli.load_score_matrix
+        monkeypatch.setattr(cli, "load_score_matrix", lambda path: os._exit(3) if path == str(control) else load(path))
+        argv = ["eval", "--benchmark", str(benchmark), "--scores", str(positive), "--scores-control", str(control),
+                "--out", str(tmp_path / "reports")]
+        assert self.eval_with_cpus(argv, 2, monkeypatch, capsys) == (
+            1, f"error: {control}: the process reading it ended without a result\n", {}
         )
-        assert code == 8
+
+    def test_a_child_whose_matrix_is_not_taken_is_stopped(self, config_path, tmp_path, capsys, monkeypatch):
+        benchmark, positive, control = self.build_benchmark(config_path, tmp_path)
+        benchmark.write_text("{oops\n")
+        load = cli.load_score_matrix
+        monkeypatch.setattr(cli, "load_score_matrix", lambda path: time.sleep(60) if path == str(control) else load(path))
+        argv = ["eval", "--benchmark", str(benchmark), "--scores", str(positive), "--scores-control", str(control),
+                "--out", str(tmp_path / "reports")]
+        started = time.monotonic()
+        code, err, _ = self.eval_with_cpus(argv, 2, monkeypatch, capsys)
+        assert code == 4 and str(benchmark) in err
+        assert time.monotonic() - started < 30
+
+    def test_a_failed_fork_reads_the_control_matrix_in_process(self, config_path, tmp_path, capsys, monkeypatch):
+        benchmark, positive, control = self.coarse_inputs(config_path, tmp_path)
+        argv = ["eval", "--benchmark", str(benchmark), "--scores", str(positive), "--scores-control", str(control),
+                "--out", str(tmp_path / "reports")]
+        in_process = self.eval_with_cpus(argv, 1, monkeypatch, capsys)
+
+        def fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert self.eval_with_cpus(argv, 2, monkeypatch, capsys) == in_process
+        assert in_process[0] == 0
 
 
 class TestLossSelftest:

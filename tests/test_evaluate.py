@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import os
 import random
 import warnings
 
@@ -14,10 +15,12 @@ from eventprobe.errors import EmptyInput, EvaluationError, MalformedDocument
 from eventprobe.evaluate import (
     DIRECTIONS,
     GapReport,
+    CHILD_MIN_CSV_BYTES,
     GroundTruth,
     ScoreMatrix,
     build_control_pool,
     evaluate_pools,
+    in_child,
     load_score_matrix,
     pessimistic_ranks,
     recall_at_k,
@@ -559,6 +562,29 @@ class TestScoreMatrixNpz:
         write(path)
         with pytest.raises(MalformedDocument):
             load_score_matrix(path)
+
+
+@pytest.mark.parametrize(
+    "name, size, forks",
+    [("m.csv", CHILD_MIN_CSV_BYTES - 1, 0), ("m.csv", CHILD_MIN_CSV_BYTES, 1), ("m.npz", CHILD_MIN_CSV_BYTES, 0),
+     ("absent.csv", None, 0)],
+    ids=["small-csv", "csv", "npz", "absent"],
+)
+def test_a_child_reads_only_a_csv_large_enough_to_pay(tmp_path, monkeypatch, name, size, forks):
+    path = tmp_path / name
+    if size is not None:
+        path.write_bytes(b"0" * size)
+    attempts = []
+
+    def fork():
+        attempts.append(1)
+        raise OSError("no fork here")  # so the value comes from this process
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", fork)
+    with in_child(lambda given: given, str(path)) as load:
+        assert load() == str(path)
+    assert len(attempts) == forks
 
 
 class TestGroundTruth:
