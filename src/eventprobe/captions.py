@@ -8,7 +8,6 @@ with the decorator disabled is a pure function of records and templates.
 
 from __future__ import annotations
 
-import json
 import string
 from dataclasses import dataclass
 from importlib import resources
@@ -16,7 +15,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import EmptyInput, MalformedDocument, TemplateError
-from .documents import parse_jsonl, read_json, require, to_jsonl
+from .documents import parse_json, parse_jsonl, read_json, require, to_jsonl
 from .manipulate import ManipulationRecord, time_order
 from .profiles import ManipulationCategory
 from .scene_graph import EventTuple, shown_index
@@ -134,7 +133,7 @@ def load_templates(path: str | Path) -> TemplateTable:
 def default_templates() -> TemplateTable:
     """The table shipped with the package (matches the default profile)."""
     text = resources.files("eventprobe.data").joinpath("templates_t1.json").read_text("utf-8")
-    return parse_templates(json.loads(text))
+    return parse_templates(parse_json(text))
 
 
 def _tuple_slots(

@@ -147,34 +147,26 @@ def in_child(load: Callable[[str], T], path: str) -> Iterator[Callable[[], T]]:
 
 
 def _send(load: Callable[[str], object], path: str, write_fd: int) -> NoReturn:
-    """The child: writes (True, value) or (False, error) to the pipe, with
-    each array's memory out of band after a pickled list of their sizes,
-    and exits without returning into its parent's stack."""
+    """The child: pickles (True, value) or (False, error) to the pipe and
+    exits without returning into its parent's stack."""
     try:
         with os.fdopen(write_fd, "wb") as pipe:
             try:
                 outcome = (True, load(path))
             except Exception as exc:
                 outcome = (False, exc)
-            buffers: list[pickle.PickleBuffer] = []
-            header = pickle.dumps(outcome, protocol=5, buffer_callback=buffers.append)
-            pickle.dump(([buffer.raw().nbytes for buffer in buffers], header), pipe)
-            for buffer in buffers:
-                pipe.write(buffer.raw())
+            pickle.dump(outcome, pipe, protocol=5)
     finally:
         os._exit(0)
 
 
 def _receive(pipe: BinaryIO, path: str):
-    """What _send wrote: the value, or its error raised. Each array is read
-    straight into the memory it keeps, so this process never holds a second
-    copy of it."""
+    """What _send wrote: the value, or its error raised. Protocol 5 writes
+    an array's memory as one bytearray frame, which the unpickler reads
+    straight into the bytearray the array keeps, so this process never
+    holds a second copy of it."""
     try:
-        sizes, header = pickle.load(pipe)
-        buffers = [bytearray(size) for size in sizes]
-        if any(pipe.readinto(buffer) != len(buffer) for buffer in buffers):
-            raise EOFError
-        ok, value = pickle.loads(header, buffers=buffers)
+        ok, value = pickle.load(pipe)
     except (EOFError, pickle.UnpicklingError):
         raise EventProbeError(f"{path}: the process reading it ended without a result") from None
     if not ok:

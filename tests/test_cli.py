@@ -82,9 +82,10 @@ def fresh_python(*args):
 
 
 def outputs(out_dir):
-    """Every file in out_dir by name: its bytes, or for the run manifest,
-    which holds wall-clock timestamps, its digest."""
-    files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+    """Every entry of out_dir by name: a file's bytes, a directory's own
+    outputs, or for the run manifest, which holds wall-clock timestamps,
+    its digest."""
+    files = {p.name: outputs(p) if p.is_dir() else p.read_bytes() for p in sorted(out_dir.iterdir())}
     if "run_manifest.json" in files:
         files["run_manifest.json"] = json.loads(files["run_manifest.json"])["digest"]
     return files

@@ -1,11 +1,11 @@
 """Every file input of the eventprobe command, with every kind of fault.
 
-Each input is missing, empty (a benchmark file), not UTF-8, not JSON (or
-not the CSV it should be), not a JSON object, a document with a field of
-the wrong type, or a well-formed document holding a value the contract
-forbids. Every case must
-end in the documented exit code with one `error:` line that names the file,
-and a failed pipeline command must leave its output directory as it was.
+Each input is missing, a directory, empty (a benchmark file), not UTF-8,
+not JSON (or not the CSV it should be), not a JSON object, a document with
+a field of the wrong type, or a well-formed document holding a value the
+contract forbids. Every case must end in the documented exit code with one
+`error:` line that names the file, and a failed pipeline command must leave
+its output directory as it was.
 """
 
 import ast
@@ -243,6 +243,12 @@ VALUE_FAULTS = {
         "categories-repeated": edit_json(categories=lambda c: [
             *c, {"method": "temporal", "target": "predicate", "fine_type": "Action"}]),
         "lone-surrogate": edit_json(name="probe" + LONE),
+        "category-key-two-parts": edit_json(categories=["temporal.predicate"]),
+        "category-target-unknown": edit_json(categories=["temporal.object.Action"]),
+        "category-fine-type-empty": edit_json(categories=["temporal.predicate."]),
+        "category-number": edit_json(categories=[5]),
+        "vocab-value-repeated": edit_json(vocab=lambda v: {**v, "Color": ["red", "red"]}),
+        "no-types": edit_json(predicate_types=[], attribute_types=[], vocab={}),
     },
     # A pattern that would fail to render whatever its slots hold: a brace
     # out of place, a format spec or conversion a string does not take, or a
@@ -257,6 +263,8 @@ VALUE_FAULTS = {
         "pattern-slot-spec": color_positive("the {subject:{subject_attr}}"),
         "pattern-slot-in-spec": color_positive("the {subject:{subject_attr}>5}"),
         "lone-surrogate": edit_json(connectives=lambda c: {**c, "negative": "while" + LONE}),
+        "patterns-list": edit_json(templates=lambda t: {**t, ACTION: [t[ACTION]["positive"]]}),
+        "negative-pattern-absent": edit_json(templates=lambda t: {**t, ACTION: {"positive": t[ACTION]["positive"]}}),
     },
     "corpus": {
         "duration-nan": edit_corpus(duration_s=math.nan),
@@ -269,6 +277,9 @@ VALUE_FAULTS = {
         "value-out-of-vocabulary": edit_corpus(tuples=first_tuple(predicate={"value": "juggles", "pred_type": "Action"})),
         "lone-surrogate": edit_corpus(video_id="kitchen" + LONE),
         "duration-overflow-beside-pair": spell(edit_corpus(video_id=PAIR, duration_s=120.0), 120.0, "1e999"),
+        "tuple-number": edit_corpus(tuples=lambda tuples: [5, *tuples[1:]]),
+        "attribute-string": edit_corpus(tuples=first_tuple(object_attrs=["brown"])),
+        "time-number": edit_corpus(tuples=first_tuple(time=5)),
     },
     "graphs.jsonl": {
         "duration-nan": edit_first_line(duration_s=math.nan),
@@ -323,6 +334,9 @@ VALUE_FAULTS = {
     },
 }
 
+# A directory where the input file should be: it cannot be read as one.
+DIRECTORY = "a directory"
+
 # Inputs for which a file without a line is as empty as a missing one.
 EMPTY_FAULTS = {"eval-benchmark": {"empty": b""}, "benchmark.jsonl": {"empty": b""}}
 
@@ -331,6 +345,7 @@ CASES = [
     for name, (_, _, _, _, own, uses_json) in INPUTS.items()
     for fault, content in [
         ("missing", None),
+        ("directory", DIRECTORY),
         *EMPTY_FAULTS.get(name, {}).items(),
         *(JSON_FAULTS if uses_json else CSV_FAULTS).items(),
         *own.items(),
@@ -357,6 +372,9 @@ def test_input_fault_exit_code(tmp_path, fixtures_dir, capsys, name, fault, cont
         named = str(ws.corpus / "*.json")
     elif content is None:
         target.unlink(missing_ok=True)
+    elif content is DIRECTORY:
+        target.unlink(missing_ok=True)
+        target.mkdir()
     else:
         target.write_bytes(content(target) if callable(content) else content)
     before = outputs(ws.out) if ws.out.exists() else {}

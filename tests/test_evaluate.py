@@ -3,6 +3,7 @@ import io
 import math
 import os
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -585,6 +586,32 @@ def test_a_child_reads_only_a_csv_large_enough_to_pay(tmp_path, monkeypatch, nam
     with in_child(lambda given: given, str(path)) as load:
         assert load() == str(path)
     assert len(attempts) == forks
+
+
+def test_a_matrix_from_a_child_costs_this_process_one_copy(tmp_path, monkeypatch):
+    def build(path):
+        scores = np.arange(1024 * 1024, dtype=np.float64).reshape(1024, 1024)  # 8 MiB
+        return ScoreMatrix(tuple(f"v{i}" for i in range(1024)), tuple(f"c{i}" for i in range(1024)), scores, path)
+
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"0" * CHILD_MIN_CSV_BYTES)  # large enough for the child; build never reads it
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    expected = build(str(path))
+    with in_child(build, str(path)) as load:
+        assert forks == [1]
+        tracemalloc.start()
+        try:
+            matrix = load()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1.25 * expected.scores.nbytes, (peak, expected.scores.nbytes)
+    assert matrix.scores.flags.writeable and matrix.scores.flags.c_contiguous
+    assert (matrix.video_ids, matrix.caption_ids, matrix.name) == (expected.video_ids, expected.caption_ids, expected.name)
+    assert np.array_equal(matrix.scores, expected.scores)
 
 
 class TestGroundTruth:
