@@ -11,13 +11,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .captions import NEGATIVE, POSITIVE, Caption, CaptionPair
 from .documents import require, require_strings
 from .errors import ConfigError, MalformedDocument
-
-Transport = Callable[[str, dict, dict, float], dict]
 
 _NATURALIZE_PROMPT = (
     "In this task, you are given a sentence; your job is to rewrite it as a "
@@ -73,7 +71,7 @@ def _http_transport(endpoint: str, payload: dict, headers: dict, timeout: float)
         return json.loads(response.read())
 
 
-def _call_remote(text: str, config: DecoratorConfig, transport: Transport) -> tuple[str, ...]:
+def _call_remote(text: str, config: DecoratorConfig) -> tuple[str, ...]:
     api_key = os.environ.get(config.api_key_env or "", "")
     if not api_key:
         raise ConfigError(f"environment variable {config.api_key_env!r} is unset")
@@ -83,7 +81,7 @@ def _call_remote(text: str, config: DecoratorConfig, transport: Transport) -> tu
         "prompt": _NATURALIZE_PROMPT.format(n=config.max_candidates, text=text),
     }
     headers = {"Authorization": f"Bearer {api_key}"}
-    response = transport(config.endpoint or "", payload, headers, config.timeout_s)
+    response = _http_transport(config.endpoint or "", payload, headers, config.timeout_s)
     return require_strings(response, "candidates")
 
 
@@ -91,10 +89,9 @@ def _decorate_caption(
     caption: Caption,
     required: Sequence[str],
     config: DecoratorConfig,
-    transport: Transport,
 ) -> Caption:
     try:
-        candidates = _call_remote(caption.text, config, transport)
+        candidates = _call_remote(caption.text, config)
     except Exception:
         return caption  # DecoratorUnavailable; renderer stays "template"
     for candidate in candidates:
@@ -107,7 +104,6 @@ def decorate(
     pair: CaptionPair,
     config: DecoratorConfig,
     required: Mapping[str, Sequence[str]],
-    transport: Transport | None = None,
 ) -> CaptionPair:
     """Naturalize both captions of a pair, keeping protected values verbatim.
 
@@ -118,13 +114,8 @@ def decorate(
     """
     if not config.enabled:
         return pair
-    transport = transport or _http_transport
-    positive = _decorate_caption(
-        pair.positive, tuple(required.get(POSITIVE, ())), config, transport
-    )
-    negative = _decorate_caption(
-        pair.negative, tuple(required.get(NEGATIVE, ())), config, transport
-    )
+    positive = _decorate_caption(pair.positive, tuple(required.get(POSITIVE, ())), config)
+    negative = _decorate_caption(pair.negative, tuple(required.get(NEGATIVE, ())), config)
     if positive.text == negative.text:
         return pair  # degenerate rewrite; keep the distinguishable template pair
     return CaptionPair(pair.pair_id, pair.video_id, pair.category, positive, negative)

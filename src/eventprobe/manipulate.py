@@ -268,16 +268,11 @@ def _candidates(
 # --- site enumeration ----------------------------------------------------------
 
 
-class TemporalPredicateSite(NamedTuple):
+class TemporalSite(NamedTuple):
     tuple_id_a: str
+    attr_index_a: int | None  # None: a predicate slot
     tuple_id_b: str
-
-
-class TemporalAttributeSite(NamedTuple):
-    tuple_id_a: str
-    attr_index_a: int
-    tuple_id_b: str
-    attr_index_b: int
+    attr_index_b: int | None  # None: a predicate slot
 
 
 class NeighborhoodSite(NamedTuple):
@@ -290,7 +285,7 @@ class CounterfactualSite(NamedTuple):
     candidates: tuple[str, ...]  # the slot subject's candidates, never empty
 
 
-Site = TemporalPredicateSite | TemporalAttributeSite | NeighborhoodSite | CounterfactualSite
+Site = TemporalSite | NeighborhoodSite | CounterfactualSite
 
 
 def _interned(values: Iterable[Hashable]) -> list[int]:
@@ -320,11 +315,11 @@ class _TemporalPairs(Sequence):
     """
 
     def __init__(self, graph: SceneGraph, category: ManipulationCategory) -> None:
-        self.attribute = category.target == "attribute"
+        attribute = category.target == "attribute"
         self.tuples, self.indices = tuples, indices = graph.groups.slots.get(
-            (not self.attribute, category.fine_type), ([], [])
+            (not attribute, category.fine_type), ([], [])
         )
-        if self.attribute:
+        if attribute:
             groups = _interned(tup.subject.entity_id for tup in tuples)
             keys = _interned(tup.subject_attrs[idx].value for tup, idx in zip(tuples, indices))
         else:
@@ -367,10 +362,8 @@ class _TemporalPairs(Sequence):
         ]
 
     def site(self, i: int, j: int) -> Site:
-        tid_a, tid_b = self.tuples[i].tuple_id, self.tuples[j].tuple_id
-        if self.attribute:
-            return TemporalAttributeSite(tid_a, self.indices[i], tid_b, self.indices[j])
-        return TemporalPredicateSite(tid_a, tid_b)
+        tuples, indices = self.tuples, self.indices
+        return TemporalSite(tuples[i].tuple_id, indices[i], tuples[j].tuple_id, indices[j])
 
     def __len__(self) -> int:
         return self.starts[-1]
@@ -482,9 +475,9 @@ def apply_site(
         )
         return (tup,), (manipulated,), len(site.candidates)
 
-    if isinstance(site, (TemporalPredicateSite, TemporalAttributeSite)):
+    if isinstance(site, TemporalSite):
         e1, e2 = by_id[site.tuple_id_a], by_id[site.tuple_id_b]
-        if isinstance(site, TemporalPredicateSite):
+        if site.attr_index_a is None:
             m1, m2 = temporal_predicate_swap(e1, e2)
         else:
             ia, ib = site.attr_index_a, site.attr_index_b

@@ -58,7 +58,7 @@ from .scene_graph import (
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """One hashable document that reproduces a benchmark run."""
+    """The document that reproduces a benchmark run, identified by digest()."""
 
     global_seed: int
     profile_path: str

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import eventprobe
-from eventprobe import cli, errors, evaluate, pipeline
+from eventprobe import cli, documents, errors, evaluate, pipeline
 from eventprobe.cli import main
 from eventprobe.evaluate import CHILD_MIN_CSV_BYTES
 from eventprobe.scene_graph import scene_graph_to_doc
@@ -153,6 +153,27 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: cannot write output directory") and str(out) in err, err
         assert sorted(out.rglob("*")) == listing
+
+    def test_a_failed_first_move_of_any_class_propagates(self, tmp_path, monkeypatch):
+        """A fault in the first move that is not an OSError propagates as it
+        was raised; every temporary is removed and the old output kept."""
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "graphs.jsonl").write_bytes(b"old\n")
+        boom = RuntimeError("boom")
+        real_replace, moves = os.replace, []
+
+        def replace_first_fails(src, dst):
+            moves.append(dst)
+            if len(moves) == 1:
+                raise boom
+            real_replace(src, dst)
+
+        monkeypatch.setattr(documents.os, "replace", replace_first_fails)
+        with pytest.raises(RuntimeError) as raised:
+            documents.write_outputs(out, {"graphs.jsonl": "new\n", "records.jsonl": "new\n"})
+        assert raised.value is boom and len(moves) == 1
+        assert outputs(out) == {"graphs.jsonl": b"old\n"}
 
     def test_predicate_tuple_without_object_gives_no_predicate_sites(self, config_path, tmp_path, fixtures_dir, capsys):
         corpus = tmp_path / "corpus"

@@ -25,8 +25,7 @@ from eventprobe.manipulate import (
     CounterfactualSite,
     ManipulationRecord,
     NeighborhoodSite,
-    TemporalAttributeSite,
-    TemporalPredicateSite,
+    TemporalSite,
     apply_corpus,
     apply_site,
     derive_seed,
@@ -121,7 +120,7 @@ def operator_sites(graph, category) -> list:
             if t.predicate is not None and t.predicate.pred_type == category.fine_type and t.object is not None
         )
         return [
-            TemporalPredicateSite(ida, idb)
+            TemporalSite(ida, None, idb, None)
             for (ida, a), (idb, b) in combinations(items, 2)
             if _swap_applies(temporal_predicate_swap, a, b)
         ]
@@ -131,7 +130,7 @@ def operator_sites(graph, category) -> list:
         if (i := first_index(t.subject_attrs, category.fine_type)) is not None
     )
     return [
-        TemporalAttributeSite(*ka, *kb)
+        TemporalSite(*ka, *kb)
         for (ka, a), (kb, b) in combinations(items, 2)
         if _swap_applies(temporal_attribute_swap, a, b)
     ]

@@ -5,6 +5,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+import eventprobe.decorator
 from eventprobe.captions import Caption, CaptionPair
 from eventprobe.decorator import DecoratorConfig, _http_transport, decorate
 from eventprobe.errors import ConfigError
@@ -70,7 +71,8 @@ def test_filter_keeps_first_candidate_with_required_value(pair, monkeypatch):
             }
         return {"candidates": ["Greg Focker assembles the lawn chairs"]}
 
-    result = decorate(pair, enabled_config(), required=REQUIRED, transport=transport)
+    monkeypatch.setattr(eventprobe.decorator, "_http_transport", transport)
+    result = decorate(pair, enabled_config(), required=REQUIRED)
     assert result.positive.text == "Greg Focker carries the lawn chairs outside"
     assert result.positive.renderer == "llm"
     assert result.negative.text == "Greg Focker assembles the lawn chairs"
@@ -87,7 +89,8 @@ def test_api_key_travels_in_header_only(pair, monkeypatch):
         seen["headers"] = headers
         return {"candidates": []}
 
-    decorate(pair, enabled_config(), required=REQUIRED, transport=transport)
+    monkeypatch.setattr(eventprobe.decorator, "_http_transport", transport)
+    decorate(pair, enabled_config(), required=REQUIRED)
     assert seen["headers"]["Authorization"] == "Bearer secret"
     assert "secret" not in str(seen["payload"])
 
@@ -98,7 +101,8 @@ def test_remote_failure_falls_back_to_template(pair, monkeypatch):
     def transport(endpoint, payload, headers, timeout):
         raise TimeoutError("remote too slow")
 
-    result = decorate(pair, enabled_config(), required=REQUIRED, transport=transport)
+    monkeypatch.setattr(eventprobe.decorator, "_http_transport", transport)
+    result = decorate(pair, enabled_config(), required=REQUIRED)
     assert result.positive.text == pair.positive.text
     assert result.positive.renderer == "template"
     assert result.negative.renderer == "template"
@@ -110,18 +114,25 @@ def test_no_surviving_candidate_falls_back(pair, monkeypatch):
     def transport(endpoint, payload, headers, timeout):
         return {"candidates": ["nothing relevant at all"]}
 
-    result = decorate(pair, enabled_config(), required=REQUIRED, transport=transport)
+    monkeypatch.setattr(eventprobe.decorator, "_http_transport", transport)
+    result = decorate(pair, enabled_config(), required=REQUIRED)
     assert result.positive.renderer == "template"
 
 
 def test_missing_api_key_falls_back(pair, monkeypatch):
     monkeypatch.delenv("PROBE_DECORATOR_KEY", raising=False)
+    calls = []
 
-    def transport(endpoint, payload, headers, timeout):  # pragma: no cover
-        raise AssertionError("transport must not be reached without a key")
+    # decorate falls back on any exception, so a raising fake would go
+    # unnoticed: the calls are counted instead.
+    def transport(endpoint, payload, headers, timeout):
+        calls.append(endpoint)
+        return {"candidates": []}
 
-    result = decorate(pair, enabled_config(), required=REQUIRED, transport=transport)
+    monkeypatch.setattr(eventprobe.decorator, "_http_transport", transport)
+    result = decorate(pair, enabled_config(), required=REQUIRED)
     assert result.positive.renderer == "template"
+    assert calls == []
 
 
 def test_malformed_response_falls_back(pair, monkeypatch):
@@ -130,7 +141,8 @@ def test_malformed_response_falls_back(pair, monkeypatch):
     def transport(endpoint, payload, headers, timeout):
         return {"unexpected": True}
 
-    result = decorate(pair, enabled_config(), required=REQUIRED, transport=transport)
+    monkeypatch.setattr(eventprobe.decorator, "_http_transport", transport)
+    result = decorate(pair, enabled_config(), required=REQUIRED)
     assert result.positive.renderer == "template"
 
 
@@ -140,7 +152,8 @@ def test_degenerate_identical_rewrites_keep_template_pair(pair, monkeypatch):
     def transport(endpoint, payload, headers, timeout):
         return {"candidates": ["Greg Focker carries and assembles lawn chairs"]}
 
-    result = decorate(pair, enabled_config(), required=REQUIRED, transport=transport)
+    monkeypatch.setattr(eventprobe.decorator, "_http_transport", transport)
+    result = decorate(pair, enabled_config(), required=REQUIRED)
     assert result == pair
 
 

@@ -245,6 +245,11 @@ class TestRecall:
         with pytest.raises(ValueError):
             recall_at_k(m, identity_gt(2), 0, "T2V")
 
+    def test_bad_direction(self):
+        m = matrix(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="^direction must be one of "):
+            recall_at_k(m, identity_gt(2), 1, "X2Y")
+
 
 class TestRelativeGap:
     def test_formula(self):
@@ -372,6 +377,19 @@ class TestEvaluatePools:
         recalls, gaps = evaluate_pools(pairs, constant, constant, ks=(1,), directions=("T2V",))
         assert gaps == []
         assert len(recalls) == 2
+
+    @pytest.mark.parametrize(
+        "ks, directions",
+        [((0,), ("T2V",)), ((1, 1), ("T2V",)), ((1,), ("T2V", "T2V"))],
+        ids=["k-zero", "k-repeated", "direction-repeated"],
+    )
+    def test_bad_ks_or_directions(self, ks, directions):
+        """cli checks --ks and --directions first; a library caller meets
+        this check instead."""
+        pairs = [make_pair(f"p{i}", f"v{i}") for i in range(2)]
+        scores = ScoreMatrix(("v0", "v1"), ("p0", "p1"), np.eye(2))
+        with pytest.raises(ValueError, match="^need distinct ks >= 1 and distinct directions"):
+            evaluate_pools(pairs, scores, scores, ks=ks, directions=directions)
 
 
 class TestSummarize:

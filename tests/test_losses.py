@@ -490,6 +490,10 @@ class TestBatchValidation:
         with pytest.raises(MalformedDocument):
             LossBatch(V=bad, T=np.ones((2, 2)))
 
+    def test_gen_not_a_list(self):
+        with pytest.raises(MalformedDocument, match="^G must be a list with one array per item$"):
+            LossBatch(V=np.ones((2, 3)), T=np.ones((2, 3)), G=5)
+
     def test_gen_dimension_mismatch(self):
         with pytest.raises(MalformedDocument):
             LossBatch(V=np.ones((2, 3)), T=np.ones((2, 3)), G=(np.ones((1, 4)), np.zeros((0, 3))))

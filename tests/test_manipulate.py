@@ -1,14 +1,19 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from eventprobe.errors import ManipulationError
+from eventprobe.captions import render_pair
+from eventprobe.errors import MalformedDocument, ManipulationError
 from eventprobe.manipulate import (
     AttributeObservation,
-    TemporalPredicateSite,
+    ManipulationRecord,
+    TemporalSite,
+    _derived,
     apply_corpus,
+    apply_site,
     counterfactual_substitute,
     enumerate_candidates,
     neighborhood_attribute_swap,
@@ -374,7 +379,12 @@ class TestEnumerate:
         category = ManipulationCategory("temporal", "predicate", "Action")
         sites = enumerate_candidates(kitchen, profile, category)
         assert len(sites) == 1
-        assert list(sites) == [TemporalPredicateSite("k1", "k2")]
+        assert list(sites) == [TemporalSite("k1", None, "k2", None)]
+
+    def test_apply_site_rejects_what_is_not_a_site(self, kitchen, profile):
+        category = ManipulationCategory("temporal", "predicate", "Action")
+        with pytest.raises(ManipulationError, match=r"^unsupported site \('k1', 'k2'\)$"):
+            apply_site(kitchen, profile, category, ("k1", "k2"), None)
 
     def test_single_tuple_no_temporal_sites(self, profile):
         dog = entity("e1", "dog")
@@ -484,6 +494,44 @@ class TestApply:
                 assert change["tuple_id"] == orig.tuple_id
                 changed = {name for name in TUPLE_FIELDS if getattr(orig, name) != getattr(manip, name)}
                 assert set(change) == {"tuple_id", *changed} and changed
+
+    def test_a_new_video_shifts_later_ids_and_redraws_their_counterfactuals(
+        self, corpus, forrest, profile, templates
+    ):
+        """Records are numbered over the corpus in video_id order and seeded
+        by that number, so a video that sorts first shifts the ids of the
+        videos after it, and some of their counterfactual foils change.
+        Temporal and neighborhood foils draw nothing and keep their text."""
+
+        def pairs(graphs):
+            return [render_pair(r, templates) for r in apply_corpus(graphs, profile, {}, 42)]
+
+        grown = pairs([*corpus, SceneGraph("aaa0000", forrest.duration_s, forrest.entities, forrest.tuples)])
+        added = Counter(p.category.key for p in grown if p.video_id == "aaa0000")
+        before, after = pairs(corpus), [p for p in grown if p.video_id != "aaa0000"]
+        assert len(after) == len(before)
+        redrawn = []
+        for old, new in zip(before, after):
+            assert (new.category, new.video_id, new.positive) == (old.category, old.video_id, old.positive)
+            old_ordinal, new_ordinal = (int(p.pair_id.split("#")[1]) for p in (old, new))
+            assert new_ordinal == old_ordinal + added[old.category.key]
+            if old.category.method == "counterfactual":
+                redrawn.append(new.negative != old.negative)
+            else:
+                assert new.negative == old.negative
+        assert any(redrawn) and any(added[p.category.key] for p in before)
+
+    def test_a_record_cannot_change_a_tuples_subject(self, kitchen):
+        tup = kitchen.tuples_by_id["k1"]
+        other = next(e for e in kitchen.entities if e != tup.subject)
+        record = ManipulationRecord(
+            "r", ManipulationCategory.from_key("temporal.predicate.Action"), kitchen.video_id,
+            (tup,), (_derived(tup, subject=other),), 7,
+        )
+        with pytest.raises(MalformedDocument, match=(
+            "^tuple 'k1': a record only changes subject_attrs, predicate, object_attrs, time$"
+        )):
+            records_to_jsonl([record])
 
 
 PROFILE = default_profile()

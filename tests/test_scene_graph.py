@@ -8,8 +8,7 @@ from eventprobe.manipulate import (
     CounterfactualSite,
     ManipulationRecord,
     NeighborhoodSite,
-    TemporalAttributeSite,
-    TemporalPredicateSite,
+    TemporalSite,
     _derived,
     apply_corpus,
     records_from_jsonl,
@@ -284,7 +283,7 @@ class TestInterning:
 
     @pytest.mark.parametrize("kind", [
         AttributeValue, PredicateValue, EntityRef, TimeInterval, EventTuple, AttributeObservation,
-        ManipulationRecord, TemporalPredicateSite, TemporalAttributeSite, NeighborhoodSite,
+        ManipulationRecord, TemporalSite, NeighborhoodSite,
         CounterfactualSite, Caption, CaptionPair,
     ])
     def test_shared_values_reject_assignment(self, kind):
@@ -304,8 +303,7 @@ class TestInterning:
             EventTuple: tup,
             AttributeObservation: AttributeObservation(tup.subject, tup.subject_attrs[0], tup.time),
             ManipulationRecord: record,
-            TemporalPredicateSite: TemporalPredicateSite("t1", "t3"),
-            TemporalAttributeSite: TemporalAttributeSite("t1", 0, "t3", 0),
+            TemporalSite: TemporalSite("t1", 0, "t3", 0),
             NeighborhoodSite: NeighborhoodSite("t1"),
             CounterfactualSite: CounterfactualSite("t1", None, ("opens",)),
             Caption: caption,
