@@ -281,14 +281,16 @@ class TestInterning:
         assert '"start_s":-0.0' in records_text and '"start_s":0.0' in records_text
         assert records_to_jsonl(records_from_jsonl(records_text, graphs, "records.jsonl")) == records_text
 
-    @pytest.mark.parametrize("kind", [
-        AttributeValue, PredicateValue, EntityRef, TimeInterval, EventTuple, AttributeObservation,
-        ManipulationRecord, TemporalSite, NeighborhoodSite,
-        CounterfactualSite, Caption, CaptionPair,
+    @pytest.mark.parametrize("case", [
+        "AttributeValue", "PredicateValue", "EntityRef", "TimeInterval", "EventTuple",
+        "AttributeObservation", "ManipulationRecord", "TemporalPredicateSite",
+        "TemporalAttributeSite", "NeighborhoodSite", "CounterfactualSite", "Caption", "CaptionPair",
     ])
-    def test_shared_values_reject_assignment(self, kind):
+    def test_shared_values_reject_assignment(self, case):
         """Interned values are shared by many tuples, and every value type is
-        hashed as a key: none takes a field or any other attribute."""
+        hashed as a key: none takes a field or any other attribute. A
+        temporal site is checked with both slot kinds: predicate slots
+        (index None) and attribute slots."""
         tup = graphs_from_jsonl(graphs_to_jsonl([self.signed_zero_graph()]), "graphs.jsonl")[0].tuples[0]
         record = ManipulationRecord(
             "r", ManipulationCategory.from_key("temporal.predicate.Action"), "v0",
@@ -296,19 +298,21 @@ class TestInterning:
         )
         caption = Caption("a red kite", "template")
         value = {
-            AttributeValue: tup.subject_attrs[0],
-            PredicateValue: tup.predicate,
-            EntityRef: tup.subject,
-            TimeInterval: tup.time,
-            EventTuple: tup,
-            AttributeObservation: AttributeObservation(tup.subject, tup.subject_attrs[0], tup.time),
-            ManipulationRecord: record,
-            TemporalSite: TemporalSite("t1", 0, "t3", 0),
-            NeighborhoodSite: NeighborhoodSite("t1"),
-            CounterfactualSite: CounterfactualSite("t1", None, ("opens",)),
-            Caption: caption,
-            CaptionPair: CaptionPair("p", "v0", record.category, caption, Caption("a blue kite", "template")),
-        }[kind]
+            "AttributeValue": tup.subject_attrs[0],
+            "PredicateValue": tup.predicate,
+            "EntityRef": tup.subject,
+            "TimeInterval": tup.time,
+            "EventTuple": tup,
+            "AttributeObservation": AttributeObservation(tup.subject, tup.subject_attrs[0], tup.time),
+            "ManipulationRecord": record,
+            "TemporalPredicateSite": TemporalSite("t1", None, "t3", None),
+            "TemporalAttributeSite": TemporalSite("t1", 0, "t3", 0),
+            "NeighborhoodSite": NeighborhoodSite("t1"),
+            "CounterfactualSite": CounterfactualSite("t1", None, ("opens",)),
+            "Caption": caption,
+            "CaptionPair": CaptionPair("p", "v0", record.category, caption, Caption("a blue kite", "template")),
+        }[case]
+        kind = type(value)
         for name in (*kind._fields, "extra"):
             with pytest.raises(AttributeError):
                 setattr(value, name, "changed")
