@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import EmptyInput, MalformedDocument, TemplateError
-from .documents import parse_json, parse_jsonl, read_json, require, to_jsonl
+from .documents import json_string, parse_json, parse_jsonl, read_json, require
 from .manipulate import ManipulationRecord, time_order
 from .profiles import ManipulationCategory
 from .scene_graph import EventTuple, shown_index
@@ -229,14 +229,16 @@ def protected_values(record: ManipulationRecord) -> dict[str, tuple[str, ...]]:
 # --- benchmark serialization -------------------------------------------------
 
 
-def pair_to_doc(pair: CaptionPair) -> dict[str, Any]:
-    return {
-        "pair_id": pair.pair_id,
-        "video_id": pair.video_id,
-        "category": pair.category.key,
-        "positive": {"text": pair.positive.text, "renderer": pair.positive.renderer},
-        "negative": {"text": pair.negative.text, "renderer": pair.negative.renderer},
-    }
+def _caption_text(caption: Caption) -> str:
+    return f'{{"text":{json_string(caption.text)},"renderer":{json_string(caption.renderer)}}}'
+
+
+def _pair_line(pair: CaptionPair) -> str:
+    return (
+        f'{{"pair_id":{json_string(pair.pair_id)},"video_id":{json_string(pair.video_id)}'
+        f',"category":{json_string(pair.category.key)}'
+        f',"positive":{_caption_text(pair.positive)},"negative":{_caption_text(pair.negative)}}}\n'
+    )
 
 
 def pair_from_doc(doc: Any) -> CaptionPair:
@@ -259,7 +261,7 @@ def pair_from_doc(doc: Any) -> CaptionPair:
 
 
 def pairs_to_jsonl(pairs: Iterable[CaptionPair]) -> str:
-    return to_jsonl(map(pair_to_doc, pairs))
+    return "".join(map(_pair_line, pairs))
 
 
 def pairs_from_jsonl(text: str, name: str) -> list[CaptionPair]:

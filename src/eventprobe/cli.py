@@ -137,12 +137,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, help_text in (
         ("run", "run the full pipeline"),
-        ("ingest", "parse and validate scene-graph documents"),
-        ("probe", "enumerate sites and apply manipulations"),
-        ("render", "render caption pairs from records"),
-        ("emit", "write the benchmark JSONL and run manifest"),
+        ("ingest", "parse and validate scene-graph documents into graphs.jsonl"),
+        ("probe", "enumerate sites and apply manipulations into records.jsonl"),
+        ("render", "render caption pairs from records into benchmark.jsonl"),
+        ("emit", "write the run manifest, run_manifest.json"),
     ):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--config", required=True, help="pipeline config JSON")
         p.add_argument("--seed", type=int, default=None, help="override global_seed")
         p.add_argument("--out", default=None, help="override output_dir")

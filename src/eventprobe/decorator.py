@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .captions import NEGATIVE, POSITIVE, Caption, CaptionPair
-from .documents import require, require_strings
+from .documents import decode, parse_json, require, require_strings
 from .errors import ConfigError, MalformedDocument
 
 _NATURALIZE_PROMPT = (
@@ -58,7 +58,9 @@ class DecoratorConfig:
 
 
 def _http_transport(endpoint: str, payload: dict, headers: dict, timeout: float) -> dict:
-    """POST payload as JSON; a status outside 2xx raises HTTPError."""
+    """POST payload as JSON and read the reply as every document is read; a
+    status outside 2xx raises HTTPError, and a reply that is not a UTF-8
+    JSON object, or holds a lone surrogate, MalformedDocument."""
     import urllib.request  # only a run with the decorator enabled pays for it
 
     request = urllib.request.Request(
@@ -68,7 +70,7 @@ def _http_transport(endpoint: str, payload: dict, headers: dict, timeout: float)
         method="POST",
     )
     with urllib.request.urlopen(request, timeout=timeout) as response:
-        return json.loads(response.read())
+        return parse_json(decode(response.read()))
 
 
 def _call_remote(text: str, config: DecoratorConfig) -> tuple[str, ...]:

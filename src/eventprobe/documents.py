@@ -2,9 +2,12 @@
 
 A reader raises the error its caller passes in when the file is missing,
 and a MalformedDocument that names the file when the file cannot be read,
-is not UTF-8, is not JSON or is JSON of the wrong shape. The writer puts
-all of a command's outputs in place together, or none of them, and names
-the directory in a ConfigError when it cannot.
+is not UTF-8, is not JSON or is JSON of the wrong shape. A JSONL writer
+composes each line from json_string, json_int and json_float, so its bytes
+are json.dumps's with ensure_ascii=False, separators (",", ":") and
+allow_nan=False. The writer puts all of a command's outputs in place
+together, or none of them, and names the directory in a ConfigError when
+it cannot.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ import os
 import re
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
+from json.encoder import encode_basestring
+from typing import Any, BinaryIO, Callable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError, EventProbeError, MalformedDocument
 
@@ -159,7 +163,7 @@ def require_numbers(doc: Mapping[str, Any], key: str) -> list:
 def parse_jsonl(text: str, parse: Callable[[Any], Any], name: str) -> list[Any]:
     """parse applied to the JSON value of every non-blank line of text; a
     MalformedDocument, for invalid JSON or from parse, names the line. Lines end
-    at "\\n" only: to_jsonl leaves U+2028 and the other characters at which
+    at "\\n" only: json_string leaves U+2028 and the other characters at which
     str.splitlines also breaks unescaped."""
     parsed = []
     for number, line in enumerate(text.split("\n"), 1):
@@ -171,13 +175,20 @@ def parse_jsonl(text: str, parse: Callable[[Any], Any], name: str) -> list[Any]:
     return parsed
 
 
-# Every line is a tree built afresh for the call, so it cannot hold a cycle
-# and the encoder's cycle check would only cost time.
-_JSON_LINE = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False, check_circular=False)
+# The scalars of a JSONL line, as json writes them with ensure_ascii=False:
+# a string by json's own escaper, which leaves every non-ASCII character
+# as it is, and an int by int.__repr__.
+json_string = encode_basestring
+json_int = int.__repr__
 
 
-def to_jsonl(docs: Iterable[Any]) -> str:
-    return "".join(_JSON_LINE.encode(doc) + "\n" for doc in docs)
+def json_float(value: float) -> str:
+    """value as json writes a number with allow_nan=False: a float by
+    float.__repr__, and an int, which a time built in code may be, by
+    int.__repr__. NaN and the infinities raise json's ValueError."""
+    if not math.isfinite(value):
+        raise ValueError("Out of range float values are not JSON compliant")
+    return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
 
 
 def write_outputs(out_dir: Path, texts: Mapping[str, str], remove: Sequence[str] = ()) -> None:

@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from itertools import accumulate
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
-from .documents import parse_jsonl, require, to_jsonl
+from .documents import json_int, json_string, parse_jsonl, require
 from .errors import MalformedDocument, ManipulationError
 from .profiles import DatasetProfile, ManipulationCategory
 from .scene_graph import (
@@ -576,41 +576,38 @@ def apply_corpus(
 # --- record serialization --------------------------------------------------------
 
 
-def _changes_doc(original: EventTuple, manipulated: EventTuple) -> dict[str, Any]:
+def _changes_text(original: EventTuple, manipulated: EventTuple) -> str:
     """The manipulated tuple as its tuple_id plus the fields it changed."""
     same = (original.tuple_id, original.subject, original.object)
     if (manipulated.tuple_id, manipulated.subject, manipulated.object) != same:
         raise MalformedDocument(f"tuple {original.tuple_id!r}: a record only changes {', '.join(TUPLE_FIELDS)}")
-    doc: dict[str, Any] = {"tuple_id": manipulated.tuple_id}
-    for name, (to_doc, _) in TUPLE_FIELDS.items():
+    text = f'{{"tuple_id":{json_string(manipulated.tuple_id)}'
+    for name, (write, _) in TUPLE_FIELDS.items():
         value = getattr(manipulated, name)
         if value != getattr(original, name):
-            doc[name] = to_doc(value)
-    return doc
+            text += f",{json_string(name)}:{write(value)}"
+    return text + "}"
 
 
-def record_to_doc(record: ManipulationRecord) -> dict[str, Any]:
-    """The record relative to its graph: the originals are named, not copied."""
-    doc: dict[str, Any] = {
-        "format": RECORDS_FORMAT,
-        "record_id": record.record_id,
-        "category": record.category.key,
-        "video_id": record.video_id,
-        "source_tuple_ids": list(record.source_tuple_ids),
-        "manipulated": [
-            _changes_doc(o, m) for o, m in zip(record.original, record.manipulated)
-        ],
-        "seed": record.seed,
-    }
+def _record_line(record: ManipulationRecord) -> str:
+    """The record relative to its graph, as one line: the originals are
+    named, not copied."""
+    changes = ",".join(map(_changes_text, record.original, record.manipulated))
+    text = (
+        f'{{"format":{json_int(RECORDS_FORMAT)},"record_id":{json_string(record.record_id)}'
+        f',"category":{json_string(record.category.key)},"video_id":{json_string(record.video_id)}'
+        f',"source_tuple_ids":[{",".join(map(json_string, record.source_tuple_ids))}]'
+        f',"manipulated":[{changes}],"seed":{json_int(record.seed)}'
+    )
     if record.pool_size is not None:
-        doc["pool_size"] = record.pool_size
-    return doc
+        text += f',"pool_size":{json_int(record.pool_size)}'
+    return text + "}\n"
 
 
 def record_from_doc(
     doc: Any, tuples_by_video: Mapping[str, Mapping[str, EventTuple]]
 ) -> ManipulationRecord:
-    """Inverse of record_to_doc; originals come from the record's graph.
+    """Inverse of _record_line; originals come from the record's graph.
 
     Each manipulated tuple is its original with the changed fields laid
     over it, parsed by the scene-graph field parsers.
@@ -652,7 +649,7 @@ def record_from_doc(
 
 
 def records_to_jsonl(records: Iterable[ManipulationRecord]) -> str:
-    return to_jsonl(map(record_to_doc, records))
+    return "".join(map(_record_line, records))
 
 
 def records_from_jsonl(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-from .documents import parse_jsonl, read_json, require, to_jsonl
+from .documents import json_float, json_string, parse_jsonl, read_json, require
 from .errors import EmptyInput, MalformedDocument
 from .profiles import DatasetProfile
 
@@ -241,26 +241,38 @@ def _parse_time(raw: Any, tuple_id: str) -> TimeInterval:
     return TimeInterval(require(raw, "start_s", float), require(raw, "end_s", float))
 
 
-def _attr_docs(attrs: Iterable[AttributeValue]) -> list[dict[str, str]]:
-    return [{"value": a.value, "attr_type": a.attr_type} for a in attrs]
+# A value's JSON text, cached per value: a corpus repeats each interned value
+# many times. The two types have a cache each, since an AttributeValue
+# equals the PredicateValue of the same strings. A time is not cached:
+# 0.0 == -0.0, which serialize apart.
+@lru_cache(maxsize=4096)
+def _attribute_text(attr: AttributeValue) -> str:
+    return f'{{"value":{json_string(attr.value)},"attr_type":{json_string(attr.attr_type)}}}'
 
 
-def _predicate_doc(pred: PredicateValue | None) -> dict[str, str] | None:
-    return None if pred is None else {"value": pred.value, "pred_type": pred.pred_type}
+@lru_cache(maxsize=4096)
+def _predicate_text(pred: PredicateValue | None) -> str:
+    if pred is None:
+        return "null"
+    return f'{{"value":{json_string(pred.value)},"pred_type":{json_string(pred.pred_type)}}}'
 
 
-def _time_doc(time: TimeInterval) -> dict[str, float]:
-    return {"start_s": time.start_s, "end_s": time.end_s}
+def _attrs_text(attrs: tuple[AttributeValue, ...]) -> str:
+    return f"[{','.join(map(_attribute_text, attrs))}]" if attrs else "[]"
+
+
+def _time_text(time: TimeInterval) -> str:
+    return f'{{"start_s":{json_float(time.start_s)},"end_s":{json_float(time.end_s)}}}'
 
 
 # The tuple fields a manipulation may change, in document order, each with
-# its document writer and its parser. Graph documents and manipulation
+# its JSON text writer and its parser. Graph documents and manipulation
 # records both go through these.
-TUPLE_FIELDS: dict[str, tuple[Callable, Callable]] = {
-    "subject_attrs": (_attr_docs, _parse_attrs),
-    "predicate": (_predicate_doc, _parse_predicate),
-    "object_attrs": (_attr_docs, _parse_attrs),
-    "time": (_time_doc, _parse_time),
+TUPLE_FIELDS: dict[str, tuple[Callable[[Any], str], Callable]] = {
+    "subject_attrs": (_attrs_text, _parse_attrs),
+    "predicate": (_predicate_text, _parse_predicate),
+    "object_attrs": (_attrs_text, _parse_attrs),
+    "time": (_time_text, _parse_time),
 }
 
 
@@ -330,40 +342,36 @@ def load_scene_graph(path: str) -> SceneGraph:
     return read_json(path, EmptyInput(f"corpus file not found: {path}"), parse_scene_graph)
 
 
-def scene_graph_to_doc(graph: SceneGraph) -> dict[str, Any]:
-    """Inverse of parse_scene_graph; emits the canonical document shape."""
+def _entity_text(ent: EntityRef) -> str:
+    text = f'{{"entity_id":{json_string(ent.entity_id)},"name":{json_string(ent.name)}'
+    if ent.entity_class is not None:
+        text += f',"entity_class":{json_string(ent.entity_class)}'
+    return text + "}"
 
-    def entity_doc(ent: EntityRef) -> dict[str, Any]:
-        doc: dict[str, Any] = {"entity_id": ent.entity_id, "name": ent.name}
-        if ent.entity_class is not None:
-            doc["entity_class"] = ent.entity_class
-        return doc
 
-    tuples = []
-    for tup in graph.tuples:
-        doc: dict[str, Any] = {
-            "tuple_id": tup.tuple_id,
-            "subject": tup.subject.entity_id,
-            "subject_attrs": _attr_docs(tup.subject_attrs),
-        }
-        if tup.predicate is not None:
-            doc["predicate"] = _predicate_doc(tup.predicate)
-        if tup.object is not None:
-            doc["object"] = tup.object.entity_id
-        doc["object_attrs"] = _attr_docs(tup.object_attrs)
-        doc["time"] = _time_doc(tup.time)
-        tuples.append(doc)
+def _tuple_text(tup: EventTuple) -> str:
+    text = (
+        f'{{"tuple_id":{json_string(tup.tuple_id)},"subject":{json_string(tup.subject.entity_id)}'
+        f',"subject_attrs":{_attrs_text(tup.subject_attrs)}'
+    )
+    if tup.predicate is not None:
+        text += f',"predicate":{_predicate_text(tup.predicate)}'
+    if tup.object is not None:
+        text += f',"object":{json_string(tup.object.entity_id)}'
+    return text + f',"object_attrs":{_attrs_text(tup.object_attrs)},"time":{_time_text(tup.time)}}}'
 
-    return {
-        "video_id": graph.video_id,
-        "duration_s": graph.duration_s,
-        "entities": [entity_doc(e) for e in graph.entities],
-        "tuples": tuples,
-    }
+
+def _graph_line(graph: SceneGraph) -> str:
+    """The canonical document of graph, the inverse of parse_scene_graph, as one line."""
+    return (
+        f'{{"video_id":{json_string(graph.video_id)},"duration_s":{json_float(graph.duration_s)}'
+        f',"entities":[{",".join(map(_entity_text, graph.entities))}]'
+        f',"tuples":[{",".join(map(_tuple_text, graph.tuples))}]}}\n'
+    )
 
 
 def graphs_to_jsonl(graphs: Iterable[SceneGraph]) -> str:
-    return to_jsonl(map(scene_graph_to_doc, graphs))
+    return "".join(map(_graph_line, graphs))
 
 
 def graphs_from_jsonl(text: str, name: str) -> list[SceneGraph]:

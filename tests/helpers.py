@@ -14,11 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
+from eventprobe.captions import CaptionPair
 from eventprobe.errors import MalformedDocument
 from eventprobe.evaluate import ScoreMatrix, load_score_matrix
-from eventprobe.manipulate import AttributeObservation, _derived
+from eventprobe.manipulate import RECORDS_FORMAT, AttributeObservation, ManipulationRecord, _derived
 from eventprobe.profiles import DatasetProfile, parse_profile
 from eventprobe.scene_graph import (
+    TUPLE_FIELDS,
     AttributeValue,
     EntityRef,
     EventTuple,
@@ -224,6 +226,94 @@ def with_objects(graph: SceneGraph) -> SceneGraph:
         t if t.predicate is None or t.object is not None else _derived(t, object=other(t.subject))
         for t in graph.tuples
     ))
+
+
+# --- the JSONL writers' oracles ----------------------------------------------
+# Each artifact line as a dict, built field by field from the values:
+# json_line of the dict is the line the program's writer must write.
+
+
+def json_line(doc) -> str:
+    return json.dumps(doc, ensure_ascii=False, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+def attr_docs(attrs):
+    return [{"value": a.value, "attr_type": a.attr_type} for a in attrs]
+
+
+def predicate_doc(pred):
+    return None if pred is None else {"value": pred.value, "pred_type": pred.pred_type}
+
+
+def time_doc(time):
+    return {"start_s": time.start_s, "end_s": time.end_s}
+
+
+# The document of each field of TUPLE_FIELDS, by name.
+FIELD_DOCS = {"subject_attrs": attr_docs, "predicate": predicate_doc, "object_attrs": attr_docs, "time": time_doc}
+
+
+def scene_graph_to_doc(graph: SceneGraph) -> dict:
+    """The canonical document of graph, the inverse of parse_scene_graph."""
+
+    def entity_doc(ent):
+        doc = {"entity_id": ent.entity_id, "name": ent.name}
+        if ent.entity_class is not None:
+            doc["entity_class"] = ent.entity_class
+        return doc
+
+    tuples = []
+    for tup in graph.tuples:
+        doc = {"tuple_id": tup.tuple_id, "subject": tup.subject.entity_id, "subject_attrs": attr_docs(tup.subject_attrs)}
+        if tup.predicate is not None:
+            doc["predicate"] = predicate_doc(tup.predicate)
+        if tup.object is not None:
+            doc["object"] = tup.object.entity_id
+        doc["object_attrs"] = attr_docs(tup.object_attrs)
+        doc["time"] = time_doc(tup.time)
+        tuples.append(doc)
+    return {
+        "video_id": graph.video_id,
+        "duration_s": graph.duration_s,
+        "entities": [entity_doc(e) for e in graph.entities],
+        "tuples": tuples,
+    }
+
+
+def record_to_doc(record: ManipulationRecord) -> dict:
+    """The record relative to its graph: each manipulated tuple as its
+    tuple_id plus the fields it changed."""
+
+    def changes_doc(original, manipulated):
+        doc = {"tuple_id": manipulated.tuple_id}
+        for name in TUPLE_FIELDS:
+            value = getattr(manipulated, name)
+            if value != getattr(original, name):
+                doc[name] = FIELD_DOCS[name](value)
+        return doc
+
+    doc = {
+        "format": RECORDS_FORMAT,
+        "record_id": record.record_id,
+        "category": record.category.key,
+        "video_id": record.video_id,
+        "source_tuple_ids": list(record.source_tuple_ids),
+        "manipulated": [changes_doc(o, m) for o, m in zip(record.original, record.manipulated)],
+        "seed": record.seed,
+    }
+    if record.pool_size is not None:
+        doc["pool_size"] = record.pool_size
+    return doc
+
+
+def pair_to_doc(pair: CaptionPair) -> dict:
+    return {
+        "pair_id": pair.pair_id,
+        "video_id": pair.video_id,
+        "category": pair.category.key,
+        "positive": {"text": pair.positive.text, "renderer": pair.positive.renderer},
+        "negative": {"text": pair.negative.text, "renderer": pair.negative.renderer},
+    }
 
 
 def score_matrix_from_csv(text: str) -> ScoreMatrix:

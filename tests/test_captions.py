@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 from importlib import resources
@@ -11,7 +12,6 @@ from eventprobe.captions import (
     benchmark_categories,
     default_templates,
     pair_from_doc,
-    pair_to_doc,
     pairs_from_jsonl,
     pairs_to_jsonl,
     parse_templates,
@@ -29,7 +29,7 @@ from eventprobe.pipeline import PipelineConfig, run_pipeline, run_stages
 from eventprobe.profiles import ManipulationCategory
 
 from .goldens import GOLDEN_TEXTS, build_golden_records, record_for
-from .helpers import attr, default_profile, entity, make_tuple, pred, random_profile_corpus, span
+from .helpers import attr, default_profile, entity, json_line, make_tuple, pair_to_doc, pred, random_profile_corpus, span
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +220,7 @@ class TestPairSerialization:
         pair = render_pair(
             golden_records["counterfactual.attribute.Color"], templates
         )
-        doc = pair_to_doc(pair)
-        assert list(doc) == ["pair_id", "video_id", "category", "positive", "negative"]
-        assert pair_from_doc(doc).pair_id == pair.pair_id
+        line = pairs_to_jsonl([pair])
+        assert line == json_line(pair_to_doc(pair))
+        assert list(json.loads(line)) == ["pair_id", "video_id", "category", "positive", "negative"]
+        assert pair_from_doc(pair_to_doc(pair)).pair_id == pair.pair_id

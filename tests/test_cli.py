@@ -21,9 +21,8 @@ import eventprobe
 from eventprobe import cli, documents, errors, evaluate, pipeline
 from eventprobe.cli import main
 from eventprobe.evaluate import CHILD_MIN_CSV_BYTES
-from eventprobe.scene_graph import scene_graph_to_doc
 
-from .helpers import random_profile_corpus, with_objects
+from .helpers import random_profile_corpus, scene_graph_to_doc, with_objects
 from .test_count_first import PROFILE, corpora
 
 
@@ -428,6 +427,13 @@ def run_commands(config: Path, commands) -> tuple[int, dict]:
 
 
 class TestStageTable:
+    @pytest.mark.parametrize("name", list(pipeline.STAGE_BY_NAME))
+    def test_a_stage_commands_help_names_its_output(self, name, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main([name, "--help"])
+        assert raised.value.code == 0
+        assert pipeline.STAGE_BY_NAME[name].output in capsys.readouterr().out
+
     @given(corpora)
     def test_staged_commands_write_what_run_writes(self, corpus):
         with tempfile.TemporaryDirectory() as tmp:

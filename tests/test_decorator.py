@@ -216,3 +216,14 @@ def test_http_transport_error_status_falls_back(pair, monkeypatch, rewriter):
     reply["candidates"] = ["Greg Focker carries the chairs"]
     assert decorate(pair, enabled_config(endpoint=endpoint), required=REQUIRED) == pair
     assert len(seen) == 3
+
+
+def test_a_lone_surrogate_in_a_reply_falls_back(pair, monkeypatch, rewriter):
+    """The reply is read by the one decoder, which rejects a lone surrogate
+    escape: a caption holding one could not be written as UTF-8."""
+    endpoint, reply, seen = rewriter
+    monkeypatch.setenv("PROBE_DECORATOR_KEY", "secret")
+    reply["candidates"] = ["Greg Focker carries lawn chairs\ud800"]
+    result = decorate(pair, enabled_config(endpoint=endpoint), required=REQUIRED)
+    assert result.positive.renderer == "template"
+    assert len(seen) == 2

@@ -12,17 +12,40 @@ import ast
 import io
 import json
 import math
+import random
 import shutil
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import eventprobe
 from eventprobe import errors
+from eventprobe.captions import Caption, CaptionPair, default_templates, pairs_from_jsonl, pairs_to_jsonl, render_pair
 from eventprobe.cli import main
-from eventprobe.scene_graph import EntityRef, SceneGraph, graphs_from_jsonl, graphs_to_jsonl
+from eventprobe.manipulate import _derived, apply_corpus, records_from_jsonl, records_to_jsonl
+from eventprobe.scene_graph import (
+    EntityRef,
+    EventTuple,
+    SceneGraph,
+    TimeInterval,
+    graphs_from_jsonl,
+    graphs_to_jsonl,
+)
 
+from .helpers import (
+    attr,
+    default_profile,
+    json_line,
+    make_tuple,
+    pair_to_doc,
+    pred,
+    random_profile_corpus,
+    record_to_doc,
+    scene_graph_to_doc,
+)
 from .test_cli import outputs
 
 
@@ -421,13 +444,97 @@ def test_repeated_video_id_names_both_files_and_the_line(tmp_path, fixtures_dir,
         graphs_from_jsonl(graphs_to_jsonl([graph, graph]), "graphs.jsonl")
 
 
-def test_jsonl_lines_break_only_at_newline():
-    """to_jsonl leaves U+2028 and NEL unescaped; a reader splitting at
-    every line boundary str.splitlines knows would cut such a line."""
+def test_jsonl_lines_break_only_at_newline(kitchen, profile):
+    """No writer escapes U+2028 or NEL; a reader splitting at every line
+    boundary str.splitlines knows would cut such a line."""
     graph = SceneGraph("v\x85", 1.0, (EntityRef("e1", "a\u2028b"),), ())
-    text = graphs_to_jsonl([graph])
-    assert text.count("\n") == 1
-    assert graphs_from_jsonl(text, "graphs.jsonl") == [graph]
+    video = replace(kitchen, video_id="v\x85")
+    record = apply_corpus([video], profile, {}, 7)[0]._replace(record_id="r\u2028")
+    pair = CaptionPair(record.record_id, video.video_id, record.category,
+                       Caption("a\u2028b", "template"), Caption("a\x85b", "template"))
+    for text, read, values in (
+        (graphs_to_jsonl([graph]), lambda text: graphs_from_jsonl(text, "graphs.jsonl"), [graph]),
+        (records_to_jsonl([record]), lambda text: records_from_jsonl(text, [video], "records.jsonl"), [record]),
+        (pairs_to_jsonl([pair]), lambda text: pairs_from_jsonl(text, "benchmark.jsonl"), [pair]),
+    ):
+        assert text.count("\n") == 1 and "\u2028" in text and "\x85" in text
+        assert read(text) == values
+
+
+# Characters json escapes, or leaves as they are although a reader might
+# not expect it, and times whose shortest repr is exponent, subnormal or
+# signed.
+ODD_CHARACTERS = ('"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\x85", "\U0001f600", "\u00e9", "a")
+ODD_TIMES = (-0.0, 0.0, 5e-324, 1e-7, 1.5, 1e16)
+WRITER_PROFILE = default_profile()
+
+
+def odd_graph(graph: SceneGraph, rng: random.Random) -> SceneGraph:
+    """graph with odd characters in front of every id, name and value, and
+    odd times; each id stays unique, as it ends in its old digit."""
+
+    def odd() -> str:
+        return "".join(rng.choices(ODD_CHARACTERS, k=rng.randint(0, 4)))
+
+    def values(attrs):
+        return tuple(attr(odd() + a.value, a.attr_type) for a in attrs)
+
+    entities = {e.entity_id: EntityRef(odd() + e.entity_id, odd(), rng.choice((None, odd())))
+                for e in graph.entities}
+    tuples = []
+    for t in graph.tuples:
+        start, end = sorted(rng.choices(ODD_TIMES, k=2))
+        tuples.append(EventTuple(
+            odd() + t.tuple_id, entities[t.subject.entity_id], values(t.subject_attrs),
+            None if t.predicate is None else pred(odd() + t.predicate.value, t.predicate.pred_type),
+            None if t.object is None else entities[t.object.entity_id], values(t.object_attrs),
+            TimeInterval(start, end),
+        ))
+    return SceneGraph(odd() + graph.video_id, 1e16, tuple(entities.values()), tuple(tuples))
+
+
+@settings(max_examples=25)
+@given(st.integers(0, 2**32))
+def test_each_writer_writes_what_json_dumps_writes(seed):
+    rng = random.Random(seed)
+    graphs = [odd_graph(graph, rng) for graph in random_profile_corpus(rng, WRITER_PROFILE, 2)]
+    records = apply_corpus(graphs, WRITER_PROFILE, {}, seed)
+    templates = default_templates()
+    pairs = [render_pair(record, templates) for record in records]
+    for writer, oracle, values in (
+        (graphs_to_jsonl, scene_graph_to_doc, graphs),
+        (records_to_jsonl, record_to_doc, records),
+        (pairs_to_jsonl, pair_to_doc, pairs),
+    ):
+        assert writer(values).split("\n") == "".join(json_line(oracle(value)) for value in values).split("\n")
+    assert records and pairs
+
+
+def test_an_attribute_and_a_predicate_of_equal_strings_keep_their_keys():
+    """The two value types compare equal on equal strings, so each caches
+    its text apart: one shared cache would write the other's key."""
+    kite = EntityRef("e1", "kite")
+    graph = SceneGraph("v", 1.0, (kite,), (
+        make_tuple("t1", kite, attrs=(attr("red", "Hue"),), predicate=pred("red", "Hue")),
+        make_tuple("t2", kite, predicate=pred("blue", "Hue"), obj=kite, obj_attrs=(attr("blue", "Hue"),)),
+    ))
+    assert graphs_to_jsonl([graph]) == json_line(scene_graph_to_doc(graph))
+
+
+@pytest.mark.parametrize("case", ["duration-nan", "time-infinity", "record-time-infinity"])
+def test_a_non_finite_number_is_not_written(kitchen, profile, case):
+    """A float json would refuse under allow_nan=False raises its ValueError."""
+    tup = kitchen.tuples[0]
+    far = _derived(tup, time=TimeInterval(1.0, math.inf))
+    if case == "record-time-infinity":
+        record = apply_corpus([kitchen], profile, {}, 7)[0]
+        write, values = records_to_jsonl, [record._replace(original=(tup,), manipulated=(far,))]
+    elif case == "duration-nan":
+        write, values = graphs_to_jsonl, [replace(kitchen, duration_s=math.nan)]
+    else:
+        write, values = graphs_to_jsonl, [replace(kitchen, duration_s=math.inf, tuples=(far, *kitchen.tuples[1:]))]
+    with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant$"):
+        write(values)
 
 
 def _file_access(tree):
