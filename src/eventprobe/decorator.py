@@ -60,7 +60,8 @@ class DecoratorConfig:
 def _http_transport(endpoint: str, payload: dict, headers: dict, timeout: float) -> dict:
     """POST payload as JSON and read the reply as every document is read; a
     status outside 2xx raises HTTPError, and a reply that is not a UTF-8
-    JSON object, or holds a lone surrogate, MalformedDocument."""
+    JSON object (one with a BOM or in UTF-16 is not), or holds a lone
+    surrogate, NaN or Infinity, MalformedDocument."""
     import urllib.request  # only a run with the decorator enabled pays for it
 
     request = urllib.request.Request(

@@ -241,16 +241,10 @@ def _parse_time(raw: Any, tuple_id: str) -> TimeInterval:
     return TimeInterval(require(raw, "start_s", float), require(raw, "end_s", float))
 
 
-# A value's JSON text, cached per value: a corpus repeats each interned value
-# many times. The two types have a cache each, since an AttributeValue
-# equals the PredicateValue of the same strings. A time is not cached:
-# 0.0 == -0.0, which serialize apart.
-@lru_cache(maxsize=4096)
 def _attribute_text(attr: AttributeValue) -> str:
     return f'{{"value":{json_string(attr.value)},"attr_type":{json_string(attr.attr_type)}}}'
 
 
-@lru_cache(maxsize=4096)
 def _predicate_text(pred: PredicateValue | None) -> str:
     if pred is None:
         return "null"
@@ -258,7 +252,7 @@ def _predicate_text(pred: PredicateValue | None) -> str:
 
 
 def _attrs_text(attrs: tuple[AttributeValue, ...]) -> str:
-    return f"[{','.join(map(_attribute_text, attrs))}]" if attrs else "[]"
+    return f"[{','.join(map(_attribute_text, attrs))}]"
 
 
 def _time_text(time: TimeInterval) -> str:

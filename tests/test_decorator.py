@@ -161,7 +161,8 @@ def test_degenerate_identical_rewrites_keep_template_pair(pair, monkeypatch):
 @pytest.fixture()
 def rewriter(monkeypatch):
     """A rewriting service on 127.0.0.1 that answers every POST with
-    reply["status"] and reply["candidates"] and records (headers, body)."""
+    reply["status"] and the other fields of reply as a JSON object, and
+    records (headers, body)."""
     for var in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
         monkeypatch.delenv(var, raising=False)
     reply = {"status": 200, "candidates": []}
@@ -170,7 +171,7 @@ def rewriter(monkeypatch):
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
             seen.append((self.headers, json.loads(self.rfile.read(int(self.headers["Content-Length"])))))
-            data = json.dumps({"candidates": reply["candidates"]}).encode("utf-8")
+            data = json.dumps({k: v for k, v in reply.items() if k != "status"}).encode("utf-8")
             self.send_response(reply["status"])
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(data)))
@@ -218,12 +219,18 @@ def test_http_transport_error_status_falls_back(pair, monkeypatch, rewriter):
     assert len(seen) == 3
 
 
-def test_a_lone_surrogate_in_a_reply_falls_back(pair, monkeypatch, rewriter):
+@pytest.mark.parametrize("case", ["lone-surrogate", "nan"])
+def test_a_reply_the_one_decoder_rejects_falls_back(pair, monkeypatch, rewriter, case):
     """The reply is read by the one decoder, which rejects a lone surrogate
-    escape: a caption holding one could not be written as UTF-8."""
+    escape, since a caption holding one could not be written as UTF-8, and
+    NaN or Infinity in any field, which RFC 8259 does not allow."""
     endpoint, reply, seen = rewriter
     monkeypatch.setenv("PROBE_DECORATOR_KEY", "secret")
-    reply["candidates"] = ["Greg Focker carries lawn chairs\ud800"]
+    if case == "lone-surrogate":
+        reply["candidates"] = ["Greg Focker carries lawn chairs\ud800"]
+    else:
+        reply["candidates"] = ["Greg Focker carries the lawn chairs outside"]
+        reply["score"] = float("nan")
     result = decorate(pair, enabled_config(endpoint=endpoint), required=REQUIRED)
     assert result.positive.renderer == "template"
     assert len(seen) == 2

@@ -39,7 +39,6 @@ from .helpers import (
     attr,
     default_profile,
     json_line,
-    make_tuple,
     pair_to_doc,
     pred,
     random_profile_corpus,
@@ -508,17 +507,6 @@ def test_each_writer_writes_what_json_dumps_writes(seed):
     ):
         assert writer(values).split("\n") == "".join(json_line(oracle(value)) for value in values).split("\n")
     assert records and pairs
-
-
-def test_an_attribute_and_a_predicate_of_equal_strings_keep_their_keys():
-    """The two value types compare equal on equal strings, so each caches
-    its text apart: one shared cache would write the other's key."""
-    kite = EntityRef("e1", "kite")
-    graph = SceneGraph("v", 1.0, (kite,), (
-        make_tuple("t1", kite, attrs=(attr("red", "Hue"),), predicate=pred("red", "Hue")),
-        make_tuple("t2", kite, predicate=pred("blue", "Hue"), obj=kite, obj_attrs=(attr("blue", "Hue"),)),
-    ))
-    assert graphs_to_jsonl([graph]) == json_line(scene_graph_to_doc(graph))
 
 
 @pytest.mark.parametrize("case", ["duration-nan", "time-infinity", "record-time-infinity"])
