@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 from . import __version__
 from .captions import pairs_from_jsonl
 from .documents import decode, naming, parse_json, read_text, require_numbers
-from .errors import ConfigError, EmptyInput, EventProbeError
+from .errors import ConfigError, EmptyInput, EventProbeError, MalformedDocument
 from .pipeline import STAGE_BY_NAME, PipelineConfig, run_stages
 
 if TYPE_CHECKING:
@@ -114,6 +114,7 @@ def cmd_gap_report(args: argparse.Namespace) -> int:
 
 def cmd_loss_selftest(args: argparse.Namespace) -> int:
     _bind("losses")
+    import numpy as np  # eventprobe.losses has loaded it
     if args.input:
         text = read_text(args.input, EmptyInput(f"self-test input not found: {args.input}"))
     with naming(args.input or "stdin"):
@@ -121,9 +122,13 @@ def cmd_loss_selftest(args: argparse.Namespace) -> int:
         params = LossParams(**{key: doc[key] for key in ("tau", "beta") if key in doc})
         G = () if doc.get("G") is None else require_numbers(doc, "G")
         batch = LossBatch(V=require_numbers(doc, "V"), T=require_numbers(doc, "T"), G=G)
-    loss = hn_nce_forward(batch, params)
-    err = finite_diff_check(batch, params)
-    print(json.dumps({"loss": loss, "fd_max_rel_err": err}))
+        # A similarity v.t / tau past the float range makes the results NaN
+        # or infinite: they are checked, not every similarity.
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, err = hn_nce_forward(batch, params), finite_diff_check(batch, params)
+        if not np.isfinite((loss, err)).all():
+            raise MalformedDocument(f"loss {loss}, fd_max_rel_err {err}: a similarity v.t / tau overflows a float")
+    print(json.dumps({"loss": loss, "fd_max_rel_err": err}, allow_nan=False))
     return 0
 
 

@@ -449,10 +449,11 @@ def gap_rows_from_csv(text: str) -> list[GapReport]:
     control row of its category, direction and k. In both layouts, as in
     evaluate_pools, a zero positive recall yields no gap row, unless a wide
     row gives its own delta_p. Every p, p_control and value must be a
-    number in [0, 1], a given delta_p a finite number, a direction one of
-    DIRECTIONS and k an integer >= 1, and no row may repeat another's
-    category, direction, k (and pool); a row that breaks this raises
-    MalformedDocument naming its line.
+    number in [0, 1], each delta_p, given or computed, a finite number, a
+    direction one of DIRECTIONS and k an integer >= 1, and no row may
+    repeat another's category, direction, k (and pool). A row that breaks
+    this raises MalformedDocument naming its line, and a long-layout gap
+    that is not finite names its category, direction and k.
     """
     reader = csv.DictReader(io.StringIO(text))
     recalls, rows, seen = [], [], set()
@@ -477,14 +478,12 @@ def gap_rows_from_csv(text: str) -> list[GapReport]:
                 recalls.append(RecallReport(direction, k, value, raw["pool"], raw["category"]))
                 continue
             p, p_control = _recall(raw, "p"), _recall(raw, "p_control")
-            if raw.get("delta_p"):
-                delta = float(raw["delta_p"])
-                if not math.isfinite(delta):
-                    raise ValueError(f"delta_p must be a finite number, got {raw['delta_p']!r}")
-            elif p == 0:
+            if p == 0 and not raw.get("delta_p"):
                 continue
-            else:
-                delta = relative_gap(p, p_control)
+            # A gap is past the float range for a p as small as 5e-324.
+            delta = float(raw["delta_p"]) if raw.get("delta_p") else relative_gap(p, p_control)
+            if not math.isfinite(delta):
+                raise ValueError(f"delta_p must be a finite number, got {raw.get('delta_p') or delta!r}")
             rows.append(GapReport(raw["category"], direction, k, p, p_control, delta))
     except (TypeError, ValueError) as exc:
         raise MalformedDocument(f"recall CSV line {reader.line_num}: {exc}") from None
@@ -510,5 +509,10 @@ def _gaps_from_recalls(recalls: Iterable[RecallReport]) -> list[GapReport]:
             )
         p, p_control = values["positive"], values["control"]
         if p > 0:
-            rows.append(GapReport(category, direction, k, p, p_control, relative_gap(p, p_control)))
+            delta = relative_gap(p, p_control)
+            if not math.isfinite(delta):  # only a recall CSV holds a p this small
+                raise MalformedDocument(
+                    f"recalls: {category} {direction} k={k}: delta_p must be a finite number, got {delta}"
+                )
+            rows.append(GapReport(category, direction, k, p, p_control, delta))
     return rows

@@ -11,8 +11,9 @@ Negative weights sharpen with a hardness exponent beta; their normalizer
 sums over in-batch texts only, also for generated negatives, and the
 video-to-text multiplier counts the generated negatives. Weights are treated
 as constants when differentiating (the analytic gradient and the
-finite-difference checker both hold them frozen). Everything is computed in
-log space, so values and gradients stay finite for very large similarities.
+finite-difference checker both hold them frozen). Everything but the
+similarities v.t / tau is in log space: values and gradients stay finite
+for any similarity a float64 holds, and are NaN or infinite past it.
 
 A batch of one item has no in-batch negatives, which leaves the weight
 normalizer undefined: all weight sets come back empty, generated negatives

@@ -95,10 +95,20 @@ def _derived(item: Any, **fields: Any) -> Any:
     return type(item)(*values)
 
 
-def _with_subject_attr(e: EventTuple, idx: int, attr: AttributeValue) -> EventTuple:
-    """e with its subject attribute at idx replaced by attr."""
+def _slot(e: EventTuple, index: int | None) -> AttributeValue | PredicateValue | None:
+    """The value at a slot of e: its predicate when index is None, else its
+    subject attribute at index; None if there is none."""
+    if index is None:
+        return e.predicate
+    return e.subject_attrs[index] if index < len(e.subject_attrs) else None
+
+
+def _with_slot(e: EventTuple, index: int | None, value: AttributeValue | PredicateValue) -> EventTuple:
+    """e with the value at a slot replaced."""
+    if index is None:
+        return _derived(e, predicate=value)
     attrs = list(e.subject_attrs)
-    attrs[idx] = attr
+    attrs[index] = value
     return _derived(e, subject_attrs=tuple(attrs))
 
 
@@ -154,25 +164,17 @@ def temporal_attribute_swap(
 
 def _neighborhood_pairs(
     e: EventTuple, attr_type: str | None
-) -> tuple[list[tuple[str, str, str, int, int]], bool]:
-    """The (type, subject value, object value, subject idx, object idx) pairs
-    of differing values, one per type both sides carry: each side's
-    attribute of the type that a caption shows.
-
-    Second return flags whether any same-type pair exists at all, regardless
-    of value equality.
-    """
+) -> list[tuple[int, AttributeValue, int, AttributeValue]]:
+    """The (subject idx, subject attribute, object idx, object attribute)
+    pairs, one per type both sides carry, by type: each side's attribute of
+    the type that a caption shows."""
     pairs = []
-    any_shared = False
-    kinds = dict.fromkeys(a.attr_type for a in e.subject_attrs) if attr_type is None else (attr_type,)
+    kinds = sorted({a.attr_type for a in e.subject_attrs}) if attr_type is None else (attr_type,)
     for kind in kinds:
         si, oi = shown_index(e.subject_attrs, kind), shown_index(e.object_attrs, kind)
         if si is not None and oi is not None:
-            any_shared = True
-            s_val, o_val = e.subject_attrs[si].value, e.object_attrs[oi].value
-            if s_val != o_val:
-                pairs.append((kind, s_val, o_val, si, oi))
-    return pairs, any_shared
+            pairs.append((si, e.subject_attrs[si], oi, e.object_attrs[oi]))
+    return pairs
 
 
 def neighborhood_attribute_swap(
@@ -186,23 +188,20 @@ def neighborhood_attribute_swap(
     """
     if e.object is None:
         raise ManipulationError(f"tuple {e.tuple_id!r} has no object")
-    pairs, any_shared = _neighborhood_pairs(e, attr_type)
-    if not any_shared:
+    pairs = _neighborhood_pairs(e, attr_type)
+    if not pairs:
         raise ManipulationError(
             f"tuple {e.tuple_id!r} has no shared-type subject/object attribute pair"
         )
-    if not pairs:
+    differing = [pair for pair in pairs if pair[1] != pair[3]]
+    if not differing:
         raise ManipulationError(
             f"tuple {e.tuple_id!r}: all shared-type attribute pairs hold equal values"
         )
-    kind, s_val, o_val, si, oi = min(pairs)
-    subject_attrs = list(e.subject_attrs)
-    object_attrs = list(e.object_attrs)
-    subject_attrs[si] = AttributeValue(value=o_val, attr_type=kind)
-    object_attrs[oi] = AttributeValue(value=s_val, attr_type=kind)
-    return _derived(
-        e, subject_attrs=tuple(subject_attrs), object_attrs=tuple(object_attrs)
-    )
+    si, s_attr, oi, o_attr = differing[0]
+    subject_attrs, object_attrs = list(e.subject_attrs), list(e.object_attrs)
+    subject_attrs[si], object_attrs[oi] = o_attr, s_attr
+    return _derived(e, subject_attrs=tuple(subject_attrs), object_attrs=tuple(object_attrs))
 
 
 # --- counterfactual substitution ---------------------------------------------
@@ -222,24 +221,14 @@ def counterfactual_substitute(
     qualifies, so the result always differs from the input at the
     substituted slot. Deterministic given the rng state.
     """
-    if attr_index is None:
-        if e.predicate is None or e.predicate.pred_type != fine_type:
-            raise ManipulationError(f"tuple {e.tuple_id!r} has no {fine_type} predicate")
-        incumbent = e.predicate.value
-    else:
-        attrs = e.subject_attrs
-        if attr_index >= len(attrs) or attrs[attr_index].attr_type != fine_type:
-            raise ManipulationError(
-                f"tuple {e.tuple_id!r} has no {fine_type} subject attribute at index {attr_index}"
-            )
-        incumbent = attrs[attr_index].value
-    usable = [v for v in candidates if v != incumbent]
+    slot = _slot(e, attr_index)
+    if slot is None or slot[1] != fine_type:  # [1]: the attr_type or pred_type
+        where = "predicate" if attr_index is None else f"subject attribute at index {attr_index}"
+        raise ManipulationError(f"tuple {e.tuple_id!r} has no {fine_type} {where}")
+    usable = [v for v in candidates if v != slot.value]
     if not usable:
         raise ManipulationError(f"no usable {fine_type} candidate for tuple {e.tuple_id!r}")
-    choice = rng.choice(usable)
-    if attr_index is None:
-        return _derived(e, predicate=PredicateValue(value=choice, pred_type=fine_type))
-    return _with_subject_attr(e, attr_index, AttributeValue(value=choice, attr_type=fine_type))
+    return _with_slot(e, attr_index, type(slot)(rng.choice(usable), fine_type))
 
 
 def _candidates(
@@ -422,7 +411,8 @@ def enumerate_candidates(
     tuples, indices = graph.groups.slots.get(key, ((), ()))
     if category.method == "neighborhood":
         return _Listing(NeighborhoodSite, [
-            tup.tuple_id for tup in tuples if _neighborhood_pairs(tup, category.fine_type)[0]
+            tup.tuple_id for tup in tuples
+            if any(s_attr != o_attr for _, s_attr, _, o_attr in _neighborhood_pairs(tup, category.fine_type))
         ])
     candidates = _candidates(graph, profile, *key)
 
@@ -485,8 +475,7 @@ def apply_site(
                 AttributeObservation(e1.subject, e1.subject_attrs[ia], e1.time),
                 AttributeObservation(e2.subject, e2.subject_attrs[ib], e2.time),
             )
-            m1 = _with_subject_attr(e1, ia, r1.attribute)
-            m2 = _with_subject_attr(e2, ib, r2.attribute)
+            m1, m2 = _with_slot(e1, ia, r1.attribute), _with_slot(e2, ib, r2.attribute)
         originals = time_order([e1, e2])
         return tuple(originals), (m1, m2) if originals[0] is e1 else (m2, m1), None
 

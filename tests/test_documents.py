@@ -4,8 +4,8 @@ Each input is missing, a directory, empty (a benchmark file), not UTF-8,
 not JSON (or not the CSV it should be), not a JSON object, a document with
 a field of the wrong type, or a well-formed document holding a value the
 contract forbids. Every case must end in the documented exit code with one
-`error:` line that names the file, and a failed pipeline command must leave
-its output directory as it was.
+`error:` line that names the file and nothing on stdout, and a failed
+command must leave its output directory as it was, or not create it.
 """
 
 import ast
@@ -17,6 +17,7 @@ import shutil
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
+from typing import Any, NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -146,6 +147,18 @@ def first_tuple(**changes):
     return lambda tuples: [{**tuples[0], **changes}, *tuples[1:]]
 
 
+def batch(**fields):
+    """A self-test document: a one-item batch with fields laid over it."""
+    return json.dumps({"V": [[0.1, 0.2]], "T": [[0.3, 0.1]], **fields}).encode()
+
+
+class Says(NamedTuple):
+    """A fault whose error line must hold message."""
+
+    message: str
+    content: Any
+
+
 # The last two are valid JSON text that Python's decoder still rejects, with
 # a RecursionError and a ValueError rather than a JSONDecodeError.
 JSON_FAULTS = {
@@ -162,52 +175,33 @@ OTHER_ENCODINGS = {"utf8-bom": "utf-8-sig", "utf16": "utf-16"}
 OVER_LIMIT = b"x" * 131_073  # one character past csv's default field size limit
 CSV_FAULTS = {"not-utf8": b"video_id,caf\xe9\n", "bad-header": b"nope,c1\nv,0.5\n",
               "header-field-over-limit": b"video_id," + OVER_LIMIT + b"\nv,0.5\n"}
+# What the error line says of a fault of these kinds, in every input.
+FAULT_WORDS = {"not-utf8": "not UTF-8", "invalid-json": "invalid JSON"}
 
 # input: (how to reach it, the file, exit code when missing, when malformed,
-# the malformed contents besides JSON_FAULTS, whether JSON_FAULTS apply)
+# whether JSON_FAULTS apply, else CSV_FAULTS)
 INPUTS = {
-    "config": (lambda ws: ws.command("run"), lambda ws: ws.config, 2, 2,
-               {"templates-path-list": edit_json(templates_path=["t.json"]),
-                "seed-not-a-number": edit_json(global_seed="x")}, True),
-    "profile": (lambda ws: ws.command("run"), lambda ws: ws.profile, 3, 4,
-                {"predicate-types-string": edit_json(predicate_types="Action"),
-                 "vocab-value-string": edit_json(vocab=lambda v: {**v, "Color": "red"}),
-                 "category-object-lacks-key": edit_json(categories=[{"method": "temporal", "target": "predicate"}])},
-                True),
-    "templates": (lambda ws: ws.command("ingest", "probe", "render"), lambda ws: ws.templates, 7, 4,
-                  {"templates-list": edit_json(templates=[]),
-                   "connectives-number": edit_json(connectives=5),
-                   "pattern-number": edit_json(templates=lambda t: {
-                       **t, "temporal.predicate.Action": {"positive": 5, "negative": "x"}})},
-                  True),
-    "corpus": (lambda ws: ws.command("run"), lambda ws: ws.corpus / "broken.json", 6, 4,
-               {"video-id-number": lambda path: json.dumps({"video_id": 5}).encode()}, True),
-    "graphs.jsonl": (lambda ws: ws.command("ingest", "probe"), lambda ws: ws.out / "graphs.jsonl", 6, 4,
-                     {"duration-string": edit_first_line(duration_s="long")}, True),
-    "records.jsonl": (lambda ws: ws.command("ingest", "probe", "render"), lambda ws: ws.out / "records.jsonl", 6, 4,
-                      {"seed-string": edit_first_line(seed="7")}, True),
+    "config": (lambda ws: ws.command("run"), lambda ws: ws.config, 2, 2, True),
+    "profile": (lambda ws: ws.command("run"), lambda ws: ws.profile, 3, 4, True),
+    "templates": (lambda ws: ws.command("ingest", "probe", "render"), lambda ws: ws.templates, 7, 4, True),
+    "corpus": (lambda ws: ws.command("run"), lambda ws: ws.corpus / "broken.json", 6, 4, True),
+    "graphs.jsonl": (lambda ws: ws.command("ingest", "probe"), lambda ws: ws.out / "graphs.jsonl", 6, 4, True),
+    "records.jsonl": (lambda ws: ws.command("ingest", "probe", "render"), lambda ws: ws.out / "records.jsonl",
+                      6, 4, True),
     "benchmark.jsonl": (lambda ws: ws.command("ingest", "probe", "render", "emit"),
-                        lambda ws: ws.out / "benchmark.jsonl", 6, 4,
-                        {"pair-id-number": edit_first_line(pair_id=5)}, True),
+                        lambda ws: ws.out / "benchmark.jsonl", 6, 4, True),
     "loss-selftest": (lambda ws: ["loss-selftest", "--input", str(ws.tmp / "batch.json")],
-                      lambda ws: ws.tmp / "batch.json", 6, 4,
-                      {"V-number": lambda path: b'{"V": 5, "T": [[0.1]]}',
-                       **{name: json.dumps(BATCH).encode(encoding) for name, encoding in OTHER_ENCODINGS.items()}},
-                      True),
-    "eval-benchmark": (lambda ws: ws.eval_argv(),
-                       lambda ws: ws.tmp / "bench.jsonl", 6, 4,
-                       {"pair-id-number": edit_first_line(pair_id=5)}, True),
-    "eval-scores": (lambda ws: ws.eval_argv(), lambda ws: ws.tmp / "scores.csv", 6, 4,
-                    {"cell-not-a-number": lambda path: path.read_bytes().replace(b"0.5", b"high", 1)}, False),
-    "eval-scores-control": (lambda ws: ws.eval_argv(), lambda ws: ws.tmp / "scores_control.csv", 6, 4,
-                            {"cell-not-a-number": lambda path: path.read_bytes().replace(b"0.5", b"high", 1)}, False),
+                      lambda ws: ws.tmp / "batch.json", 6, 4, True),
+    "eval-benchmark": (lambda ws: ws.eval_argv(), lambda ws: ws.tmp / "bench.jsonl", 6, 4, True),
+    "eval-scores": (lambda ws: ws.eval_argv(), lambda ws: ws.tmp / "scores.csv", 6, 4, False),
+    "eval-scores-control": (lambda ws: ws.eval_argv(), lambda ws: ws.tmp / "scores_control.csv", 6, 4, False),
     "gap-report": (lambda ws: ["gap-report", "--recalls", str(ws.tmp / "recalls.csv"), "--out", str(ws.tmp / "reports")],
-                   lambda ws: ws.tmp / "recalls.csv", 6, 4,
-                   {"k-not-a-number": lambda path: path.read_bytes().replace(b",1,", b",one,")}, False),
+                   lambda ws: ws.tmp / "recalls.csv", 6, 4, False),
 }
 
 ACTION = "temporal.predicate.Action"
 COLOR = "counterfactual.attribute.Color"
+MALFORMED_CONFIG = "error: malformed config"
 
 
 def color_positive(pattern):
@@ -218,14 +212,21 @@ def color_positive(pattern):
 LONE = "\ud800"  # json.dumps writes it as the escape \ud800, which no UTF-8 text holds
 PAIR = "broken\U0001F600"  # json.dumps writes the emoji as the valid pair \ud83d\ude00
 HUGE = b"9" * 401  # an integer past the float range
+WIDE = b"category,direction,k,p,p_control\n"
+LONG = b"category,direction,k,pool,value\n"
 
-# Well-formed documents with a value out of contract: a config value of the
-# right JSON type but the wrong kind, NaN or Infinity anywhere (Python's json
-# reads them, RFC 8259 has no such numbers), a number too large for a float,
-# a lone surrogate escape in a string the input otherwise accepts, an empty
-# or repeated id, or a recall row `eval` never writes.
-VALUE_FAULTS = {
+# Each input's own faults: a document with a field missing or of the wrong
+# type, or a well-formed one with a value out of contract: a config value of
+# the right JSON type but the wrong kind, NaN or Infinity anywhere (Python's
+# json reads them, RFC 8259 has no such numbers), a number too large for a
+# float, a lone surrogate escape in a string the input otherwise accepts, an
+# empty or repeated id, a recall row `eval` never writes, or numbers whose
+# loss or gap is past the float range. A fault named as one of every input
+# replaces it, to say what its error line holds.
+FAULTS = {
     "config": {
+        "templates-path-list": edit_json(templates_path=["t.json"]),
+        "seed-not-a-number": edit_json(global_seed="x"),
         "seed-fraction": edit_json(global_seed=1.5),
         "seed-true": edit_json(global_seed=True),
         "seed-numeric-string": edit_json(global_seed="7"),
@@ -233,24 +234,28 @@ VALUE_FAULTS = {
         "quota-negative": edit_json(quotas={ACTION: -5}),
         "quota-fraction": edit_json(quotas={ACTION: 2.9}),
         "quota-true": edit_json(quotas={ACTION: True}),
+        "quota-not-integer": Says(MALFORMED_CONFIG, edit_json(quotas={ACTION: "many"})),
         "categories-repeated": edit_json(categories=[ACTION, "temporal.attribute.Color", ACTION]),
         "force-string": edit_json(force="false"),
         "output-dir-null": edit_json(output_dir=None),
         "profile-path-null": edit_json(profile_path=None),
         "input-glob-number": edit_json(input_glob=5),
-        "decorator-enabled-string": edit_json(decorator={
-            "enabled": "false", "endpoint": "http://localhost:9", "api_key_env": "PROBE_KEY"}),
+        "unknown-key-quota": Says(MALFORMED_CONFIG, edit_json(quota={ACTION: 1})),
+        "unknown-key-template-path": Says(MALFORMED_CONFIG, edit_json(template_path="templates.json")),
+        "decorator-unknown-key": Says(MALFORMED_CONFIG, edit_json(decorator={"enable": True})),
+        "decorator-enabled-string": Says(MALFORMED_CONFIG, edit_json(decorator={
+            "enabled": "false", "endpoint": "http://localhost:9", "api_key_env": "PROBE_KEY"})),
         "decorator-endpoint-number": edit_json(decorator={"endpoint": 5}),
         "decorator-model-name-list": edit_json(decorator={"model_name": ["m"]}),
         "decorator-api-key-env-true": edit_json(decorator={"api_key_env": True}),
         "decorator-temperature-string": edit_json(decorator={"temperature": "0.2"}),
-        "decorator-timeout-string": edit_json(decorator={"timeout_s": "10"}),
+        "decorator-timeout-string": Says(MALFORMED_CONFIG, edit_json(decorator={"timeout_s": "10"})),
         "decorator-timeout-overflow": spell(edit_json(decorator={"timeout_s": 10.5}), 10.5, "1e999"),
         "decorator-timeout-integer-overflow": spell(edit_json(decorator={"timeout_s": 10.5}), 10.5, "9" * 400),
-        "decorator-max-candidates-word": edit_json(decorator={"max_candidates": "ten"}),
+        "decorator-max-candidates-word": Says(MALFORMED_CONFIG, edit_json(decorator={"max_candidates": "ten"})),
         "decorator-max-candidates-zero": edit_json(decorator={"max_candidates": 0}),
         "decorator-max-candidates-fraction": edit_json(decorator={"max_candidates": 2.5}),
-        "categories-object": edit_json(categories={ACTION: 1}),
+        "categories-object": Says(MALFORMED_CONFIG, edit_json(categories={ACTION: 1})),
         "categories-number": edit_json(categories=[ACTION, 5]),
         "quotas-list": edit_json(quotas=[]),
         "quotas-zero": edit_json(quotas=0),
@@ -261,6 +266,9 @@ VALUE_FAULTS = {
                                               10.5, "1e999"),
     },
     "profile": {
+        "predicate-types-string": edit_json(predicate_types="Action"),
+        "vocab-value-string": edit_json(vocab=lambda v: {**v, "Color": "red"}),
+        "category-object-lacks-key": edit_json(categories=[{"method": "temporal", "target": "predicate"}]),
         "name-nan": edit_json(name=math.nan),
         "categories-repeated": edit_json(categories=lambda c: [
             *c, {"method": "temporal", "target": "predicate", "fine_type": "Action"}]),
@@ -277,7 +285,11 @@ VALUE_FAULTS = {
     # slot in a format spec, whose value would become the spec. The last two
     # render with every slot empty.
     "templates": {
+        "missing": Says("template file not found", None),
+        "templates-list": edit_json(templates=[]),
+        "connectives-number": edit_json(connectives=5),
         "connectives-infinity": edit_json(connectives=math.inf),
+        "pattern-number": edit_json(templates=lambda t: {**t, ACTION: {"positive": 5, "negative": "x"}}),
         "pattern-open-brace": color_positive("the {subject is {subject_attr}"),
         "pattern-close-brace": color_positive("the {subject} is {subject_attr}}"),
         "pattern-integer-spec": color_positive("the {subject:d} is {subject_attr}"),
@@ -289,6 +301,8 @@ VALUE_FAULTS = {
         "negative-pattern-absent": edit_json(templates=lambda t: {**t, ACTION: {"positive": t[ACTION]["positive"]}}),
     },
     "corpus": {
+        "missing-key": Says("missing key", b'{"video_id": "v"}'),
+        "video-id-number": lambda path: json.dumps({"video_id": 5}).encode(),
         "duration-nan": edit_corpus(duration_s=math.nan),
         "duration-overflow": spell(edit_corpus(duration_s=120.0), 120.0, "1e999"),
         "duration-integer-overflow": spell(edit_corpus(duration_s=120.0), 120.0, "9" * 400),
@@ -304,6 +318,7 @@ VALUE_FAULTS = {
         "time-number": edit_corpus(tuples=first_tuple(time=5)),
     },
     "graphs.jsonl": {
+        "duration-string": edit_first_line(duration_s="long"),
         "duration-nan": edit_first_line(duration_s=math.nan),
         "start-minus-infinity": edit_first_line(tuples=first_tuple(time={"start_s": -math.inf, "end_s": 1.0})),
         "tuple-id-empty": edit_first_line(tuples=first_tuple(tuple_id="")),
@@ -312,14 +327,45 @@ VALUE_FAULTS = {
         "duration-overflow-beside-pair": spell(edit_first_line(video_id=PAIR, duration_s=120.0), 120.0, "1e999"),
     },
     "records.jsonl": {
+        "invalid-json": Says("records.jsonl line 1: invalid JSON", JSON_FAULTS["invalid-json"]),
+        "format-1": Says("not a format-2 record", edit_first_line(format=1)),
+        "no-format": Says("not a format-2 record", lambda path: path.read_bytes().replace(b'{"format":2,', b"{", 1)),
+        "record-id-only": Says("not a format-2 record", b'{"record_id": "x"}\n'),
+        "unknown-video": Says("'no-such-video'", edit_first_line(video_id="no-such-video")),
+        "unknown-tuple": Says("tuple 'nope' is not in video", edit_first_line(
+            manipulated=first_tuple(tuple_id="nope"), source_tuple_ids=["nope"])),
+        "source-ids-mismatch": Says("source_tuple_ids", edit_first_line(source_tuple_ids=["nope", 7])),
+        "unknown-field": Says("'subject' is not a changeable field",
+                              edit_first_line(manipulated=first_tuple(subject="e1"))),
+        "malformed-field-value": Says("'start_s' must be a number", edit_first_line(
+            manipulated=first_tuple(time={"start_s": "soon", "end_s": 1.0}))),
+        "inverted-interval": Says("invalid interval", edit_first_line(
+            manipulated=first_tuple(time={"start_s": 2.0, "end_s": 1.0}))),
+        "unchanged": Says("left a tuple unchanged", edit_first_line(
+            manipulated=lambda changes: [{"tuple_id": change["tuple_id"]} for change in changes])),
+        "no-tuples": Says("holds no tuple", edit_first_line(manipulated=[], source_tuple_ids=[])),
+        "seed-string": Says("'seed' must be int", edit_first_line(seed="7")),
+        "seed-bool": Says("records.jsonl line 1: key 'seed' must be int", edit_first_line(seed=True)),
         "seed-nan": edit_first_line(seed=math.nan),
+        "pool-size-bool": Says("records.jsonl line 1: key 'pool_size' must be int", edit_first_line(pool_size=False)),
         "lone-surrogate": edit_first_line(record_id=lambda r: r + LONE),
     },
     "benchmark.jsonl": {
+        "empty": b"",  # a file without a line is as empty as a missing one
+        "missing-field": b'{"nope": 1}\n',
+        "pair-id-number": edit_first_line(pair_id=5),
         "pair-id-infinity": edit_first_line(pair_id=math.inf),
         "lone-surrogate": edit_first_line(pair_id=lambda p: p + LONE),
     },
     "loss-selftest": {
+        "not-an-object": Says("JSON object", JSON_FAULTS["not-an-object"]),
+        **{name: json.dumps(BATCH).encode(encoding) for name, encoding in OTHER_ENCODINGS.items()},
+        "missing-V": Says("'V'", b'{"T": [[0.1, 0.2]]}'),
+        "V-number": lambda path: b'{"V": 5, "T": [[0.1]]}',
+        "V-one-dimensional": Says("must be 2-d", batch(V=[0.1, 0.2], T=[0.3, 0.1])),
+        "V-empty": Says("at least one item and one dimension", batch(V=[[]], T=[[]])),
+        "ragged-V": Says("V is not", batch(V=[[0.1, 0.2], [0.3]], T=[[0.1, 0.2], [0.3, 0.4]])),
+        "tau-string": Says("tau", batch(tau="a")),
         "tau-nan": lambda path: b'{"tau": NaN, "V": [[0.1]], "T": [[0.1]]}',
         "V-integer-overflow": b'{"V": [[' + HUGE + b']], "T": [[0.1]]}',
         "G-integer-overflow": b'{"V": [[0.1]], "T": [[0.1]], "G": [[[' + HUGE + b']]]}',
@@ -327,65 +373,86 @@ VALUE_FAULTS = {
         "beta-integer-overflow": b'{"beta": ' + HUGE + b', "V": [[0.1]], "T": [[0.1]]}',
         "lone-surrogate": b'{"note": "\\ud800", "V": [[0.1]], "T": [[0.1]]}',
         "V-overflow-beside-pair": b'{"note": "\\ud83d\\ude00", "V": [[1e999]], "T": [[0.1]]}',
+        "G-overflow": Says("G[0] has non-finite entries",
+                           b'{"V": [[0.1, 0.2]], "T": [[0.3, 0.1]], "G": [[[1e999, 0.2]]]}'),
         "V-string": b'{"V": [["0.1"]], "T": [[0.1]]}',
         "T-true": b'{"V": [[0.1]], "T": [[true]]}',
         "G-string": b'{"V": [[0.1]], "T": [[0.1]], "G": [[["0.1"]]]}',
         "V-mixed-bool": b'{"V": [[0.1, true]], "T": [[0.1, 0.3]]}',
+        "G-number": Says("'G' must be list", batch(G=5)),
+        **{f"G-{name}": Says("'G' must be list", batch(G=G))
+           for name, G in (("zero", 0), ("object", {}), ("false", False), ("empty-string", ""),
+                           ("list-in-a-string", "[]"))},
+        "G-too-many-entries": Says("one entry per item", batch(G=[[[0.1, 0.2]], [[0.3, 0.4]]])),
+        # Finite numbers whose similarity v.t / tau is past the float range.
+        "similarity-overflow": Says("overflows a float", batch(V=[[1e308, 1e308]], T=[[1e308, 1e308]])),
+        "logit-overflow": Says("overflows a float", batch(V=[[1e200, 0], [0, 1]], T=[[1e200, 0], [0, 1]], tau=1e-200)),
     },
-    "eval-scores": {"id-over-limit-beside-high": over_limit_row},
+    "eval-scores": {
+        "cell-not-a-number": lambda path: path.read_bytes().replace(b"0.5", b"high", 1),
+        "id-over-limit-beside-high": over_limit_row,
+    },
+    "eval-scores-control": {"cell-not-a-number": lambda path: path.read_bytes().replace(b"0.5", b"high", 1)},
     "eval-benchmark": {
+        "empty": b"",
+        "invalid-json": Says("line 1: invalid JSON", JSON_FAULTS["invalid-json"]),
+        "missing-field": Says("line 1", b'{"nope": 1}\n'),
+        "text-not-string": Says("must be strings", json.dumps({
+            "pair_id": "p", "video_id": "v", "category": ACTION,
+            "positive": {"text": "a"}, "negative": {"text": 5}}).encode()),
+        "pair-id-number": edit_first_line(pair_id=5),
         "pair-id-nan": edit_first_line(pair_id=math.nan),
         "lone-surrogate": edit_first_line(pair_id=lambda p: p + LONE),
     },
     "gap-report": {
+        "k-not-a-number": lambda path: path.read_bytes().replace(b",1,", b",one,"),
         "long-value-nan": lambda path: path.read_bytes().replace(b"0.5", b"nan", 1),
         "long-value-above-one": lambda path: path.read_bytes().replace(b"0.25", b"1.25", 1),
-        "wide-p-nan": b"category,direction,k,p,p_control\nc,T2V,1,nan,0.4\n",
-        "wide-p-control-infinity": b"category,direction,k,p,p_control\nc,T2V,1,0.5,inf\n",
-        "wide-p-seven": b"category,direction,k,p,p_control\nc,T2V,1,7,0.4\n",
-        "wide-p-control-negative": b"category,direction,k,p,p_control\nc,T2V,1,0.5,-3\n",
+        "wide-p-nan": WIDE + b"c,T2V,1,nan,0.4\n",
+        "wide-p-control-infinity": WIDE + b"c,T2V,1,0.5,inf\n",
+        "wide-p-seven": WIDE + b"c,T2V,1,7,0.4\n",
+        "wide-p-control-negative": WIDE + b"c,T2V,1,0.5,-3\n",
         "wide-delta-p-infinity": b"category,direction,k,p,p_control,delta_p\nc,T2V,1,0.5,0.4,-inf\n",
         "long-direction-unknown": lambda path: path.read_bytes().replace(b"T2V", b"T2X"),
         "long-k-zero": lambda path: path.read_bytes().replace(b",1,", b",0,"),
         "long-row-repeated": lambda path: path.read_bytes() + b"c,T2V,1,control,0.75\n",
-        "wide-direction-unknown": b"category,direction,k,p,p_control\nc,T2X,1,0.5,0.4\n",
-        "wide-k-zero": b"category,direction,k,p,p_control\nc,T2V,0,0.5,0.4\n",
-        "wide-k-negative": b"category,direction,k,p,p_control\nc,V2T,-5,0.5,0.4\n",
-        "wide-row-repeated": b"category,direction,k,p,p_control\nc,T2V,1,0.5,0.4\nc,T2V,1,0.9,0.1\n",
-        "wide-category-over-limit": b"category,direction,k,p,p_control\n" + OVER_LIMIT + b",T2V,1,0.5,0.4\n",
+        "wide-direction-unknown": WIDE + b"c,T2X,1,0.5,0.4\n",
+        "wide-k-zero": WIDE + b"c,T2V,0,0.5,0.4\n",
+        "wide-k-negative": WIDE + b"c,V2T,-5,0.5,0.4\n",
+        "wide-row-repeated": WIDE + b"c,T2V,1,0.5,0.4\nc,T2V,1,0.9,0.1\n",
+        "wide-category-over-limit": WIDE + OVER_LIMIT + b",T2V,1,0.5,0.4\n",
+        # Recalls in [0, 1] whose gap (p - p_control) / p is past the float range.
+        "wide-gap-overflow": Says("line 2: delta_p must be a finite number", WIDE + b"c,T2V,1,5e-324,1\n"),
+        "long-gap-overflow": Says("delta_p must be a finite number",
+                                  LONG + b"c,T2V,1,positive,5e-324\nc,T2V,1,control,1\n"),
     },
 }
 
 # A directory where the input file should be: it cannot be read as one.
 DIRECTORY = "a directory"
 
-# Inputs for which a file without a line is as empty as a missing one.
-EMPTY_FAULTS = {"eval-benchmark": {"empty": b""}, "benchmark.jsonl": {"empty": b""}}
-
 CASES = [
     (name, fault, content)
-    for name, (_, _, _, _, own, uses_json) in INPUTS.items()
-    for fault, content in [
-        ("missing", None),
-        ("directory", DIRECTORY),
-        *EMPTY_FAULTS.get(name, {}).items(),
-        *(JSON_FAULTS if uses_json else CSV_FAULTS).items(),
-        *own.items(),
-        *VALUE_FAULTS.get(name, {}).items(),
-    ]
+    for name, (*_, uses_json) in INPUTS.items()
+    for fault, content in {
+        "missing": None,
+        "directory": DIRECTORY,
+        **(JSON_FAULTS if uses_json else CSV_FAULTS),
+        **FAULTS[name],
+    }.items()
 ]
 
 
 @pytest.mark.parametrize("name, fault, content", CASES, ids=[f"{n}-{f}" for n, f, _ in CASES])
 def test_input_fault_exit_code(tmp_path, fixtures_dir, capsys, name, fault, content):
-    reach, target_of, missing_code, malformed_code, _, _ = INPUTS[name]
+    reach, target_of, missing_code, malformed_code, _ = INPUTS[name]
+    message, content = content if isinstance(content, Says) else (FAULT_WORDS.get(fault, ""), content)
     ws = Workspace(tmp_path, fixtures_dir)
     target = target_of(ws)
     if name == "loss-selftest":
-        target.write_text(json.dumps({"V": [[0.1, 0.2]], "T": [[0.3, 0.1]]}), encoding="utf-8")
+        target.write_bytes(batch())
     if name == "gap-report":
-        target.write_text("category,direction,k,pool,value\nc,T2V,1,positive,0.5\nc,T2V,1,control,0.25\n",
-                          encoding="utf-8")
+        target.write_bytes(LONG + b"c,T2V,1,positive,0.5\nc,T2V,1,control,0.25\n")
     argv = reach(ws)
     named = str(target)
     if content is None and name == "corpus":
@@ -399,15 +466,17 @@ def test_input_fault_exit_code(tmp_path, fixtures_dir, capsys, name, fault, cont
         target.mkdir()
     else:
         target.write_bytes(content(target) if callable(content) else content)
-    before = outputs(ws.out) if ws.out.exists() else {}
+    before = outputs(ws.out) if ws.out.exists() else None
     capsys.readouterr()
 
     code = main(argv)
 
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == (missing_code if content is None or fault == "empty" else malformed_code), err
-    assert len(err.splitlines()) == 1 and err.startswith("error: ") and named in err, err
-    assert (outputs(ws.out) if ws.out.exists() else {}) == before
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and named in err and message in err, err
+    assert out == ""
+    # A failed command neither creates its output directory nor changes it.
+    assert (outputs(ws.out) if ws.out.exists() else None) == before
     assert not (tmp_path / "reports").exists()
 
 

@@ -29,12 +29,14 @@ from .helpers import (
     attr,
     default_profile,
     entity,
+    json_line,
     make_tuple,
     pred,
     random_neighborhood_tuple,
     random_observation_pair,
     random_predicate_pair,
     random_profile_corpus,
+    record_to_doc,
     span,
 )
 from .test_count_first import corpora
@@ -532,6 +534,18 @@ class TestApply:
             "^tuple 'k1': a record only changes subject_attrs, predicate, object_attrs, time$"
         )):
             records_to_jsonl([record])
+
+    def test_a_record_that_drops_a_predicate_round_trips(self, kitchen):
+        """A tuple with subject attributes may lose its predicate; the record
+        writes it as null, as json.dumps would, and reads it back."""
+        tup = kitchen.tuples_by_id["k3"]
+        record = ManipulationRecord(
+            "r", ManipulationCategory.from_key("temporal.predicate.Contact"), kitchen.video_id,
+            (tup,), (_derived(tup, predicate=None),), 7,
+        )
+        text = records_to_jsonl([record])
+        assert text == json_line(record_to_doc(record)) and '"predicate":null' in text
+        assert records_from_jsonl(text, [kitchen], "records.jsonl") == [record]
 
 
 PROFILE = default_profile()
