@@ -75,6 +75,33 @@ class TestRunCommand:
         assert main(["run", "--config", str(config_path)]) == 5
         assert main(["run", "--config", str(config_path), "--force"]) == 0
 
+    def test_missing_profile_exit_code(self, config_path, tmp_path):
+        doc = json.loads(config_path.read_text())
+        doc["profile_path"] = str(tmp_path / "nope.json")
+        config_path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(config_path)]) == 3
+
+    def test_missing_config_exit_code(self, tmp_path):
+        assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "malformed",
+        [
+            {"decorator": {"enabled": "false", "endpoint": "http://localhost:9", "api_key_env": "PROBE_KEY"}},
+            {"decorator": {"timeout_s": "10"}},
+            {"decorator": {"max_candidates": "ten"}},
+            {"categories": {"temporal.predicate.Action": 1}},
+        ],
+        ids=["decorator-enabled-string", "decorator-timeout-string", "decorator-max-candidates-word",
+             "categories-object"],
+    )
+    def test_malformed_config_exit_code(self, config_path, malformed, capsys):
+        doc = json.loads(config_path.read_text())
+        doc.update(malformed)
+        config_path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed config")
+
     @pytest.mark.parametrize("out", ["blocker", "blocker/sub"], ids=["file", "under-file"])
     @pytest.mark.parametrize("command", ["run", "ingest", "probe", "render", "emit"])
     def test_output_directory_unwritable(self, config_path, tmp_path, capsys, command, out):
@@ -244,39 +271,81 @@ class TestStagedCommands:
         assert err.startswith("error: ") and "graphs.jsonl not found" in err
         assert not (tmp_path / "out" / "benchmark.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "'seed' must be int"),
+            (b"{oops\n", "records.jsonl line 1"),
+            (b"\xff\n", "not UTF-8"),
+        ],
+        ids=["seed-string", "invalid-json", "non-utf8"],
+    )
+    def test_render_bad_records_exit_code(self, config_path, tmp_path, capsys, content, message):
+        for command in ("ingest", "probe"):
+            assert main([command, "--config", str(config_path)]) == 0
+        path = tmp_path / "out" / "records.jsonl"
+        if content is None:
+            first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            content = (json.dumps({**json.loads(first), "seed": "7"}) + "\n" + "".join(rest)).encode()
+        path.write_bytes(content)
+        capsys.readouterr()
+        assert main(["render", "--config", str(config_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out" / "benchmark.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "content", [b"\xff\n", b"{oops\n", b"[1]\n"], ids=["non-utf8", "invalid-json", "not-an-object"],
+    )
+    def test_emit_bad_pairs_exit_code(self, config_path, tmp_path, capsys, content):
+        for command in ("ingest", "probe", "render"):
+            assert main([command, "--config", str(config_path)]) == 0
+        (tmp_path / "out" / "benchmark.jsonl").write_bytes(content)
+        capsys.readouterr()
+        assert main(["emit", "--config", str(config_path)]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out" / "run_manifest.json").exists()
+
 
 class TestInputFileErrors:
-    """The input faults of the table in test_documents, through the other
-    command that reads the input: templates through run, which reads them
-    after ingest and probe, and the corpus through ingest."""
-
+    @pytest.mark.parametrize("commands", [["run"], ["ingest", "probe", "render"]], ids=["run", "render"])
     @pytest.mark.parametrize(
         "content, code, message",
         [(None, 7, "template file not found"), (b'{"templates": "\xff"}', 4, "not UTF-8")],
-        ids=["missing-run", "non-utf8-run"],
+        ids=["missing", "non-utf8"],
     )
-    def test_template_file_errors(self, config_path, tmp_path, capsys, content, code, message):
+    def test_template_file_errors(self, config_path, tmp_path, capsys, commands, content, code, message):
         templates = tmp_path / "templates.json"
         if content is not None:
             templates.write_bytes(content)
         edit_config(config_path, templates_path=str(templates))
-        assert main(["run", "--config", str(config_path)]) == code
+        *before, last = commands
+        for command in before:
+            assert main([command, "--config", str(config_path)]) == 0
+        capsys.readouterr()
+        assert main([last, "--config", str(config_path)]) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and str(templates) in err
 
     @pytest.mark.parametrize(
-        "content, message",
-        [(b"\xff", "not UTF-8"), (b"{not json", "invalid JSON"), (b'{"video_id": "v"}', "missing key")],
-        ids=["non-utf8-ingest", "invalid-json-ingest", "missing-key-ingest"],
+        "content, message, command",
+        [
+            (b"\xff", "not UTF-8", "run"),
+            (b"{not json", "invalid JSON", "run"),
+            (b"\xff", "not UTF-8", "ingest"),
+            (b"{not json", "invalid JSON", "ingest"),
+            (b'{"video_id": "v"}', "missing key", "ingest"),
+        ],
+        ids=["non-utf8-run", "invalid-json-run", "non-utf8-ingest", "invalid-json-ingest", "missing-key-ingest"],
     )
-    def test_corpus_file_errors(self, config_path, tmp_path, fixtures_dir, capsys, content, message):
+    def test_corpus_file_errors(self, config_path, tmp_path, fixtures_dir, capsys, content, message, command):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         shutil.copy(fixtures_dir / "kitchen.json", corpus)
         (corpus / "broken.json").write_bytes(content)
         edit_config(config_path, input_glob=str(corpus / "*.json"))
         capsys.readouterr()
-        assert main(["ingest", "--config", str(config_path)]) == 4
+        assert main([command, "--config", str(config_path)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and str(corpus / "broken.json") in err
         assert not (tmp_path / "out").exists()
@@ -557,13 +626,16 @@ class TestEvalCommands:
             (["--ks", ""], 2),
             (["--ks", "1,1"], 2),
             (["--directions", "T2X"], 2),
-            (["--out", "{tmp}/blocker/reports"], 2),
+            (["--scores", "{tmp}/absent.csv"], 6),
+            (["--scores-control", "{tmp}/latin1.csv"], 4),
+            (["--out", "{tmp}/latin1.csv/reports"], 2),
         ],
-        ids=["k-zero", "k-not-a-number", "ks-empty", "ks-repeated", "unknown-direction", "out-under-a-file"],
+        ids=["k-zero", "k-not-a-number", "ks-empty", "ks-repeated", "unknown-direction",
+             "missing-scores", "non-utf8-scores", "out-under-a-file"],
     )
     def test_eval_bad_input_exit_code(self, config_path, tmp_path, capsys, flags, code):
         benchmark, positive, control = self.build_benchmark(config_path, tmp_path)
-        (tmp_path / "blocker").write_text("x")
+        (tmp_path / "latin1.csv").write_bytes(b"video_id,caf\xe9\n")
         capsys.readouterr()
         argv = [
             "eval",
@@ -574,6 +646,26 @@ class TestEvalCommands:
         ]
         assert main(argv + [flag.format(tmp=tmp_path) for flag in flags]) == code
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "reports").exists()
+
+    @pytest.mark.parametrize(
+        "content, message", [(b"\xff\n", "not UTF-8"), (b"{oops\n", "line 1")], ids=["non-utf8", "invalid-json"],
+    )
+    def test_eval_bad_benchmark_exit_code(self, config_path, tmp_path, capsys, content, message):
+        _, positive, control = self.build_benchmark(config_path, tmp_path)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(content)
+        capsys.readouterr()
+        argv = [
+            "eval",
+            "--benchmark", str(bad),
+            "--scores", str(positive),
+            "--scores-control", str(control),
+            "--out", str(tmp_path / "reports"),
+        ]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
         assert not (tmp_path / "reports").exists()
 
     def test_npz_scores_give_the_csv_reports(self, config_path, tmp_path, capsys):
@@ -760,6 +852,19 @@ class TestLossSelftest:
         assert main(["loss-selftest", "--input", str(path)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["loss"] == 0.0
+
+    def test_bad_json_exit_code(self, tmp_path):
+        path = tmp_path / "batch.json"
+        path.write_text("{oops", encoding="utf-8")
+        assert main(["loss-selftest", "--input", str(path)]) == 4
+
+    @pytest.mark.parametrize("doc, field", [([[0.1, 0.2]], "JSON object")], ids=["array-document"])
+    def test_malformed_document_exit_code(self, tmp_path, capsys, doc, field):
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["loss-selftest", "--input", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
 
     @pytest.mark.parametrize("G", [None, []], ids=["null", "empty-list"])
     def test_null_or_empty_G_means_no_generated_negatives(self, tmp_path, capsys, G):
