@@ -24,11 +24,10 @@ POSITIVE = "positive"
 NEGATIVE = "negative"
 
 _BASE_SLOTS = ("subject", "subject_attr", "predicate", "object", "object_attr")
-ALLOWED_SLOTS = frozenset(
-    [*_BASE_SLOTS, "connective"]
-    + [f"{name}1" for name in _BASE_SLOTS]
-    + [f"{name}2" for name in _BASE_SLOTS]
-)
+# The slots one tuple fills, by suffix: none for a record's one tuple, "1"
+# and "2" for the earlier and the later of two.
+_SLOT_NAMES = {suffix: tuple(name + suffix for name in _BASE_SLOTS) for suffix in ("", "1", "2")}
+ALLOWED_SLOTS = frozenset(["connective", *(name for names in _SLOT_NAMES.values() for name in names)])
 
 
 class _Caption(NamedTuple):
@@ -145,15 +144,16 @@ def _tuple_slots(
     fine type, so a pattern can never pick up an unrelated attribute.
     """
     fine = category.fine_type if category.target == "attribute" else None
-    slots: dict[str, str] = {f"subject{suffix}": tup.subject.name}
+    subject, subject_attr, predicate, obj, object_attr = _SLOT_NAMES[suffix]
+    slots = {subject: tup.subject.name}
     if tup.predicate is not None:
-        slots[f"predicate{suffix}"] = tup.predicate.value
+        slots[predicate] = tup.predicate.value
     if tup.object is not None:
-        slots[f"object{suffix}"] = tup.object.name
-    for name, attrs in (("subject_attr", tup.subject_attrs), ("object_attr", tup.object_attrs)):
-        idx = shown_index(attrs, fine)
+        slots[obj] = tup.object.name
+    for name, attrs in ((subject_attr, tup.subject_attrs), (object_attr, tup.object_attrs)):
+        idx = shown_index(attrs, fine) if attrs else None
         if idx is not None:
-            slots[f"{name}{suffix}"] = attrs[idx].value
+            slots[name] = attrs[idx].value
     return slots
 
 
@@ -167,13 +167,12 @@ def _render_one(
     pattern = templates.patterns.get((key, polarity))
     if pattern is None:
         raise TemplateError(f"no {polarity} template for category {key!r}")
-    ordered = time_order(tuples)
-    slots: dict[str, str] = {}
-    if len(ordered) == 1:
-        slots.update(_tuple_slots(ordered[0], record.category))
+    if len(tuples) == 1:
+        slots = _tuple_slots(tuples[0], record.category)
     else:
-        slots.update(_tuple_slots(ordered[0], record.category, suffix="1"))
-        slots.update(_tuple_slots(ordered[1], record.category, suffix="2"))
+        ordered = time_order(tuples)
+        slots = _tuple_slots(ordered[0], record.category, "1")
+        slots.update(_tuple_slots(ordered[1], record.category, "2"))
     if polarity in templates.connectives:
         slots["connective"] = templates.connectives[polarity]
     try:
@@ -191,11 +190,9 @@ def render_pair(record: ManipulationRecord, templates: TemplateTable) -> Caption
     """Render the positive caption from the record's original tuples and the
     negative caption from the manipulated ones."""
     return CaptionPair(
-        pair_id=record.record_id,
-        video_id=record.video_id,
-        category=record.category,
-        positive=_render_one(record, record.original, templates, POSITIVE),
-        negative=_render_one(record, record.manipulated, templates, NEGATIVE),
+        record.record_id, record.video_id, record.category,
+        _render_one(record, record.original, templates, POSITIVE),
+        _render_one(record, record.manipulated, templates, NEGATIVE),
     )
 
 
@@ -242,21 +239,26 @@ def _pair_line(pair: CaptionPair) -> str:
 
 
 def pair_from_doc(doc: Any) -> CaptionPair:
+    if not isinstance(doc, dict):
+        raise MalformedDocument("top-level value must be a JSON object")
     try:
         pair_id, video_id, category = doc["pair_id"], doc["video_id"], doc["category"]
-        positive, negative = doc["positive"], doc["negative"]
-        texts = positive["text"], negative["text"]
-        renderers = positive.get("renderer", "template"), negative.get("renderer", "template")
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise MalformedDocument(f"caption pair incomplete: {exc!r}") from None
-    if not all(isinstance(v, str) for v in (pair_id, video_id, category, *texts)):
+        positive, negative = doc[POSITIVE], doc[NEGATIVE]
+    except KeyError as exc:
+        raise MalformedDocument(f"missing key {exc.args[0]!r}") from None
+    for polarity, caption in ((POSITIVE, positive), (NEGATIVE, negative)):
+        if not isinstance(caption, dict):
+            raise MalformedDocument(f"{polarity!r} must be a JSON object")
+        if "text" not in caption:
+            raise MalformedDocument(f"missing key 'text' in {polarity!r}")
+    texts = positive["text"], negative["text"]
+    if not (isinstance(pair_id, str) and isinstance(video_id, str) and isinstance(category, str)
+            and isinstance(texts[0], str) and isinstance(texts[1], str)):
         raise MalformedDocument(f"pair {pair_id!r}: ids, category and texts must be strings")
     return CaptionPair(
-        pair_id=pair_id,
-        video_id=video_id,
-        category=ManipulationCategory.from_key(category),
-        positive=Caption(texts[0], renderers[0]),
-        negative=Caption(texts[1], renderers[1]),
+        pair_id, video_id, ManipulationCategory.from_key(category),
+        Caption(texts[0], positive.get("renderer", "template")),
+        Caption(texts[1], negative.get("renderer", "template")),
     )
 
 

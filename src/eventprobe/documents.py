@@ -18,6 +18,7 @@ import os
 import re
 from contextlib import contextmanager
 from pathlib import Path
+from json.decoder import WHITESPACE
 from json.encoder import encode_basestring
 from typing import Any, BinaryIO, Callable, Iterator, Mapping, Sequence
 
@@ -82,11 +83,20 @@ def _json_value(text: str) -> Any:
     raises RecursionError for nesting deeper than Python's recursion limit
     and ValueError for an integer past its 4,300-digit limit. A lone
     surrogate escape is rejected too; the value is encoded to find one only
-    when the text has a surrogate escape at all."""
+    when the text has a surrogate escape at all. The decoder's scanner reads
+    a value that starts the text; anything else, valid or not, is decoded
+    again by decode, which gives the value or json's own error."""
     try:
-        value = _DECODER.decode(text)
-    except (ValueError, RecursionError) as exc:
-        raise MalformedDocument(f"invalid JSON: {exc}") from None
+        value, end = _DECODER.scan_once(text, 0)
+        if end != len(text):
+            end = WHITESPACE.match(text, end).end()
+    except (StopIteration, ValueError, RecursionError):
+        end = -1
+    if end != len(text):
+        try:
+            value = _DECODER.decode(text)
+        except (ValueError, RecursionError) as exc:
+            raise MalformedDocument(f"invalid JSON: {exc}") from None
     if _SURROGATE_ESCAPE.search(text):
         try:
             _SURROGATE_CHECK.encode(value).encode("utf-8")

@@ -87,8 +87,8 @@ class ManipulationRecord(_ManipulationRecord):
 
 def _derived(item: Any, **fields: Any) -> Any:
     """item with fields replaced, built through its type's constructor, so a
-    derived value is checked as a parsed one is. Every derived tuple is
-    built here."""
+    derived value is checked as a parsed one is. Every operator builds its
+    tuples here; record_from_doc calls EventTuple itself."""
     values = [*map(fields.pop, item._fields, item)]
     if fields:
         raise TypeError(f"{type(item).__name__} has no field {', '.join(fields)}")
@@ -565,16 +565,24 @@ def apply_corpus(
 # --- record serialization --------------------------------------------------------
 
 
+# Each changeable field by name, in document order: its index in an
+# EventTuple, its `,"name":` key text, its writer and its parser.
+_FIELDS = {
+    name: (EventTuple._fields.index(name), f",{json_string(name)}:", write, parse)
+    for name, (write, parse) in TUPLE_FIELDS.items()
+}
+
+
 def _changes_text(original: EventTuple, manipulated: EventTuple) -> str:
     """The manipulated tuple as its tuple_id plus the fields it changed."""
     same = (original.tuple_id, original.subject, original.object)
     if (manipulated.tuple_id, manipulated.subject, manipulated.object) != same:
         raise MalformedDocument(f"tuple {original.tuple_id!r}: a record only changes {', '.join(TUPLE_FIELDS)}")
     text = f'{{"tuple_id":{json_string(manipulated.tuple_id)}'
-    for name, (write, _) in TUPLE_FIELDS.items():
-        value = getattr(manipulated, name)
-        if value != getattr(original, name):
-            text += f",{json_string(name)}:{write(value)}"
+    for index, key, write, _ in _FIELDS.values():
+        value = manipulated[index]
+        if value != original[index]:
+            text += key + write(value)
     return text + "}"
 
 
@@ -599,7 +607,8 @@ def record_from_doc(
     """Inverse of _record_line; originals come from the record's graph.
 
     Each manipulated tuple is its original with the changed fields laid
-    over it, parsed by the scene-graph field parsers.
+    over it, parsed by the scene-graph field parsers. A record holds as
+    many tuples as its method's operator makes: two for temporal, else one.
     """
     if not isinstance(doc, dict) or doc.get("format") != RECORDS_FORMAT:
         raise MalformedDocument(
@@ -615,26 +624,29 @@ def record_from_doc(
         orig = tuples.get(tuple_id) if isinstance(tuple_id, str) else None
         if orig is None:
             raise MalformedDocument(f"tuple {tuple_id!r} is not in video {video_id!r}")
-        fields = {}
+        values = list(orig)
         for name, raw in change.items():
             if name != "tuple_id":
-                if name not in TUPLE_FIELDS:
+                field = _FIELDS.get(name)
+                if field is None:
                     raise MalformedDocument(f"tuple {tuple_id!r}: {name!r} is not a changeable field")
-                fields[name] = TUPLE_FIELDS[name][1](raw, tuple_id)
+                values[field[0]] = field[3](raw, tuple_id)
         original.append(orig)
-        manipulated.append(_derived(orig, **fields))
+        manipulated.append(EventTuple(*values))
     # key=str keeps the sort total when a document puts a non-string id here.
     if sorted(t.tuple_id for t in original) != sorted(require(doc, "source_tuple_ids", list), key=str):
         raise MalformedDocument("source_tuple_ids must name the manipulated tuples")
-    return ManipulationRecord(
-        record_id=require(doc, "record_id", str),
-        category=ManipulationCategory.from_key(require(doc, "category", str)),
-        video_id=video_id,
-        original=tuple(original),
-        manipulated=tuple(manipulated),
-        seed=require(doc, "seed", int),
-        pool_size=require(doc, "pool_size", int) if "pool_size" in doc else None,
+    record = ManipulationRecord(
+        require(doc, "record_id", str), ManipulationCategory.from_key(require(doc, "category", str)),
+        video_id, tuple(original), tuple(manipulated), require(doc, "seed", int),
+        require(doc, "pool_size", int) if "pool_size" in doc else None,
     )
+    # As many tuples as apply_site returns for the record's method.
+    method = record.category.method
+    if len(original) != (2 if method == "temporal" else 1):
+        want = "2 tuples" if method == "temporal" else "1 tuple"
+        raise MalformedDocument(f"a {method} record holds {want}, not {len(original)}")
+    return record
 
 
 def records_to_jsonl(records: Iterable[ManipulationRecord]) -> str:

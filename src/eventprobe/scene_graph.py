@@ -313,13 +313,13 @@ def parse_scene_graph(document: Any) -> SceneGraph:
         obj = raw.get("object")
         tuples.append(
             EventTuple(
-                tuple_id=tuple_id,
-                subject=resolve(require(raw, "subject", str), tuple_id),
-                subject_attrs=_parse_attrs(raw.get("subject_attrs"), tuple_id),
-                predicate=_parse_predicate(raw.get("predicate"), tuple_id),
-                object=None if obj is None else resolve(require(raw, "object", str), tuple_id),
-                object_attrs=_parse_attrs(raw.get("object_attrs"), tuple_id),
-                time=_parse_time(raw.get("time"), tuple_id),
+                tuple_id,
+                resolve(require(raw, "subject", str), tuple_id),
+                _parse_attrs(raw.get("subject_attrs"), tuple_id),
+                _parse_predicate(raw.get("predicate"), tuple_id),
+                None if obj is None else resolve(require(raw, "object", str), tuple_id),
+                _parse_attrs(raw.get("object_attrs"), tuple_id),
+                _parse_time(raw.get("time"), tuple_id),
             )
         )
 

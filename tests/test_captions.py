@@ -224,3 +224,24 @@ class TestPairSerialization:
         assert line == json_line(pair_to_doc(pair))
         assert list(json.loads(line)) == ["pair_id", "video_id", "category", "positive", "negative"]
         assert pair_from_doc(pair_to_doc(pair)).pair_id == pair.pair_id
+
+
+PAIR_DOC = {"pair_id": "p", "video_id": "v", "category": "temporal.predicate.Action",
+            "positive": {"text": "a"}, "negative": {"text": "b"}}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "top-level value must be a JSON object"),
+    ({"nope": 1}, "missing key 'pair_id'"),
+    ({**PAIR_DOC, "positive": "a"}, "'positive' must be a JSON object"),
+    ({**PAIR_DOC, "negative": None}, "'negative' must be a JSON object"),
+    ({**PAIR_DOC, "negative": {"renderer": "template"}}, "missing key 'text' in 'negative'"),
+    ({**PAIR_DOC, "video_id": 5}, "pair 'p': ids, category and texts must be strings"),
+], ids=["array", "no-pair-id", "positive-string", "negative-null", "negative-no-text", "video-id-number"])
+def test_a_malformed_pair_says_what_it_lacks(doc, message):
+    """Each doc is PAIR_DOC, which reads, with one fault."""
+    with pytest.raises(MalformedDocument) as caught:
+        pair_from_doc(doc)
+    assert str(caught.value) == message
+    assert pair_from_doc(PAIR_DOC) == CaptionPair("p", "v", ManipulationCategory.from_key(PAIR_DOC["category"]),
+                                                  Caption("a", "template"), Caption("b", "template"))

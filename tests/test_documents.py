@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eventprobe
-from eventprobe import errors
+from eventprobe import documents, errors
 from eventprobe.captions import Caption, CaptionPair, default_templates, pairs_from_jsonl, pairs_to_jsonl, render_pair
 from eventprobe.cli import main
 from eventprobe.manipulate import _derived, apply_corpus, records_from_jsonl, records_to_jsonl
@@ -344,6 +344,12 @@ FAULTS = {
         "unchanged": Says("left a tuple unchanged", edit_first_line(
             manipulated=lambda changes: [{"tuple_id": change["tuple_id"]} for change in changes])),
         "no-tuples": Says("holds no tuple", edit_first_line(manipulated=[], source_tuple_ids=[])),
+        # The first record is a temporal one of focker's m1 and m4.
+        "temporal-three-tuples": Says("records.jsonl line 1: a temporal record holds 2 tuples, not 3", edit_first_line(
+            manipulated=lambda changes: [*changes, {"tuple_id": "m3", "time": {"start_s": 80.0, "end_s": 85.0}}],
+            source_tuple_ids=lambda ids: [*ids, "m3"])),
+        "counterfactual-two-tuples": Says("records.jsonl line 1: a counterfactual record holds 1 tuple, not 2",
+                                          edit_first_line(category="counterfactual.predicate.Action")),
         "seed-string": Says("'seed' must be int", edit_first_line(seed="7")),
         "seed-bool": Says("records.jsonl line 1: key 'seed' must be int", edit_first_line(seed=True)),
         "seed-nan": edit_first_line(seed=math.nan),
@@ -352,7 +358,8 @@ FAULTS = {
     },
     "benchmark.jsonl": {
         "empty": b"",  # a file without a line is as empty as a missing one
-        "missing-field": b'{"nope": 1}\n',
+        "not-an-object": Says("JSON object", JSON_FAULTS["not-an-object"]),
+        "missing-field": Says("missing key", b'{"nope": 1}\n'),
         "pair-id-number": edit_first_line(pair_id=5),
         "pair-id-infinity": edit_first_line(pair_id=math.inf),
         "lone-surrogate": edit_first_line(pair_id=lambda p: p + LONE),
@@ -396,6 +403,7 @@ FAULTS = {
     "eval-benchmark": {
         "empty": b"",
         "invalid-json": Says("line 1: invalid JSON", JSON_FAULTS["invalid-json"]),
+        "not-an-object": Says("JSON object", JSON_FAULTS["not-an-object"]),
         "missing-field": Says("line 1", b'{"nope": 1}\n'),
         "text-not-string": Says("must be strings", json.dumps({
             "pair_id": "p", "video_id": "v", "category": ACTION,
@@ -569,13 +577,71 @@ def test_each_writer_writes_what_json_dumps_writes(seed):
     records = apply_corpus(graphs, WRITER_PROFILE, {}, seed)
     templates = default_templates()
     pairs = [render_pair(record, templates) for record in records]
-    for writer, oracle, values in (
-        (graphs_to_jsonl, scene_graph_to_doc, graphs),
-        (records_to_jsonl, record_to_doc, records),
-        (pairs_to_jsonl, pair_to_doc, pairs),
+    for writer, oracle, read, values in (
+        (graphs_to_jsonl, scene_graph_to_doc, lambda text: graphs_from_jsonl(text, "graphs.jsonl"), graphs),
+        (records_to_jsonl, record_to_doc, lambda text: records_from_jsonl(text, graphs, "records.jsonl"), records),
+        (pairs_to_jsonl, pair_to_doc, lambda text: pairs_from_jsonl(text, "benchmark.jsonl"), pairs),
     ):
-        assert writer(values).split("\n") == "".join(json_line(oracle(value)) for value in values).split("\n")
+        text = writer(values)
+        assert text.split("\n") == "".join(json_line(oracle(value)) for value in values).split("\n")
+        assert read(text) == values
     assert records and pairs
+
+
+def decoded_once(text):
+    """The reference for _json_value: the value of one decode call, or its
+    error, then the lone surrogate check."""
+    try:
+        value = documents._DECODER.decode(text)
+    except (ValueError, RecursionError) as exc:
+        raise errors.MalformedDocument(f"invalid JSON: {exc}") from None
+    if documents._SURROGATE_ESCAPE.search(text):
+        try:
+            documents._SURROGATE_CHECK.encode(value).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise errors.MalformedDocument(f"invalid JSON: lone surrogate {exc.object[exc.start]!r}") from None
+    return value
+
+
+def outcome(read, text):
+    try:
+        return "value", read(text)
+    except errors.MalformedDocument as exc:
+        return "error", str(exc)
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+DECODER_INPUTS = {
+    "empty": "", "blank": "  ", "leading-spaces": '  {"a": 1}', "trailing-spaces": '{"a": 1}  ',
+    "trailing-cr": '{"a": 1}\r', "trailing-newline": '{"a": 1}\n', "trailing-crlf": "[1]\r\n",
+    "trailing-data": '{"a":1} x', "two-values": "1 2", "nan": "NaN", "nan-inside": '{"a": NaN}',
+    "overflow": "1e999", "huge-integer": "1" * 5_001, "huge-integer-inside": '{"a": ' + "1" * 5_001 + "}",
+    "deep-nesting": DEEP, "deep-nesting-trailing-space": DEEP + " ", "surrogate-pair": '"\\ud83d\\ude00"',
+    "lone-surrogate": '{"a": "\\ud800"}', "truncated": '{"a": [1, 2', "string": '"text"\n',
+}
+
+
+@pytest.mark.parametrize("text", DECODER_INPUTS.values(), ids=DECODER_INPUTS)
+def test_the_scanner_reads_what_one_decode_reads(text):
+    assert outcome(documents._json_value, text) == outcome(decoded_once, text)
+
+
+def test_a_lone_surrogate_on_a_later_line_names_its_line(monkeypatch):
+    text = '{"a": "\\ud83d\\ude00"}\n{"b": "\\ud800"}\n'
+    found = outcome(lambda text: documents.parse_jsonl(text, dict, "x.jsonl"), text)
+    assert found == ("error", "x.jsonl line 2: invalid JSON: lone surrogate '\\ud800'")
+    monkeypatch.setattr(documents, "_json_value", decoded_once)
+    assert outcome(lambda text: documents.parse_jsonl(text, dict, "x.jsonl"), text) == found
+
+
+def test_a_document_that_ends_in_a_newline_is_decoded_once(fixtures_dir, monkeypatch):
+    """Trailing whitespace after a scanned value is skipped, not decoded again."""
+    calls = []
+    decode = documents._DECODER.decode
+    monkeypatch.setattr(documents._DECODER, "decode", lambda text: calls.append(text) or decode(text))
+    text = (fixtures_dir / "kitchen.json").read_text(encoding="utf-8")
+    assert text.endswith("\n") and documents.parse_json(text) == json.loads(text)
+    assert calls == []
 
 
 @pytest.mark.parametrize("case", ["duration-nan", "time-infinity", "record-time-infinity"])

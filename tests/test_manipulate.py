@@ -540,7 +540,7 @@ class TestApply:
         writes it as null, as json.dumps would, and reads it back."""
         tup = kitchen.tuples_by_id["k3"]
         record = ManipulationRecord(
-            "r", ManipulationCategory.from_key("temporal.predicate.Contact"), kitchen.video_id,
+            "r", ManipulationCategory.from_key("counterfactual.predicate.Contact"), kitchen.video_id,
             (tup,), (_derived(tup, predicate=None),), 7,
         )
         text = records_to_jsonl([record])
