@@ -104,6 +104,8 @@ class PipelineConfig:
             if not output_dir:  # Path("") is the working directory
                 raise MalformedDocument("key 'output_dir' must name a directory, got an empty string")
             templates_path = merged.get("templates_path")
+            if templates_path is not None and not require(merged, "templates_path", str):
+                raise MalformedDocument("key 'templates_path' must name a file, got an empty string")
             decorator = {} if merged.get("decorator") is None else require(merged, "decorator", dict)
             return cls(
                 global_seed=require(merged, "global_seed", int),
@@ -112,7 +114,7 @@ class PipelineConfig:
                 output_dir=output_dir,
                 quotas=dict(quotas),
                 categories=categories,
-                templates_path=None if templates_path is None else require(merged, "templates_path", str),
+                templates_path=templates_path,
                 decorator=DecoratorConfig(**decorator),
                 force=require(merged, "force", bool) if "force" in merged else False,
             )
@@ -221,7 +223,7 @@ def _probe(config: PipelineConfig, values: Mapping[str, Any], started_at: float)
 
 def _render(config: PipelineConfig, values: Mapping[str, Any], started_at: float) -> list:
     templates = (
-        load_templates(config.templates_path) if config.templates_path else default_templates()
+        load_templates(config.templates_path) if config.templates_path is not None else default_templates()
     )
     pairs = []
     for record in values["probe"]:

@@ -6,10 +6,7 @@ from hypothesis import settings
 from eventprobe.captions import default_templates
 from eventprobe.scene_graph import load_scene_graph
 
-from .helpers import default_profile
-
-FIXTURES = Path(__file__).parent / "fixtures"
-CORPUS_FILES = ("focker.json", "forrest.json", "kitchen.json")
+from .helpers import CORPUS_FILES, FIXTURES, PROFILE, Workspace
 
 # Property tests draw a fixed, bounded set of examples: the suite gives the
 # same result on every run, needs no example database, and stays fast.
@@ -26,7 +23,13 @@ def fixtures_dir() -> Path:
 
 @pytest.fixture(scope="session")
 def profile():
-    return default_profile()
+    return PROFILE
+
+
+@pytest.fixture()
+def ws(tmp_path):
+    """A Workspace over the fixture corpus in tmp_path."""
+    return Workspace(tmp_path)
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,15 @@
-"""Builders and randomized generators shared by unit and acceptance tests."""
+"""The shared test harness: builders, randomized generators, a workspace
+for the eventprobe command, and the reference oracles that unit and
+acceptance tests check the program against."""
 
 from __future__ import annotations
 
 import csv
 import io
 import json
+import math
 import random
+import shutil
 import string as _string
 import tempfile
 from dataclasses import replace
@@ -13,11 +17,15 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from eventprobe.captions import CaptionPair
+from eventprobe.cli import main
 from eventprobe.errors import MalformedDocument
 from eventprobe.evaluate import ScoreMatrix, load_score_matrix
+from eventprobe.losses import LossBatch
 from eventprobe.manipulate import RECORDS_FORMAT, AttributeObservation, ManipulationRecord, _derived
+from eventprobe.pipeline import PipelineConfig
 from eventprobe.profiles import DatasetProfile, parse_profile
 from eventprobe.scene_graph import (
     TUPLE_FIELDS,
@@ -29,12 +37,16 @@ from eventprobe.scene_graph import (
     TimeInterval,
 )
 
+FIXTURES = Path(__file__).parent / "fixtures"
+CORPUS_FILES = ("focker.json", "forrest.json", "kitchen.json")
 
-def default_profile() -> DatasetProfile:
-    """The profile shipped with the package (matches the built-in templates)."""
-    text = resources.files("eventprobe.data").joinpath("profile_default.json").read_text("utf-8")
-    return parse_profile(json.loads(text))
 
+def package_text(name: str) -> str:
+    return resources.files("eventprobe.data").joinpath(name).read_text("utf-8")
+
+
+# The profile shipped with the package (matches the built-in templates).
+PROFILE = parse_profile(json.loads(package_text("profile_default.json")))
 
 WORDS = (
     "amber", "basalt", "cedar", "drift", "ember", "fjord", "garnet", "heath",
@@ -228,6 +240,53 @@ def with_objects(graph: SceneGraph) -> SceneGraph:
     ))
 
 
+# --- hypothesis corpora -------------------------------------------------------
+# Graphs drawn with few entities, few distinct times and few values, so that
+# pairs at the same time, with the same key, and with both, are all common.
+
+TIMES = (TimeInterval(0.0, 1.0), TimeInterval(2.0, 2.0), TimeInterval(0.0, 3.0))
+
+
+def _values(type_name):
+    return st.sampled_from(PROFILE.vocab[type_name][:2])
+
+
+@st.composite
+def graphs(draw, video_id="v0"):
+    entities = tuple(
+        EntityRef(f"e{i}", f"thing {i}") for i in range(draw(st.integers(1, 3)))
+    )
+    tuples = []
+    for t in range(draw(st.integers(0, 9))):
+        colors = draw(st.lists(_values("Color"), max_size=2))
+        pred_type = draw(st.sampled_from([None, "Action", "Contact"]))
+        if pred_type is None and not colors:
+            pred_type = "Action"
+        obj = draw(st.sampled_from((None, *entities)))
+        obj_colors = draw(st.lists(_values("Color"), max_size=2)) if obj else []
+        tuples.append(
+            EventTuple(
+                tuple_id=f"t{draw(st.integers(0, 99)):02d}-{t}",
+                subject=draw(st.sampled_from(entities)),
+                subject_attrs=tuple(AttributeValue(c, "Color") for c in colors),
+                predicate=(
+                    None
+                    if pred_type is None
+                    else PredicateValue(draw(_values(pred_type)), pred_type)
+                ),
+                object=obj,
+                object_attrs=tuple(AttributeValue(c, "Color") for c in obj_colors),
+                time=draw(st.sampled_from(TIMES)),
+            )
+        )
+    return SceneGraph(video_id, 10.0, entities, tuple(tuples))
+
+
+corpora = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(*(graphs(f"v{i}") for i in range(n)))
+)
+
+
 # --- the JSONL writers' oracles ----------------------------------------------
 # Each artifact line as a dict, built field by field from the values:
 # json_line of the dict is the line the program's writer must write.
@@ -352,3 +411,177 @@ def csv_reader_score_matrix(text: str) -> ScoreMatrix:
         caption_ids=caption_ids,
         scores=np.array(rows, dtype=np.float64).reshape(len(video_ids), len(caption_ids)),
     )
+
+
+def write_scores(path: Path, video_ids, caption_ids, scores) -> None:
+    """A score CSV: a header of caption_ids, then one row of scores per video.
+    Each score is written as repr(float(x)), which reads back exactly."""
+    lines = ["video_id," + ",".join(caption_ids) + "\n"]
+    lines += [v + "," + ",".join(repr(float(x)) for x in row) + "\n" for v, row in zip(video_ids, scores)]
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def tied(video_ids, pairs):
+    """Every score 0.5."""
+    return [[0.5] * len(pairs) for _ in video_ids]
+
+
+# --- a workspace for the eventprobe command -------------------------------------
+
+
+def outputs(out_dir):
+    """Every entry of out_dir by name: a file's bytes, a directory's own
+    outputs, or for the run manifest, which holds wall-clock timestamps,
+    its digest."""
+    files = {p.name: outputs(p) if p.is_dir() else p.read_bytes() for p in sorted(out_dir.iterdir())}
+    if "run_manifest.json" in files:
+        files["run_manifest.json"] = json.loads(files["run_manifest.json"])["digest"]
+    return files
+
+
+class Workspace:
+    """A valid config in tmp, seed 42 unless config says otherwise, naming
+    the default profile, a corpus and the output directory tmp/out, and with
+    templates, the shipped template table; plus helpers that build the
+    inputs of later commands. The corpus is a copy of the fixtures, or
+    corpus/NAME.json for each (NAME, graph) in graphs."""
+
+    def __init__(self, tmp: Path, graphs=None, *, templates: bool = False, **config):
+        self.tmp, self.out = tmp, tmp / "out"
+        self.profile, self.templates = tmp / "profile.json", tmp / "templates.json"
+        self.corpus, self.config = tmp / "corpus", tmp / "config.json"
+        self.benchmark, self.scores, self.scores_control = tmp / "bench.jsonl", tmp / "scores.csv", tmp / "scores_control.csv"
+        self.profile.write_text(package_text("profile_default.json"), encoding="utf-8")
+        shutil.rmtree(self.corpus, ignore_errors=True)
+        self.corpus.mkdir()
+        if graphs is None:
+            for name in CORPUS_FILES:
+                shutil.copy(FIXTURES / name, self.corpus)
+        for name, graph in graphs or ():
+            (self.corpus / f"{name}.json").write_text(json.dumps(scene_graph_to_doc(graph)), encoding="utf-8")
+        doc = {"global_seed": 42, "profile_path": str(self.profile),
+               "input_glob": str(self.corpus / "*.json"), "output_dir": str(self.out)}
+        if templates:
+            self.templates.write_text(package_text("templates_t1.json"), encoding="utf-8")
+            doc["templates_path"] = str(self.templates)
+        self.config.write_text(json.dumps({**doc, **config}), encoding="utf-8")
+
+    def edit(self, **changes):
+        """Sets keys of the config file."""
+        self.config.write_text(json.dumps(self.doc(**changes)), encoding="utf-8")
+
+    def doc(self, **changes) -> dict:
+        return {**json.loads(self.config.read_text(encoding="utf-8")), **changes}
+
+    def pipeline_config(self, **changes) -> PipelineConfig:
+        """The config with changes, as run_pipeline takes it."""
+        return PipelineConfig.from_doc(self.doc(**changes))
+
+    def command(self, *names):
+        """Runs every named stage command but the last; returns the last's argv."""
+        *before, last = names
+        for name in before:
+            assert main([name, "--config", str(self.config)]) == 0, name
+        return [last, "--config", str(self.config)]
+
+    def eval_argv(self, positive=tied, control=tied):
+        """Runs `run`; returns eval's argv over a copy of its benchmark and
+        the score CSVs of positive(video_ids, pairs) and control(video_ids,
+        pairs), where pairs are the benchmark's lines as dicts."""
+        assert main(["run", "--config", str(self.config)]) == 0
+        shutil.copy(self.out / "benchmark.jsonl", self.benchmark)
+        pairs = [json.loads(line) for line in self.benchmark.read_text(encoding="utf-8").splitlines()]
+        video_ids = sorted({p["video_id"] for p in pairs})
+        caption_ids = [p["pair_id"] for p in pairs]
+        write_scores(self.scores, video_ids, caption_ids, positive(video_ids, pairs))
+        write_scores(self.scores_control, video_ids, caption_ids, control(video_ids, pairs))
+        return ["eval", "--benchmark", str(self.benchmark), "--scores", str(self.scores),
+                "--scores-control", str(self.scores_control), "--out", str(self.tmp / "reports")]
+
+
+# --- independent oracle -------------------------------------------------------
+# Exhaustive sort-based ranking, deliberately different from the counting
+# implementation under test: sort candidates by score, then walk the sorted
+# list and take the LAST position still tied with the correct item.
+
+
+def oracle_rank(values, correct):
+    order = sorted(range(len(values)), key=lambda i: (-values[i], i))
+    rank = 0
+    for position, idx in enumerate(order, start=1):
+        if values[idx] == values[correct]:
+            rank = position
+    return rank
+
+
+def oracle_recall(matrix, gt, k, direction):
+    hits = 0
+    if direction == "T2V":
+        queries = sorted(gt.caption_to_video)
+        for caption_id in queries:
+            col = matrix.caption_ids.index(caption_id)
+            row = matrix.video_ids.index(gt.caption_to_video[caption_id])
+            values = [matrix.scores[r][col] for r in range(len(matrix.video_ids))]
+            if oracle_rank(values, row) <= k:
+                hits += 1
+        return hits / len(queries)
+    queries = sorted(gt.video_to_captions)
+    for video_id in queries:
+        row = matrix.video_ids.index(video_id)
+        values = list(matrix.scores[row])
+        best = min(
+            oracle_rank(values, matrix.caption_ids.index(c))
+            for c in gt.video_to_captions[video_id]
+        )
+        if best <= k:
+            hits += 1
+    return hits / len(queries)
+
+
+# --- the InfoNCE oracle and random loss batches ------------------------------
+
+
+def infonce_oracle(V, T, tau):
+    """Symmetric softmax cross-entropy on the full similarity matrix."""
+    S = (V @ T.T) / tau
+    n = S.shape[0]
+    total = 0.0
+    for i in range(n):
+        row = S[i]
+        col = S[:, i]
+        total += -(row[i] - _lse(row)) - (col[i] - _lse(col))
+    return total / n
+
+
+def _lse(x):
+    m = np.max(x)
+    return m + math.log(np.sum(np.exp(x - m)))
+
+
+def random_batch(
+    rng: np.random.Generator,
+    n_max: int = 8,
+    d_max: int = 16,
+    gen_max: int = 4,
+    scale: float | None = None,
+    n: int | None = None,
+) -> LossBatch:
+    """Random batch with every coordinate bounded away from zero.
+
+    Component magnitudes in [0.3, 1] before row normalization keep every
+    partial derivative large enough for a central difference at h=1e-5 to
+    resolve it; pass scale=sqrt(tau) to cap logits at |s|/tau <= 2.
+    """
+    n = int(rng.integers(1, n_max + 1)) if n is None else n
+    d = int(rng.integers(2, d_max + 1))
+    scale = 1.0 if scale is None else scale
+
+    def rows(count):
+        signs = rng.choice((-1.0, 1.0), size=(count, d))
+        X = signs * rng.uniform(0.3, 1.0, size=(count, d))
+        norms = np.linalg.norm(X, axis=1, keepdims=True)
+        norms[norms == 0] = 1.0
+        return X / norms * scale
+
+    G = tuple(rows(int(rng.integers(0, gen_max + 1))) for _ in range(n))
+    return LossBatch(V=rows(n), T=rows(n), G=G)

@@ -6,7 +6,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the pass lines.
 import math
 import random
 import time
-from importlib import resources
 
 import numpy as np
 
@@ -31,13 +30,15 @@ from eventprobe.pipeline import PipelineConfig, run_pipeline
 
 from .goldens import GOLDEN_TEXTS, build_golden_records
 from .helpers import (
+    Workspace,
+    infonce_oracle,
+    oracle_recall,
+    random_batch,
     random_neighborhood_tuple,
     random_observation_pair,
     random_predicate_pair,
     random_profile_graph,
 )
-from .test_evaluate import oracle_recall
-from .test_losses import infonce_oracle, random_batch
 
 
 def _report(number: int, name: str, elapsed: float | None = None) -> None:
@@ -225,22 +226,13 @@ def test_criterion_07_weight_identity():
     _report(7, "weight normalization identity at beta=1")
 
 
-def test_criterion_08_pipeline_determinism(tmp_path, fixtures_dir):
+def test_criterion_08_pipeline_determinism(tmp_path):
     """Two runs with one seed emit byte-identical benchmarks."""
-    profile_text = resources.files("eventprobe.data").joinpath(
-        "profile_default.json"
-    ).read_text("utf-8")
-    (tmp_path / "profile.json").write_text(profile_text, encoding="utf-8")
-    doc = {
-        "global_seed": 42,
-        "profile_path": str(tmp_path / "profile.json"),
-        "input_glob": str(fixtures_dir / "*.json"),
-        "output_dir": str(tmp_path / "out"),
-    }
-    first = run_pipeline(PipelineConfig.from_doc(doc))
-    bytes_first = (tmp_path / "out" / "benchmark.jsonl").read_bytes()
-    second = run_pipeline(PipelineConfig.from_doc(dict(doc, force=True)))
-    bytes_second = (tmp_path / "out" / "benchmark.jsonl").read_bytes()
+    ws = Workspace(tmp_path)
+    first = run_pipeline(PipelineConfig.from_file(ws.config))
+    bytes_first = (ws.out / "benchmark.jsonl").read_bytes()
+    second = run_pipeline(PipelineConfig.from_file(ws.config, force=True))
+    bytes_second = (ws.out / "benchmark.jsonl").read_bytes()
     assert bytes_first == bytes_second
     assert first.digest() == second.digest()
     _report(8, "pipeline determinism at seed 42")

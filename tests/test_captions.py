@@ -1,7 +1,6 @@
 import json
 import random
 from dataclasses import replace
-from importlib import resources
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,11 +24,11 @@ from eventprobe.errors import (
     TemplateError,
 )
 from eventprobe.manipulate import _derived, apply_corpus
-from eventprobe.pipeline import PipelineConfig, run_pipeline, run_stages
+from eventprobe.pipeline import run_pipeline, run_stages
 from eventprobe.profiles import ManipulationCategory
 
 from .goldens import GOLDEN_TEXTS, build_golden_records, record_for
-from .helpers import attr, default_profile, entity, json_line, make_tuple, pair_to_doc, pred, random_profile_corpus, span
+from .helpers import PROFILE, attr, entity, json_line, make_tuple, pair_to_doc, pred, random_profile_corpus, span
 
 
 @pytest.fixture(scope="module")
@@ -127,10 +126,9 @@ class TestSlotFidelity:
     # generated corpora render as they are.
     @given(st.integers(0, 2**32), st.integers(1, 3))
     def test_protected_values_survive_on_random_corpora(self, seed, n_videos):
-        profile = default_profile()
-        corpus = random_profile_corpus(random.Random(seed), profile, n_videos)
+        corpus = random_profile_corpus(random.Random(seed), PROFILE, n_videos)
         pairs = {}
-        for record in apply_corpus(corpus, profile, {}, seed):
+        for record in apply_corpus(corpus, PROFILE, {}, seed):
             pair = pairs[record.record_id] = render_pair(record, default_templates())
             required = protected_values(record)
             assert all(value in pair.positive.text for value in required["positive"]), record.record_id
@@ -169,15 +167,8 @@ class TestEmit:
         assert len(text.splitlines()) == 2
         assert [p.pair_id for p in pairs_from_jsonl(text, "benchmark.jsonl")] == ["pair-0", "pair-1"]
 
-    def test_output_exists(self, tmp_path, fixtures_dir):
-        profile = resources.files("eventprobe.data").joinpath("profile_default.json").read_text("utf-8")
-        (tmp_path / "profile.json").write_text(profile, encoding="utf-8")
-        config = PipelineConfig.from_doc({
-            "global_seed": 42,
-            "profile_path": str(tmp_path / "profile.json"),
-            "input_glob": str(fixtures_dir / "*.json"),
-            "output_dir": str(tmp_path / "out"),
-        })
+    def test_output_exists(self, ws):
+        config = ws.pipeline_config()
         run_pipeline(config)
         with pytest.raises(OutputExists):
             run_stages(config, ["emit"])

@@ -33,65 +33,14 @@ from eventprobe.manipulate import (
     temporal_attribute_swap,
     temporal_predicate_swap,
 )
-from eventprobe.scene_graph import (
-    AttributeValue,
-    EntityRef,
-    EventTuple,
-    PredicateValue,
-    SceneGraph,
-    TimeInterval,
-)
+from .helpers import PROFILE, corpora, graphs, random_profile_corpus
 
-from .helpers import default_profile, random_profile_corpus
-
-PROFILE = default_profile()
 PAIRWISE = tuple(c for c in PROFILE.category_set if c.method == "temporal")
 COUNTERFACTUAL = tuple(c for c in PROFILE.category_set if c.method == "counterfactual")
 NEIGHBORHOOD = tuple(c for c in PROFILE.category_set if c.method == "neighborhood")
 # Only the two values the graphs draw from: a video can then hold every value
 # of a type for one entity, which leaves that entity no candidate.
 NARROW = replace(PROFILE, vocab={name: values[:2] for name, values in PROFILE.vocab.items()})
-TIMES = (TimeInterval(0.0, 1.0), TimeInterval(2.0, 2.0), TimeInterval(0.0, 3.0))
-
-
-def _values(type_name):
-    return st.sampled_from(PROFILE.vocab[type_name][:2])
-
-
-@st.composite
-def graphs(draw, video_id="v0"):
-    entities = tuple(
-        EntityRef(f"e{i}", f"thing {i}") for i in range(draw(st.integers(1, 3)))
-    )
-    tuples = []
-    for t in range(draw(st.integers(0, 9))):
-        colors = draw(st.lists(_values("Color"), max_size=2))
-        pred_type = draw(st.sampled_from([None, "Action", "Contact"]))
-        if pred_type is None and not colors:
-            pred_type = "Action"
-        obj = draw(st.sampled_from((None, *entities)))
-        obj_colors = draw(st.lists(_values("Color"), max_size=2)) if obj else []
-        tuples.append(
-            EventTuple(
-                tuple_id=f"t{draw(st.integers(0, 99)):02d}-{t}",
-                subject=draw(st.sampled_from(entities)),
-                subject_attrs=tuple(AttributeValue(c, "Color") for c in colors),
-                predicate=(
-                    None
-                    if pred_type is None
-                    else PredicateValue(draw(_values(pred_type)), pred_type)
-                ),
-                object=obj,
-                object_attrs=tuple(AttributeValue(c, "Color") for c in obj_colors),
-                time=draw(st.sampled_from(TIMES)),
-            )
-        )
-    return SceneGraph(video_id, 10.0, entities, tuple(tuples))
-
-
-corpora = st.integers(1, 3).flatmap(
-    lambda n: st.tuples(*(graphs(f"v{i}") for i in range(n)))
-)
 
 
 def _swap_applies(swap, *operands) -> bool:

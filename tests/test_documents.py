@@ -15,7 +15,6 @@ import math
 import random
 import shutil
 from dataclasses import replace
-from importlib import resources
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -37,62 +36,17 @@ from eventprobe.scene_graph import (
 )
 
 from .helpers import (
+    PROFILE,
+    Workspace,
     attr,
-    default_profile,
     json_line,
+    outputs,
     pair_to_doc,
     pred,
     random_profile_corpus,
     record_to_doc,
     scene_graph_to_doc,
 )
-from .test_cli import outputs
-
-
-def package_json(name):
-    return json.loads(resources.files("eventprobe.data").joinpath(name).read_text("utf-8"))
-
-
-class Workspace:
-    """A valid config with a profile, a template table and the fixture
-    corpus in tmp, plus helpers that build the inputs of later commands."""
-
-    def __init__(self, tmp: Path, fixtures: Path):
-        self.tmp, self.out = tmp, tmp / "out"
-        self.profile, self.templates = tmp / "profile.json", tmp / "templates.json"
-        self.corpus, self.config = tmp / "corpus", tmp / "config.json"
-        self.profile.write_text(json.dumps(package_json("profile_default.json")), encoding="utf-8")
-        self.templates.write_text(json.dumps(package_json("templates_t1.json")), encoding="utf-8")
-        self.corpus.mkdir()
-        for name in ("focker.json", "forrest.json", "kitchen.json"):
-            shutil.copy(fixtures / name, self.corpus)
-        self.config.write_text(json.dumps({
-            "global_seed": 42,
-            "profile_path": str(self.profile),
-            "input_glob": str(self.corpus / "*.json"),
-            "output_dir": str(self.out),
-            "templates_path": str(self.templates),
-        }), encoding="utf-8")
-
-    def command(self, *names):
-        """Runs every named stage command but the last; returns the last's argv."""
-        *before, last = names
-        for name in before:
-            assert main([name, "--config", str(self.config)]) == 0, name
-        return [last, "--config", str(self.config)]
-
-    def eval_argv(self):
-        """eval over a copy of the run's benchmark and two score CSVs."""
-        assert main(["run", "--config", str(self.config)]) == 0
-        benchmark = shutil.copy(self.out / "benchmark.jsonl", self.tmp / "bench.jsonl")
-        pairs = [json.loads(line) for line in benchmark.read_text(encoding="utf-8").splitlines()]
-        videos = sorted({p["video_id"] for p in pairs})
-        header = "video_id," + ",".join(p["pair_id"] for p in pairs) + "\n"
-        rows = "".join(v + "," + ",".join("0.5" for _ in pairs) + "\n" for v in videos)
-        for name in ("scores", "scores_control"):
-            (self.tmp / f"{name}.csv").write_text(header + rows, encoding="utf-8")
-        return ["eval", "--benchmark", str(benchmark), "--scores", str(self.tmp / "scores.csv"),
-                "--scores-control", str(self.tmp / "scores_control.csv"), "--out", str(self.tmp / "reports")]
 
 
 def edited(text, changes):
@@ -192,9 +146,9 @@ INPUTS = {
                         lambda ws: ws.out / "benchmark.jsonl", 6, 4, True),
     "loss-selftest": (lambda ws: ["loss-selftest", "--input", str(ws.tmp / "batch.json")],
                       lambda ws: ws.tmp / "batch.json", 6, 4, True),
-    "eval-benchmark": (lambda ws: ws.eval_argv(), lambda ws: ws.tmp / "bench.jsonl", 6, 4, True),
-    "eval-scores": (lambda ws: ws.eval_argv(), lambda ws: ws.tmp / "scores.csv", 6, 4, False),
-    "eval-scores-control": (lambda ws: ws.eval_argv(), lambda ws: ws.tmp / "scores_control.csv", 6, 4, False),
+    "eval-benchmark": (lambda ws: ws.eval_argv(), lambda ws: ws.benchmark, 6, 4, True),
+    "eval-scores": (lambda ws: ws.eval_argv(), lambda ws: ws.scores, 6, 4, False),
+    "eval-scores-control": (lambda ws: ws.eval_argv(), lambda ws: ws.scores_control, 6, 4, False),
     "gap-report": (lambda ws: ["gap-report", "--recalls", str(ws.tmp / "recalls.csv"), "--out", str(ws.tmp / "reports")],
                    lambda ws: ws.tmp / "recalls.csv", 6, 4, False),
 }
@@ -226,6 +180,8 @@ LONG = b"category,direction,k,pool,value\n"
 FAULTS = {
     "config": {
         "templates-path-list": edit_json(templates_path=["t.json"]),
+        "templates-path-empty": Says("key 'templates_path' must name a file, got an empty string",
+                                    edit_json(templates_path="")),
         "seed-not-a-number": edit_json(global_seed="x"),
         "seed-fraction": edit_json(global_seed=1.5),
         "seed-true": edit_json(global_seed=True),
@@ -452,10 +408,10 @@ CASES = [
 
 
 @pytest.mark.parametrize("name, fault, content", CASES, ids=[f"{n}-{f}" for n, f, _ in CASES])
-def test_input_fault_exit_code(tmp_path, fixtures_dir, capsys, name, fault, content):
+def test_input_fault_exit_code(tmp_path, capsys, name, fault, content):
     reach, target_of, missing_code, malformed_code, _ = INPUTS[name]
     message, content = content if isinstance(content, Says) else (FAULT_WORDS.get(fault, ""), content)
-    ws = Workspace(tmp_path, fixtures_dir)
+    ws = Workspace(tmp_path, templates=True)
     target = target_of(ws)
     if name == "loss-selftest":
         target.write_bytes(batch())
@@ -488,8 +444,8 @@ def test_input_fault_exit_code(tmp_path, fixtures_dir, capsys, name, fault, cont
     assert not (tmp_path / "reports").exists()
 
 
-def test_a_pattern_that_formats_every_slot_renders(tmp_path, fixtures_dir, capsys):
-    ws = Workspace(tmp_path, fixtures_dir)
+def test_a_pattern_that_formats_every_slot_renders(tmp_path, capsys):
+    ws = Workspace(tmp_path, templates=True)
     ws.templates.write_bytes(color_positive("the {subject!r} is {subject_attr}")(ws.templates))
     assert main(["run", "--config", str(ws.config)]) == 0, capsys.readouterr().err
     pairs = [json.loads(line) for line in (ws.out / "benchmark.jsonl").read_text(encoding="utf-8").splitlines()]
@@ -507,8 +463,7 @@ def test_stdin_is_decoded_as_files_are(monkeypatch, capsys, encoding, code):
     assert err == "" if code == 0 else len(err.splitlines()) == 1 and err.startswith("error: stdin: "), err
 
 
-def test_repeated_video_id_names_both_files_and_the_line(tmp_path, fixtures_dir, capsys):
-    ws = Workspace(tmp_path, fixtures_dir)
+def test_repeated_video_id_names_both_files_and_the_line(ws, capsys):
     kitchen, again = ws.corpus / "kitchen.json", ws.corpus / "again.json"
     shutil.copy(kitchen, again)
     assert main(["ingest", "--config", str(ws.config)]) == 4
@@ -542,7 +497,6 @@ def test_jsonl_lines_break_only_at_newline(kitchen, profile):
 # signed.
 ODD_CHARACTERS = ('"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\x85", "\U0001f600", "\u00e9", "a")
 ODD_TIMES = (-0.0, 0.0, 5e-324, 1e-7, 1.5, 1e16)
-WRITER_PROFILE = default_profile()
 
 
 def odd_graph(graph: SceneGraph, rng: random.Random) -> SceneGraph:
@@ -573,8 +527,8 @@ def odd_graph(graph: SceneGraph, rng: random.Random) -> SceneGraph:
 @given(st.integers(0, 2**32))
 def test_each_writer_writes_what_json_dumps_writes(seed):
     rng = random.Random(seed)
-    graphs = [odd_graph(graph, rng) for graph in random_profile_corpus(rng, WRITER_PROFILE, 2)]
-    records = apply_corpus(graphs, WRITER_PROFILE, {}, seed)
+    graphs = [odd_graph(graph, rng) for graph in random_profile_corpus(rng, PROFILE, 2)]
+    records = apply_corpus(graphs, PROFILE, {}, seed)
     templates = default_templates()
     pairs = [render_pair(record, templates) for record in records]
     for writer, oracle, read, values in (

@@ -30,46 +30,7 @@ from eventprobe.evaluate import (
 )
 from eventprobe.profiles import ManipulationCategory
 
-from .helpers import csv_reader_score_matrix, score_matrix_from_csv
-
-# --- independent oracle -------------------------------------------------------
-# Exhaustive sort-based ranking, deliberately different from the counting
-# implementation under test: sort candidates by score, then walk the sorted
-# list and take the LAST position still tied with the correct item.
-
-
-def oracle_rank(values, correct):
-    order = sorted(range(len(values)), key=lambda i: (-values[i], i))
-    rank = 0
-    for position, idx in enumerate(order, start=1):
-        if values[idx] == values[correct]:
-            rank = position
-    return rank
-
-
-def oracle_recall(matrix, gt, k, direction):
-    hits = 0
-    if direction == "T2V":
-        queries = sorted(gt.caption_to_video)
-        for caption_id in queries:
-            col = matrix.caption_ids.index(caption_id)
-            row = matrix.video_ids.index(gt.caption_to_video[caption_id])
-            values = [matrix.scores[r][col] for r in range(len(matrix.video_ids))]
-            if oracle_rank(values, row) <= k:
-                hits += 1
-        return hits / len(queries)
-    queries = sorted(gt.video_to_captions)
-    for video_id in queries:
-        row = matrix.video_ids.index(video_id)
-        values = list(matrix.scores[row])
-        best = min(
-            oracle_rank(values, matrix.caption_ids.index(c))
-            for c in gt.video_to_captions[video_id]
-        )
-        if best <= k:
-            hits += 1
-    return hits / len(queries)
-
+from .helpers import csv_reader_score_matrix, oracle_recall, score_matrix_from_csv
 
 # --- per-query loop oracle ---------------------------------------------------
 # Ranks one query at a time by counting: 1 + strictly greater + tied, and

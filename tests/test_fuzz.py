@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eventprobe.cli import main
 
-from .test_documents import Workspace
+from .helpers import Workspace
 
 # JSON text for a fault; each replaces one subtree of a document. A valid
 # surrogate pair is among them: beside a `1e999` it once crashed the check
@@ -140,8 +140,8 @@ INPUTS = {
     "corpus": (lambda ws: ws.corpus / "kitchen.json", run_argv, json_document, 4, set()),
     "loss-selftest": (lambda ws: ws.tmp / "batch.json",
                       lambda ws: ["loss-selftest", "--input", str(ws.tmp / "batch.json")], json_document, 4, set()),
-    "eval-benchmark": (lambda ws: ws.tmp / "bench.jsonl", Workspace.eval_argv, jsonl_document, 4, {8}),
-    "eval-scores": (lambda ws: ws.tmp / "scores.csv", Workspace.eval_argv, csv_document, 4, {8}),
+    "eval-benchmark": (lambda ws: ws.benchmark, Workspace.eval_argv, jsonl_document, 4, {8}),
+    "eval-scores": (lambda ws: ws.scores, Workspace.eval_argv, csv_document, 4, {8}),
     "gap-report": (lambda ws: ws.tmp / "recalls.csv",
                    lambda ws: ["gap-report", "--recalls", str(ws.tmp / "recalls.csv"), "--out", str(ws.tmp / "reports")],
                    csv_document, 4, set()),
@@ -152,14 +152,14 @@ INPUTS = {
 @settings(max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture,
                                                   HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(data=st.data())
-def test_a_fault_in_any_reader_ends_in_its_exit_code(tmp_path, fixtures_dir, capsys, monkeypatch, name, data):
+def test_a_fault_in_any_reader_ends_in_its_exit_code(tmp_path, capsys, monkeypatch, name, data):
     target_of, reach, document, malformed_code, other_codes = INPUTS[name]
     shutil.rmtree(tmp_path)
     tmp_path.mkdir()
     # A config fault can turn a path into one relative to the working
     # directory, so the command runs in the workspace.
     monkeypatch.chdir(tmp_path)
-    ws = Workspace(tmp_path, fixtures_dir)
+    ws = Workspace(tmp_path, templates=True)
     target = target_of(ws)
     if name == "loss-selftest":
         target.write_text(json.dumps(BATCH), encoding="utf-8")
@@ -183,10 +183,10 @@ def test_a_fault_in_any_reader_ends_in_its_exit_code(tmp_path, fixtures_dir, cap
 
 
 @pytest.mark.parametrize("order, code", [("fault-first", 0), ("fault-last", 2)])
-def test_a_repeated_key_keeps_its_last_value(tmp_path, fixtures_dir, capsys, order, code):
+def test_a_repeated_key_keeps_its_last_value(tmp_path, capsys, order, code):
     # JSON leaves a repeated key's meaning open; every reader keeps the
     # last value, as Python's decoder does.
-    ws = Workspace(tmp_path, fixtures_dir)
+    ws = Workspace(tmp_path, templates=True)
     valid = ws.config.read_text(encoding="utf-8")
     fault = '"global_seed": "x"'
     text = valid.replace("{", "{" + fault + ", ", 1) if order == "fault-first" else valid.replace("}", ", " + fault + "}")

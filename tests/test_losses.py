@@ -17,24 +17,9 @@ from eventprobe.losses import (
     unit_normalize,
 )
 
-# --- independent oracles -----------------------------------------------------
+from .helpers import infonce_oracle, random_batch
 
-
-def infonce_oracle(V, T, tau):
-    """Symmetric softmax cross-entropy on the full similarity matrix."""
-    S = (V @ T.T) / tau
-    n = S.shape[0]
-    total = 0.0
-    for i in range(n):
-        row = S[i]
-        col = S[:, i]
-        total += -(row[i] - _lse(row)) - (col[i] - _lse(col))
-    return total / n
-
-
-def _lse(x):
-    m = np.max(x)
-    return m + math.log(np.sum(np.exp(x - m)))
+# --- independent oracle ------------------------------------------------------
 
 
 def hn_nce_oracle(V, T, G, tau, beta):
@@ -85,35 +70,6 @@ def hn_nce_oracle(V, T, G, tau, beta):
             grad_V[i] += dS_gen[i][k] * g
         grad_G.append(np.array([dS_gen[i][k] * V[i] for k in range(len(G[i]))]).reshape(-1, d))
     return loss, grad_V, grad_T, grad_G
-
-
-def random_batch(
-    rng: np.random.Generator,
-    n_max: int = 8,
-    d_max: int = 16,
-    gen_max: int = 4,
-    scale: float | None = None,
-    n: int | None = None,
-) -> LossBatch:
-    """Random batch with every coordinate bounded away from zero.
-
-    Component magnitudes in [0.3, 1] before row normalization keep every
-    partial derivative large enough for a central difference at h=1e-5 to
-    resolve it; pass scale=sqrt(tau) to cap logits at |s|/tau <= 2.
-    """
-    n = int(rng.integers(1, n_max + 1)) if n is None else n
-    d = int(rng.integers(2, d_max + 1))
-    scale = 1.0 if scale is None else scale
-
-    def rows(count):
-        signs = rng.choice((-1.0, 1.0), size=(count, d))
-        X = signs * rng.uniform(0.3, 1.0, size=(count, d))
-        norms = np.linalg.norm(X, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        return X / norms * scale
-
-    G = tuple(rows(int(rng.integers(0, gen_max + 1))) for _ in range(n))
-    return LossBatch(V=rows(n), T=rows(n), G=G)
 
 
 class TestWeights:

@@ -26,8 +26,9 @@ from eventprobe.profiles import ManipulationCategory, parse_profile
 from eventprobe.scene_graph import TUPLE_FIELDS, SceneGraph
 
 from .helpers import (
+    PROFILE,
     attr,
-    default_profile,
+    corpora,
     entity,
     json_line,
     make_tuple,
@@ -39,7 +40,6 @@ from .helpers import (
     record_to_doc,
     span,
 )
-from .test_count_first import corpora
 
 
 class TestTemporalPredicateSwap:
@@ -548,7 +548,6 @@ class TestApply:
         assert records_from_jsonl(text, [kitchen], "records.jsonl") == [record]
 
 
-PROFILE = default_profile()
 CATEGORY_KEYS = tuple(c.key for c in PROFILE.category_set)
 
 

@@ -1,7 +1,5 @@
 import hashlib
 import json
-from importlib import resources
-from pathlib import Path
 
 import pytest
 
@@ -23,26 +21,8 @@ EXPECTED_SITE_COUNTS = {
 }
 
 
-def write_profile(tmp_path: Path) -> Path:
-    text = resources.files("eventprobe.data").joinpath("profile_default.json").read_text("utf-8")
-    path = tmp_path / "profile.json"
-    path.write_text(text, encoding="utf-8")
-    return path
-
-
-def make_config(tmp_path: Path, fixtures_dir: Path, out_name: str = "out", **extra) -> PipelineConfig:
-    doc = {
-        "global_seed": 42,
-        "profile_path": str(write_profile(tmp_path)),
-        "input_glob": str(fixtures_dir / "*.json"),
-        "output_dir": str(tmp_path / out_name),
-    }
-    doc.update(extra)
-    return PipelineConfig.from_doc(doc)
-
-
 class TestConfig:
-    def test_seed_is_required(self, tmp_path, fixtures_dir):
+    def test_seed_is_required(self, tmp_path):
         with pytest.raises(ConfigError):
             PipelineConfig.from_doc(
                 {
@@ -55,57 +35,44 @@ class TestConfig:
     @pytest.mark.parametrize(
         "key, value", [("force", "false"), ("output_dir", None), ("profile_path", None), ("input_glob", 5)]
     )
-    def test_path_and_force_values_keep_their_json_type(self, tmp_path, fixtures_dir, key, value):
+    def test_path_and_force_values_keep_their_json_type(self, ws, key, value):
         with pytest.raises(ConfigError, match=key):
-            make_config(tmp_path, fixtures_dir, **{key: value})
+            ws.pipeline_config(**{key: value})
 
-    def test_null_optional_values_take_their_defaults(self, tmp_path, fixtures_dir):
+    def test_null_optional_values_take_their_defaults(self, ws):
         nulls = dict.fromkeys(("quotas", "categories", "templates_path", "decorator"))
-        assert make_config(tmp_path, fixtures_dir, **nulls) == make_config(tmp_path, fixtures_dir)
+        assert ws.pipeline_config(**nulls) == ws.pipeline_config()
 
-    def test_all_from_profile_is_every_category(self, tmp_path, fixtures_dir):
-        config = make_config(tmp_path, fixtures_dir, categories="all-from-profile")
-        assert config.categories is None and config == make_config(tmp_path, fixtures_dir)
+    def test_all_from_profile_is_every_category(self, ws):
+        config = ws.pipeline_config(categories="all-from-profile")
+        assert config.categories is None and config == ws.pipeline_config()
 
-    def test_flag_overrides_win(self, tmp_path, fixtures_dir):
-        path = tmp_path / "config.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "global_seed": 1,
-                    "profile_path": "p",
-                    "input_glob": "g",
-                    "output_dir": "d",
-                }
-            )
-        )
-        config = PipelineConfig.from_file(path, global_seed=99, output_dir="elsewhere")
+    def test_flag_overrides_win(self, ws):
+        config = PipelineConfig.from_file(ws.config, global_seed=99, output_dir="elsewhere")
         assert config.global_seed == 99
         assert config.output_dir == "elsewhere"
 
-    def test_digest_stable_and_sensitive(self, tmp_path, fixtures_dir):
-        c1 = make_config(tmp_path, fixtures_dir)
-        c2 = make_config(tmp_path, fixtures_dir)
+    def test_digest_stable_and_sensitive(self, ws):
+        c1 = ws.pipeline_config()
+        c2 = ws.pipeline_config()
         assert c1.digest() == c2.digest()
-        c3 = make_config(tmp_path, fixtures_dir, global_seed=43)
+        c3 = ws.pipeline_config(global_seed=43)
         assert c3.digest() != c1.digest()
 
-    def test_unknown_quota_key_rejected(self, tmp_path, fixtures_dir):
-        config = make_config(
-            tmp_path, fixtures_dir, quotas={"counterfactual.attribute.Smell": 1}
-        )
+    def test_unknown_quota_key_rejected(self, ws):
+        config = ws.pipeline_config(quotas={"counterfactual.attribute.Smell": 1})
         with pytest.raises(ConfigError, match="^stage 'probe' failed: "):
             run_pipeline(config)
 
 
 class TestRunPipeline:
-    def test_two_runs_are_byte_identical(self, tmp_path, fixtures_dir):
-        config = make_config(tmp_path, fixtures_dir)
+    def test_two_runs_are_byte_identical(self, ws):
+        config = ws.pipeline_config()
         manifest_a = run_pipeline(config)
-        bytes_a = (tmp_path / "out" / "benchmark.jsonl").read_bytes()
-        rerun = make_config(tmp_path, fixtures_dir, force=True)
+        bytes_a = (ws.out / "benchmark.jsonl").read_bytes()
+        rerun = ws.pipeline_config(force=True)
         manifest_b = run_pipeline(rerun)
-        bytes_b = (tmp_path / "out" / "benchmark.jsonl").read_bytes()
+        bytes_b = (ws.out / "benchmark.jsonl").read_bytes()
         assert bytes_a == bytes_b
         assert manifest_a.digest() == manifest_b.digest()
         assert isinstance(manifest_a, RunManifest)
@@ -126,16 +93,16 @@ class TestRunPipeline:
         ],
         ids=["no-quotas", "quota-1"],
     )
-    def test_output_bytes_are_pinned(self, tmp_path, fixtures_dir, quota, digests):
+    def test_output_bytes_are_pinned(self, ws, quota, digests):
         """The fixtures' outputs at seed 42 under the default profile: any
         change to them is a change of the shipped benchmark."""
         quotas = {} if quota is None else {key: quota for key in EXPECTED_SITE_COUNTS}
-        run_pipeline(make_config(tmp_path, fixtures_dir, quotas=quotas))
+        run_pipeline(ws.pipeline_config(quotas=quotas))
         for name, digest in digests.items():
-            assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name
+            assert hashlib.sha256((ws.out / name).read_bytes()).hexdigest() == digest, name
 
-    def test_unquoted_run_covers_all_sites(self, tmp_path, fixtures_dir):
-        config = make_config(tmp_path, fixtures_dir)
+    def test_unquoted_run_covers_all_sites(self, ws):
+        config = ws.pipeline_config()
         manifest = run_pipeline(config)
         assert dict(manifest.per_category) == EXPECTED_SITE_COUNTS
         assert manifest.stage_counts == {
@@ -144,79 +111,51 @@ class TestRunPipeline:
             "pairs": sum(EXPECTED_SITE_COUNTS.values()),
         }
 
-    def test_explicit_category_subset(self, tmp_path, fixtures_dir):
-        config = make_config(
-            tmp_path,
-            fixtures_dir,
-            categories=["temporal.attribute.Color", "counterfactual.predicate.Action"],
-        )
+    def test_explicit_category_subset(self, ws):
+        config = ws.pipeline_config(categories=["temporal.attribute.Color", "counterfactual.predicate.Action"])
         manifest = run_pipeline(config)
         assert dict(manifest.per_category) == {
             "temporal.attribute.Color": 1,
             "counterfactual.predicate.Action": 4,
         }
 
-    def test_category_order_does_not_matter(self, tmp_path, fixtures_dir):
+    def test_category_order_does_not_matter(self, ws):
         """A categories list acts as a set, as the config digest reads it:
         the categories run in profile order whatever order it names them in."""
         keys = ["temporal.predicate.Contact", "counterfactual.attribute.Color"]
         manifests, benchmarks = [], []
         for order in (keys, keys[::-1]):
-            manifests.append(run_pipeline(make_config(tmp_path, fixtures_dir, categories=order, force=True)))
-            benchmarks.append((tmp_path / "out" / "benchmark.jsonl").read_bytes())
+            manifests.append(run_pipeline(ws.pipeline_config(categories=order, force=True)))
+            benchmarks.append((ws.out / "benchmark.jsonl").read_bytes())
         assert benchmarks[0] == benchmarks[1]
         assert manifests[0].digest() == manifests[1].digest()
 
-    def test_unknown_category_key_rejected(self, tmp_path, fixtures_dir):
-        config = make_config(tmp_path, fixtures_dir, categories=["temporal.attribute.Sound"])
+    def test_unknown_category_key_rejected(self, ws):
+        config = ws.pipeline_config(categories=["temporal.attribute.Sound"])
         with pytest.raises(ConfigError, match="^stage 'probe' failed: "):
             run_pipeline(config)
 
-    def test_quota_shows_up_in_manifest(self, tmp_path, fixtures_dir):
-        config = make_config(
-            tmp_path, fixtures_dir, quotas={"counterfactual.attribute.Color": 1}
-        )
+    def test_quota_shows_up_in_manifest(self, ws):
+        config = ws.pipeline_config(quotas={"counterfactual.attribute.Color": 1})
         manifest = run_pipeline(config)
         expected = dict(EXPECTED_SITE_COUNTS, **{"counterfactual.attribute.Color": 1})
         assert dict(manifest.per_category) == expected
 
-    def test_missing_profile_is_fatal_and_names_path(self, tmp_path, fixtures_dir):
-        config = PipelineConfig.from_doc(
-            {
-                "global_seed": 42,
-                "profile_path": str(tmp_path / "missing_profile.json"),
-                "input_glob": str(fixtures_dir / "*.json"),
-                "output_dir": str(tmp_path / "out"),
-            }
-        )
+    def test_missing_profile_is_fatal_and_names_path(self, ws):
+        config = ws.pipeline_config(profile_path=str(ws.tmp / "missing_profile.json"))
         with pytest.raises(ProfileNotFound, match="^stage 'ingest' failed: .*missing_profile.json"):
             run_pipeline(config)
 
-    def test_partial_outputs_removed_on_failure(self, tmp_path, fixtures_dir):
-        corpus_dir = tmp_path / "corpus"
-        corpus_dir.mkdir()
-        for name in ("forrest.json", "kitchen.json"):
-            (corpus_dir / name).write_text(
-                (fixtures_dir / name).read_text(encoding="utf-8"), encoding="utf-8"
-            )
-        (corpus_dir / "broken.json").write_text("{not json", encoding="utf-8")
-        out_dir = tmp_path / "out"
-        config = PipelineConfig.from_doc(
-            {
-                "global_seed": 42,
-                "profile_path": str(write_profile(tmp_path)),
-                "input_glob": str(corpus_dir / "*.json"),
-                "output_dir": str(out_dir),
-            }
-        )
+    def test_partial_outputs_removed_on_failure(self, ws):
+        (ws.corpus / "broken.json").write_text("{not json", encoding="utf-8")
         with pytest.raises(MalformedDocument, match="^stage 'ingest' failed: .*broken.json"):
-            run_pipeline(config)
-        assert not out_dir.exists()
+            run_pipeline(ws.pipeline_config())
+        assert not ws.out.exists()
 
-    def test_stage_files_written(self, tmp_path, fixtures_dir):
-        config = make_config(tmp_path, fixtures_dir)
+    def test_stage_files_written(self, ws):
+        config = ws.pipeline_config()
         run_pipeline(config)
-        out = tmp_path / "out"
+        out = ws.out
         assert sorted(p.name for p in out.iterdir()) == [
             "benchmark.jsonl", "graphs.jsonl", "records.jsonl", "run_manifest.json"
         ]
@@ -226,39 +165,35 @@ class TestRunPipeline:
 
 
 class TestDecoratorWiring:
-    def test_no_network_when_disabled(self, tmp_path, fixtures_dir, monkeypatch):
+    def test_no_network_when_disabled(self, ws, monkeypatch):
         def bomb(*args, **kwargs):  # pragma: no cover
             raise AssertionError("network transport must not be touched")
 
         monkeypatch.setattr(eventprobe.decorator, "_http_transport", bomb)
-        config = make_config(tmp_path, fixtures_dir)
+        config = ws.pipeline_config()
         manifest = run_pipeline(config)
         assert manifest.decorator_failures == 0
 
-    def decorated_config(self, tmp_path, fixtures_dir):
-        return make_config(
-            tmp_path,
-            fixtures_dir,
-            decorator={
-                "enabled": True,
-                "endpoint": "https://rewriter.test/v1",
-                "model_name": "rewriter-1",
-                "api_key_env": "PROBE_DECORATOR_KEY",
-            },
-        )
+    def decorated_config(self, ws):
+        return ws.pipeline_config(decorator={
+            "enabled": True,
+            "endpoint": "https://rewriter.test/v1",
+            "model_name": "rewriter-1",
+            "api_key_env": "PROBE_DECORATOR_KEY",
+        })
 
-    def test_decorated_run_counts_failures(self, tmp_path, fixtures_dir, monkeypatch):
+    def test_decorated_run_counts_failures(self, ws, monkeypatch):
         monkeypatch.setenv("PROBE_DECORATOR_KEY", "secret")
 
         def flaky(endpoint, payload, headers, timeout):
             raise TimeoutError("down")
 
         monkeypatch.setattr(eventprobe.decorator, "_http_transport", flaky)
-        config = self.decorated_config(tmp_path, fixtures_dir)
+        config = self.decorated_config(ws)
         manifest = run_pipeline(config)
         assert manifest.decorator_failures == 2 * manifest.stage_counts["pairs"]
 
-    def test_decorated_run_rewrites_captions(self, tmp_path, fixtures_dir, monkeypatch):
+    def test_decorated_run_rewrites_captions(self, ws, monkeypatch):
         monkeypatch.setenv("PROBE_DECORATOR_KEY", "secret")
 
         def echoing(endpoint, payload, headers, timeout):
@@ -266,10 +201,10 @@ class TestDecoratorWiring:
             return {"candidates": [f"In the clip, {sentence}"]}
 
         monkeypatch.setattr(eventprobe.decorator, "_http_transport", echoing)
-        config = self.decorated_config(tmp_path, fixtures_dir)
+        config = self.decorated_config(ws)
         manifest = run_pipeline(config)
         assert manifest.decorator_failures == 0
-        lines = (tmp_path / "out" / "benchmark.jsonl").read_text().splitlines()
+        lines = (ws.out / "benchmark.jsonl").read_text().splitlines()
         first = json.loads(lines[0])
         assert first["positive"]["renderer"] == "llm"
         assert first["positive"]["text"].startswith("In the clip, ")
