@@ -18,12 +18,12 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .captions import pairs_from_jsonl
-from .documents import decode, naming, parse_json, read_text, require_numbers
+from .documents import decode, in_child, naming, parse_json, read_text, require_numbers
 from .errors import ConfigError, EmptyInput, EventProbeError, MalformedDocument
 from .pipeline import STAGE_BY_NAME, PipelineConfig, run_stages
 
 if TYPE_CHECKING:
-    from .evaluate import DIRECTIONS, evaluate_pools, gap_rows_from_csv, in_child, load_score_matrix, summarize
+    from .evaluate import DIRECTIONS, child_pays, evaluate_pools, gap_rows_from_csv, load_score_matrix, summarize
     from .losses import LossBatch, LossParams, finite_diff_check, hn_nce_forward
 
 # The names below come from modules that import numpy, which only eval,
@@ -31,7 +31,7 @@ if TYPE_CHECKING:
 # They are bound in this module on first use, and stay reachable as its
 # attributes through __getattr__.
 _LAZY_NAMES = {
-    "evaluate": ("DIRECTIONS", "evaluate_pools", "gap_rows_from_csv", "in_child", "load_score_matrix", "summarize"),
+    "evaluate": ("DIRECTIONS", "child_pays", "evaluate_pools", "gap_rows_from_csv", "load_score_matrix", "summarize"),
     "losses": ("LossBatch", "LossParams", "finite_diff_check", "hn_nce_forward"),
 }
 
@@ -85,12 +85,14 @@ def _eval_flags(args: argparse.Namespace) -> tuple[list[int], list[str]]:
 def cmd_eval(args: argparse.Namespace) -> int:
     _bind("evaluate")
     ks, directions = _eval_flags(args)
-    benchmark = args.benchmark
+    benchmark, control = args.benchmark, args.scores_control
     # The control matrix is parsed on a second CPU while this process reads
     # the rest; its error, if any, is raised where it was loaded before, so
     # a bad benchmark still wins over a bad --scores, and that over a bad
     # --scores-control.
-    with in_child(load_score_matrix, args.scores_control) as load_control:
+    with in_child(
+        lambda: load_score_matrix(control), child_pays(control), f"{control}: the process reading it"
+    ) as load_control:
         text = read_text(benchmark, EmptyInput(f"benchmark file not found: {benchmark}"))
         pairs = pairs_from_jsonl(text, benchmark)
         positive = load_score_matrix(args.scores)

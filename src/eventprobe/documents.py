@@ -7,7 +7,7 @@ composes each line from json_string, json_int and json_float, so its bytes
 are json.dumps's with ensure_ascii=False, separators (",", ":") and
 allow_nan=False. The writer puts all of a command's outputs in place
 together, or none of them, and names the directory in a ConfigError when
-it cannot.
+it cannot. in_child reads or composes one file's value on a second CPU.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ import json
 import math
 import os
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from json.decoder import WHITESPACE
 from json.encoder import encode_basestring
-from typing import Any, BinaryIO, Callable, Iterator, Mapping, Sequence
+from typing import Any, BinaryIO, Callable, Iterator, Mapping, NoReturn, Sequence, TypeVar
 
 from .errors import ConfigError, EventProbeError, MalformedDocument
 
@@ -224,3 +224,88 @@ def write_outputs(out_dir: Path, texts: Mapping[str, str], remove: Sequence[str]
         if isinstance(exc, OSError):
             raise ConfigError(f"cannot write output directory {out_dir}: {exc.strerror or exc}") from None
         raise
+
+
+T = TypeVar("T")
+
+
+@contextmanager
+def in_child(compute: Callable[[], T], pays: bool, what: str) -> Iterator[Callable[[], T]]:
+    """Starts compute() in a forked child, so that it runs on a second CPU
+    while the caller goes on, and yields a function that returns its value
+    or raises its error again, as the same class with the same message.
+    The child is started only when the caller says it pays, os.fork exists
+    and two or more CPUs are usable; otherwise, or when the pipe or the fork
+    fails, that function calls compute() in this process. A child that ends
+    without a result makes it raise EventProbeError("<what> ended without a
+    result"). On exit the child is stopped, if it still runs, and reaped.
+    The modules only a fork needs are imported here, so that a command
+    that never forks does not pay for them."""
+    pid = -1
+    if pays and hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
+        import fcntl
+        import pickle  # noqa: F401  loaded before the fork, for _send and _receive
+        import signal
+
+        try:
+            read_fd, write_fd = os.pipe()
+        except OSError:  # out of descriptors: compute in this process, as when fork fails
+            pass
+        else:
+            # A value that fits the pipe lets the child exit as soon as it is
+            # computed, and pages it shares with this process stop costing a
+            # copy on write. Linux allows 1 MiB without privileges.
+            with suppress(AttributeError, OSError):
+                fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 1 << 20)
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+    if pid < 0:
+        yield compute
+        return
+    if pid == 0:
+        os.close(read_fd)
+        _send(compute, write_fd)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            yield lambda: _receive(pipe, what)
+    finally:
+        # A child whose value was never taken may still be computing; a
+        # finished one is a zombie until reaped, and the kill is a no-op.
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def _send(compute: Callable[[], object], write_fd: int) -> NoReturn:
+    """The child: pickles (True, value) or (False, error) to the pipe and
+    exits without returning into its parent's stack."""
+    import pickle
+
+    try:
+        with os.fdopen(write_fd, "wb") as pipe:
+            try:
+                outcome = (True, compute())
+            except Exception as exc:
+                outcome = (False, exc)
+            pickle.dump(outcome, pipe, protocol=5)
+    finally:
+        os._exit(0)
+
+
+def _receive(pipe: BinaryIO, what: str):
+    """What _send wrote: the value, or its error raised. Protocol 5 writes
+    an array's memory as one bytearray frame, which the unpickler reads
+    straight into the bytearray the array keeps, so this process never
+    holds a second copy of it."""
+    import pickle
+
+    try:
+        ok, value = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        raise EventProbeError(f"{what} ended without a result") from None
+    if not ok:
+        raise value
+    return value

@@ -12,21 +12,18 @@ import csv
 import io
 import math
 import os
-import pickle
-import signal
 import zipfile
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO, TypeVar
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
 from .captions import CaptionPair, benchmark_categories
 from .documents import open_input, write_outputs
-from .errors import EmptyInput, EvaluationError, EventProbeError, MalformedDocument
+from .errors import EmptyInput, EvaluationError, MalformedDocument
 
 T2V = "T2V"
 V2T = "V2T"
@@ -96,82 +93,15 @@ def load_score_matrix(path: str | Path) -> ScoreMatrix:
 CHILD_MIN_CSV_BYTES = 1 << 20
 
 
-def _child_pays(path: str) -> bool:
-    """Whether reading the score file at path in a forked child can save
-    time: fork exists, two CPUs are usable, and path is a CSV of at least
+def child_pays(path: str) -> bool:
+    """Whether reading the score file at path in a forked child (see
+    documents.in_child) can save time: path is a CSV of at least
     CHILD_MIN_CSV_BYTES."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
-        return False
     try:
         size = os.stat(path).st_size
-    except OSError:  # load(path) reports it, where the caller takes the value
+    except OSError:  # load_score_matrix reports it, where the caller takes the value
         return False
     return Path(path).suffix.lower() != ".npz" and size >= CHILD_MIN_CSV_BYTES
-
-
-T = TypeVar("T")
-
-
-@contextmanager
-def in_child(load: Callable[[str], T], path: str) -> Iterator[Callable[[], T]]:
-    """Starts load(path), a read of the score file at path, in a forked
-    child, so that it runs on a second CPU while the caller goes on, and
-    yields a function that returns its value or raises its error, as the
-    same class with the same message. Where a child cannot save time (see
-    _child_pays), or when fork fails, that function calls load(path) in
-    this process instead. On exit the child is stopped, if it still runs,
-    and reaped."""
-    pid = -1
-    if _child_pays(path):
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-    if pid < 0:
-        yield lambda: load(path)
-        return
-    if pid == 0:
-        os.close(read_fd)
-        _send(load, path, write_fd)
-    os.close(write_fd)
-    try:
-        with os.fdopen(read_fd, "rb") as pipe:
-            yield lambda: _receive(pipe, path)
-    finally:
-        # A child whose value was never taken may still be parsing; a
-        # finished one is a zombie until reaped, and the kill is a no-op.
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-
-
-def _send(load: Callable[[str], object], path: str, write_fd: int) -> NoReturn:
-    """The child: pickles (True, value) or (False, error) to the pipe and
-    exits without returning into its parent's stack."""
-    try:
-        with os.fdopen(write_fd, "wb") as pipe:
-            try:
-                outcome = (True, load(path))
-            except Exception as exc:
-                outcome = (False, exc)
-            pickle.dump(outcome, pipe, protocol=5)
-    finally:
-        os._exit(0)
-
-
-def _receive(pipe: BinaryIO, path: str):
-    """What _send wrote: the value, or its error raised. Protocol 5 writes
-    an array's memory as one bytearray frame, which the unpickler reads
-    straight into the bytearray the array keeps, so this process never
-    holds a second copy of it."""
-    try:
-        ok, value = pickle.load(pipe)
-    except (EOFError, pickle.UnpicklingError):
-        raise EventProbeError(f"{path}: the process reading it ended without a result") from None
-    if not ok:
-        raise value
-    return value
 
 
 def _read_score_csv(fh: TextIO, name: str) -> ScoreMatrix:

@@ -8,15 +8,18 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import shutil
 import string as _string
 import tempfile
+from contextlib import contextmanager
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from eventprobe.captions import CaptionPair
@@ -437,6 +440,17 @@ def outputs(out_dir):
     if "run_manifest.json" in files:
         files["run_manifest.json"] = json.loads(files["run_manifest.json"])["digest"]
     return files
+
+
+@contextmanager
+def no_child_left():
+    """Asserts that the block leaves no child process, running or a zombie,
+    and no file descriptor open that was not open before it."""
+    fds = sorted(os.listdir("/dev/fd"))
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/dev/fd")) == fds
 
 
 class Workspace:

@@ -4,6 +4,7 @@ import os
 import random
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -19,8 +20,9 @@ import eventprobe
 from eventprobe import cli, documents, errors, evaluate, pipeline
 from eventprobe.cli import main
 from eventprobe.evaluate import CHILD_MIN_CSV_BYTES
+from eventprobe.pipeline import CHILD_MIN_TUPLES
 
-from .helpers import PROFILE, Workspace, corpora, outputs, random_profile_corpus, with_objects
+from .helpers import PROFILE, Workspace, corpora, no_child_left, outputs, random_profile_corpus, with_objects
 
 
 def fresh_python(*args):
@@ -40,6 +42,17 @@ def coarse(rng, shift=0.0):
     """Scores in {0, 1/4, 1/2, 3/4} less shift, drawn from rng: ties,
     partial recalls and some zero positive recalls."""
     return lambda video_ids, pairs: rng.integers(0, 4, size=(len(video_ids), len(pairs))) / 4 - shift
+
+
+# The calls that start a child, each with the error it fails with when the
+# process is out of processes or out of file descriptors.
+FAILED_CALLS = [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)]
+
+
+def failing(code):
+    def call(*args):
+        raise OSError(code, os.strerror(code))
+    return call
 
 
 class TestRunCommand:
@@ -420,6 +433,88 @@ class TestStageTable:
         fresh_python("-m", "eventprobe.cli", *argv)
 
 
+class TestGraphsChild:
+    """`run` composes graphs.jsonl in a forked child while probe, render and
+    emit run, when two CPUs are usable and the corpus is large enough."""
+
+    @staticmethod
+    def run_with_cpus(ws, cpus, monkeypatch, capsys, min_tuples=0):
+        """`run --force` over ws with `cpus` usable CPUs, composing
+        graphs.jsonl in a child for a corpus of min_tuples tuples or more:
+        its exit code, its stderr and the output directory. No child process
+        and no open file may outlive it."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(pipeline, "CHILD_MIN_TUPLES", min_tuples)
+        capsys.readouterr()
+        with no_child_left():
+            code = main(["run", "--config", str(ws.config), "--force"])
+        return code, capsys.readouterr().err, outputs(ws.out) if ws.out.exists() else {}
+
+    @staticmethod
+    def compose_with(monkeypatch, write):
+        """Makes write(graphs) the composer of graphs.jsonl."""
+        monkeypatch.setattr(pipeline, "STAGES", (replace(pipeline.STAGES[0], write=write), *pipeline.STAGES[1:]))
+
+    def test_graphs_composed_in_a_child_give_the_same_outputs(self, ws, capsys, monkeypatch):
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        in_process = self.run_with_cpus(ws, 1, monkeypatch, capsys)
+        assert in_process[0] == 0 and len(in_process[2]) == 4
+        # The fixtures hold far fewer tuples than a child needs to pay.
+        assert self.run_with_cpus(ws, 2, monkeypatch, capsys, CHILD_MIN_TUPLES) == in_process
+        assert forks == []
+        shutil.rmtree(ws.out)
+        assert self.run_with_cpus(ws, 2, monkeypatch, capsys) == in_process
+        assert forks == [1]
+        # A lone ingest has nothing to overlap, so the staged commands never fork.
+        for command in ("ingest", "probe", "render", "emit"):
+            assert main([command, "--config", str(ws.config), "--force"]) == 0
+        assert outputs(ws.out) == in_process[2] and forks == [1]
+
+    @pytest.mark.parametrize("fault", ["later-stage", "compose"])
+    def test_a_fault_while_the_child_composes_ends_as_in_process(self, ws, capsys, monkeypatch, fault):
+        assert main(["run", "--config", str(ws.config)]) == 0
+        before = outputs(ws.out)
+        if fault == "later-stage":  # render fails; a child would still be composing
+            ws.edit(templates_path=str(ws.tmp / "absent.json"))
+            self.compose_with(monkeypatch, lambda graphs: time.sleep(60))
+        else:
+            def compose(graphs):
+                raise ValueError("Out of range float values are not JSON compliant")
+            self.compose_with(monkeypatch, compose)
+        started = time.monotonic()
+        in_process = self.run_with_cpus(ws, 1, monkeypatch, capsys)
+        assert self.run_with_cpus(ws, 2, monkeypatch, capsys) == in_process
+        assert time.monotonic() - started < 30
+        code, err, files = in_process
+        assert (code, files) == ({"later-stage": 7, "compose": 1}[fault], before)
+        stage = {"later-stage": "render", "compose": "ingest"}[fault]
+        assert err.startswith(f"error: stage '{stage}' failed: ") and len(err.splitlines()) == 1
+
+    def test_a_child_killed_before_its_text_is_taken_names_graphs_jsonl(self, ws, capsys, monkeypatch):
+        assert main(["run", "--config", str(ws.config)]) == 0
+        before = outputs(ws.out)
+        parent = os.getpid()
+
+        def killed(graphs):
+            assert os.getpid() != parent, "composed in this process"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        self.compose_with(monkeypatch, killed)
+        graphs = ws.out / "graphs.jsonl"
+        assert self.run_with_cpus(ws, 2, monkeypatch, capsys) == (
+            1, f"error: stage 'ingest' failed: {graphs}: the process writing it ended without a result\n", before
+        )
+
+    @pytest.mark.parametrize("call, code", FAILED_CALLS, ids=[call for call, _ in FAILED_CALLS])
+    def test_a_failed_fork_or_pipe_composes_graphs_in_process(self, ws, capsys, monkeypatch, call, code):
+        in_process = self.run_with_cpus(ws, 1, monkeypatch, capsys)
+        monkeypatch.setattr(os, call, failing(code))
+        assert self.run_with_cpus(ws, 2, monkeypatch, capsys) == in_process
+        assert in_process[0] == 0
+
+
 class TestEvalCommands:
     def test_eval_writes_reports(self, ws, capsys):
         argv = ws.eval_argv(positive=matching)
@@ -584,12 +679,9 @@ class TestEvalCommands:
         monkeypatch.setattr(evaluate, "CHILD_MIN_CSV_BYTES", min_bytes)
         out = Path(argv[argv.index("--out") + 1])
         shutil.rmtree(out, ignore_errors=True)
-        fds = sorted(os.listdir("/dev/fd"))
         capsys.readouterr()
-        code = main(argv)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert sorted(os.listdir("/dev/fd")) == fds
+        with no_child_left():
+            code = main(argv)
         reports = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
         return code, capsys.readouterr().err, reports
 
@@ -655,12 +747,10 @@ class TestEvalCommands:
         scores = coarse(np.random.default_rng(3))
         argv = ws.eval_argv(scores, scores)
         in_process = self.eval_with_cpus(argv, 1, monkeypatch, capsys)
-
-        def fork():
-            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", fork)
-        assert self.eval_with_cpus(argv, 2, monkeypatch, capsys) == in_process
+        for call, code in FAILED_CALLS:
+            with monkeypatch.context() as patch:
+                patch.setattr(os, call, failing(code))
+                assert self.eval_with_cpus(argv, 2, patch, capsys) == in_process, call
         assert in_process[0] == 0
 
 

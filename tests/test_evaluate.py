@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eventprobe.captions import Caption, CaptionPair
+from eventprobe.documents import in_child
 from eventprobe.errors import EmptyInput, EvaluationError, MalformedDocument
 from eventprobe.evaluate import (
     DIRECTIONS,
@@ -20,8 +21,8 @@ from eventprobe.evaluate import (
     GroundTruth,
     ScoreMatrix,
     build_control_pool,
+    child_pays,
     evaluate_pools,
-    in_child,
     load_score_matrix,
     pessimistic_ranks,
     recall_at_k,
@@ -562,7 +563,7 @@ def test_a_child_reads_only_a_csv_large_enough_to_pay(tmp_path, monkeypatch, nam
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(os, "fork", fork)
-    with in_child(lambda given: given, str(path)) as load:
+    with in_child(lambda: str(path), child_pays(str(path)), f"{path}: the process reading it") as load:
         assert load() == str(path)
     assert len(attempts) == forks
 
@@ -579,7 +580,7 @@ def test_a_matrix_from_a_child_costs_this_process_one_copy(tmp_path, monkeypatch
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
     expected = build(str(path))
-    with in_child(build, str(path)) as load:
+    with in_child(lambda: build(str(path)), child_pays(str(path)), f"{path}: the process reading it") as load:
         assert forks == [1]
         tracemalloc.start()
         try:

@@ -21,6 +21,7 @@ from eventprobe.manipulate import (
     records_to_jsonl,
     temporal_attribute_swap,
     temporal_predicate_swap,
+    time_order,
 )
 from eventprobe.profiles import ManipulationCategory, parse_profile
 from eventprobe.scene_graph import TUPLE_FIELDS, SceneGraph
@@ -546,6 +547,14 @@ class TestApply:
         text = records_to_jsonl([record])
         assert text == json_line(record_to_doc(record)) and '"predicate":null' in text
         assert records_from_jsonl(text, [kitchen], "records.jsonl") == [record]
+
+
+def test_time_order_breaks_a_start_tie_by_end_time():
+    """Tuples that start together go in end order, before tuple_id order."""
+    ends_late = make_tuple("t0", entity("e0"), attrs=(attr("red"),), time=span(1.0, 5.0))
+    ends_early = make_tuple("t1", entity("e1"), attrs=(attr("red"),), time=span(1.0, 2.0))
+    same_span = make_tuple("t2", entity("e2"), attrs=(attr("red"),), time=span(1.0, 2.0))
+    assert time_order([same_span, ends_late, ends_early]) == [ends_early, same_span, ends_late]
 
 
 CATEGORY_KEYS = tuple(c.key for c in PROFILE.category_set)
