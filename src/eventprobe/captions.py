@@ -1,9 +1,11 @@
 """Template rendering of manipulation records into caption pairs.
 
-Each manipulation category has one positive and one negative pattern; the
-positive caption is rendered from the record's original tuples, the negative
-from the manipulated ones. Rendering is deterministic, so a benchmark built
-with the decorator disabled is a pure function of records and templates.
+A caption's claims are the slot values its tuples fill: the original tuples
+for the positive, the manipulated ones for the negative. Each category has
+one pattern per polarity, which picks from them, and the decorator protects
+the manipulated slot's values among them. Rendering is deterministic, so a
+benchmark built with the decorator disabled is a pure function of records
+and templates.
 """
 
 from __future__ import annotations
@@ -88,9 +90,11 @@ _EMPTY_SLOTS = dict.fromkeys(ALLOWED_SLOTS, "")
 
 
 def _check_pattern(pattern: str) -> None:
-    """Raise ValueError unless pattern names only allowed slots, holds no
-    slot in a format spec and formats with every slot empty. Slot values
-    are strings, so rendering it can then fail only on a missing slot."""
+    """Raise ValueError unless pattern is nonempty, names only allowed slots,
+    holds no slot in a format spec and formats with every slot empty. Slot
+    values are strings, so rendering it can then fail only on a missing slot."""
+    if not pattern:
+        raise ValueError("pattern is empty")
     for _, field_name, format_spec, _ in string.Formatter().parse(pattern):
         if field_name is not None and field_name not in ALLOWED_SLOTS:
             raise ValueError(f"unknown slot {field_name!r}")
@@ -157,22 +161,23 @@ def _tuple_slots(
     return slots
 
 
-def _render_one(
-    record: ManipulationRecord,
-    tuples: Sequence[EventTuple],
-    templates: TemplateTable,
-    polarity: str,
-) -> Caption:
+def claims(record: ManipulationRecord, polarity: str) -> dict[str, str]:
+    """The slot values a caption of polarity can state: the original tuples'
+    for the positive, the manipulated ones' for the negative, suffixed "1"
+    and "2" in time_order when there are two. A pattern picks from them."""
+    tuples = record.original if polarity == POSITIVE else record.manipulated
+    if len(tuples) == 1:
+        return _tuple_slots(tuples[0], record.category)
+    first, second = time_order(tuples)
+    return {**_tuple_slots(first, record.category, "1"), **_tuple_slots(second, record.category, "2")}
+
+
+def _render_one(record: ManipulationRecord, templates: TemplateTable, polarity: str) -> Caption:
     key = record.category.key
     pattern = templates.patterns.get((key, polarity))
     if pattern is None:
         raise TemplateError(f"no {polarity} template for category {key!r}")
-    if len(tuples) == 1:
-        slots = _tuple_slots(tuples[0], record.category)
-    else:
-        ordered = time_order(tuples)
-        slots = _tuple_slots(ordered[0], record.category, "1")
-        slots.update(_tuple_slots(ordered[1], record.category, "2"))
+    slots = claims(record, polarity)
     if polarity in templates.connectives:
         slots["connective"] = templates.connectives[polarity]
     try:
@@ -187,23 +192,22 @@ def _render_one(
 
 
 def render_pair(record: ManipulationRecord, templates: TemplateTable) -> CaptionPair:
-    """Render the positive caption from the record's original tuples and the
-    negative caption from the manipulated ones."""
+    """The record's positive and negative caption, each formatted from its claims."""
     return CaptionPair(
         record.record_id, record.video_id, record.category,
-        _render_one(record, record.original, templates, POSITIVE),
-        _render_one(record, record.manipulated, templates, NEGATIVE),
+        _render_one(record, templates, POSITIVE),
+        _render_one(record, templates, NEGATIVE),
     )
 
 
 def protected_values(record: ManipulationRecord) -> dict[str, tuple[str, ...]]:
     """Slot values that must survive verbatim in each polarity's caption:
-    the manipulated slot, as the captions show it.
+    the manipulated slot's values among its claims.
 
     A counterfactual record protects its original value in the positive and
-    its substitute in the negative. A temporal record protects each original
-    tuple's value, and a neighborhood record the subject's and the object's,
-    in both captions.
+    its substitute in the negative. A temporal record protects each tuple's
+    value, and a neighborhood record the subject's and the object's, in both
+    captions, each in that caption's order (decorate only tests presence).
     """
     category = record.category
     if category.target == "predicate":
@@ -212,15 +216,10 @@ def protected_values(record: ManipulationRecord) -> dict[str, tuple[str, ...]]:
         names = ("subject_attr", "object_attr")
     else:
         names = ("subject_attr",)
-
-    def shown(tuples: Sequence[EventTuple]) -> tuple[str, ...]:
-        slots = [_tuple_slots(tup, category) for tup in tuples]
-        return tuple(s[name] for s in slots for name in names if name in s)
-
-    values = shown(record.original)
-    if category.method == "counterfactual":
-        return {POSITIVE: values, NEGATIVE: shown(record.manipulated)}
-    return {POSITIVE: values, NEGATIVE: values}
+    suffixes = ("",) if len(record.original) == 1 else ("1", "2")
+    keys = [name + suffix for suffix in suffixes for name in names]
+    claimed = {polarity: claims(record, polarity) for polarity in (POSITIVE, NEGATIVE)}
+    return {polarity: tuple(slots[key] for key in keys if key in slots) for polarity, slots in claimed.items()}
 
 
 # --- benchmark serialization -------------------------------------------------

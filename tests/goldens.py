@@ -1,8 +1,8 @@
-"""Golden caption records and their frozen renderings.
+"""Golden caption records, their frozen renderings and protected values.
 
 The expected strings were written down from the template table and the
 fixture tuples before the renderer ran; tests compare rendered output
-against them byte for byte.
+against them byte for byte, and protected values as multisets.
 """
 
 from __future__ import annotations
@@ -150,4 +150,18 @@ GOLDEN_TEXTS = {
         "the bike is black",
         "the bike is red",
     ),
+}
+
+
+# The values each caption of a golden pair must keep verbatim, as
+# (positive, negative): the manipulated slot of every tuple it shows.
+GOLDEN_PROTECTED = {
+    "temporal.predicate.Action": (("slices", "opens"), ("slices", "opens")),
+    "temporal.predicate.Contact": (("kneels on", "touches"), ("kneels on", "touches")),
+    "temporal.attribute.Color": (("yellow", "black"), ("yellow", "black")),
+    "neighborhood.attribute.Color": (("white", "brown"), ("white", "brown")),
+    "counterfactual.predicate.Action": (("carries",), ("assembles",)),
+    "counterfactual.predicate.Contact": (("is drawn on",), ("is erased from",)),
+    "counterfactual.predicate.SpatialRelationship": (("on",), ("beside",)),
+    "counterfactual.attribute.Color": (("black",), ("red",)),
 }

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -27,7 +28,7 @@ from eventprobe.manipulate import _derived, apply_corpus
 from eventprobe.pipeline import run_pipeline, run_stages
 from eventprobe.profiles import ManipulationCategory
 
-from .goldens import GOLDEN_TEXTS, build_golden_records, record_for
+from .goldens import GOLDEN_PROTECTED, GOLDEN_TEXTS, build_golden_records, record_for
 from .helpers import PROFILE, attr, entity, json_line, make_tuple, pair_to_doc, pred, random_profile_corpus, span
 
 
@@ -101,6 +102,13 @@ class TestRenderErrors:
                 }
             )
 
+    def test_a_pattern_of_slots_alone_loads(self, golden_records):
+        """Only an empty pattern is rejected at load; one that is empty only
+        when its slots are renders what they hold."""
+        record = golden_records["counterfactual.attribute.Color"]
+        table = parse_templates({"templates": {record.category.key: {"positive": "{subject}", "negative": "{subject_attr}"}}})
+        assert render_pair(record, table)[3:] == (Caption("bike", "template"), Caption("red", "template"))
+
 
 class TestSlotFidelity:
     def test_protected_values_appear_verbatim(self, corpus, profile, templates):
@@ -121,6 +129,13 @@ class TestSlotFidelity:
             for value in required["negative"]:
                 assert value in pair.negative.text, record.record_id
         assert protected_values(two_colors) == {"positive": ("red",), "negative": ("green",)}
+
+    def test_golden_records_protect_each_manipulated_value(self, golden_records):
+        assert set(GOLDEN_PROTECTED) == set(golden_records)
+        for key, record in golden_records.items():
+            required = protected_values(record)
+            for polarity, expected in zip(("positive", "negative"), GOLDEN_PROTECTED[key]):
+                assert Counter(required[polarity]) == Counter(expected), (key, polarity)
 
     # Predicate tuples without an object give no predicate sites, so the
     # generated corpora render as they are.

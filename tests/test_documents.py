@@ -237,9 +237,9 @@ FAULTS = {
         "no-types": edit_json(predicate_types=[], attribute_types=[], vocab={}),
     },
     # A pattern that would fail to render whatever its slots hold: a brace
-    # out of place, a format spec or conversion a string does not take, or a
-    # slot in a format spec, whose value would become the spec. The last two
-    # render with every slot empty.
+    # out of place, a format spec or conversion a string does not take, a
+    # slot in a format spec, whose value would become the spec, or no text at
+    # all. The two slot-spec rows render with every slot empty.
     "templates": {
         "missing": Says("template file not found", None),
         "templates-list": edit_json(templates=[]),
@@ -252,6 +252,7 @@ FAULTS = {
         "pattern-unknown-conversion": color_positive("the {subject!x} is {subject_attr}"),
         "pattern-slot-spec": color_positive("the {subject:{subject_attr}}"),
         "pattern-slot-in-spec": color_positive("the {subject:{subject_attr}>5}"),
+        "pattern-empty": Says("'t1.counterfactual.attribute.Color.positive': pattern is empty", color_positive("")),
         "lone-surrogate": edit_json(connectives=lambda c: {**c, "negative": "while" + LONE}),
         "patterns-list": edit_json(templates=lambda t: {**t, ACTION: [t[ACTION]["positive"]]}),
         "negative-pattern-absent": edit_json(templates=lambda t: {**t, ACTION: {"positive": t[ACTION]["positive"]}}),
