@@ -7,7 +7,8 @@ composes each line from json_string, json_int and json_float, so its bytes
 are json.dumps's with ensure_ascii=False, separators (",", ":") and
 allow_nan=False. The writer puts all of a command's outputs in place
 together, or none of them, and names the directory in a ConfigError when
-it cannot. in_child reads or composes one file's value on a second CPU.
+it cannot. in_child computes a value on a second CPU: a file's value, or
+the second half of a command's work.
 """
 
 from __future__ import annotations
@@ -170,18 +171,25 @@ def require_numbers(doc: Mapping[str, Any], key: str) -> list:
     return value
 
 
-def parse_jsonl(text: str, parse: Callable[[Any], Any], name: str) -> list[Any]:
-    """parse applied to the JSON value of every non-blank line of text; a
-    MalformedDocument, for invalid JSON or from parse, names the line. Lines end
-    at "\\n" only: json_string leaves U+2028 and the other characters at which
+def jsonl_lines(text: str, first_line: int = 1) -> Iterator[tuple[int, str]]:
+    """(number, line) for every non-blank line of text, numbered from
+    first_line: the lines that parse_jsonl parses. Lines end at "\\n" only:
+    json_string leaves U+2028 and the other characters at which
     str.splitlines also breaks unescaped."""
+    return ((number, line) for number, line in enumerate(text.split("\n"), first_line) if line.strip())
+
+
+def parse_jsonl(text: str, parse: Callable[[Any], Any], name: str, first_line: int = 1) -> list[Any]:
+    """parse applied to the JSON value of every line of jsonl_lines(text,
+    first_line); a MalformedDocument, for invalid JSON or from parse, names
+    the line. A part of a file that starts at its line first_line gives the
+    numbers the whole file would."""
     parsed = []
-    for number, line in enumerate(text.split("\n"), 1):
-        if line.strip():
-            try:
-                parsed.append(parse(_json_value(line)))
-            except MalformedDocument as exc:
-                raise MalformedDocument(f"{name} line {number}: {exc}") from None
+    for number, line in jsonl_lines(text, first_line):
+        try:
+            parsed.append(parse(_json_value(line)))
+        except MalformedDocument as exc:
+            raise MalformedDocument(f"{name} line {number}: {exc}") from None
     return parsed
 
 

@@ -654,12 +654,13 @@ def records_to_jsonl(records: Iterable[ManipulationRecord]) -> str:
 
 
 def records_from_jsonl(
-    text: str, graphs: Iterable[SceneGraph], name: str
+    text: str, graphs: Iterable[SceneGraph], name: str, first_line: int = 1
 ) -> list[ManipulationRecord]:
     """Records from records_to_jsonl's text, against the graphs they came from.
 
     Raises MalformedDocument, naming the line, for anything that is not a
-    format-2 record of one of the graphs.
+    format-2 record of one of the graphs; text's first line is the file's
+    line first_line.
     """
     tuples_by_video = {graph.video_id: graph.tuples_by_id for graph in graphs}
-    return parse_jsonl(text, lambda doc: record_from_doc(doc, tuples_by_video), name)
+    return parse_jsonl(text, lambda doc: record_from_doc(doc, tuples_by_video), name, first_line)

@@ -9,6 +9,12 @@ have succeeded, so a failed command leaves the output directory as it was. A
 successful command then removes the outputs of later stages, which no longer
 follow from it. `render` writes the benchmark and `emit` the run manifest.
 
+Two CPUs are used where a command has work to overlap: `run` composes
+graphs.jsonl in a forked child while its later stages run, and a lone
+`probe` or `render` computes the second half of its categories or records
+in one while it computes the first. The bytes, errors and exit codes are
+those of one pass in one process.
+
 With the decorator disabled the emitted benchmark is a pure function of the
 input documents and the configuration, so two runs with one seed produce
 byte-identical output files and equal manifest digests (timestamps are kept
@@ -40,7 +46,7 @@ from .captions import (
     render_pair,
 )
 from .decorator import DecoratorConfig, decorate
-from .documents import in_child, naming, read_json, read_text, require, require_strings, write_outputs
+from .documents import in_child, jsonl_lines, naming, read_json, read_text, require, require_strings, write_outputs
 from .errors import (
     ConfigError,
     EmptyInput,
@@ -48,7 +54,7 @@ from .errors import (
     MalformedDocument,
     OutputExists,
 )
-from .manipulate import apply_corpus, records_from_jsonl, records_to_jsonl
+from .manipulate import ManipulationRecord, apply_corpus, records_from_jsonl, records_to_jsonl
 from .profiles import DatasetProfile, load_profile
 from .scene_graph import (
     graphs_from_jsonl,
@@ -223,29 +229,36 @@ def _probe(config: PipelineConfig, values: Mapping[str, Any], started_at: float)
     )
 
 
-def _render(config: PipelineConfig, values: Mapping[str, Any], started_at: float) -> list:
+def _render_records(config: PipelineConfig, records: Sequence[ManipulationRecord]) -> list:
+    """The caption pair of each record, decorated when the config asks."""
     templates = (
         load_templates(config.templates_path) if config.templates_path is not None else default_templates()
     )
     pairs = []
-    for record in values["probe"]:
+    for record in records:
         pair = render_pair(record, templates)
         if config.decorator.enabled:
             pair = decorate(pair, config.decorator, required=protected_values(record))
         pairs.append(pair)
+    return pairs
+
+
+def _render(config: PipelineConfig, values: Mapping[str, Any], started_at: float) -> list:
+    pairs = _render_records(config, values["probe"])
     benchmark_categories(pairs)  # raises on no pairs or a repeated pair_id
     return pairs
 
 
 def _emit(config: PipelineConfig, values: Mapping[str, Any], started_at: float) -> RunManifest:
-    """The run manifest. Its stage_counts are the line counts of the earlier
-    outputs, one line per item, so that `emit` run on its own reports what
-    `run` does: a stage this command did not load is counted on disk."""
+    """The run manifest. Its stage_counts are the item counts of the earlier
+    outputs, so that `emit` run on its own reports what `run` does: a stage
+    this command did not load is counted on disk, one item per line that
+    parse_jsonl would parse."""
 
     def lines(name: str) -> int:
         if name in values:
             return len(values[name])
-        return _read_output(Path(config.output_dir), STAGE_BY_NAME[name]).count("\n")
+        return sum(1 for _ in jsonl_lines(_read_output(Path(config.output_dir), STAGE_BY_NAME[name])))
 
     pairs = values["render"]
     captions = [caption for pair in pairs for caption in (pair.positive, pair.negative)]
@@ -262,12 +275,58 @@ def _emit(config: PipelineConfig, values: Mapping[str, Any], started_at: float) 
     )
 
 
+# The `alone` functions of the stage table: each reads the earlier outputs
+# itself and returns its stage's output text, and computes the second half
+# of its work through _in_halves.
+def _probe_alone(config: PipelineConfig, out_dir: Path) -> str:
+    """records.jsonl for the first half of the categories, in profile order,
+    then for the second. Records are seeded and numbered per category, so
+    the halves joined are the bytes of one pass."""
+    graphs = _load(out_dir, "ingest", {})
+    profile = load_profile(config.profile_path)
+    categories = resolve_categories(config, profile) or profile.category_set
+    cut = (len(categories) + 1) // 2
+    for graph in graphs:
+        graph.groups  # built here, once, not in both processes
+    first, second = _in_halves(
+        (categories[:cut], categories[cut:]),
+        (lambda group: apply_corpus(graphs, profile, config.quotas, config.global_seed, categories=group),
+         records_to_jsonl),
+        cut < len(categories) and sum(len(graph.tuples) for graph in graphs) >= CHILD_MIN_PROBE_TUPLES,
+        f"{out_dir / STAGE_BY_NAME['probe'].output}: the process writing it",
+    )
+    return first + second
+
+
+def _render_alone(config: PipelineConfig, out_dir: Path) -> str:
+    """benchmark.jsonl for records.jsonl cut at the line boundary nearest
+    the middle of its text: the pairs of each part, parsed with the line
+    numbers of the whole file and rendered, then checked and written
+    together."""
+    graphs = _load(out_dir, "ingest", {})
+    source = STAGE_BY_NAME["probe"]
+    text, name = _read_output(out_dir, source), str(out_dir / source.output)
+    middle = len(text) // 2
+    before, after = text.rfind("\n", 0, middle) + 1, text.find("\n", middle) + 1 or len(text)
+    cut = before if middle - before <= after - middle else after
+    first, second = _in_halves(
+        ((text[:cut], 1), (text[cut:], text.count("\n", 0, cut) + 1)),
+        (lambda part: records_from_jsonl(part[0], graphs, name, part[1]), partial(_render_records, config)),
+        0 < cut < len(text) and len(text) >= CHILD_MIN_RECORDS_CHARS,
+        f"{out_dir / STAGE_BY_NAME['render'].output}: the process writing it",
+    )
+    pairs = first + second
+    benchmark_categories(pairs)
+    return pairs_to_jsonl(pairs)
+
+
 @dataclass(frozen=True)
 class Stage:
     """One row of the pipeline. A command that runs this stage on its own
     first loads the outputs of the stages named in reads, in table order;
     read gets the text and path of this stage's output and the values
-    loaded so far."""
+    loaded so far. When alone is set, such a command calls it instead: it
+    gives the text, and the error, that loading, fn and write would."""
 
     name: str
     reads: tuple[str, ...]
@@ -275,16 +334,17 @@ class Stage:
     fn: Callable[[PipelineConfig, Mapping[str, Any], float], Any]
     write: Callable[[Any], str]
     read: Callable[[str, str, Mapping[str, Any]], Any] | None
+    alone: Callable[[PipelineConfig, Path], str] | None = None
 
 
 STAGES: tuple[Stage, ...] = (
     Stage("ingest", (), "graphs.jsonl", _ingest, graphs_to_jsonl,
           lambda text, name, values: graphs_from_jsonl(text, name)),
     Stage("probe", ("ingest",), "records.jsonl", _probe, records_to_jsonl,
-          lambda text, name, values: records_from_jsonl(text, values["ingest"], name)),
+          lambda text, name, values: records_from_jsonl(text, values["ingest"], name), _probe_alone),
     # records.jsonl is relative to graphs.jsonl, so render loads both.
     Stage("render", ("ingest", "probe"), "benchmark.jsonl", _render, pairs_to_jsonl,
-          lambda text, name, values: pairs_from_jsonl(text, name)),
+          lambda text, name, values: pairs_from_jsonl(text, name), _render_alone),
     Stage("emit", ("render",), "run_manifest.json", _emit, RunManifest.to_json, None),
 )
 STAGE_BY_NAME = {stage.name: stage for stage in STAGES}
@@ -295,11 +355,64 @@ def _read_output(out_dir: Path, stage: Stage) -> str:
     return read_text(path, EmptyInput(f"{path} not found; run {stage.name} first"))
 
 
+def _load(out_dir: Path, name: str, values: dict[str, Any]) -> Any:
+    """values[name], read first from that stage's output in out_dir if
+    values lacks it."""
+    if name not in values:
+        source = STAGE_BY_NAME[name]
+        values[name] = source.read(_read_output(out_dir, source), str(out_dir / source.output), values)
+    return values[name]
+
+
+def _through(steps: Sequence[Callable[[Any], Any]], item: Any) -> tuple[int, Any]:
+    """(len(steps), the value) when each step in turn, applied to item and
+    then to the last step's value, returns; else (i, the error) at the
+    first step i that raises."""
+    for index, step in enumerate(steps):
+        try:
+            item = step(item)
+        except Exception as exc:
+            return index, exc
+    return len(steps), item
+
+
+def _in_halves(
+    halves: tuple[Any, Any], steps: Sequence[Callable[[Any], Any]], pays: bool, what: str
+) -> tuple[Any, Any]:
+    """The values of steps applied in turn to each of two halves of a
+    command's input, in order. The second half's come from documents.in_child,
+    from a forked child when pays, while this process computes the first
+    half's. An error ends the command as one pass over the whole input would
+    end it: the error of the earliest step wins, and at one step the first
+    half's."""
+    with in_child(partial(_through, steps, halves[1]), pays, what) as take:
+        step, value = _through(steps, halves[0])
+        # An error at the first step wins before the child's outcome is known.
+        their_step, their_value = take() if step else (len(steps), None)
+    if min(step, their_step) < len(steps):
+        raise value if step <= their_step else their_value
+    return value, their_value
+
+
 # On a 2-vCPU x86 VM, composing graphs.jsonl takes about 3.5 us per tuple,
 # and a child costs a few ms (fork, pipe, reaping, pages copied on write).
 # In a sweep of `run` over 20 videos, the child lost 1-2 ms at 1,000 and
 # 1,500 tuples and won 1-4 ms from 2,000 on (median paired differences).
 CHILD_MIN_TUPLES = 2000
+# A lone probe shares its categories with a child for a corpus of this many
+# tuples or more, and a lone render its records for a records.jsonl of this
+# many characters or more. In a sweep of each command alone, alternating in
+# one long-lived process per generated corpus (ASCII, so characters are
+# bytes), median paired differences of 40-60 pairs, child minus in process:
+# - no quotas, 20 tuples per video: probe lost 1.8 ms at 40 tuples, was
+#   even at 120 and 200 (+0.2, -1.2 and -1.8 ms in three rounds), and won
+#   4 ms at 300 and 10 ms at 600; render lost 2-3 ms up to 143 KB, was
+#   mixed at 236 KB (+4.4, -0.5, -1.1), and won 1.2-2.1 ms at 283 KB,
+#   3.5 ms at 353 KB and 10 ms at 705 KB;
+# - a quota of 50 per category: probe was even from 250 to 4,000 tuples
+#   (+0.3 to -1.3 ms), and render lost 2-8 ms on its 121-128 KB files.
+CHILD_MIN_PROBE_TUPLES = 300
+CHILD_MIN_RECORDS_CHARS = 300_000
 
 
 @contextmanager
@@ -326,9 +439,14 @@ def run_stages(config: PipelineConfig, names: Sequence[str]) -> RunManifest | No
     When later stages follow ingest, as in `run`, none of them reads
     graphs.jsonl's text, so it is composed by documents.in_child: in a
     forked child while they run, for a corpus of CHILD_MIN_TUPLES tuples or
-    more, and taken just before the outputs are written. The bytes, errors
-    and exit codes are the same either way; a child that ends without its
-    text fails the ingest stage with an EventProbeError naming the file.
+    more, and taken just before the outputs are written. A lone probe or
+    render runs its stage's `alone` instead, which computes the second half
+    of its work through _in_halves: in a forked child for a corpus of
+    CHILD_MIN_PROBE_TUPLES tuples, or a records.jsonl of
+    CHILD_MIN_RECORDS_CHARS characters, or more. A lone ingest or emit
+    never forks. The bytes, errors and exit codes are the same either way;
+    a child that ends without its value fails its stage with an
+    EventProbeError naming the file it was computing.
     """
     started_at = time.time()
     stages = [stage for stage in STAGES if stage.name in names]
@@ -349,11 +467,11 @@ def run_stages(config: PipelineConfig, names: Sequence[str]) -> RunManifest | No
     with ExitStack() as children:
         for stage in stages:
             with _failing(stage):
+                if stage.alone is not None and len(stages) == 1:
+                    texts[stage.output] = stage.alone(config, out_dir)
+                    continue
                 for name in stage.reads:
-                    if name not in values:
-                        source = STAGE_BY_NAME[name]
-                        text = _read_output(out_dir, source)
-                        values[name] = source.read(text, str(out_dir / source.output), values)
+                    _load(out_dir, name, values)
                 value = values[stage.name] = stage.fn(config, values, started_at)
                 if stage is STAGES[0] and stage is not stages[-1]:
                     take_graphs_text = children.enter_context(in_child(

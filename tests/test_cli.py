@@ -251,23 +251,20 @@ class TestStagedCommands:
         assert err.startswith("error: ") and "graphs.jsonl not found" in err
         assert not (ws.out / "benchmark.jsonl").exists()
 
-    @pytest.mark.parametrize(
-        "content, message",
-        [(None, "'seed' must be int"), (b"{oops\n", "records.jsonl line 1"), (b"\xff\n", "not UTF-8")],
-        ids=["seed-string", "invalid-json", "non-utf8"],
-    )
-    def test_render_bad_records_exit_code(self, ws, capsys, content, message):
-        argv = ws.command("ingest", "probe", "render")
-        path = ws.out / "records.jsonl"
-        if content is None:
-            first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
-            content = (json.dumps({**json.loads(first), "seed": "7"}) + "\n" + "".join(rest)).encode()
-        path.write_bytes(content)
-        capsys.readouterr()
-        assert main(argv) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
-        assert not (ws.out / "benchmark.jsonl").exists()
+    def test_emit_counts_the_lines_render_parsed(self, ws, capsys):
+        # A final line without its newline, and a blank line, are counted as
+        # parse_jsonl reads them: one item per non-blank line.
+        assert main(["run", "--config", str(ws.config), "--out", str(ws.tmp / "run")]) == 0
+        counts = json.loads(capsys.readouterr().out)["stage_counts"]
+        ws.command("ingest", "probe", "render")
+        for name, edit in [("graphs.jsonl", lambda text: text.replace("\n", "\n \n", 1)),
+                           ("records.jsonl", lambda text: text.rstrip("\n"))]:
+            text = (ws.out / name).read_text(encoding="utf-8")
+            (ws.out / name).write_text(edit(text), encoding="utf-8")
+        for command in ("render", "emit"):
+            assert main([command, "--config", str(ws.config), "--force"]) == 0
+        manifest = json.loads((ws.out / "run_manifest.json").read_text(encoding="utf-8"))
+        assert manifest["stage_counts"] == counts and counts["records"] == counts["pairs"]
 
 
 class TestInputFileErrors:
@@ -422,22 +419,29 @@ class TestStageTable:
         fresh_python("-m", "eventprobe.cli", *argv)
 
 
+def with_cpus(ws, command, cpus, monkeypatch, capsys, min_size=0):
+    """`command --force` over ws with `cpus` usable CPUs and every size rule
+    of the pipeline's children at min_size: its exit code, its stderr and
+    the output directory. No child process and no open file may outlive it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    for rule in ("CHILD_MIN_TUPLES", "CHILD_MIN_PROBE_TUPLES", "CHILD_MIN_RECORDS_CHARS"):
+        monkeypatch.setattr(pipeline, rule, min_size)
+    capsys.readouterr()
+    with no_child_left():
+        code = main([command, "--config", str(ws.config), "--force"])
+    return code, capsys.readouterr().err, outputs(ws.out) if ws.out.exists() else {}
+
+
+def counting_forks(monkeypatch) -> list:
+    """A list that gets one item per os.fork from now on."""
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    return forks
+
+
 class TestGraphsChild:
     """`run` composes graphs.jsonl in a forked child while probe, render and
     emit run, when two CPUs are usable and the corpus is large enough."""
-
-    @staticmethod
-    def run_with_cpus(ws, cpus, monkeypatch, capsys, min_tuples=0):
-        """`run --force` over ws with `cpus` usable CPUs, composing
-        graphs.jsonl in a child for a corpus of min_tuples tuples or more:
-        its exit code, its stderr and the output directory. No child process
-        and no open file may outlive it."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(pipeline, "CHILD_MIN_TUPLES", min_tuples)
-        capsys.readouterr()
-        with no_child_left():
-            code = main(["run", "--config", str(ws.config), "--force"])
-        return code, capsys.readouterr().err, outputs(ws.out) if ws.out.exists() else {}
 
     @staticmethod
     def compose_with(monkeypatch, write):
@@ -445,21 +449,22 @@ class TestGraphsChild:
         monkeypatch.setattr(pipeline, "STAGES", (replace(pipeline.STAGES[0], write=write), *pipeline.STAGES[1:]))
 
     def test_graphs_composed_in_a_child_give_the_same_outputs(self, ws, capsys, monkeypatch):
-        forks = []
-        real_fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-        in_process = self.run_with_cpus(ws, 1, monkeypatch, capsys)
+        forks = counting_forks(monkeypatch)
+        in_process = with_cpus(ws, "run", 1, monkeypatch, capsys)
         assert in_process[0] == 0 and len(in_process[2]) == 4
         # The fixtures hold far fewer tuples than a child needs to pay.
-        assert self.run_with_cpus(ws, 2, monkeypatch, capsys, CHILD_MIN_TUPLES) == in_process
+        assert with_cpus(ws, "run", 2, monkeypatch, capsys, CHILD_MIN_TUPLES) == in_process
         assert forks == []
         shutil.rmtree(ws.out)
-        assert self.run_with_cpus(ws, 2, monkeypatch, capsys) == in_process
+        assert with_cpus(ws, "run", 2, monkeypatch, capsys) == in_process
         assert forks == [1]
-        # A lone ingest has nothing to overlap, so the staged commands never fork.
+        # A lone ingest or emit has nothing to share, so it never forks; a
+        # lone probe and a lone render fork once each (the size rules are 0).
         for command in ("ingest", "probe", "render", "emit"):
+            before = len(forks)
             assert main([command, "--config", str(ws.config), "--force"]) == 0
-        assert outputs(ws.out) == in_process[2] and forks == [1]
+            assert len(forks) - before == (command in ("probe", "render")), command
+        assert outputs(ws.out) == in_process[2]
 
     @pytest.mark.parametrize("fault", ["later-stage", "compose"])
     def test_a_fault_while_the_child_composes_ends_as_in_process(self, ws, capsys, monkeypatch, fault):
@@ -473,8 +478,8 @@ class TestGraphsChild:
                 raise ValueError("Out of range float values are not JSON compliant")
             self.compose_with(monkeypatch, compose)
         started = time.monotonic()
-        in_process = self.run_with_cpus(ws, 1, monkeypatch, capsys)
-        assert self.run_with_cpus(ws, 2, monkeypatch, capsys) == in_process
+        in_process = with_cpus(ws, "run", 1, monkeypatch, capsys)
+        assert with_cpus(ws, "run", 2, monkeypatch, capsys) == in_process
         assert time.monotonic() - started < 30
         code, err, files = in_process
         assert (code, files) == ({"later-stage": 7, "compose": 1}[fault], before)
@@ -492,16 +497,110 @@ class TestGraphsChild:
 
         self.compose_with(monkeypatch, killed)
         graphs = ws.out / "graphs.jsonl"
-        assert self.run_with_cpus(ws, 2, monkeypatch, capsys) == (
+        assert with_cpus(ws, "run", 2, monkeypatch, capsys) == (
             1, f"error: stage 'ingest' failed: {graphs}: the process writing it ended without a result\n", before
         )
 
     @pytest.mark.parametrize("call, code", FAILED_CALLS, ids=[call for call, _ in FAILED_CALLS])
     def test_a_failed_fork_or_pipe_composes_graphs_in_process(self, ws, capsys, monkeypatch, call, code):
-        in_process = self.run_with_cpus(ws, 1, monkeypatch, capsys)
+        in_process = with_cpus(ws, "run", 1, monkeypatch, capsys)
         monkeypatch.setattr(os, call, failing(code))
-        assert self.run_with_cpus(ws, 2, monkeypatch, capsys) == in_process
+        assert with_cpus(ws, "run", 2, monkeypatch, capsys) == in_process
         assert in_process[0] == 0
+
+
+class TestLoneStageChild:
+    """A lone probe or render computes the second half of its categories or
+    records in a forked child while it computes the first, when two CPUs
+    are usable and its input passes the size rule (0 here)."""
+
+    def test_halves_computed_in_a_child_give_the_in_process_outputs(self, ws, capsys, monkeypatch):
+        assert main(["run", "--config", str(ws.config)]) == 0
+        run_files = outputs(ws.out)
+        forks = counting_forks(monkeypatch)
+        for command in ("probe", "render"):
+            in_process = with_cpus(ws, command, 1, monkeypatch, capsys)
+            assert in_process[0] == 0 and with_cpus(ws, command, 2, monkeypatch, capsys) == in_process
+        assert forks == [1, 1]
+        assert main(["emit", "--config", str(ws.config), "--force"]) == 0
+        assert outputs(ws.out) == run_files
+
+    @pytest.mark.parametrize("last_line", ["valid", "malformed"])
+    def test_a_parse_error_anywhere_wins_over_an_earlier_render_error(self, tmp_path, capsys, monkeypatch, last_line):
+        ws = Workspace(tmp_path, templates=True)
+        ws.command("ingest", "probe", "render")
+        # A render error on the first record, which is temporal and has
+        # slots subject1 and subject2 only, and on the last records.
+        table = json.loads(ws.templates.read_text(encoding="utf-8"))
+        table["templates"]["temporal.predicate.Action"]["positive"] = "{subject}"
+        table["templates"]["counterfactual.attribute.Color"]["positive"] = "{subject1}"
+        ws.templates.write_text(json.dumps(table), encoding="utf-8")
+        records = ws.out / "records.jsonl"
+        lines = records.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert json.loads(lines[0])["category"] == "temporal.predicate.Action"
+        if last_line == "malformed":
+            records.write_text("".join(lines[:-1]) + "{oops\n", encoding="utf-8")
+        before = outputs(ws.out)
+        in_process = with_cpus(ws, "render", 1, monkeypatch, capsys)
+        assert with_cpus(ws, "render", 2, monkeypatch, capsys) == in_process
+        code, err, files = in_process
+        assert files == before and len(err.splitlines()) == 1
+        if last_line == "malformed":
+            assert code == 4 and f"{records} line {len(lines)}: invalid JSON" in err
+        else:
+            assert code == 7 and "record 'temporal.predicate.Action#0000' cannot fill slot 'subject'" in err
+
+    def test_the_first_failing_category_in_profile_order_wins(self, ws, capsys, monkeypatch):
+        assert main(["run", "--config", str(ws.config)]) == 0
+        before = outputs(ws.out)
+        real = pipeline.apply_corpus
+        failing_keys = set()
+
+        def apply_corpus(graphs, profile, quotas, seed, categories=None):
+            for category in categories or profile.category_set:
+                if category.key in failing_keys:
+                    raise errors.ManipulationError(f"{category.key} fails")
+            return real(graphs, profile, quotas, seed, categories=categories)
+
+        monkeypatch.setattr(pipeline, "apply_corpus", apply_corpus)
+        # The child computes the last four of the profile's eight categories.
+        for keys, first in [
+            ({"temporal.attribute.Color", "counterfactual.predicate.Contact"}, "temporal.attribute.Color"),
+            ({"counterfactual.attribute.Color", "counterfactual.predicate.Contact"}, "counterfactual.predicate.Contact"),
+        ]:
+            failing_keys.clear()
+            failing_keys.update(keys)
+            expected = (9, f"error: stage 'probe' failed: {first} fails\n", before)
+            assert with_cpus(ws, "probe", 2, monkeypatch, capsys) == expected
+            assert with_cpus(ws, "probe", 1, monkeypatch, capsys) == expected
+            assert with_cpus(ws, "run", 1, monkeypatch, capsys) == expected
+
+    @pytest.mark.parametrize("command, victim", [("probe", "apply_corpus"), ("render", "render_pair")])
+    def test_a_child_killed_mid_command_names_its_output(self, ws, capsys, monkeypatch, command, victim):
+        assert main(["run", "--config", str(ws.config)]) == 0
+        before = outputs(ws.out)
+        parent, real = os.getpid(), getattr(pipeline, victim)
+
+        def killed(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, victim, killed)
+        output = ws.out / pipeline.STAGE_BY_NAME[command].output
+        assert with_cpus(ws, command, 2, monkeypatch, capsys) == (
+            1, f"error: stage '{command}' failed: {output}: the process writing it ended without a result\n", before
+        )
+
+    @pytest.mark.parametrize("call, code", FAILED_CALLS, ids=[call for call, _ in FAILED_CALLS])
+    def test_a_failed_fork_or_pipe_computes_both_halves_in_process(self, ws, capsys, monkeypatch, call, code):
+        assert main(["run", "--config", str(ws.config)]) == 0
+        for command in ("probe", "render"):
+            in_process = with_cpus(ws, command, 1, monkeypatch, capsys)
+            with monkeypatch.context() as failed:
+                failed.setattr(os, call, failing(code))
+                assert with_cpus(ws, command, 2, monkeypatch, capsys) == in_process
+            assert in_process[0] == 0
 
 
 class TestEvalCommands:
