@@ -13,17 +13,21 @@ import argparse
 import importlib
 import json
 import sys
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
 from .captions import pairs_from_jsonl
-from .documents import decode, in_child, naming, parse_json, read_text, require_numbers
+from .documents import decode, in_halves, naming, parse_json, read_text, require_numbers
 from .errors import ConfigError, EmptyInput, EventProbeError, MalformedDocument
 from .pipeline import STAGE_BY_NAME, PipelineConfig, run_stages
 
 if TYPE_CHECKING:
-    from .evaluate import DIRECTIONS, child_pays, evaluate_pools, gap_rows_from_csv, load_score_matrix, summarize
+    from .evaluate import (
+        DIRECTIONS, build_control_pool, child_pays, evaluate_pools, gap_rows_from_csv, load_score_matrix, pool_ranks,
+        summarize,
+    )
     from .losses import LossBatch, LossParams, finite_diff_check, hn_nce_forward
 
 # The names below come from modules that import numpy, which only eval,
@@ -31,7 +35,8 @@ if TYPE_CHECKING:
 # They are bound in this module on first use, and stay reachable as its
 # attributes through __getattr__.
 _LAZY_NAMES = {
-    "evaluate": ("DIRECTIONS", "child_pays", "evaluate_pools", "gap_rows_from_csv", "load_score_matrix", "summarize"),
+    "evaluate": ("DIRECTIONS", "build_control_pool", "child_pays", "evaluate_pools", "gap_rows_from_csv",
+                 "load_score_matrix", "pool_ranks", "summarize"),
     "losses": ("LossBatch", "LossParams", "finite_diff_check", "hn_nce_forward"),
 }
 
@@ -86,18 +91,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _bind("evaluate")
     ks, directions = _eval_flags(args)
     benchmark, control = args.benchmark, args.scores_control
-    # The control matrix is parsed on a second CPU while this process reads
-    # the rest; its error, if any, is raised where it was loaded before, so
-    # a bad benchmark still wins over a bad --scores, and that over a bad
-    # --scores-control.
-    with in_child(
-        lambda: load_score_matrix(control), child_pays(control), f"{control}: the process reading it"
-    ) as load_control:
-        text = read_text(benchmark, EmptyInput(f"benchmark file not found: {benchmark}"))
-        pairs = pairs_from_jsonl(text, benchmark)
-        positive = load_score_matrix(args.scores)
-        control = load_control()
-    recalls, gaps = evaluate_pools(pairs, positive, control, ks=ks, directions=directions)
+    text = read_text(benchmark, EmptyInput(f"benchmark file not found: {benchmark}"))
+    pools = build_control_pool(pairs_from_jsonl(text, benchmark))
+    # Each score matrix is ranked over the pools in the process that reads
+    # it: --scores here, --scores-control in a child on a second CPU when
+    # that pays. A bad benchmark has won already; of the two files, a load
+    # error wins over a rank error, and at one step that of --scores.
+    ranks, control_ranks = in_halves(
+        (args.scores, control),
+        (load_score_matrix, partial(pool_ranks, pools, directions=directions)),
+        child_pays(control),
+        f"{control}: the process reading it",
+    )
+    recalls, gaps = evaluate_pools(ranks, control_ranks, ks)
     paths = summarize(gaps, args.out, model=args.model, recalls=recalls)
     print(f"wrote {paths['gaps']}, {paths['scatter']}, {paths['recalls']}")
     return 0

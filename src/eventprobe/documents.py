@@ -7,8 +7,8 @@ composes each line from json_string, json_int and json_float, so its bytes
 are json.dumps's with ensure_ascii=False, separators (",", ":") and
 allow_nan=False. The writer puts all of a command's outputs in place
 together, or none of them, and names the directory in a ConfigError when
-it cannot. in_child computes a value on a second CPU: a file's value, or
-the second half of a command's work.
+it cannot. in_child computes a value on a second CPU, and in_halves
+computes the second half of a command's work through it.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import math
 import os
 import re
 from contextlib import contextmanager, suppress
+from functools import partial
 from pathlib import Path
 from json.decoder import WHITESPACE
 from json.encoder import encode_basestring
@@ -287,6 +288,36 @@ def in_child(compute: Callable[[], T], pays: bool, what: str) -> Iterator[Callab
         os.waitpid(pid, 0)
 
 
+def _through(steps: Sequence[Callable[[Any], Any]], item: Any) -> tuple[int, Any]:
+    """(len(steps), the value) when each step in turn, applied to item and
+    then to the last step's value, returns; else (i, the error) at the
+    first step i that raises."""
+    for index, step in enumerate(steps):
+        try:
+            item = step(item)
+        except Exception as exc:
+            return index, exc
+    return len(steps), item
+
+
+def in_halves(
+    halves: tuple[Any, Any], steps: Sequence[Callable[[Any], Any]], pays: bool, what: str
+) -> tuple[Any, Any]:
+    """The values of steps applied in turn to each of two halves of a
+    command's input, in order. The second half's come from in_child, from
+    a forked child when pays, while this process computes the first half's.
+    An error ends the command as one pass over the whole input would end
+    it: the error of the earliest step wins, and at one step the first
+    half's."""
+    with in_child(partial(_through, steps, halves[1]), pays, what) as take:
+        step, value = _through(steps, halves[0])
+        # An error at the first step wins before the child's outcome is known.
+        their_step, their_value = take() if step else (len(steps), None)
+    if min(step, their_step) < len(steps):
+        raise value if step <= their_step else their_value
+    return value, their_value
+
+
 def _send(compute: Callable[[], object], write_fd: int) -> NoReturn:
     """The child: pickles (True, value) or (False, error) to the pipe and
     exits without returning into its parent's stack."""
@@ -304,10 +335,11 @@ def _send(compute: Callable[[], object], write_fd: int) -> NoReturn:
 
 
 def _receive(pipe: BinaryIO, what: str):
-    """What _send wrote: the value, or its error raised. Protocol 5 writes
-    an array's memory as one bytearray frame, which the unpickler reads
-    straight into the bytearray the array keeps, so this process never
-    holds a second copy of it."""
+    """What _send wrote: the value, or its error raised. No caller sends a
+    score matrix: eval's child sends the ranks of its pools instead, 31 KB
+    for 2,000 pairs. An array still costs this process one copy only:
+    protocol 5 writes its memory as one bytearray frame, which the
+    unpickler reads straight into the bytearray the array keeps."""
     import pickle
 
     try:

@@ -86,16 +86,22 @@ def load_score_matrix(path: str | Path) -> ScoreMatrix:
             return _read_score_csv(text, str(path))
 
 
-# On a 2-vCPU x86 VM a score CSV parses at about 85 MB/s, and reading one in
-# a child costs about 8 ms more than in process (fork, pipe, reaping), so a
-# child only pays for a CSV of about 1 MiB or more. An .npz loads at disk
-# speed, and sending its matrix back through a pipe costs more than that.
+# On a 2-vCPU x86 VM a score CSV parses at about 85 MB/s. A child that reads
+# and ranks the control matrix hands back only its ranks (31 KB for 2,000
+# pairs), but costs the fork, the pipe, the reaping and the pages both
+# processes write while it runs. In a sweep of eval on 3-decimal CSVs,
+# alternating child and in process in one long-lived process (median paired
+# differences of 20-40 pairs, child minus in process), the child lost
+# 4.5-5.3 ms at 61-95 KiB and 2.1-3.3 ms at 164-382 KiB, was even at 463 KiB
+# (+1.2 and -3.8 ms in two rounds), and won 2.4-3.6 ms at 546-879 KiB and
+# 7.3-7.6 ms at 1.1-1.5 MiB; 1 MiB keeps a clear margin. An .npz loads at
+# disk speed: on an 854 x 2,000 one the child lost 3.2 ms.
 CHILD_MIN_CSV_BYTES = 1 << 20
 
 
 def child_pays(path: str) -> bool:
-    """Whether reading the score file at path in a forked child (see
-    documents.in_child) can save time: path is a CSV of at least
+    """Whether reading and ranking the score file at path in a forked child
+    (see documents.in_halves) can save time: path is a CSV of at least
     CHILD_MIN_CSV_BYTES."""
     try:
         size = os.stat(path).st_size
@@ -297,31 +303,44 @@ def build_control_pool(pairs: Sequence[CaptionPair]) -> dict[str, GroundTruth]:
     return {category: GroundTruth.from_mapping(gt) for category, gt in sorted(by_category.items())}
 
 
+def pool_ranks(
+    pools: Mapping[str, GroundTruth], m: ScoreMatrix, directions: Sequence[str]
+) -> dict[tuple[str, str], np.ndarray]:
+    """The pessimistic ranks of each pool's queries in m, by (category,
+    direction): categories in sorted order, each ranked on the submatrix of
+    its videos and captions, then directions in the order given. An id of a
+    pool that m lacks raises EvaluationError naming m."""
+    if len(set(directions)) < len(directions):
+        raise ValueError(f"need distinct directions, got {directions}")
+    ranks = {}
+    for category in sorted(pools):
+        gt = pools[category]
+        pool = m.submatrix(sorted(gt.video_to_captions), sorted(gt.caption_to_video))
+        for direction in directions:
+            ranks[category, direction] = pessimistic_ranks(pool, gt, direction)
+    return ranks
+
+
 def evaluate_pools(
-    pairs: Sequence[CaptionPair],
-    positive_scores: ScoreMatrix,
-    control_scores: ScoreMatrix,
+    ranks: Mapping[tuple[str, str], np.ndarray],
+    control_ranks: Mapping[tuple[str, str], np.ndarray],
     ks: Sequence[int],
-    directions: Sequence[str],
 ) -> tuple[list[RecallReport], list[GapReport]]:
-    """Compute per-category recalls on both pools and the resulting gaps.
+    """Per-category recalls on both pools, from pool_ranks of the positive
+    and of the control matrix over the same pools and directions, and the
+    resulting gaps, in the order of ranks.
 
     Categories whose positive recall is zero yield no gap row (the gap is
     undefined there), but their recall rows are still reported.
     """
-    if any(k < 1 for k in ks) or len(set(ks)) < len(ks) or len(set(directions)) < len(directions):
-        raise ValueError(f"need distinct ks >= 1 and distinct directions, got {ks} and {directions}")
+    if any(k < 1 for k in ks) or len(set(ks)) < len(ks):
+        raise ValueError(f"need distinct ks >= 1, got {ks}")
     recalls: list[RecallReport] = []
-    for category, gt in build_control_pool(pairs).items():
-        video_ids, caption_ids = sorted(gt.video_to_captions), sorted(gt.caption_to_video)
-        m_pos = positive_scores.submatrix(video_ids, caption_ids)
-        m_ctl = control_scores.submatrix(video_ids, caption_ids)
-        for direction in directions:
-            ranks = pessimistic_ranks(m_pos, gt, direction)
-            ranks_control = pessimistic_ranks(m_ctl, gt, direction)
-            for k in ks:
-                recalls.append(RecallReport(direction, k, _share_within(ranks, k), "positive", category))
-                recalls.append(RecallReport(direction, k, _share_within(ranks_control, k), "control", category))
+    for (category, direction), positive in ranks.items():
+        control = control_ranks[category, direction]
+        for k in ks:
+            recalls.append(RecallReport(direction, k, _share_within(positive, k), "positive", category))
+            recalls.append(RecallReport(direction, k, _share_within(control, k), "control", category))
     return recalls, _gaps_from_recalls(recalls)
 
 

@@ -46,7 +46,9 @@ from .captions import (
     render_pair,
 )
 from .decorator import DecoratorConfig, decorate
-from .documents import in_child, jsonl_lines, naming, read_json, read_text, require, require_strings, write_outputs
+from .documents import (
+    in_child, in_halves, jsonl_lines, naming, read_json, read_text, require, require_strings, write_outputs,
+)
 from .errors import (
     ConfigError,
     EmptyInput,
@@ -277,7 +279,7 @@ def _emit(config: PipelineConfig, values: Mapping[str, Any], started_at: float) 
 
 # The `alone` functions of the stage table: each reads the earlier outputs
 # itself and returns its stage's output text, and computes the second half
-# of its work through _in_halves.
+# of its work through documents.in_halves.
 def _probe_alone(config: PipelineConfig, out_dir: Path) -> str:
     """records.jsonl for the first half of the categories, in profile order,
     then for the second. Records are seeded and numbered per category, so
@@ -288,7 +290,7 @@ def _probe_alone(config: PipelineConfig, out_dir: Path) -> str:
     cut = (len(categories) + 1) // 2
     for graph in graphs:
         graph.groups  # built here, once, not in both processes
-    first, second = _in_halves(
+    first, second = in_halves(
         (categories[:cut], categories[cut:]),
         (lambda group: apply_corpus(graphs, profile, config.quotas, config.global_seed, categories=group),
          records_to_jsonl),
@@ -309,7 +311,7 @@ def _render_alone(config: PipelineConfig, out_dir: Path) -> str:
     middle = len(text) // 2
     before, after = text.rfind("\n", 0, middle) + 1, text.find("\n", middle) + 1 or len(text)
     cut = before if middle - before <= after - middle else after
-    first, second = _in_halves(
+    first, second = in_halves(
         ((text[:cut], 1), (text[cut:], text.count("\n", 0, cut) + 1)),
         (lambda part: records_from_jsonl(part[0], graphs, name, part[1]), partial(_render_records, config)),
         0 < cut < len(text) and len(text) >= CHILD_MIN_RECORDS_CHARS,
@@ -364,36 +366,6 @@ def _load(out_dir: Path, name: str, values: dict[str, Any]) -> Any:
     return values[name]
 
 
-def _through(steps: Sequence[Callable[[Any], Any]], item: Any) -> tuple[int, Any]:
-    """(len(steps), the value) when each step in turn, applied to item and
-    then to the last step's value, returns; else (i, the error) at the
-    first step i that raises."""
-    for index, step in enumerate(steps):
-        try:
-            item = step(item)
-        except Exception as exc:
-            return index, exc
-    return len(steps), item
-
-
-def _in_halves(
-    halves: tuple[Any, Any], steps: Sequence[Callable[[Any], Any]], pays: bool, what: str
-) -> tuple[Any, Any]:
-    """The values of steps applied in turn to each of two halves of a
-    command's input, in order. The second half's come from documents.in_child,
-    from a forked child when pays, while this process computes the first
-    half's. An error ends the command as one pass over the whole input would
-    end it: the error of the earliest step wins, and at one step the first
-    half's."""
-    with in_child(partial(_through, steps, halves[1]), pays, what) as take:
-        step, value = _through(steps, halves[0])
-        # An error at the first step wins before the child's outcome is known.
-        their_step, their_value = take() if step else (len(steps), None)
-    if min(step, their_step) < len(steps):
-        raise value if step <= their_step else their_value
-    return value, their_value
-
-
 # On a 2-vCPU x86 VM, composing graphs.jsonl takes about 3.5 us per tuple,
 # and a child costs a few ms (fork, pipe, reaping, pages copied on write).
 # In a sweep of `run` over 20 videos, the child lost 1-2 ms at 1,000 and
@@ -441,8 +413,8 @@ def run_stages(config: PipelineConfig, names: Sequence[str]) -> RunManifest | No
     forked child while they run, for a corpus of CHILD_MIN_TUPLES tuples or
     more, and taken just before the outputs are written. A lone probe or
     render runs its stage's `alone` instead, which computes the second half
-    of its work through _in_halves: in a forked child for a corpus of
-    CHILD_MIN_PROBE_TUPLES tuples, or a records.jsonl of
+    of its work through documents.in_halves: in a forked child for a corpus
+    of CHILD_MIN_PROBE_TUPLES tuples, or a records.jsonl of
     CHILD_MIN_RECORDS_CHARS characters, or more. A lone ingest or emit
     never forks. The bytes, errors and exit codes are the same either way;
     a child that ends without its value fails its stage with an

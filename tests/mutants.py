@@ -93,6 +93,11 @@ MUTANTS = [
         "empty-pattern-accepted", "src/eventprobe/captions.py",
         '    if not pattern:\n        raise ValueError("pattern is empty")\n', "", KILLED,
     ),
+    Mutant(
+        "halves-tie-goes-to-the-second", "src/eventprobe/documents.py",
+        "raise value if step <= their_step else their_value", "raise value if step < their_step else their_value",
+        KILLED,
+    ),
 ]
 
 

@@ -690,31 +690,15 @@ class TestEvalCommands:
             (["--ks", ""], 2),
             (["--ks", "1,1"], 2),
             (["--directions", "T2X"], 2),
-            (["--scores", "{tmp}/absent.csv"], 6),
-            (["--scores-control", "{tmp}/latin1.csv"], 4),
             (["--out", "{tmp}/scores.csv/reports"], 2),
         ],
-        ids=["k-zero", "k-not-a-number", "ks-empty", "ks-repeated", "unknown-direction",
-             "missing-scores", "non-utf8-scores", "out-under-a-file"],
+        ids=["k-zero", "k-not-a-number", "ks-empty", "ks-repeated", "unknown-direction", "out-under-a-file"],
     )
     def test_eval_bad_input_exit_code(self, ws, capsys, flags, code):
         argv = ws.eval_argv()
-        (ws.tmp / "latin1.csv").write_bytes(b"video_id,caf\xe9\n")
         capsys.readouterr()
         assert main(argv + [flag.format(tmp=ws.tmp) for flag in flags]) == code
         assert capsys.readouterr().err.startswith("error: ")
-        assert not (ws.tmp / "reports").exists()
-
-    @pytest.mark.parametrize(
-        "content, message", [(b"\xff\n", "not UTF-8"), (b"{oops\n", "line 1")], ids=["non-utf8", "invalid-json"],
-    )
-    def test_eval_bad_benchmark_exit_code(self, ws, capsys, content, message):
-        argv = ws.eval_argv()
-        ws.benchmark.write_bytes(content)
-        capsys.readouterr()
-        assert main(argv) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
         assert not (ws.tmp / "reports").exists()
 
     def test_npz_scores_give_the_csv_reports(self, ws, capsys):
@@ -811,6 +795,47 @@ class TestEvalCommands:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert str(dict(benchmark=benchmark, positive=positive, control=control)[first]) in err
 
+    @pytest.mark.parametrize("fault", ["repeated-id", "blank-negative"])
+    def test_a_benchmark_error_wins_over_a_score_file_error(self, ws, capsys, monkeypatch, fault):
+        argv = ws.eval_argv()
+        lines = ws.benchmark.read_text(encoding="utf-8").splitlines(keepends=True)
+        first = json.loads(lines[0])
+        if fault == "repeated-id":
+            ws.benchmark.write_text("".join(lines) + lines[0], encoding="utf-8")
+            expected = (4, f"duplicate pair_id {first['pair_id']!r}")
+        else:
+            first["negative"]["text"] = " "
+            ws.benchmark.write_text("".join([json.dumps(first) + "\n", *lines[1:]]), encoding="utf-8")
+            expected = (8, f"pair {first['pair_id']!r} lacks negative text")
+        ws.scores.unlink()
+        forks = counting_forks(monkeypatch)
+        for cpus in (1, 2):
+            code, err, reports = self.eval_with_cpus(argv, cpus, monkeypatch, capsys)
+            assert (code, err, reports) == (expected[0], f"error: {expected[1]}\n", {}), cpus
+        assert forks == []  # the benchmark is checked before a child is started
+
+    @pytest.mark.parametrize("fault", ["unknown-id-in-both", "unknown-id-in-control", "unknown-id-beside-a-nan"])
+    def test_a_rank_error_ends_as_in_process(self, ws, capsys, monkeypatch, fault):
+        """Each matrix is ranked where it is read; a load error still wins
+        over a rank error, and between two rank errors that of --scores."""
+        argv = ws.eval_argv()
+        unknown = "video_id,capX\nvidX,0.1\n"
+        if fault != "unknown-id-in-control":
+            ws.scores.write_text(unknown, encoding="utf-8")
+        if fault == "unknown-id-beside-a-nan":
+            ws.scores_control.write_text(ws.scores_control.read_text().replace("0.5", "nan", 1))
+        else:
+            ws.scores_control.write_text(unknown, encoding="utf-8")
+        in_process = self.eval_with_cpus(argv, 1, monkeypatch, capsys)
+        assert self.eval_with_cpus(argv, 2, monkeypatch, capsys) == in_process
+        named = ws.scores if fault == "unknown-id-in-both" else ws.scores_control
+        code, err, reports = in_process
+        if fault == "unknown-id-beside-a-nan":
+            assert (code, reports) == (4, {}) and err == f"error: {named}: scores must all be finite\n"
+        else:
+            assert (code, reports) == (8, {})
+            assert re.fullmatch(f"error: video '[^']+' missing from {re.escape(str(named))}\n", err), err
+
     def test_a_child_that_dies_names_the_control_file(self, ws, capsys, monkeypatch):
         argv = ws.eval_argv()
         control = str(ws.scores_control)
@@ -821,15 +846,18 @@ class TestEvalCommands:
         )
 
     def test_a_child_whose_matrix_is_not_taken_is_stopped(self, ws, capsys, monkeypatch):
+        """A missing --scores ends eval at once, while the child still loads
+        the control matrix."""
         argv = ws.eval_argv()
-        ws.benchmark.write_text("{oops\n")
+        ws.scores.unlink()
         load = cli.load_score_matrix
         control = str(ws.scores_control)
         monkeypatch.setattr(cli, "load_score_matrix", lambda path: time.sleep(60) if path == control else load(path))
+        forks = counting_forks(monkeypatch)
         started = time.monotonic()
         code, err, _ = self.eval_with_cpus(argv, 2, monkeypatch, capsys)
-        assert code == 4 and str(ws.benchmark) in err
-        assert time.monotonic() - started < 30
+        assert (code, err) == (6, f"error: score file not found: {ws.scores}\n")
+        assert forks == [1] and time.monotonic() - started < 30
 
     def test_a_failed_fork_reads_the_control_matrix_in_process(self, ws, capsys, monkeypatch):
         scores = coarse(np.random.default_rng(3))

@@ -25,6 +25,7 @@ from eventprobe.evaluate import (
     evaluate_pools,
     load_score_matrix,
     pessimistic_ranks,
+    pool_ranks,
     recall_at_k,
     relative_gap,
     summarize,
@@ -274,6 +275,12 @@ class TestPools:
             build_control_pool([make_pair("p0", "v0"), make_pair("p0", "v0")])
 
 
+def evaluated(pairs, positive, control, ks, directions):
+    """evaluate_pools over the ranks of both matrices on the pools of pairs."""
+    pools = build_control_pool(pairs)
+    return evaluate_pools(pool_ranks(pools, positive, directions), pool_ranks(pools, control, directions), ks)
+
+
 class TestEvaluatePools:
     def test_end_to_end_gap(self):
         pairs = [make_pair(f"p{i}", f"v{i}") for i in range(4)]
@@ -282,7 +289,7 @@ class TestEvaluatePools:
         diagonal = np.eye(4)
         positive = ScoreMatrix(video_ids, caption_ids, diagonal)
         control = ScoreMatrix(video_ids, caption_ids, np.ones((4, 4)))
-        recalls, gaps = evaluate_pools(pairs, positive, control, ks=(1,), directions=("T2V",))
+        recalls, gaps = evaluated(pairs, positive, control, ks=(1,), directions=("T2V",))
         assert len(recalls) == 2
         assert len(gaps) == 1
         gap = gaps[0]
@@ -313,7 +320,7 @@ class TestEvaluatePools:
             for _ in range(2)
         )
         ks = (1, 2, 5)
-        recalls, gaps = evaluate_pools(pairs, positive, control, ks=ks, directions=DIRECTIONS)
+        recalls, gaps = evaluated(pairs, positive, control, ks=ks, directions=DIRECTIONS)
         expected_recalls, expected_gaps = [], []
         for category, gt in build_control_pool(pairs).items():
             videos = sorted({p.video_id for p in pairs if p.category.key == category})
@@ -336,22 +343,23 @@ class TestEvaluatePools:
         video_ids = tuple(sorted(p.video_id for p in pairs))
         caption_ids = tuple(sorted(p.pair_id for p in pairs))
         constant = ScoreMatrix(video_ids, caption_ids, np.ones((3, 3)))
-        recalls, gaps = evaluate_pools(pairs, constant, constant, ks=(1,), directions=("T2V",))
+        recalls, gaps = evaluated(pairs, constant, constant, ks=(1,), directions=("T2V",))
         assert gaps == []
         assert len(recalls) == 2
 
     @pytest.mark.parametrize(
-        "ks, directions",
-        [((0,), ("T2V",)), ((1, 1), ("T2V",)), ((1,), ("T2V", "T2V"))],
+        "ks, directions, message",
+        [((0,), ("T2V",), "ks >= 1"), ((1, 1), ("T2V",), "ks >= 1"), ((1,), ("T2V", "T2V"), "directions")],
         ids=["k-zero", "k-repeated", "direction-repeated"],
     )
-    def test_bad_ks_or_directions(self, ks, directions):
+    def test_bad_ks_or_directions(self, ks, directions, message):
         """cli checks --ks and --directions first; a library caller meets
-        this check instead."""
+        this check instead: pool_ranks checks the directions, evaluate_pools
+        the ks."""
         pairs = [make_pair(f"p{i}", f"v{i}") for i in range(2)]
         scores = ScoreMatrix(("v0", "v1"), ("p0", "p1"), np.eye(2))
-        with pytest.raises(ValueError, match="^need distinct ks >= 1 and distinct directions"):
-            evaluate_pools(pairs, scores, scores, ks=ks, directions=directions)
+        with pytest.raises(ValueError, match=f"^need distinct {message}, got "):
+            evaluated(pairs, scores, scores, ks=ks, directions=directions)
 
 
 class TestSummarize:
