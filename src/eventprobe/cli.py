@@ -25,8 +25,7 @@ from .pipeline import STAGE_BY_NAME, PipelineConfig, run_stages
 
 if TYPE_CHECKING:
     from .evaluate import (
-        DIRECTIONS, build_control_pool, child_pays, evaluate_pools, gap_rows_from_csv, load_score_matrix, pool_ranks,
-        summarize,
+        DIRECTIONS, build_control_pool, evaluate_pools, gap_rows_from_csv, load_score_matrix, pool_ranks, summarize,
     )
     from .losses import LossBatch, LossParams, finite_diff_check, hn_nce_forward
 
@@ -35,8 +34,8 @@ if TYPE_CHECKING:
 # They are bound in this module on first use, and stay reachable as its
 # attributes through __getattr__.
 _LAZY_NAMES = {
-    "evaluate": ("DIRECTIONS", "build_control_pool", "child_pays", "evaluate_pools", "gap_rows_from_csv",
-                 "load_score_matrix", "pool_ranks", "summarize"),
+    "evaluate": ("DIRECTIONS", "build_control_pool", "evaluate_pools", "gap_rows_from_csv", "load_score_matrix",
+                 "pool_ranks", "summarize"),
     "losses": ("LossBatch", "LossParams", "finite_diff_check", "hn_nce_forward"),
 }
 
@@ -94,13 +93,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     text = read_text(benchmark, EmptyInput(f"benchmark file not found: {benchmark}"))
     pools = build_control_pool(pairs_from_jsonl(text, benchmark))
     # Each score matrix is ranked over the pools in the process that reads
-    # it: --scores here, --scores-control in a child on a second CPU when
-    # that pays. A bad benchmark has won already; of the two files, a load
+    # it: --scores here, --scores-control in a child when a second CPU is
+    # usable. A bad benchmark has won already; of the two files, a load
     # error wins over a rank error, and at one step that of --scores.
     ranks, control_ranks = in_halves(
         (args.scores, control),
         (load_score_matrix, partial(pool_ranks, pools, directions=directions)),
-        child_pays(control),
         f"{control}: the process reading it",
     )
     recalls, gaps = evaluate_pools(ranks, control_ranks, ks)

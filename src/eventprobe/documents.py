@@ -7,7 +7,9 @@ composes each line from json_string, json_int and json_float, so its bytes
 are json.dumps's with ensure_ascii=False, separators (",", ":") and
 allow_nan=False. The writer puts all of a command's outputs in place
 together, or none of them, and names the directory in a ConfigError when
-it cannot. in_child computes a value on a second CPU, and in_halves
+it cannot. in_child computes a value in a forked child whenever os.fork
+exists and two or more CPUs are usable, and in this process otherwise: it
+is the one place that decides where a value is computed. in_halves
 computes the second half of a command's work through it.
 """
 
@@ -239,19 +241,19 @@ T = TypeVar("T")
 
 
 @contextmanager
-def in_child(compute: Callable[[], T], pays: bool, what: str) -> Iterator[Callable[[], T]]:
+def in_child(compute: Callable[[], T], what: str) -> Iterator[Callable[[], T]]:
     """Starts compute() in a forked child, so that it runs on a second CPU
     while the caller goes on, and yields a function that returns its value
     or raises its error again, as the same class with the same message.
-    The child is started only when the caller says it pays, os.fork exists
-    and two or more CPUs are usable; otherwise, or when the pipe or the fork
-    fails, that function calls compute() in this process. A child that ends
-    without a result makes it raise EventProbeError("<what> ended without a
-    result"). On exit the child is stopped, if it still runs, and reaped.
+    The child is started whenever os.fork exists and two or more CPUs are
+    usable; otherwise, or when the pipe or the fork fails, that function
+    calls compute() in this process. A child that ends without a result
+    makes it raise EventProbeError("<what> ended without a result"). On
+    exit the child is stopped, if it still runs, and reaped.
     The modules only a fork needs are imported here, so that a command
     that never forks does not pay for them."""
     pid = -1
-    if pays and hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
         import fcntl
         import pickle  # noqa: F401  loaded before the fork, for _send and _receive
         import signal
@@ -300,16 +302,14 @@ def _through(steps: Sequence[Callable[[Any], Any]], item: Any) -> tuple[int, Any
     return len(steps), item
 
 
-def in_halves(
-    halves: tuple[Any, Any], steps: Sequence[Callable[[Any], Any]], pays: bool, what: str
-) -> tuple[Any, Any]:
+def in_halves(halves: tuple[Any, Any], steps: Sequence[Callable[[Any], Any]], what: str) -> tuple[Any, Any]:
     """The values of steps applied in turn to each of two halves of a
-    command's input, in order. The second half's come from in_child, from
-    a forked child when pays, while this process computes the first half's.
+    command's input, in order. The second half's come from in_child, while
+    this process computes the first half's.
     An error ends the command as one pass over the whole input would end
     it: the error of the earliest step wins, and at one step the first
     half's."""
-    with in_child(partial(_through, steps, halves[1]), pays, what) as take:
+    with in_child(partial(_through, steps, halves[1]), what) as take:
         step, value = _through(steps, halves[0])
         # An error at the first step wins before the child's outcome is known.
         their_step, their_value = take() if step else (len(steps), None)

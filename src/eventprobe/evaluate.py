@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 import zipfile
 import zlib
 from dataclasses import dataclass
@@ -84,30 +83,6 @@ def load_score_matrix(path: str | Path) -> ScoreMatrix:
             return _read_score_npz(fh, str(path))
         with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
             return _read_score_csv(text, str(path))
-
-
-# On a 2-vCPU x86 VM a score CSV parses at about 85 MB/s. A child that reads
-# and ranks the control matrix hands back only its ranks (31 KB for 2,000
-# pairs), but costs the fork, the pipe, the reaping and the pages both
-# processes write while it runs. In a sweep of eval on 3-decimal CSVs,
-# alternating child and in process in one long-lived process (median paired
-# differences of 20-40 pairs, child minus in process), the child lost
-# 4.5-5.3 ms at 61-95 KiB and 2.1-3.3 ms at 164-382 KiB, was even at 463 KiB
-# (+1.2 and -3.8 ms in two rounds), and won 2.4-3.6 ms at 546-879 KiB and
-# 7.3-7.6 ms at 1.1-1.5 MiB; 1 MiB keeps a clear margin. An .npz loads at
-# disk speed: on an 854 x 2,000 one the child lost 3.2 ms.
-CHILD_MIN_CSV_BYTES = 1 << 20
-
-
-def child_pays(path: str) -> bool:
-    """Whether reading and ranking the score file at path in a forked child
-    (see documents.in_halves) can save time: path is a CSV of at least
-    CHILD_MIN_CSV_BYTES."""
-    try:
-        size = os.stat(path).st_size
-    except OSError:  # load_score_matrix reports it, where the caller takes the value
-        return False
-    return Path(path).suffix.lower() != ".npz" and size >= CHILD_MIN_CSV_BYTES
 
 
 def _read_score_csv(fh: TextIO, name: str) -> ScoreMatrix:

@@ -1,19 +1,19 @@
 """End-to-end pipeline: one table of stages, run whole or one stage at a time.
 
-`STAGES` lists ingest, probe, render and emit, each with the stages whose
-outputs it reads, its output file, its function, and that file's writer and
-reader. `run` executes every row in memory; a stage command executes one row
-over the earlier stages' files. Either way every output is first written as
-`<name>.tmp` and moved into place only after all of the command's stages
-have succeeded, so a failed command leaves the output directory as it was. A
-successful command then removes the outputs of later stages, which no longer
-follow from it. `render` writes the benchmark and `emit` the run manifest.
+`STAGES` lists ingest, probe, render and emit, each with its output file,
+its function, and that file's writer and reader. `run` executes every row
+in memory; a stage command executes one row over the earlier stages' files.
+Either way every output is first written as `<name>.tmp` and moved into
+place only after all of the command's stages have succeeded, so a failed
+command leaves the output directory as it was. A successful command then
+removes the outputs of later stages, which no longer follow from it.
+`render` writes the benchmark and `emit` the run manifest.
 
-Two CPUs are used where a command has work to overlap: `run` composes
-graphs.jsonl in a forked child while its later stages run, and a lone
-`probe` or `render` computes the second half of its categories or records
-in one while it computes the first. The bytes, errors and exit codes are
-those of one pass in one process.
+Where two CPUs are usable, a command with work to overlap uses both:
+`run` composes graphs.jsonl in a forked child while its later stages run,
+and a lone `probe` or `render` computes the second half of its categories
+or records in one while it computes the first. The bytes, errors and exit
+codes are those of one pass in one process.
 
 With the decorator disabled the emitted benchmark is a pure function of the
 input documents and the configuration, so two runs with one seed produce
@@ -253,16 +253,17 @@ def _render(config: PipelineConfig, values: Mapping[str, Any], started_at: float
 
 def _emit(config: PipelineConfig, values: Mapping[str, Any], started_at: float) -> RunManifest:
     """The run manifest. Its stage_counts are the item counts of the earlier
-    outputs, so that `emit` run on its own reports what `run` does: a stage
-    this command did not load is counted on disk, one item per line that
-    parse_jsonl would parse."""
+    outputs, so that `emit` run on its own reports what `run` does: it loads
+    the pairs from benchmark.jsonl, and counts a stage this command did not
+    compute on disk, one item per line that parse_jsonl would parse."""
+    out_dir = Path(config.output_dir)
 
     def lines(name: str) -> int:
         if name in values:
             return len(values[name])
-        return sum(1 for _ in jsonl_lines(_read_output(Path(config.output_dir), STAGE_BY_NAME[name])))
+        return sum(1 for _ in jsonl_lines(_read_output(out_dir, STAGE_BY_NAME[name])))
 
-    pairs = values["render"]
+    pairs = values["render"] if "render" in values else _load(out_dir, "render")
     captions = [caption for pair in pairs for caption in (pair.positive, pair.negative)]
     return RunManifest(
         tool_version=__version__,
@@ -284,7 +285,7 @@ def _probe_alone(config: PipelineConfig, out_dir: Path) -> str:
     """records.jsonl for the first half of the categories, in profile order,
     then for the second. Records are seeded and numbered per category, so
     the halves joined are the bytes of one pass."""
-    graphs = _load(out_dir, "ingest", {})
+    graphs = _load(out_dir, "ingest")
     profile = load_profile(config.profile_path)
     categories = resolve_categories(config, profile) or profile.category_set
     cut = (len(categories) + 1) // 2
@@ -294,7 +295,6 @@ def _probe_alone(config: PipelineConfig, out_dir: Path) -> str:
         (categories[:cut], categories[cut:]),
         (lambda group: apply_corpus(graphs, profile, config.quotas, config.global_seed, categories=group),
          records_to_jsonl),
-        cut < len(categories) and sum(len(graph.tuples) for graph in graphs) >= CHILD_MIN_PROBE_TUPLES,
         f"{out_dir / STAGE_BY_NAME['probe'].output}: the process writing it",
     )
     return first + second
@@ -305,7 +305,7 @@ def _render_alone(config: PipelineConfig, out_dir: Path) -> str:
     the middle of its text: the pairs of each part, parsed with the line
     numbers of the whole file and rendered, then checked and written
     together."""
-    graphs = _load(out_dir, "ingest", {})
+    graphs = _load(out_dir, "ingest")
     source = STAGE_BY_NAME["probe"]
     text, name = _read_output(out_dir, source), str(out_dir / source.output)
     middle = len(text) // 2
@@ -314,7 +314,6 @@ def _render_alone(config: PipelineConfig, out_dir: Path) -> str:
     first, second = in_halves(
         ((text[:cut], 1), (text[cut:], text.count("\n", 0, cut) + 1)),
         (lambda part: records_from_jsonl(part[0], graphs, name, part[1]), partial(_render_records, config)),
-        0 < cut < len(text) and len(text) >= CHILD_MIN_RECORDS_CHARS,
         f"{out_dir / STAGE_BY_NAME['render'].output}: the process writing it",
     )
     pairs = first + second
@@ -324,30 +323,26 @@ def _render_alone(config: PipelineConfig, out_dir: Path) -> str:
 
 @dataclass(frozen=True)
 class Stage:
-    """One row of the pipeline. A command that runs this stage on its own
-    first loads the outputs of the stages named in reads, in table order;
-    read gets the text and path of this stage's output and the values
-    loaded so far. When alone is set, such a command calls it instead: it
-    gives the text, and the error, that loading, fn and write would."""
+    """One row of the pipeline. read, when set, parses the text of this
+    stage's output, given the file's path for its errors. A command that
+    runs this stage on its own calls alone when it is set, which gives the
+    text, and the error, that loading the earlier outputs, fn and write
+    would; otherwise it calls fn, which loads what it needs."""
 
     name: str
-    reads: tuple[str, ...]
     output: str
     fn: Callable[[PipelineConfig, Mapping[str, Any], float], Any]
     write: Callable[[Any], str]
-    read: Callable[[str, str, Mapping[str, Any]], Any] | None
+    read: Callable[[str, str], Any] | None
     alone: Callable[[PipelineConfig, Path], str] | None = None
 
 
 STAGES: tuple[Stage, ...] = (
-    Stage("ingest", (), "graphs.jsonl", _ingest, graphs_to_jsonl,
-          lambda text, name, values: graphs_from_jsonl(text, name)),
-    Stage("probe", ("ingest",), "records.jsonl", _probe, records_to_jsonl,
-          lambda text, name, values: records_from_jsonl(text, values["ingest"], name), _probe_alone),
-    # records.jsonl is relative to graphs.jsonl, so render loads both.
-    Stage("render", ("ingest", "probe"), "benchmark.jsonl", _render, pairs_to_jsonl,
-          lambda text, name, values: pairs_from_jsonl(text, name), _render_alone),
-    Stage("emit", ("render",), "run_manifest.json", _emit, RunManifest.to_json, None),
+    Stage("ingest", "graphs.jsonl", _ingest, graphs_to_jsonl, graphs_from_jsonl),
+    # records.jsonl is read relative to graphs.jsonl, by _render_alone.
+    Stage("probe", "records.jsonl", _probe, records_to_jsonl, None, _probe_alone),
+    Stage("render", "benchmark.jsonl", _render, pairs_to_jsonl, pairs_from_jsonl, _render_alone),
+    Stage("emit", "run_manifest.json", _emit, RunManifest.to_json, None),
 )
 STAGE_BY_NAME = {stage.name: stage for stage in STAGES}
 
@@ -357,34 +352,10 @@ def _read_output(out_dir: Path, stage: Stage) -> str:
     return read_text(path, EmptyInput(f"{path} not found; run {stage.name} first"))
 
 
-def _load(out_dir: Path, name: str, values: dict[str, Any]) -> Any:
-    """values[name], read first from that stage's output in out_dir if
-    values lacks it."""
-    if name not in values:
-        source = STAGE_BY_NAME[name]
-        values[name] = source.read(_read_output(out_dir, source), str(out_dir / source.output), values)
-    return values[name]
-
-
-# On a 2-vCPU x86 VM, composing graphs.jsonl takes about 3.5 us per tuple,
-# and a child costs a few ms (fork, pipe, reaping, pages copied on write).
-# In a sweep of `run` over 20 videos, the child lost 1-2 ms at 1,000 and
-# 1,500 tuples and won 1-4 ms from 2,000 on (median paired differences).
-CHILD_MIN_TUPLES = 2000
-# A lone probe shares its categories with a child for a corpus of this many
-# tuples or more, and a lone render its records for a records.jsonl of this
-# many characters or more. In a sweep of each command alone, alternating in
-# one long-lived process per generated corpus (ASCII, so characters are
-# bytes), median paired differences of 40-60 pairs, child minus in process:
-# - no quotas, 20 tuples per video: probe lost 1.8 ms at 40 tuples, was
-#   even at 120 and 200 (+0.2, -1.2 and -1.8 ms in three rounds), and won
-#   4 ms at 300 and 10 ms at 600; render lost 2-3 ms up to 143 KB, was
-#   mixed at 236 KB (+4.4, -0.5, -1.1), and won 1.2-2.1 ms at 283 KB,
-#   3.5 ms at 353 KB and 10 ms at 705 KB;
-# - a quota of 50 per category: probe was even from 250 to 4,000 tuples
-#   (+0.3 to -1.3 ms), and render lost 2-8 ms on its 121-128 KB files.
-CHILD_MIN_PROBE_TUPLES = 300
-CHILD_MIN_RECORDS_CHARS = 300_000
+def _load(out_dir: Path, name: str) -> Any:
+    """The value of stage name's output in out_dir."""
+    source = STAGE_BY_NAME[name]
+    return source.read(_read_output(out_dir, source), str(out_dir / source.output))
 
 
 @contextmanager
@@ -409,16 +380,14 @@ def run_stages(config: PipelineConfig, names: Sequence[str]) -> RunManifest | No
     new error is chained from the original.
 
     When later stages follow ingest, as in `run`, none of them reads
-    graphs.jsonl's text, so it is composed by documents.in_child: in a
-    forked child while they run, for a corpus of CHILD_MIN_TUPLES tuples or
-    more, and taken just before the outputs are written. A lone probe or
-    render runs its stage's `alone` instead, which computes the second half
-    of its work through documents.in_halves: in a forked child for a corpus
-    of CHILD_MIN_PROBE_TUPLES tuples, or a records.jsonl of
-    CHILD_MIN_RECORDS_CHARS characters, or more. A lone ingest or emit
-    never forks. The bytes, errors and exit codes are the same either way;
-    a child that ends without its value fails its stage with an
-    EventProbeError naming the file it was computing.
+    graphs.jsonl's text, so it is composed by documents.in_child, in a
+    forked child while they run when two CPUs are usable, and taken just
+    before the outputs are written. A lone probe or render runs its stage's
+    `alone` instead, which computes the second half of its work through
+    documents.in_halves. A lone ingest or emit never forks. The bytes,
+    errors and exit codes are the same whether a child computes or this
+    process does; a child that ends without its value fails its stage with
+    an EventProbeError naming the file it was computing.
     """
     started_at = time.time()
     stages = [stage for stage in STAGES if stage.name in names]
@@ -442,14 +411,10 @@ def run_stages(config: PipelineConfig, names: Sequence[str]) -> RunManifest | No
                 if stage.alone is not None and len(stages) == 1:
                     texts[stage.output] = stage.alone(config, out_dir)
                     continue
-                for name in stage.reads:
-                    _load(out_dir, name, values)
                 value = values[stage.name] = stage.fn(config, values, started_at)
                 if stage is STAGES[0] and stage is not stages[-1]:
                     take_graphs_text = children.enter_context(in_child(
-                        partial(stage.write, value),
-                        sum(len(graph.tuples) for graph in value) >= CHILD_MIN_TUPLES,
-                        f"{out_dir / stage.output}: the process writing it",
+                        partial(stage.write, value), f"{out_dir / stage.output}: the process writing it"
                     ))
                 else:
                     texts[stage.output] = stage.write(value)

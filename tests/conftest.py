@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,13 @@ settings.register_profile(
     "eventprobe", deadline=None, derandomize=True, max_examples=40, database=None
 )
 settings.load_profile("eventprobe")
+
+
+@pytest.fixture(autouse=True)
+def one_cpu(monkeypatch):
+    """Every test sees one usable CPU, so no command forks; a test that
+    wants a child asks for two CPUs, as test_cli.with_cpus does."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
 
 @pytest.fixture(scope="session")

@@ -98,6 +98,14 @@ MUTANTS = [
         "raise value if step <= their_step else their_value", "raise value if step < their_step else their_value",
         KILLED,
     ),
+    Mutant(
+        "in-child-forks-on-one-cpu", "src/eventprobe/documents.py",
+        "len(os.sched_getaffinity(0)) >= 2", "len(os.sched_getaffinity(0)) >= 1", KILLED,
+    ),
+    Mutant(
+        "in-child-never-forks", "src/eventprobe/documents.py",
+        "len(os.sched_getaffinity(0)) >= 2", "len(os.sched_getaffinity(0)) >= 3", KILLED,
+    ),
 ]
 
 

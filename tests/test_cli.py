@@ -17,10 +17,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import eventprobe
-from eventprobe import cli, documents, errors, evaluate, pipeline
+from eventprobe import cli, documents, errors, pipeline
 from eventprobe.cli import main
-from eventprobe.evaluate import CHILD_MIN_CSV_BYTES
-from eventprobe.pipeline import CHILD_MIN_TUPLES
 
 from .helpers import PROFILE, Workspace, corpora, no_child_left, outputs, random_profile_corpus, with_objects
 
@@ -66,29 +64,6 @@ class TestRunCommand:
         assert main(["run", "--config", str(ws.config)]) == 0
         assert main(["run", "--config", str(ws.config)]) == 5
         assert main(["run", "--config", str(ws.config), "--force"]) == 0
-
-    def test_missing_profile_exit_code(self, ws):
-        ws.edit(profile_path=str(ws.tmp / "nope.json"))
-        assert main(["run", "--config", str(ws.config)]) == 3
-
-    def test_missing_config_exit_code(self, tmp_path):
-        assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
-
-    @pytest.mark.parametrize(
-        "malformed",
-        [
-            {"decorator": {"enabled": "false", "endpoint": "http://localhost:9", "api_key_env": "PROBE_KEY"}},
-            {"decorator": {"timeout_s": "10"}},
-            {"decorator": {"max_candidates": "ten"}},
-            {"categories": {"temporal.predicate.Action": 1}},
-        ],
-        ids=["decorator-enabled-string", "decorator-timeout-string", "decorator-max-candidates-word",
-             "categories-object"],
-    )
-    def test_malformed_config_exit_code(self, ws, malformed, capsys):
-        ws.edit(**malformed)
-        assert main(["run", "--config", str(ws.config)]) == 2
-        assert capsys.readouterr().err.startswith("error: malformed config")
 
     @pytest.mark.parametrize("out", ["blocker", "blocker/sub"], ids=["file", "under-file"])
     @pytest.mark.parametrize("command", ["run", "ingest", "probe", "render", "emit"])
@@ -268,36 +243,27 @@ class TestStagedCommands:
 
 
 class TestInputFileErrors:
-    @pytest.mark.parametrize("commands", [["run"], ["ingest", "probe", "render"]], ids=["run", "render"])
     @pytest.mark.parametrize(
         "content, code, message",
         [(None, 7, "template file not found"), (b'{"templates": "\xff"}', 4, "not UTF-8")],
-        ids=["missing", "non-utf8"],
+        ids=["missing-run", "non-utf8-run"],
     )
-    def test_template_file_errors(self, ws, capsys, commands, content, code, message):
+    def test_template_file_errors(self, ws, capsys, content, code, message):
         if content is not None:
             ws.templates.write_bytes(content)
         ws.edit(templates_path=str(ws.templates))
-        argv = ws.command(*commands)
-        capsys.readouterr()
-        assert main(argv) == code
+        assert main(["run", "--config", str(ws.config)]) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and str(ws.templates) in err
 
     @pytest.mark.parametrize(
-        "content, message, command",
-        [
-            (b"\xff", "not UTF-8", "run"),
-            (b"{not json", "invalid JSON", "run"),
-            (b"\xff", "not UTF-8", "ingest"),
-            (b"{not json", "invalid JSON", "ingest"),
-            (b'{"video_id": "v"}', "missing key", "ingest"),
-        ],
-        ids=["non-utf8-run", "invalid-json-run", "non-utf8-ingest", "invalid-json-ingest", "missing-key-ingest"],
+        "content, message",
+        [(b"\xff", "not UTF-8"), (b"{not json", "invalid JSON"), (b'{"video_id": "v"}', "missing key")],
+        ids=["non-utf8-ingest", "invalid-json-ingest", "missing-key-ingest"],
     )
-    def test_corpus_file_errors(self, ws, capsys, content, message, command):
+    def test_corpus_file_errors(self, ws, capsys, content, message):
         (ws.corpus / "broken.json").write_bytes(content)
-        assert main([command, "--config", str(ws.config)]) == 4
+        assert main(["ingest", "--config", str(ws.config)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and str(ws.corpus / "broken.json") in err
         assert not ws.out.exists()
@@ -419,17 +385,32 @@ class TestStageTable:
         fresh_python("-m", "eventprobe.cli", *argv)
 
 
-def with_cpus(ws, command, cpus, monkeypatch, capsys, min_size=0):
-    """`command --force` over ws with `cpus` usable CPUs and every size rule
-    of the pipeline's children at min_size: its exit code, its stderr and
-    the output directory. No child process and no open file may outlive it."""
+def forced(ws, command):
+    """A pipeline command's argv over ws, with --force and --out."""
+    return [command, "--config", str(ws.config), "--force", "--out", str(ws.out)]
+
+
+def after_run(ws, command):
+    """Runs `run` over ws; returns command's argv: a pipeline command's over
+    its outputs, or eval's over its benchmark and two score files of
+    partial recalls."""
+    if command == "eval":
+        scores = coarse(np.random.default_rng(3))
+        return ws.eval_argv(scores, scores)
+    assert main(["run", "--config", str(ws.config)]) == 0
+    return forced(ws, command)
+
+
+def with_cpus(argv, cpus, monkeypatch, capsys):
+    """main(argv) with `cpus` usable CPUs: its exit code, its stderr and the
+    files of the directory its --out names. No child process and no open
+    file may outlive it."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    for rule in ("CHILD_MIN_TUPLES", "CHILD_MIN_PROBE_TUPLES", "CHILD_MIN_RECORDS_CHARS"):
-        monkeypatch.setattr(pipeline, rule, min_size)
+    out = Path(argv[argv.index("--out") + 1])
     capsys.readouterr()
     with no_child_left():
-        code = main([command, "--config", str(ws.config), "--force"])
-    return code, capsys.readouterr().err, outputs(ws.out) if ws.out.exists() else {}
+        code = main(argv)
+    return code, capsys.readouterr().err, outputs(out) if out.exists() else {}
 
 
 def counting_forks(monkeypatch) -> list:
@@ -439,27 +420,73 @@ def counting_forks(monkeypatch) -> list:
     return forks
 
 
+def compose_with(monkeypatch, write):
+    """Makes write(graphs) the composer of graphs.jsonl."""
+    monkeypatch.setattr(pipeline, "STAGES", (replace(pipeline.STAGES[0], write=write), *pipeline.STAGES[1:]))
+
+
+# Each command that starts a child: the function its child calls, and the
+# file its error names, with the verb of the process computing it.
+CHILDREN = [
+    ("run", "graphs_to_jsonl", lambda ws: ws.out / "graphs.jsonl", "writing"),
+    ("probe", "apply_corpus", lambda ws: ws.out / "records.jsonl", "writing"),
+    ("render", "render_pair", lambda ws: ws.out / "benchmark.jsonl", "writing"),
+    ("eval", "load_score_matrix", lambda ws: ws.scores_control, "reading"),
+]
+
+
+class TestForkParity:
+    """Every command that can share its work with a forked child gives the
+    bytes, errors and exit codes of one pass in this process."""
+
+    @pytest.mark.parametrize("call, code", FAILED_CALLS, ids=[call for call, _ in FAILED_CALLS])
+    @pytest.mark.parametrize("command", [command for command, *_ in CHILDREN])
+    def test_a_failed_fork_or_pipe_computes_in_process(self, ws, capsys, monkeypatch, command, call, code):
+        argv = after_run(ws, command)
+        in_process = with_cpus(argv, 1, monkeypatch, capsys)
+        with monkeypatch.context() as failed:
+            failed.setattr(os, call, failing(code))
+            assert with_cpus(argv, 2, monkeypatch, capsys) == in_process
+        assert in_process[0] == 0
+
+    @pytest.mark.parametrize("command, victim, named, verb", CHILDREN, ids=[command for command, *_ in CHILDREN])
+    def test_a_killed_child_names_its_file(self, ws, capsys, monkeypatch, command, victim, named, verb):
+        argv = after_run(ws, command)
+        before = outputs(ws.out) if command != "eval" else {}
+        parent = os.getpid()
+
+        def killed(real):
+            def call(*args, **kwargs):
+                if os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return real(*args, **kwargs)
+            return call
+
+        if command == "run":  # the stage table holds graphs.jsonl's writer
+            compose_with(monkeypatch, killed(pipeline.STAGES[0].write))
+        else:
+            owner = cli if command == "eval" else pipeline
+            monkeypatch.setattr(owner, victim, killed(getattr(owner, victim)))
+        stage = "" if command == "eval" else f"stage '{'ingest' if command == 'run' else command}' failed: "
+        assert with_cpus(argv, 2, monkeypatch, capsys) == (
+            1, f"error: {stage}{named(ws)}: the process {verb} it ended without a result\n", before
+        )
+
+
 class TestGraphsChild:
     """`run` composes graphs.jsonl in a forked child while probe, render and
-    emit run, when two CPUs are usable and the corpus is large enough."""
-
-    @staticmethod
-    def compose_with(monkeypatch, write):
-        """Makes write(graphs) the composer of graphs.jsonl."""
-        monkeypatch.setattr(pipeline, "STAGES", (replace(pipeline.STAGES[0], write=write), *pipeline.STAGES[1:]))
+    emit run, when two CPUs are usable."""
 
     def test_graphs_composed_in_a_child_give_the_same_outputs(self, ws, capsys, monkeypatch):
         forks = counting_forks(monkeypatch)
-        in_process = with_cpus(ws, "run", 1, monkeypatch, capsys)
+        in_process = with_cpus(forced(ws, "run"), 1, monkeypatch, capsys)
         assert in_process[0] == 0 and len(in_process[2]) == 4
-        # The fixtures hold far fewer tuples than a child needs to pay.
-        assert with_cpus(ws, "run", 2, monkeypatch, capsys, CHILD_MIN_TUPLES) == in_process
         assert forks == []
         shutil.rmtree(ws.out)
-        assert with_cpus(ws, "run", 2, monkeypatch, capsys) == in_process
+        assert with_cpus(forced(ws, "run"), 2, monkeypatch, capsys) == in_process
         assert forks == [1]
         # A lone ingest or emit has nothing to share, so it never forks; a
-        # lone probe and a lone render fork once each (the size rules are 0).
+        # lone probe and a lone render fork once each.
         for command in ("ingest", "probe", "render", "emit"):
             before = len(forks)
             assert main([command, "--config", str(ws.config), "--force"]) == 0
@@ -472,55 +499,33 @@ class TestGraphsChild:
         before = outputs(ws.out)
         if fault == "later-stage":  # render fails; a child would still be composing
             ws.edit(templates_path=str(ws.tmp / "absent.json"))
-            self.compose_with(monkeypatch, lambda graphs: time.sleep(60))
+            compose_with(monkeypatch, lambda graphs: time.sleep(60))
         else:
             def compose(graphs):
                 raise ValueError("Out of range float values are not JSON compliant")
-            self.compose_with(monkeypatch, compose)
+            compose_with(monkeypatch, compose)
         started = time.monotonic()
-        in_process = with_cpus(ws, "run", 1, monkeypatch, capsys)
-        assert with_cpus(ws, "run", 2, monkeypatch, capsys) == in_process
+        in_process = with_cpus(forced(ws, "run"), 1, monkeypatch, capsys)
+        assert with_cpus(forced(ws, "run"), 2, monkeypatch, capsys) == in_process
         assert time.monotonic() - started < 30
         code, err, files = in_process
         assert (code, files) == ({"later-stage": 7, "compose": 1}[fault], before)
         stage = {"later-stage": "render", "compose": "ingest"}[fault]
         assert err.startswith(f"error: stage '{stage}' failed: ") and len(err.splitlines()) == 1
 
-    def test_a_child_killed_before_its_text_is_taken_names_graphs_jsonl(self, ws, capsys, monkeypatch):
-        assert main(["run", "--config", str(ws.config)]) == 0
-        before = outputs(ws.out)
-        parent = os.getpid()
-
-        def killed(graphs):
-            assert os.getpid() != parent, "composed in this process"
-            os.kill(os.getpid(), signal.SIGKILL)
-
-        self.compose_with(monkeypatch, killed)
-        graphs = ws.out / "graphs.jsonl"
-        assert with_cpus(ws, "run", 2, monkeypatch, capsys) == (
-            1, f"error: stage 'ingest' failed: {graphs}: the process writing it ended without a result\n", before
-        )
-
-    @pytest.mark.parametrize("call, code", FAILED_CALLS, ids=[call for call, _ in FAILED_CALLS])
-    def test_a_failed_fork_or_pipe_composes_graphs_in_process(self, ws, capsys, monkeypatch, call, code):
-        in_process = with_cpus(ws, "run", 1, monkeypatch, capsys)
-        monkeypatch.setattr(os, call, failing(code))
-        assert with_cpus(ws, "run", 2, monkeypatch, capsys) == in_process
-        assert in_process[0] == 0
-
 
 class TestLoneStageChild:
     """A lone probe or render computes the second half of its categories or
     records in a forked child while it computes the first, when two CPUs
-    are usable and its input passes the size rule (0 here)."""
+    are usable."""
 
     def test_halves_computed_in_a_child_give_the_in_process_outputs(self, ws, capsys, monkeypatch):
         assert main(["run", "--config", str(ws.config)]) == 0
         run_files = outputs(ws.out)
         forks = counting_forks(monkeypatch)
         for command in ("probe", "render"):
-            in_process = with_cpus(ws, command, 1, monkeypatch, capsys)
-            assert in_process[0] == 0 and with_cpus(ws, command, 2, monkeypatch, capsys) == in_process
+            in_process = with_cpus(forced(ws, command), 1, monkeypatch, capsys)
+            assert in_process[0] == 0 and with_cpus(forced(ws, command), 2, monkeypatch, capsys) == in_process
         assert forks == [1, 1]
         assert main(["emit", "--config", str(ws.config), "--force"]) == 0
         assert outputs(ws.out) == run_files
@@ -541,8 +546,8 @@ class TestLoneStageChild:
         if last_line == "malformed":
             records.write_text("".join(lines[:-1]) + "{oops\n", encoding="utf-8")
         before = outputs(ws.out)
-        in_process = with_cpus(ws, "render", 1, monkeypatch, capsys)
-        assert with_cpus(ws, "render", 2, monkeypatch, capsys) == in_process
+        in_process = with_cpus(forced(ws, "render"), 1, monkeypatch, capsys)
+        assert with_cpus(forced(ws, "render"), 2, monkeypatch, capsys) == in_process
         code, err, files = in_process
         assert files == before and len(err.splitlines()) == 1
         if last_line == "malformed":
@@ -571,36 +576,9 @@ class TestLoneStageChild:
             failing_keys.clear()
             failing_keys.update(keys)
             expected = (9, f"error: stage 'probe' failed: {first} fails\n", before)
-            assert with_cpus(ws, "probe", 2, monkeypatch, capsys) == expected
-            assert with_cpus(ws, "probe", 1, monkeypatch, capsys) == expected
-            assert with_cpus(ws, "run", 1, monkeypatch, capsys) == expected
-
-    @pytest.mark.parametrize("command, victim", [("probe", "apply_corpus"), ("render", "render_pair")])
-    def test_a_child_killed_mid_command_names_its_output(self, ws, capsys, monkeypatch, command, victim):
-        assert main(["run", "--config", str(ws.config)]) == 0
-        before = outputs(ws.out)
-        parent, real = os.getpid(), getattr(pipeline, victim)
-
-        def killed(*args, **kwargs):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, victim, killed)
-        output = ws.out / pipeline.STAGE_BY_NAME[command].output
-        assert with_cpus(ws, command, 2, monkeypatch, capsys) == (
-            1, f"error: stage '{command}' failed: {output}: the process writing it ended without a result\n", before
-        )
-
-    @pytest.mark.parametrize("call, code", FAILED_CALLS, ids=[call for call, _ in FAILED_CALLS])
-    def test_a_failed_fork_or_pipe_computes_both_halves_in_process(self, ws, capsys, monkeypatch, call, code):
-        assert main(["run", "--config", str(ws.config)]) == 0
-        for command in ("probe", "render"):
-            in_process = with_cpus(ws, command, 1, monkeypatch, capsys)
-            with monkeypatch.context() as failed:
-                failed.setattr(os, call, failing(code))
-                assert with_cpus(ws, command, 2, monkeypatch, capsys) == in_process
-            assert in_process[0] == 0
+            assert with_cpus(forced(ws, "probe"), 2, monkeypatch, capsys) == expected
+            assert with_cpus(forced(ws, "probe"), 1, monkeypatch, capsys) == expected
+            assert with_cpus(forced(ws, "run"), 1, monkeypatch, capsys) == expected
 
 
 class TestEvalCommands:
@@ -742,35 +720,15 @@ class TestEvalCommands:
             err = capsys.readouterr().err
             assert re.fullmatch(f"error: video '[^']+' missing from {re.escape(str(bad))}\n", err), err
 
-    @staticmethod
-    def eval_with_cpus(argv, cpus, monkeypatch, capsys, min_bytes=0):
-        """main(argv) with `cpus` usable CPUs, reading a control CSV of
-        min_bytes or more in a child: its exit code, its stderr and the
-        reports it wrote. No child process and no open file may outlive it."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(evaluate, "CHILD_MIN_CSV_BYTES", min_bytes)
-        out = Path(argv[argv.index("--out") + 1])
-        shutil.rmtree(out, ignore_errors=True)
-        capsys.readouterr()
-        with no_child_left():
-            code = main(argv)
-        reports = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
-        return code, capsys.readouterr().err, reports
-
     def test_the_control_matrix_read_in_a_child_gives_the_same_reports(self, ws, capsys, monkeypatch):
         scores = coarse(np.random.default_rng(3))
         argv = [*ws.eval_argv(scores, scores), "--ks", "1,2,5"]
-        forks = []
-        real_fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-        in_process = self.eval_with_cpus(argv, 1, monkeypatch, capsys)
+        forks = counting_forks(monkeypatch)
+        in_process = with_cpus(argv, 1, monkeypatch, capsys)
         assert forks == []
-        assert self.eval_with_cpus(argv, 2, monkeypatch, capsys) == in_process
+        assert with_cpus(argv, 2, monkeypatch, capsys) == in_process
         assert forks == [1]
         assert in_process[0] == 0 and len(in_process[2]["gaps.csv"].splitlines()) > 1
-        # These CSVs are far under a MiB: a fork would cost more than it saves.
-        assert self.eval_with_cpus(argv, 2, monkeypatch, capsys, CHILD_MIN_CSV_BYTES) == in_process
-        assert forks == [1]
 
     @pytest.mark.parametrize(
         "faults",
@@ -787,8 +745,8 @@ class TestEvalCommands:
             positive.unlink()
         if "control" in faults:
             control.write_text(control.read_text().replace("0.5", "nan", 1))
-        in_process = self.eval_with_cpus(argv, 1, monkeypatch, capsys)
-        assert self.eval_with_cpus(argv, 2, monkeypatch, capsys) == in_process
+        in_process = with_cpus(argv, 1, monkeypatch, capsys)
+        assert with_cpus(argv, 2, monkeypatch, capsys) == in_process
         first = next(name for name in ("benchmark", "positive", "control") if name in faults)
         code, err, reports = in_process
         assert (code, reports) == ({"benchmark": 4, "positive": 6, "control": 4}[first], {})
@@ -810,7 +768,7 @@ class TestEvalCommands:
         ws.scores.unlink()
         forks = counting_forks(monkeypatch)
         for cpus in (1, 2):
-            code, err, reports = self.eval_with_cpus(argv, cpus, monkeypatch, capsys)
+            code, err, reports = with_cpus(argv, cpus, monkeypatch, capsys)
             assert (code, err, reports) == (expected[0], f"error: {expected[1]}\n", {}), cpus
         assert forks == []  # the benchmark is checked before a child is started
 
@@ -826,8 +784,8 @@ class TestEvalCommands:
             ws.scores_control.write_text(ws.scores_control.read_text().replace("0.5", "nan", 1))
         else:
             ws.scores_control.write_text(unknown, encoding="utf-8")
-        in_process = self.eval_with_cpus(argv, 1, monkeypatch, capsys)
-        assert self.eval_with_cpus(argv, 2, monkeypatch, capsys) == in_process
+        in_process = with_cpus(argv, 1, monkeypatch, capsys)
+        assert with_cpus(argv, 2, monkeypatch, capsys) == in_process
         named = ws.scores if fault == "unknown-id-in-both" else ws.scores_control
         code, err, reports = in_process
         if fault == "unknown-id-beside-a-nan":
@@ -835,15 +793,6 @@ class TestEvalCommands:
         else:
             assert (code, reports) == (8, {})
             assert re.fullmatch(f"error: video '[^']+' missing from {re.escape(str(named))}\n", err), err
-
-    def test_a_child_that_dies_names_the_control_file(self, ws, capsys, monkeypatch):
-        argv = ws.eval_argv()
-        control = str(ws.scores_control)
-        load = cli.load_score_matrix
-        monkeypatch.setattr(cli, "load_score_matrix", lambda path: os._exit(3) if path == control else load(path))
-        assert self.eval_with_cpus(argv, 2, monkeypatch, capsys) == (
-            1, f"error: {control}: the process reading it ended without a result\n", {}
-        )
 
     def test_a_child_whose_matrix_is_not_taken_is_stopped(self, ws, capsys, monkeypatch):
         """A missing --scores ends eval at once, while the child still loads
@@ -855,19 +804,9 @@ class TestEvalCommands:
         monkeypatch.setattr(cli, "load_score_matrix", lambda path: time.sleep(60) if path == control else load(path))
         forks = counting_forks(monkeypatch)
         started = time.monotonic()
-        code, err, _ = self.eval_with_cpus(argv, 2, monkeypatch, capsys)
+        code, err, _ = with_cpus(argv, 2, monkeypatch, capsys)
         assert (code, err) == (6, f"error: score file not found: {ws.scores}\n")
         assert forks == [1] and time.monotonic() - started < 30
-
-    def test_a_failed_fork_reads_the_control_matrix_in_process(self, ws, capsys, monkeypatch):
-        scores = coarse(np.random.default_rng(3))
-        argv = ws.eval_argv(scores, scores)
-        in_process = self.eval_with_cpus(argv, 1, monkeypatch, capsys)
-        for call, code in FAILED_CALLS:
-            with monkeypatch.context() as patch:
-                patch.setattr(os, call, failing(code))
-                assert self.eval_with_cpus(argv, 2, patch, capsys) == in_process, call
-        assert in_process[0] == 0
 
 
 class TestLossSelftest:

@@ -17,11 +17,9 @@ from eventprobe.errors import EmptyInput, EvaluationError, MalformedDocument
 from eventprobe.evaluate import (
     DIRECTIONS,
     GapReport,
-    CHILD_MIN_CSV_BYTES,
     GroundTruth,
     ScoreMatrix,
     build_control_pool,
-    child_pays,
     evaluate_pools,
     load_score_matrix,
     pessimistic_ranks,
@@ -553,42 +551,18 @@ class TestScoreMatrixNpz:
             load_score_matrix(path)
 
 
-@pytest.mark.parametrize(
-    "name, size, forks",
-    [("m.csv", CHILD_MIN_CSV_BYTES - 1, 0), ("m.csv", CHILD_MIN_CSV_BYTES, 1), ("m.npz", CHILD_MIN_CSV_BYTES, 0),
-     ("absent.csv", None, 0)],
-    ids=["small-csv", "csv", "npz", "absent"],
-)
-def test_a_child_reads_only_a_csv_large_enough_to_pay(tmp_path, monkeypatch, name, size, forks):
-    path = tmp_path / name
-    if size is not None:
-        path.write_bytes(b"0" * size)
-    attempts = []
-
-    def fork():
-        attempts.append(1)
-        raise OSError("no fork here")  # so the value comes from this process
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(os, "fork", fork)
-    with in_child(lambda: str(path), child_pays(str(path)), f"{path}: the process reading it") as load:
-        assert load() == str(path)
-    assert len(attempts) == forks
-
-
 def test_a_matrix_from_a_child_costs_this_process_one_copy(tmp_path, monkeypatch):
     def build(path):
         scores = np.arange(1024 * 1024, dtype=np.float64).reshape(1024, 1024)  # 8 MiB
         return ScoreMatrix(tuple(f"v{i}" for i in range(1024)), tuple(f"c{i}" for i in range(1024)), scores, path)
 
     path = tmp_path / "m.csv"
-    path.write_bytes(b"0" * CHILD_MIN_CSV_BYTES)  # large enough for the child; build never reads it
     forks = []
     real_fork = os.fork
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
     expected = build(str(path))
-    with in_child(lambda: build(str(path)), child_pays(str(path)), f"{path}: the process reading it") as load:
+    with in_child(lambda: build(str(path)), f"{path}: the process reading it") as load:
         assert forks == [1]
         tracemalloc.start()
         try:
