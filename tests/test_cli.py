@@ -65,6 +65,29 @@ class TestRunCommand:
         assert main(["run", "--config", str(ws.config)]) == 5
         assert main(["run", "--config", str(ws.config), "--force"]) == 0
 
+    def test_missing_profile_exit_code(self, ws):
+        ws.edit(profile_path=str(ws.tmp / "nope.json"))
+        assert main(["run", "--config", str(ws.config)]) == 3
+
+    def test_missing_config_exit_code(self, tmp_path):
+        assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "malformed",
+        [
+            {"decorator": {"enabled": "false", "endpoint": "http://localhost:9", "api_key_env": "PROBE_KEY"}},
+            {"decorator": {"timeout_s": "10"}},
+            {"decorator": {"max_candidates": "ten"}},
+            {"categories": {"temporal.predicate.Action": 1}},
+        ],
+        ids=["decorator-enabled-string", "decorator-timeout-string", "decorator-max-candidates-word",
+             "categories-object"],
+    )
+    def test_malformed_config_exit_code(self, ws, malformed, capsys):
+        ws.edit(**malformed)
+        assert main(["run", "--config", str(ws.config)]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed config")
+
     @pytest.mark.parametrize("out", ["blocker", "blocker/sub"], ids=["file", "under-file"])
     @pytest.mark.parametrize("command", ["run", "ingest", "probe", "render", "emit"])
     def test_output_directory_unwritable(self, ws, capsys, command, out):
@@ -243,27 +266,36 @@ class TestStagedCommands:
 
 
 class TestInputFileErrors:
+    @pytest.mark.parametrize("commands", [["run"], ["ingest", "probe", "render"]], ids=["run", "render"])
     @pytest.mark.parametrize(
         "content, code, message",
         [(None, 7, "template file not found"), (b'{"templates": "\xff"}', 4, "not UTF-8")],
-        ids=["missing-run", "non-utf8-run"],
+        ids=["missing", "non-utf8"],
     )
-    def test_template_file_errors(self, ws, capsys, content, code, message):
+    def test_template_file_errors(self, ws, capsys, commands, content, code, message):
         if content is not None:
             ws.templates.write_bytes(content)
         ws.edit(templates_path=str(ws.templates))
-        assert main(["run", "--config", str(ws.config)]) == code
+        argv = ws.command(*commands)
+        capsys.readouterr()
+        assert main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and str(ws.templates) in err
 
     @pytest.mark.parametrize(
-        "content, message",
-        [(b"\xff", "not UTF-8"), (b"{not json", "invalid JSON"), (b'{"video_id": "v"}', "missing key")],
-        ids=["non-utf8-ingest", "invalid-json-ingest", "missing-key-ingest"],
+        "content, message, command",
+        [
+            (b"\xff", "not UTF-8", "run"),
+            (b"{not json", "invalid JSON", "run"),
+            (b"\xff", "not UTF-8", "ingest"),
+            (b"{not json", "invalid JSON", "ingest"),
+            (b'{"video_id": "v"}', "missing key", "ingest"),
+        ],
+        ids=["non-utf8-run", "invalid-json-run", "non-utf8-ingest", "invalid-json-ingest", "missing-key-ingest"],
     )
-    def test_corpus_file_errors(self, ws, capsys, content, message):
+    def test_corpus_file_errors(self, ws, capsys, content, message, command):
         (ws.corpus / "broken.json").write_bytes(content)
-        assert main(["ingest", "--config", str(ws.config)]) == 4
+        assert main([command, "--config", str(ws.config)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and str(ws.corpus / "broken.json") in err
         assert not ws.out.exists()
