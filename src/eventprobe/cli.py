@@ -10,6 +10,7 @@ its stable exit code (see errors.py).
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import sys
@@ -190,11 +191,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # eventprobe's values are acyclic, so reference counting frees them and a
+    # cyclic collection would only traverse them: the collector is paused for
+    # the command, and resumed after it unless the caller had paused it.
+    resume = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except EventProbeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    finally:
+        if resume:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ out of the digest).
 from __future__ import annotations
 
 import dataclasses
+import fnmatch
 import glob
 import hashlib
 import json
@@ -358,6 +359,19 @@ def _load(out_dir: Path, name: str) -> Any:
     return source.read(_read_output(out_dir, source), str(out_dir / source.output))
 
 
+def _globbed(pattern: str, path: Path) -> bool:
+    """Whether glob.glob(pattern) would list path, were it a file: their
+    absolute, normalised forms have as many components, and each component
+    of path matches pattern's as glob matches a name, where a wildcard does
+    not match a leading dot."""
+    parts, names = os.path.abspath(pattern).split(os.sep), os.path.abspath(path).split(os.sep)
+    return len(parts) == len(names) and all(
+        fnmatch.fnmatchcase(name, part)
+        and not (name.startswith(".") and glob.has_magic(part) and not part.startswith("."))
+        for part, name in zip(parts, names)
+    )
+
+
 @contextmanager
 def _failing(stage: Stage) -> Iterator[None]:
     """Raises an error from inside again with the stage's name in front."""
@@ -393,6 +407,14 @@ def run_stages(config: PipelineConfig, names: Sequence[str]) -> RunManifest | No
     stages = [stage for stage in STAGES if stage.name in names]
     out_dir = Path(config.output_dir)
     first, last = STAGES.index(stages[0]), STAGES.index(stages[-1])
+    # An input_glob that lists an output would read it as a corpus file once
+    # it exists.
+    for stage in STAGES:
+        if _globbed(config.input_glob, out_dir / stage.output):
+            raise ConfigError(
+                f"input_glob {config.input_glob!r} matches {out_dir / stage.output}, "
+                f"an output in output_dir {str(out_dir)!r}"
+            )
     # Name an output directory at or under a file before a stage reads there.
     existing = next((path for path in (out_dir, *out_dir.parents) if os.path.exists(path)), out_dir)
     if not os.path.isdir(existing):

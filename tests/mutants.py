@@ -106,6 +106,24 @@ MUTANTS = [
         "in-child-never-forks", "src/eventprobe/documents.py",
         "len(os.sched_getaffinity(0)) >= 2", "len(os.sched_getaffinity(0)) >= 3", KILLED,
     ),
+    Mutant(
+        "collector-left-paused", "src/eventprobe/cli.py", "            gc.enable()\n", "            pass\n", KILLED,
+    ),
+    Mutant(
+        "input-glob-may-list-outputs", "src/eventprobe/pipeline.py",
+        "if _globbed(config.input_glob, out_dir / stage.output):", "if False:", KILLED,
+    ),
+    Mutant(
+        "input-glob-star-crosses-slash", "src/eventprobe/pipeline.py",
+        "return len(parts) == len(names) and all(",
+        "return fnmatch.fnmatchcase(os.path.abspath(path), os.path.abspath(pattern)) or len(parts) == len(names) and all(",
+        KILLED,
+    ),
+    Mutant(
+        "attribute-list-unchecked", "src/eventprobe/scene_graph.py",
+        "    if not isinstance(raw, list):\n        raise MalformedDocument(f\"tuple {tuple_id!r}: attribute list expected\")\n",
+        "", KILLED,
+    ),
 ]
 
 

@@ -1,4 +1,5 @@
 import errno
+import gc
 import json
 import os
 import random
@@ -96,6 +97,24 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write output directory") and str(ws.tmp / out) in err
         assert (ws.tmp / "blocker").read_text() == "x"
+
+    @pytest.mark.parametrize("command", ["run", "ingest"])
+    def test_an_input_glob_that_matches_an_output_is_refused(self, ws, capsys, command):
+        """A run into the corpus directory would read its own outputs as
+        corpus files the next time: it exits 2 before any work."""
+        ws.edit(output_dir=str(ws.corpus))
+        before = outputs(ws.corpus)
+        assert main([command, "--config", str(ws.config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: input_glob") and "output_dir" in err and str(ws.corpus) in err, err
+        assert outputs(ws.corpus) == before
+
+    def test_an_input_glob_beside_the_outputs_still_runs(self, ws, capsys):
+        """`*` does not cross `/`: <corpus>/*.json does not match the
+        outputs in <corpus>/out."""
+        ws.edit(output_dir=str(ws.corpus / "out"))
+        assert main(["run", "--config", str(ws.config)]) == 0
+        assert main(["run", "--config", str(ws.config), "--force"]) == 0, capsys.readouterr().err
 
     def test_a_taken_temporary_name_is_left_alone(self, ws, capsys):
         """A write that cannot open `<name>.tmp` removes only the temporaries it made."""
@@ -876,6 +895,65 @@ class TestLossSelftest:
         path.write_text(json.dumps({"V": [[0.1, 0.2]], "T": [[0.3, 0.1]], "G": G}), encoding="utf-8")
         assert main(["loss-selftest", "--input", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["loss"] == 0.0
+
+
+def cyclic_garbage(call, *args):
+    """call(*args)'s result, called with the cyclic collector paused, and the
+    number of unreachable objects gc.collect() finds after it; after one
+    warm-up call. Every object older than the call is frozen, so the count
+    is the call's alone and the collection does not traverse the suite's."""
+    call(*args)
+    gc.disable()
+    gc.freeze()
+    try:
+        return call(*args), gc.collect()
+    finally:
+        gc.unfreeze()
+        gc.enable()
+
+
+class TestCollectorPause:
+    """Each command runs with the cyclic collector paused: its values are
+    acyclic, so what cyclic garbage it leaves does not grow with them."""
+
+    def test_a_commands_cyclic_garbage_does_not_grow_with_its_input(self, tmp_path, capsys):
+        corpus = [with_objects(g) for g in random_profile_corpus(random.Random(5), PROFILE, 30)]
+        pairs, garbage = [], []
+        for name, graphs in (("fixtures", None), ("generated", [(g.video_id, g) for g in corpus])):
+            (tmp_path / name).mkdir()
+            ws = Workspace(tmp_path / name, graphs)
+            eval_argv = ws.eval_argv()
+            pairs.append(len((ws.out / "benchmark.jsonl").read_text().splitlines()))
+            force = ["--config", str(ws.config), "--force"]
+            garbage.append([cyclic_garbage(main, [command, *force]) for command in ["run", *pipeline.STAGE_BY_NAME]]
+                           + [cyclic_garbage(main, eval_argv)])
+        assert pairs[1] >= 8 * pairs[0]
+        assert all(code == 0 for code, _ in garbage[0]) and garbage[1] == garbage[0]
+        config = ws.pipeline_config(force=True)
+        for name in ("ingest", "probe", "render"):
+            assert cyclic_garbage(pipeline.run_stages, config, [name]) == (None, 0), name
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "paused-by-the-caller"])
+    @pytest.mark.parametrize("code", [0, 2, None], ids=["exit-0", "exit-2", "exception"])
+    def test_the_collector_is_left_as_the_caller_had_it(self, ws, monkeypatch, enabled, code):
+        """None: the handler raises a RuntimeError, which main lets escape."""
+        def fails(args):
+            raise RuntimeError("boom")
+
+        if code is None:
+            monkeypatch.setattr(cli, "cmd_stage", fails)
+        argv = ["run", "--config", str(ws.tmp / "absent.json" if code == 2 else ws.config)]
+        if not enabled:
+            gc.disable()
+        try:
+            if code is None:
+                with pytest.raises(RuntimeError, match="boom"):
+                    main(argv)
+            else:
+                assert main(argv) == code
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
 
 
 class TestExitCodes:

@@ -272,6 +272,10 @@ FAULTS = {
         "duration-overflow-beside-pair": spell(edit_corpus(video_id=PAIR, duration_s=120.0), 120.0, "1e999"),
         "tuple-number": edit_corpus(tuples=lambda tuples: [5, *tuples[1:]]),
         "attribute-string": edit_corpus(tuples=first_tuple(object_attrs=["brown"])),
+        "attributes-object": Says("tuple 'k1': attribute list expected", edit_corpus(
+            tuples=first_tuple(subject_attrs={"value": "red", "attr_type": "Color"}))),
+        "attributes-string": Says("tuple 'k1': attribute list expected", edit_corpus(
+            tuples=first_tuple(subject_attrs="red"))),
         "time-number": edit_corpus(tuples=first_tuple(time=5)),
     },
     "graphs.jsonl": {

@@ -1,11 +1,14 @@
+import glob
 import hashlib
 import json
+import os
+from pathlib import Path
 
 import pytest
 
 import eventprobe.decorator
 from eventprobe.errors import ConfigError, MalformedDocument, ProfileNotFound
-from eventprobe.pipeline import PipelineConfig, RunManifest, run_pipeline
+from eventprobe.pipeline import STAGES, PipelineConfig, RunManifest, _globbed, run_pipeline
 
 # Hand-enumerated site counts over tests/fixtures/{focker,forrest,kitchen}.json,
 # frozen before the enumerator existed (see also test_acceptance).
@@ -19,6 +22,28 @@ EXPECTED_SITE_COUNTS = {
     "counterfactual.predicate.SpatialRelationship": 2,
     "counterfactual.attribute.Color": 6,
 }
+
+
+# Patterns relative to a directory holding out/ and .hidden/, each with every
+# output in it; "{root}" stands for that directory's absolute path.
+GLOBS = [
+    "out/*", "out/*.json", "out/*.jsonl", "out/run_*", "*/*", "*/graphs.jsonl", "**/*", "*", "out/*/*",
+    ".hidden/*", ".*/*", "[.]hidden/*", "./out/../out/*.json*", "o[u]t/?????.jsonl", "out", "OUT/*",
+    "{root}/*/*", "{root}/out/benchmark.jsonl", "{root}/../*/out/*",
+]
+
+
+@pytest.mark.parametrize("pattern", GLOBS)
+def test_an_output_is_globbed_as_glob_lists_it(tmp_path, monkeypatch, pattern):
+    """_globbed agrees with glob.glob on every output path."""
+    monkeypatch.chdir(tmp_path)
+    pattern = pattern.format(root=tmp_path)
+    paths = [Path(d) / stage.output for d in ("out", ".hidden") for stage in STAGES]
+    for path in paths:
+        path.parent.mkdir(exist_ok=True)
+        path.write_text("")
+    listed = {os.path.abspath(p) for p in glob.glob(pattern)}
+    assert {str(p) for p in paths if _globbed(pattern, p)} == {str(p) for p in paths if os.path.abspath(p) in listed}
 
 
 class TestConfig:
